@@ -40,7 +40,6 @@ from .isometries import (
     group_closure,
     invert,
     orbit,
-    orbit_diameter,
 )
 from .iterate import (
     IterationTrace,
@@ -52,10 +51,8 @@ from .runner import run_scenario, run_suite
 from .scenarios import validate_scenario, validate_suite
 from .seb import seb_center
 from .spaces import (
-    BOX_URNS_CONSTANT,
     FIBER_URNS_CONSTANT,
     PointCloud,
-    SpaceDescriptor,
     SupPoint,
     cloud_diameter,
     sup_distance,
@@ -82,7 +79,6 @@ from .witnesses import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOX_URNS_CONSTANT",
     "FIBER_URNS_CONSTANT",
     "AffineActionModel",
     "Box",
@@ -101,7 +97,6 @@ __all__ = [
     "PointCloud",
     "ScenarioFormatError",
     "SimilarityReport",
-    "SpaceDescriptor",
     "SpaceMismatchError",
     "SupPoint",
     "SupfixError",
@@ -132,7 +127,6 @@ __all__ = [
     "iterate_box",
     "orbit",
     "orbit_center_fixed_point",
-    "orbit_diameter",
     "run_scenario",
     "run_suite",
     "seb_center",

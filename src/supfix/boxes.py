@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-import numpy as np
-
 from .errors import EmptyDomainError, SpaceMismatchError
 from .spaces import PointCloud, SupPoint
 
@@ -82,19 +80,6 @@ class Box:
         if self.is_empty:
             return Fraction(0)
         return max((b - a for a, b in zip(self.lo, self.hi)), default=Fraction(0))
-
-    def diameter_float(self) -> float:
-        return float(self.diameter())
-
-    def lo_array(self) -> np.ndarray:
-        if self.is_empty:
-            raise EmptyDomainError("empty box has no bounds")
-        return np.array([float(x) for x in self.lo])
-
-    def hi_array(self) -> np.ndarray:
-        if self.is_empty:
-            raise EmptyDomainError("empty box has no bounds")
-        return np.array([float(x) for x in self.hi])
 
     def center_exact(self) -> tuple[Fraction, ...]:
         if self.is_empty:

@@ -14,6 +14,12 @@ a mysteriously bad least-squares fit.
 The scalar flavor lives on the function space over an abstract finite
 group: c(g)(s) = t(g s) - t(s g) for a fixed function t, with the law
 c(g h)(s) = c(g)(h s) + c(h)(s g).
+
+Both laws are checked as gathers over the Cayley table (the matrix one
+with batched products over all pairs, the scalar one a row g at a time),
+and inverses come from `groups.inverse_indices`.  Matrix groups are
+closed by the kernel in `groups.py`, where duplicates are products within
+`tol` of a known element in every entry.
 """
 
 from __future__ import annotations
@@ -25,7 +31,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CocycleInconsistencyError, SpaceMismatchError
+from .groups import inverse_indices
 from .unitary import UnitaryGroup
+
+
+def _worst_pair(defects: np.ndarray) -> tuple[float, int, int]:
+    """The largest entry with its (row, column), first in row-major order."""
+    i, j = np.unravel_index(np.argmax(defects), defects.shape)
+    return float(defects[i, j]), int(i), int(j)
 
 
 @dataclass(frozen=True)
@@ -64,17 +77,9 @@ def cocycle_defect(data: DerivationData) -> tuple[float, int, int]:
 
     Returns (defect, i, j) for the worst pair of element indices.
     """
-    g = data.group
-    worst, wi, wj = 0.0, 0, 0
-    for i in range(len(g)):
-        gi = g.elements[i]
-        di = data.values[i]
-        for j in range(len(g)):
-            expect = di @ g.elements[j] + gi @ data.values[j]
-            defect = float(np.abs(data.values[g.cayley[i, j]] - expect).max())
-            if defect > worst:
-                worst, wi, wj = defect, i, j
-    return worst, wi, wj
+    elems, vals = data.group.elements, data.values
+    expect = vals[:, None] @ elems[None] + elems[:, None] @ vals[None]
+    return _worst_pair(np.abs(vals[data.group.cayley] - expect).max(axis=(2, 3)))
 
 
 def check_cocycle(data: DerivationData, tol: float = 1e-8) -> float:
@@ -137,12 +142,7 @@ class CayleyGroup:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        n = len(self)
-        inv = np.empty(n, dtype=int)
-        for i in range(n):
-            (hits,) = np.nonzero(self.table[i] == 0)
-            inv[i] = hits[0]
-        return inv
+        return inverse_indices(self.table)
 
     @classmethod
     def cyclic(cls, n: int) -> "CayleyGroup":
@@ -152,13 +152,11 @@ class CayleyGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "CayleyGroup":
-        perms = list(itertools.permutations(range(n)))  # identity comes first
-        index = {p: i for i, p in enumerate(perms)}
-        size = len(perms)
-        table = np.empty((size, size), dtype=int)
-        for i, p in enumerate(perms):
-            for j, q in enumerate(perms):
-                table[i, j] = index[tuple(p[q[x]] for x in range(n))]
+        perms = list(itertools.permutations(range(n)))  # lexicographic, identity first
+        arr = np.array(perms, dtype=int).reshape(len(perms), n)
+        products = arr[np.arange(len(perms))[:, None, None], arr[None]]  # [i, j, x] = p_i(p_j(x))
+        place = n ** np.arange(n - 1, -1, -1)  # lexicographic order = order of these codes
+        table = np.searchsorted(arr @ place, products @ place)
         labels = tuple("".join(str(x) for x in p) for p in perms)
         return cls(labels, table)
 
@@ -177,15 +175,12 @@ def translation_law_worst_pair(group: CayleyGroup, c: np.ndarray) -> tuple[float
     n = len(group)
     if c.shape != (n, n):
         raise SpaceMismatchError("cocycle table must be |G| x |G|")
-    worst, wg, wh = 0.0, 0, 0
+    table = group.table
+    defects = np.empty((n, n))
     for g in range(n):
-        for h in range(n):
-            lhs = c[group.table[g, h]]
-            rhs = c[g, group.table[h]] + c[h, group.table[:, g]]
-            defect = float(np.abs(lhs - rhs).max())
-            if defect > worst:
-                worst, wg, wh = defect, g, h
-    return worst, wg, wh
+        # row h of each term: c[g h, s], c[g, h s] and c[h, s g] over s
+        defects[g] = np.abs(c[table[g]] - (c[g, table] + c[:, table[:, g]])).max(axis=1)
+    return _worst_pair(defects)
 
 
 def translation_cocycle_defect(group: CayleyGroup, c: np.ndarray) -> float:

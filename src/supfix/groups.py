@@ -1,0 +1,95 @@
+"""The finite-group kernel behind the isometry and unitary groups.
+
+`closure` is the package's one breadth-first closure.  Starting from the
+identity it takes the elements in order, multiplies each on the right by
+every generator in turn, and appends each product it has not seen.  A
+product counts as seen when its signature lies within `tol` of a stored
+one in every entry (max |diff| <= tol); the stored signatures fill one
+preallocated (cap, L) array, so each check is a single array comparison.
+The closure records the generator words, the BFS parents and the
+right-multiplication table; the Cayley table and the inverses are gathers
+from those, with no further element comparisons.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
+
+from .errors import GroupNotClosedError
+
+
+class Closure(NamedTuple):
+    elements: list
+    words: tuple[tuple[int, ...], ...]  # generator indices, multiplied left to right
+    parents: tuple[tuple[int, int] | None, ...]  # (parent index, generator index)
+    right: np.ndarray  # (n, n_gen): index of elements[i] * generators[g]
+
+
+def closure(
+    identity,
+    generators: Sequence,
+    multiply: Callable,
+    signature: Callable[..., np.ndarray],
+    cap: int,
+    tol: float,
+) -> Closure:
+    """Close `generators` under right multiplication, breadth first.
+
+    Raises GroupNotClosedError when more than `cap` distinct elements
+    appear, so a typo in the generator data fails fast instead of looping.
+    """
+    first = np.ravel(signature(identity))
+    sigs = np.empty((cap, first.size), dtype=first.dtype)
+    sigs[0] = first
+    elements = [identity]
+    words: list[tuple[int, ...]] = [()]
+    parents: list[tuple[int, int] | None] = [None]
+    right = np.empty((cap, len(generators)), dtype=int)
+    i = 0
+    while i < len(elements):
+        for gi, gen in enumerate(generators):
+            cand = multiply(elements[i], gen)
+            sig = np.ravel(signature(cand))
+            n = len(elements)
+            hits = np.flatnonzero(np.abs(sigs[:n] - sig).max(axis=1) <= tol)
+            if hits.size:
+                right[i, gi] = hits[0]
+                continue
+            if n >= cap:
+                raise GroupNotClosedError(
+                    f"closure exceeded {cap} elements; generators look non-terminating"
+                )
+            sigs[n] = sig
+            elements.append(cand)
+            words.append(words[i] + (gi,))
+            parents.append((i, gi))
+            right[i, gi] = n
+        i += 1
+    return Closure(elements, tuple(words), tuple(parents), right[: len(elements)].copy())
+
+
+def word_labels(words: Sequence[tuple[int, ...]]) -> tuple[str, ...]:
+    """'e' for the identity, else the generator word as 'g0*g1*...'."""
+    return tuple("e" if not w else "*".join(f"g{i}" for i in w) for w in words)
+
+
+def cayley_table(parents: Sequence[tuple[int, int] | None], right: np.ndarray) -> np.ndarray:
+    """table[i, j] = index of elements[i] * elements[j].
+
+    With elements[j] = elements[p] * generators[g] for the BFS parent p,
+    column j is column p pushed through right multiplication by g.
+    """
+    n = right.shape[0]
+    table = np.empty((n, n), dtype=int)
+    table[:, 0] = np.arange(n)
+    for j in range(1, n):
+        p, g = parents[j]
+        table[:, j] = right[table[:, p], g]
+    return table
+
+
+def inverse_indices(table: np.ndarray) -> np.ndarray:
+    """inv[i] = the j with table[i, j] the identity (index 0)."""
+    return np.argmax(table == 0, axis=1)

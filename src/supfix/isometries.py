@@ -6,10 +6,12 @@ in each fiber, and translates:
     (phi x)_g = maps[g] @ x[perm[g]] + trans[g]
 
 This family is closed under composition and inversion, which is all the
-group machinery needs.  Finite groups are produced by breadth-first
-closure over right multiplication by the generators; elements are
-deduplicated by their images of a fixed probe cloud, so no canonical form
-of the matrix data is required.
+group machinery needs.  Finite groups are produced by the breadth-first
+closure of `groups.closure` over right multiplication by the generators.
+An element's signature is its image of a fixed probe cloud, so no
+canonical form of the matrix data is required; a product whose signature
+is within `tol` of a known one in every entry (max |diff| <= tol) is a
+duplicate.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .boxes import Box
-from .errors import GroupNotClosedError, SpaceMismatchError
-from .spaces import PointCloud, SupPoint, cloud_diameter
+from .errors import SpaceMismatchError
+from .groups import closure, word_labels
+from .spaces import PointCloud, SupPoint
 
 _ORTHO_TOL = 1e-8
 
@@ -66,9 +69,6 @@ class FiberPermIsometry:
             raise SpaceMismatchError("point shape does not match isometry")
         out = np.einsum("gij,gj->gi", self.maps, x.fibers[self.perm]) + self.trans
         return SupPoint(out)
-
-    def is_linear(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.trans) <= tol))
 
 
 def compose(a: FiberPermIsometry, b: FiberPermIsometry) -> FiberPermIsometry:
@@ -132,9 +132,7 @@ class GroupSpec:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(
-            "e" if not w else "*".join(f"g{i}" for i in w) for w in self.words
-        )
+        return word_labels(self.words)
 
     def element_index(self, iso: FiberPermIsometry) -> int:
         probes = _probe_cloud(self.m, self.k)
@@ -162,42 +160,20 @@ def group_closure(
         if g.m != m or g.k != k:
             raise SpaceMismatchError("generators act on different spaces")
     probes = _probe_cloud(m, k)
-
-    elements: list[FiberPermIsometry] = [FiberPermIsometry.identity(m, k)]
-    words: list[tuple[int, ...]] = [()]
-    sigs: list[np.ndarray] = [_signature(elements[0], probes)]
-
-    def known(sig: np.ndarray) -> bool:
-        return any(np.allclose(s, sig, atol=tol, rtol=0.0) for s in sigs)
-
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for idx in frontier:
-            for gi, g in enumerate(generators):
-                cand = compose(elements[idx], g)
-                sig = _signature(cand, probes)
-                if known(sig):
-                    continue
-                if len(elements) >= cap:
-                    raise GroupNotClosedError(
-                        f"closure exceeded {cap} elements; generators look non-terminating"
-                    )
-                elements.append(cand)
-                words.append(words[idx] + (gi,))
-                sigs.append(sig)
-                next_frontier.append(len(elements) - 1)
-        frontier = next_frontier
-    return GroupSpec(tuple(generators), tuple(elements), tuple(words), tol)
+    found = closure(
+        FiberPermIsometry.identity(m, k),
+        generators,
+        compose,
+        lambda iso: _signature(iso, probes),
+        cap,
+        tol,
+    )
+    return GroupSpec(tuple(generators), tuple(found.elements), found.words, tol)
 
 
 def orbit(group: GroupSpec, x: SupPoint) -> PointCloud:
     """The images of x under every group element, in element order."""
     return PointCloud.from_iter(g(x) for g in group.elements)
-
-
-def orbit_diameter(group: GroupSpec, x: SupPoint) -> float:
-    return cloud_diameter(orbit(group, x))
 
 
 def box_image(iso: FiberPermIsometry, box: Box) -> Box:

@@ -18,6 +18,8 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .boxes import Box, ball_intersection, box_H, box_center
 from .centers import urns_center
 from .errors import InvarianceViolationError, SpaceMismatchError
@@ -35,18 +37,17 @@ def fixed_point_residual(group: GroupSpec, x: SupPoint) -> float:
 def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[list[SupPoint], Fraction]:
     """Orbit of x0 and its exact sup-diameter (k = 1 only).
 
-    Floats are dyadic, so pairwise coordinate differences are exact once
-    lifted to Fraction; the float path may round a near-maximal pair down,
+    The sup-diameter is the largest per-coordinate spread, max - min.
+    Floats are dyadic, so those differences are exact once lifted to
+    Fraction; a float difference may round a near-maximal spread down,
     which would make the initial ball intersection empty.
     """
     pts = [g(x0) for g in group.elements]
-    coords = [tuple(Fraction(float(v)) for v in p.fibers[:, 0]) for p in pts]
-    diam = Fraction(0)
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            d = max(abs(a - b) for a, b in zip(coords[i], coords[j]))
-            if d > diam:
-                diam = d
+    coords = np.stack([p.fibers[:, 0] for p in pts])
+    diam = max(
+        Fraction(float(hi)) - Fraction(float(lo))
+        for lo, hi in zip(coords.min(axis=0), coords.max(axis=0))
+    )
     return pts, diam
 
 

@@ -2,12 +2,15 @@
 
 Each scenario is one JSON object with a "kind" field choosing the solver
 path and a "seed" pinning the random instance.  Structural validation is
-jsonschema; the handful of semantic rules a schema cannot express (bound
-ordering, length agreement) are checked here as well.  All violations
-raise ScenarioFormatError, which the runner maps to exit code 4.
+jsonschema, with one validator per kind built on first use; the handful
+of semantic rules a schema cannot express (bound ordering, length
+agreement, group sizes) are checked here as well.  All violations raise
+ScenarioFormatError, which the runner maps to exit code 4.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import jsonschema
 
@@ -92,6 +95,9 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
     },
 }
 
+# Largest N accepted in a group_algebra_derivation "family:N" group name.
+_GROUP_SIZE_BOUNDS = {"cyclic": 512, "symmetric": 5}
+
 SCENARIO_DEFAULTS: dict[str, dict] = {
     "box_fixed_point": {"dim": 8, "max_order": 48, "tol": 1e-10},
     "fiber_fixed_point": {"fibers": 5, "fiber_dim": 3, "max_order": 48, "tol": 1e-9},
@@ -115,12 +121,19 @@ def validate_scenario(obj) -> dict:
         raise ScenarioFormatError(
             f"unknown scenario kind {kind!r}; expected one of {sorted(SCENARIO_SCHEMAS)}"
         )
-    try:
-        jsonschema.validate(obj, SCENARIO_SCHEMAS[kind])
-    except jsonschema.ValidationError as exc:
-        raise ScenarioFormatError(f"invalid {kind} scenario: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(obj))
+    if error is not None:
+        raise ScenarioFormatError(f"invalid {kind} scenario: {error.message}")
 
     merged = {**SCENARIO_DEFAULTS[kind], **obj}
+    if kind == "group_algebra_derivation":
+        family, _, digits = merged["group"].partition(":")
+        bound = _GROUP_SIZE_BOUNDS[family]
+        digits = digits.lstrip("0") or "0"  # length check first: int() refuses huge strings
+        if len(digits) > len(str(bound)) or not 1 <= int(digits) <= bound:
+            raise ScenarioFormatError(
+                f"group {merged['group']!r} is out of range; {family}:N needs 1 <= N <= {bound}"
+            )
     if kind == "box_fixed_point" and "sample_box" in merged:
         box = merged["sample_box"]
         lo, hi = box["lo"], box["hi"]
@@ -136,6 +149,12 @@ def validate_scenario(obj) -> dict:
                     f"sample_box coordinate {i} has lo={a} > hi={b}"
                 )
     return merged
+
+
+@cache
+def _validator(kind: str):
+    schema = SCENARIO_SCHEMAS[kind]
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def validate_suite(obj) -> list[dict]:

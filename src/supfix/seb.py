@@ -116,7 +116,3 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
     center, _ = _welzl(shuffled, len(shuffled), [], k)
     radius = max(math.dist(row, center) for row in uniq)
     return np.array(center), radius
-
-
-def enclosing_radius(points: Sequence[Sequence[float]] | np.ndarray) -> float:
-    return seb_center(points)[1]

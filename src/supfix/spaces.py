@@ -1,4 +1,4 @@
-"""Points, clouds and descriptors for the two sup-norm model spaces.
+"""Points and clouds for the two sup-norm model spaces.
 
 The working spaces are finite models: real l-infinity^n (every point a vector
 of n reals, distance = max coordinate difference) and l-infinity(Gamma, H)
@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import EmptyDomainError, SpaceMismatchError
 
-# Jung-type constants certifying uniform relative normal structure for the
-# two model spaces: 1/2 on the box space, sqrt(3)/2 for Euclidean fibers.
-BOX_URNS_CONSTANT = 0.5
+# Jung-type constant certifying uniform relative normal structure for
+# Euclidean fibers (the box space has 1/2).
 FIBER_URNS_CONSTANT = math.sqrt(3.0) / 2.0
 
 
@@ -114,46 +113,3 @@ def cloud_diameter(cloud: PointCloud) -> float:
     diff = pts[:, np.newaxis, :, :] - pts[np.newaxis, :, :, :]
     fiber_d = np.sqrt(np.sum(diff * diff, axis=3))
     return float(np.max(np.max(fiber_d, axis=2)))
-
-
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    """Which model space we are in, plus its certified structure constant."""
-
-    kind: str  # "box_real" | "fiber_hilbert"
-    m: int
-    k: int
-
-    _KINDS = ("box_real", "fiber_hilbert")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.m < 1 or self.k < 1:
-            raise ValueError("space dimensions must be positive")
-        if self.kind == "box_real" and self.k != 1:
-            raise ValueError("box_real requires one-dimensional fibers")
-
-    @classmethod
-    def box_real(cls, n: int) -> "SpaceDescriptor":
-        return cls("box_real", n, 1)
-
-    @classmethod
-    def fiber_hilbert(cls, m: int, k: int) -> "SpaceDescriptor":
-        return cls("fiber_hilbert", m, k)
-
-    @property
-    def urns_constant(self) -> float:
-        """The constant c < 1 for which admissible sets admit relative centers."""
-        if self.kind == "box_real":
-            return BOX_URNS_CONSTANT
-        return FIBER_URNS_CONSTANT
-
-    def matches(self, p: SupPoint) -> bool:
-        return p.m == self.m and p.k == self.k
-
-    def require(self, p: SupPoint) -> None:
-        if not self.matches(p):
-            raise SpaceMismatchError(
-                f"point of shape {p.fibers.shape} does not live in {self.kind}({self.m},{self.k})"
-            )

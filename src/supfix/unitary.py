@@ -13,8 +13,14 @@ multiplications into model-space operations:
     E(a g) = E(a) g        right matrix action, an isometry of each row
 
 so matrix identities can be checked or solved entirely inside the model.
-Realification helpers turn complex fibers into real ones of twice the
+`realify_matrix` turns complex fibers into real ones of twice the
 dimension, which is what the generic isometry machinery consumes.
+
+Groups are closed by `groups.closure`, the same breadth-first kernel as
+the isometry groups, with the matrix itself as signature: a product
+within `tol` of a known element in every entry (max |diff| <= tol) is a
+duplicate.  The Cayley table and the inverses are gathers from the
+closure's right-multiplication table.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GroupNotClosedError, SpaceMismatchError
+from .errors import SpaceMismatchError
+from .groups import cayley_table, closure, inverse_indices, word_labels
 
 _UNITARY_TOL = 1e-9
 
@@ -47,6 +54,7 @@ class UnitaryGroup:
     elements: np.ndarray  # (n, d, d), identity first
     words: tuple[tuple[int, ...], ...]
     parents: tuple[tuple[int, int] | None, ...]  # (parent index, generator index)
+    right: np.ndarray  # (n, n_gen): index of elements[i] @ generators[g]
     tol: float = 1e-9
 
     @property
@@ -58,7 +66,7 @@ class UnitaryGroup:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple("e" if not w else "*".join(f"g{i}" for i in w) for w in self.words)
+        return word_labels(self.words)
 
     def index_of(self, mat: np.ndarray) -> int:
         diffs = np.abs(self.elements - np.asarray(mat, dtype=complex)).max(axis=(1, 2))
@@ -70,50 +78,21 @@ class UnitaryGroup:
     @cached_property
     def cayley(self) -> np.ndarray:
         """cayley[i, j] = index of elements[i] @ elements[j]."""
-        n = len(self)
-        table = np.empty((n, n), dtype=int)
-        for i in range(n):
-            for j in range(n):
-                table[i, j] = self.index_of(self.elements[i] @ self.elements[j])
-        return table
+        return cayley_table(self.parents, self.right)
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        return np.array([self.index_of(g.conj().T) for g in self.elements])
+        return inverse_indices(self.cayley)
 
 
 def unitary_closure(
     generators: Sequence[np.ndarray], cap: int = 256, tol: float = 1e-9
 ) -> UnitaryGroup:
     gens = np.stack([_check_unitary(g) for g in generators])
-    d = gens.shape[1]
-    elements = [np.eye(d, dtype=complex)]
-    words: list[tuple[int, ...]] = [()]
-    parents: list[tuple[int, int] | None] = [None]
-
-    def find(mat: np.ndarray) -> int | None:
-        diffs = [np.abs(e - mat).max() for e in elements]
-        idx = int(np.argmin(diffs))
-        return idx if diffs[idx] <= tol else None
-
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            for gi in range(gens.shape[0]):
-                cand = elements[idx] @ gens[gi]
-                if find(cand) is not None:
-                    continue
-                if len(elements) >= cap:
-                    raise GroupNotClosedError(
-                        f"unitary closure exceeded {cap} elements"
-                    )
-                elements.append(cand)
-                words.append(words[idx] + (gi,))
-                parents.append((idx, gi))
-                nxt.append(len(elements) - 1)
-        frontier = nxt
-    return UnitaryGroup(gens, np.stack(elements), tuple(words), tuple(parents), tol)
+    found = closure(np.eye(gens.shape[1], dtype=complex), gens, np.matmul, np.ravel, cap, tol)
+    return UnitaryGroup(
+        gens, np.stack(found.elements), found.words, found.parents, found.right, tol
+    )
 
 
 @dataclass(frozen=True)
@@ -172,16 +151,6 @@ def tilde_permutation(norming: NormingSet, g: np.ndarray) -> np.ndarray:
 def perm_matrix(sigma: np.ndarray) -> np.ndarray:
     """P with (P M)[i] = M[sigma(i)]."""
     return np.eye(sigma.shape[0])[sigma]
-
-
-def realify_vector(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    return np.concatenate([v.real, v.imag])
-
-
-def derealify_vector(v: np.ndarray) -> np.ndarray:
-    d = v.shape[0] // 2
-    return v[:d] + 1j * v[d:]
 
 
 def realify_matrix(b: np.ndarray) -> np.ndarray:

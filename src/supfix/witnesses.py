@@ -265,25 +265,16 @@ def build_similarity(model: AffineActionModel, t_mat: np.ndarray) -> SimilarityR
     zero_ds = np.zeros((d, size))
     s_left_inv = np.block([[j_pinv, -j_pinv @ t_mat @ j_pinv], [zero_ds, j_pinv]])
 
-    def u_of(l: int) -> np.ndarray:
-        g = group.elements[l]
-        return np.block(
-            [[g, -model.derivation.values[l]], [np.zeros((d, d)), g]]
-        )
-
-    inter = 0.0
+    # u(g) = [[g, -delta(g)], [0, g]] for every element
+    us = np.zeros((n, 2 * d, 2 * d), dtype=complex)
+    us[:, :d, :d] = us[:, d:, d:] = group.elements
+    us[:, :d, d:] = -model.derivation.values
+    # diag(P_g, P_g) S is a row gather of S
+    rows = np.concatenate([model.sigmas, model.sigmas + size], axis=1)
+    inter = hom = 0.0
     for l in range(n):
-        p_mat = perm_matrix(model.sigmas[l])
-        big_p = np.block(
-            [[p_mat, np.zeros((size, size))], [np.zeros((size, size)), p_mat]]
-        )
-        inter = max(inter, float(np.abs(s_mat @ u_of(l) - big_p @ s_mat).max()))
-
-    hom = 0.0
-    us = [u_of(l) for l in range(n)]
-    for i in range(n):
-        for j in range(n):
-            hom = max(hom, float(np.abs(us[group.cayley[i, j]] - us[i] @ us[j]).max()))
+        inter = max(inter, float(np.abs(s_mat @ us[l] - s_mat[rows[l]]).max()))
+        hom = max(hom, float(np.abs(us[group.cayley[l]] - us[l] @ us).max()))
 
     left_res = float(np.abs(s_left_inv @ s_mat - np.eye(2 * d)).max())
     return SimilarityReport(
@@ -327,10 +318,8 @@ def finite_group_algebra_witness(
     n = len(group)
     if c.shape != (n, n):
         raise SpaceMismatchError("cocycle table must be |G| x |G|")
-    inv = group.inverse
-    orbit_of_zero = np.empty((n, n))
-    for g in range(n):
-        orbit_of_zero[g] = c[g, group.table[inv[g]]]  # s -> c[g, g^{-1} s]
+    # row g: s -> c[g, g^{-1} s]
+    orbit_of_zero = c[np.arange(n)[:, None], group.table[group.inverse]]
     t = orbit_of_zero.mean(axis=0)
     t = t - t.mean()
     residual = float(np.abs(c - (t[group.table] - t[group.table.T])).max())

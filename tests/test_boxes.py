@@ -55,7 +55,6 @@ class TestBoxBasics:
     def test_bounds_and_diameter(self):
         b = Box.bounds([0, -1], [2, 1])
         assert b.diameter() == Fraction(2)
-        assert b.diameter_float() == 2.0
 
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError):

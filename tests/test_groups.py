@@ -1,0 +1,279 @@
+"""The finite-group kernel against the element-by-element loop forms.
+
+Each `loop_*` function below is the straightforward loop that the array
+form in the package replaced.  They scan the known elements or the
+element pairs one at a time, so they are slow but obviously right; the
+package must agree with them bit for bit: the same elements in the same
+order, the same words, tables and inverses, and the same law defects
+and worst pairs.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from supfix.cocycles import (
+    CayleyGroup,
+    cocycle_defect,
+    translation_law_worst_pair,
+)
+from supfix.errors import GroupNotClosedError
+from supfix.groups import closure
+from supfix.instances import (
+    cayley_group,
+    corrupt_cocycle_table,
+    corrupt_derivation,
+    random_box_group,
+    random_fiber_group,
+    random_inner_derivation,
+    random_translation_cocycle,
+    unitary_group,
+)
+from supfix.isometries import FiberPermIsometry, _probe_cloud, _signature, compose
+from supfix.unitary import perm_matrix, unitary_closure
+from supfix.witnesses import build_affine_action, build_similarity, finite_group_algebra_witness
+
+
+# -- loop forms ------------------------------------------------------------
+
+
+def loop_group_closure(generators, cap, tol=1e-10):
+    m, k = generators[0].m, generators[0].k
+    probes = _probe_cloud(m, k)
+    elements = [FiberPermIsometry.identity(m, k)]
+    words = [()]
+    sigs = [_signature(elements[0], probes)]
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for idx in frontier:
+            for gi, g in enumerate(generators):
+                cand = compose(elements[idx], g)
+                sig = _signature(cand, probes)
+                if any(np.allclose(s, sig, atol=tol, rtol=0.0) for s in sigs):
+                    continue
+                assert len(elements) < cap
+                elements.append(cand)
+                words.append(words[idx] + (gi,))
+                sigs.append(sig)
+                next_frontier.append(len(elements) - 1)
+        frontier = next_frontier
+    return elements, words
+
+
+def loop_unitary_closure(gens, tol=1e-9):
+    elements = [np.eye(gens.shape[1], dtype=complex)]
+    words, parents = [()], [None]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for idx in frontier:
+            for gi in range(gens.shape[0]):
+                cand = elements[idx] @ gens[gi]
+                diffs = [np.abs(e - cand).max() for e in elements]
+                if diffs[int(np.argmin(diffs))] <= tol:
+                    continue
+                elements.append(cand)
+                words.append(words[idx] + (gi,))
+                parents.append((idx, gi))
+                nxt.append(len(elements) - 1)
+        frontier = nxt
+    return np.stack(elements), words, parents
+
+
+def loop_cayley(group):
+    n = len(group)
+    return np.array(
+        [[group.index_of(group.elements[i] @ group.elements[j]) for j in range(n)]
+         for i in range(n)]
+    )
+
+
+def loop_inverse(group):
+    return np.array([group.index_of(g.conj().T) for g in group.elements])
+
+
+def loop_table_inverse(table):
+    return np.array([np.nonzero(row == 0)[0][0] for row in table])
+
+
+def loop_symmetric_table(n):
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array(
+        [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+    ).reshape(len(perms), len(perms))
+
+
+def loop_cocycle_defect(data):
+    g = data.group
+    worst, wi, wj = 0.0, 0, 0
+    for i in range(len(g)):
+        for j in range(len(g)):
+            expect = data.values[i] @ g.elements[j] + g.elements[i] @ data.values[j]
+            defect = float(np.abs(data.values[g.cayley[i, j]] - expect).max())
+            if defect > worst:
+                worst, wi, wj = defect, i, j
+    return worst, wi, wj
+
+
+def loop_translation_law_worst_pair(group, c):
+    worst, wg, wh = 0.0, 0, 0
+    for g in range(len(group)):
+        for h in range(len(group)):
+            lhs = c[group.table[g, h]]
+            rhs = c[g, group.table[h]] + c[h, group.table[:, g]]
+            defect = float(np.abs(lhs - rhs).max())
+            if defect > worst:
+                worst, wg, wh = defect, g, h
+    return worst, wg, wh
+
+
+def loop_similarity_residuals(model, s_mat):
+    """(intertwine, homomorphism) residuals with dense permutation products."""
+    group = model.derivation.group
+    size, d = model.size, model.d
+
+    def u_of(l):
+        g = group.elements[l]
+        return np.block([[g, -model.derivation.values[l]], [np.zeros((d, d)), g]])
+
+    inter = 0.0
+    for l in range(len(group)):
+        p_mat = perm_matrix(model.sigmas[l])
+        zero = np.zeros((size, size))
+        big_p = np.block([[p_mat, zero], [zero, p_mat]])
+        inter = max(inter, float(np.abs(s_mat @ u_of(l) - big_p @ s_mat).max()))
+    hom = 0.0
+    us = [u_of(l) for l in range(len(group))]
+    for i in range(len(group)):
+        for j in range(len(group)):
+            hom = max(hom, float(np.abs(us[group.cayley[i, j]] - us[i] @ us[j]).max()))
+    return inter, hom
+
+
+def loop_orbit_of_zero(group, c):
+    inv = group.inverse
+    return np.array([c[g, group.table[inv[g]]] for g in range(len(group))])
+
+
+# -- inputs ----------------------------------------------------------------
+
+
+def quaternion(a, b, c, d):
+    """The SU(2) matrix of the unit quaternion a + bi + cj + dk."""
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
+PHI = (1 + 5**0.5) / 2
+OMEGA = quaternion(0.5, 0.5, 0.5, 0.5)  # order 6
+EXTRA_GENERATORS = {
+    "2T": (quaternion(0, 1, 0, 0), OMEGA),  # binary tetrahedral, order 24
+    "2O": (quaternion(2**-0.5, 2**-0.5, 0, 0), OMEGA),  # binary octahedral, 48
+    "2I": (OMEGA, quaternion(PHI / 2, 1 / (2 * PHI), 0.5, 0)),  # binary icosahedral, 120
+    "B3": (  # signed 3 x 3 permutations, order 48
+        np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        np.diag([-1.0, 1, 1]),
+    ),
+}
+ORDERS = {"q8": 8, "s3": 6, "c12": 12, "2T": 24, "2O": 48, "2I": 120, "B3": 48}
+
+
+@pytest.fixture(scope="module")
+def unitary_groups():
+    groups = {name: unitary_group(name) for name in ("q8", "s3", "c12")}
+    groups.update({name: unitary_closure(gens) for name, gens in EXTRA_GENERATORS.items()})
+    return groups
+
+
+ALGEBRA_GROUPS = [f"cyclic:{n}" for n in range(1, 31)] + [f"symmetric:{n}" for n in range(1, 6)]
+
+
+# -- tests -----------------------------------------------------------------
+
+
+class TestIsometryClosure:
+    @staticmethod
+    def assert_same(group, cap):
+        elements, words = loop_group_closure(group.generators, cap)
+        assert group.words == tuple(words)
+        for got, want in zip(group.elements, elements, strict=True):
+            for name in ("perm", "maps", "trans"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_box_groups(self, seed):
+        dim, max_order = 2 + seed % 9, (12, 24, 48)[seed % 3]
+        group, _ = random_box_group(seed, dim, max_order)
+        self.assert_same(group, max_order + 1)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_fiber_groups(self, seed):
+        fibers, fiber_dim, max_order = 1 + seed % 6, 1 + seed % 4, (12, 24, 48)[seed % 3]
+        group, _ = random_fiber_group(seed, fibers, fiber_dim, max_order)
+        self.assert_same(group, max_order + 1)
+
+
+class TestUnitaryKernel:
+    @pytest.mark.parametrize("name", list(ORDERS))
+    def test_closure_matches_loop(self, unitary_groups, name):
+        group = unitary_groups[name]
+        elements, words, parents = loop_unitary_closure(group.generators)
+        assert len(group) == ORDERS[name]
+        assert group.elements.tobytes() == elements.tobytes()
+        assert group.words == tuple(words)
+        assert group.parents == tuple(parents)
+
+    @pytest.mark.parametrize("name", list(ORDERS))
+    def test_cayley_and_inverse_match_loop(self, unitary_groups, name):
+        group = unitary_groups[name]
+        assert np.array_equal(group.cayley, loop_cayley(group))
+        assert np.array_equal(group.inverse, loop_inverse(group))
+        assert np.array_equal(group.inverse, loop_table_inverse(group.cayley))
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("name", list(ORDERS))
+    def test_cocycle_defect_matches_loop(self, unitary_groups, name, corrupt):
+        data, _ = random_inner_derivation(unitary_groups[name], seed=len(name))
+        if corrupt:
+            data = corrupt_derivation(data, seed=3)
+        assert cocycle_defect(data) == loop_cocycle_defect(data)
+
+    @pytest.mark.parametrize("name", list(ORDERS))
+    def test_similarity_residuals_match_loop(self, unitary_groups, name):
+        data, _ = random_inner_derivation(unitary_groups[name], seed=11)
+        model = build_affine_action(data)
+        t_mat = model.targets.mean(axis=0)
+        report = build_similarity(model, t_mat)
+        assert (report.intertwine_residual, report.homomorphism_residual) == (
+            loop_similarity_residuals(model, report.s_mat)
+        )
+
+    def test_closure_stops_at_cap(self):
+        rotation = np.array([[np.exp(1j), 0], [0, 1]])  # infinite order
+        with pytest.raises(GroupNotClosedError, match="exceeded 5 elements"):
+            closure(np.eye(2, dtype=complex), [rotation], np.matmul, np.ravel, 5, 1e-9)
+
+
+class TestCayleyKernel:
+    @pytest.mark.parametrize("name", ALGEBRA_GROUPS)
+    def test_tables_inverses_and_law_match_loop(self, name):
+        group = cayley_group(name)
+        n = int(name.partition(":")[2])
+        if name.startswith("symmetric"):
+            assert np.array_equal(group.table, loop_symmetric_table(n))
+        assert np.array_equal(group.inverse, loop_table_inverse(group.table))
+        c, _ = random_translation_cocycle(group, seed=n)
+        for table in (c, corrupt_cocycle_table(c, seed=n + 1) if n > 1 else c):
+            assert translation_law_worst_pair(group, table) == (
+                loop_translation_law_worst_pair(group, table)
+            )
+            report = finite_group_algebra_witness(group, table)
+            t = loop_orbit_of_zero(group, table).mean(axis=0)
+            assert report.t_witness.tobytes() == (t - t.mean()).tobytes()
+
+    def test_symmetric_group_labels_are_lexicographic(self):
+        group = CayleyGroup.symmetric(3)
+        assert group.labels == ("012", "021", "102", "120", "201", "210")

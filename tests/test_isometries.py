@@ -19,7 +19,6 @@ from supfix.isometries import (
     group_closure,
     invert,
     orbit,
-    orbit_diameter,
 )
 from supfix.spaces import SupPoint, cloud_diameter, sup_distance
 
@@ -152,12 +151,11 @@ class TestOrbit:
         x = SupPoint(rng.standard_normal((3, 1)))
         cloud = orbit(group, x)
         assert len(cloud) == 3
-        assert orbit_diameter(group, x) == cloud_diameter(cloud)
 
     def test_orbit_of_fixed_point_is_constant(self):
         flip = FiberPermIsometry(np.arange(2), -np.ones((2, 1, 1)), np.zeros((2, 1)))
         group = group_closure([flip])
-        assert orbit_diameter(group, SupPoint.of([0.0, 0.0])) == 0.0
+        assert cloud_diameter(orbit(group, SupPoint.of([0.0, 0.0]))) == 0.0
 
 
 class TestBoxImage:

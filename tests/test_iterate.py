@@ -28,6 +28,23 @@ class TestExactOrbitDiameter:
             )
             assert float(diam) == float_diam  # grid data keeps floats exact
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_fractions(self, seed):
+        """Per-coordinate spread equals the largest pairwise Fraction distance,
+        also off the grid, where float differences round."""
+        group, x0 = random_box_group(seed, dim=2 + seed % 7)
+        if seed % 2:  # magnitudes far apart, so float differences round
+            rng = np.random.default_rng(seed)
+            scale = 10.0 ** rng.integers(-12, 12, size=(group.m, 1))
+            x0 = SupPoint(rng.standard_normal((group.m, 1)) * scale)
+        pts, diam = exact_orbit_diameter(group, x0)
+        coords = [[Fraction(float(v)) for v in p.fibers[:, 0]] for p in pts]
+        want = max(
+            max(abs(a - b) for a, b in zip(p, q)) for p in coords for q in coords
+        )
+        assert isinstance(diam, Fraction) and diam == want
+        assert len(pts) == len(group)
+
 
 class TestIterateBox:
     @pytest.mark.parametrize("seed", range(12))

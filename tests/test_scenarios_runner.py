@@ -1,8 +1,10 @@
 """Scenario validation and runner behavior, including the exit-code contract."""
 
+import jsonschema
 import numpy as np
 import pytest
 
+from supfix import runner
 from supfix.errors import ScenarioFormatError
 from supfix.runner import (
     EXIT_FLAGGED,
@@ -13,7 +15,14 @@ from supfix.runner import (
     run_scenario,
     run_suite,
 )
-from supfix.scenarios import SCENARIO_DEFAULTS, validate_scenario, validate_suite
+from supfix.scenarios import (
+    SCENARIO_DEFAULTS,
+    SCENARIO_SCHEMAS,
+    validate_scenario,
+    validate_suite,
+)
+
+OUT_OF_RANGE_GROUPS = ["symmetric:9", "cyclic:0", "cyclic:513", "symmetric:0", "cyclic:" + "9" * 5000]
 
 
 class TestValidation:
@@ -66,6 +75,41 @@ class TestValidation:
         for bad in ([], {"nope": []}, "x"):
             with pytest.raises(ScenarioFormatError):
                 validate_suite(bad)
+
+    @pytest.mark.parametrize("kind", sorted(SCENARIO_SCHEMAS))
+    def test_schemas_are_valid(self, kind):
+        schema = SCENARIO_SCHEMAS[kind]
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "box_fixed_point", "seed": 1, "dim": 0, "tol": -1},
+            {"kind": "box_fixed_point", "seed": 1, "sample_box": {"lo": ["x"], "hi": [3.0]}},
+            {"kind": "matrix_derivation", "seed": 1.5, "group": "su2"},
+            {"kind": "group_algebra_derivation", "seed": 1, "group": "dihedral:3", "x": 1},
+            {"kind": "urns_certificate", "seed": 1, "constant": 1.5, "points": 1},
+        ],
+    )
+    def test_messages_match_jsonschema_validate(self, bad):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, SCENARIO_SCHEMAS[bad["kind"]])
+        with pytest.raises(ScenarioFormatError) as got:
+            validate_scenario(bad)
+        assert str(got.value) == f"invalid {bad['kind']} scenario: {want.value.message}"
+
+    @pytest.mark.parametrize(
+        "group", ["cyclic:1", "cyclic:512", "cyclic:0007", "symmetric:1", "symmetric:5"]
+    )
+    def test_group_sizes_in_range_accepted(self, group):
+        scenario = {"kind": "group_algebra_derivation", "seed": 1, "group": group}
+        assert validate_scenario(scenario)["group"] == group
+
+    @pytest.mark.parametrize("group", OUT_OF_RANGE_GROUPS)
+    def test_group_sizes_out_of_range_rejected(self, group):
+        scenario = {"kind": "group_algebra_derivation", "seed": 1, "group": group}
+        with pytest.raises(ScenarioFormatError, match="out of range"):
+            validate_scenario(scenario)
 
     def test_every_kind_has_defaults(self):
         for kind, defaults in SCENARIO_DEFAULTS.items():
@@ -124,6 +168,17 @@ class TestRunnerExitCodes:
 
     def test_format_error(self):
         report, code = run_scenario({"kind": "box_fixed_point"})
+        assert code == EXIT_FORMAT
+        assert report["result"]["status"] == "format_error"
+
+    @pytest.mark.parametrize("group", OUT_OF_RANGE_GROUPS)
+    def test_out_of_range_group_is_format_error(self, group, monkeypatch):
+        def no_table(name):
+            raise AssertionError("a group table was built")
+
+        monkeypatch.setattr(runner, "cayley_group", no_table)
+        scenario = {"kind": "group_algebra_derivation", "seed": 1, "group": group}
+        report, code = run_scenario(scenario)
         assert code == EXIT_FORMAT
         assert report["result"]["status"] == "format_error"
 

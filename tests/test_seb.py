@@ -18,7 +18,7 @@ import pytest
 from scipy.optimize import nnls
 
 from supfix.errors import EmptyDomainError
-from supfix.seb import _SHUFFLE_SEED, enclosing_radius, seb_center
+from supfix.seb import _SHUFFLE_SEED, seb_center
 
 
 def brute_force_2d(points):
@@ -199,7 +199,3 @@ class TestSebProperties:
         """Their Gram entries overflow; they once gave a wrong or NaN center."""
         with pytest.raises(OverflowError):
             seb_center(pts)
-
-    def test_enclosing_radius_shortcut(self, rng):
-        pts = rng.standard_normal((8, 2))
-        assert enclosing_radius(pts) == seb_center(pts)[1]

@@ -6,7 +6,6 @@ import pytest
 from supfix.errors import SpaceMismatchError
 from supfix.spaces import (
     PointCloud,
-    SpaceDescriptor,
     SupPoint,
     cloud_diameter,
     sup_distance,
@@ -94,22 +93,3 @@ class TestPointCloud:
 
     def test_single_point_diameter_zero(self):
         assert cloud_diameter(PointCloud.from_iter([SupPoint.of([1.0, 2.0])])) == 0.0
-
-
-class TestSpaceDescriptor:
-    def test_box_descriptor(self):
-        s = SpaceDescriptor.box_real(8)
-        assert (s.m, s.k) == (8, 1)
-        assert s.urns_constant == 0.5
-
-    def test_fiber_descriptor(self):
-        s = SpaceDescriptor.fiber_hilbert(5, 3)
-        assert (s.m, s.k) == (5, 3)
-        assert s.urns_constant == pytest.approx(math.sqrt(3) / 2)
-
-    def test_matches_points(self):
-        s = SpaceDescriptor.fiber_hilbert(2, 3)
-        assert s.matches(SupPoint(np.zeros((2, 3))))
-        assert not s.matches(SupPoint(np.zeros((3, 2))))
-        with pytest.raises(SpaceMismatchError):
-            s.require(SupPoint(np.zeros((3, 2))))
