@@ -28,6 +28,7 @@ from .errors import (
     EmptyDomainError,
     GroupNotClosedError,
     InvarianceViolationError,
+    SamplingBudgetError,
     ScenarioFormatError,
     SpaceMismatchError,
     SupfixError,
@@ -95,6 +96,7 @@ __all__ = [
     "IterationTrace",
     "NormingSet",
     "PointCloud",
+    "SamplingBudgetError",
     "ScenarioFormatError",
     "SimilarityReport",
     "SpaceMismatchError",

@@ -84,7 +84,7 @@ def cocycle_defect(data: DerivationData) -> tuple[float, int, int]:
 
 def check_cocycle(data: DerivationData, tol: float = 1e-8) -> float:
     defect, i, j = cocycle_defect(data)
-    if defect > tol:
+    if not defect <= tol:  # NaN is never within tolerance
         labels = data.group.labels
         raise CocycleInconsistencyError(labels[i], labels[j], defect)
     return defect

@@ -2,8 +2,9 @@
 
 Structural errors (wrong shapes, mismatched spaces) are distinguished from
 domain errors (empty inputs), data inconsistencies (cocycle violations,
-norming-set invariance failures) and resource caps (group closure limit),
-because the scenario runner maps them to different exit codes.
+norming-set invariance failures) and resource caps (group closure limit,
+sampling draws), because the scenario runner maps them to different exit
+codes.
 """
 
 
@@ -24,6 +25,15 @@ class GroupNotClosedError(SupfixError):
 
     Bounded orbits of infinite groups are outside the finite model; the cap
     is the only way to detect them.
+    """
+
+
+class SamplingBudgetError(SupfixError):
+    """Rejection sampling of a random instance used up its fixed number of draws.
+
+    Raised when no draw meets the requested group-order budget, which for
+    small budgets may be impossible; the runner reports it like a malformed
+    scenario.
     """
 
 

@@ -6,7 +6,9 @@ grid vectors and differences of grid numbers are exact in double
 precision, so the generated affine maps compose without rounding and
 closures, orbits and invariance checks all hold exactly.  Group order is
 kept small by drawing signed permutations, whose order is read off the
-signed cycle structure, and rejecting draws that are too large.
+signed cycle structure, and rejecting draws that are too large; after
+MAX_DRAWS rejected draws the budget counts as unmet and
+SamplingBudgetError is raised, so no order budget can hang a caller.
 
 Everything is driven by numpy's default_rng, so a seed pins the instance.
 """
@@ -19,13 +21,14 @@ import numpy as np
 
 from .centers import urns_center
 from .cocycles import CayleyGroup, DerivationData, inner_derivation, translation_cocycle
-from .errors import GroupNotClosedError
+from .errors import GroupNotClosedError, SamplingBudgetError
 from .isometries import FiberPermIsometry, GroupSpec, group_closure
 from .spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, cloud_diameter
 from .unitary import UnitaryGroup, unitary_closure
 
 GRID_STEP = 2.0 ** -16
 GRID_RANGE = 2.0  # grid points live in [-GRID_RANGE, GRID_RANGE]
+MAX_DRAWS = 1000  # rejection-sampling draws before an order budget counts as unmet
 
 
 def grid_point(rng: np.random.Generator, shape) -> np.ndarray:
@@ -57,6 +60,12 @@ def _signed_perm_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
     return mat
 
 
+def _budget_unmet(budget: int) -> SamplingBudgetError:
+    return SamplingBudgetError(
+        f"no generator of order <= {budget} in {MAX_DRAWS} draws; max_order is too small"
+    )
+
+
 def _conjugate_by_translation(lin: FiberPermIsometry, p: np.ndarray) -> FiberPermIsometry:
     """x -> L(x - p) + p for a linear L; fixes p by construction."""
     trans = p - np.einsum("gij,gj->gi", lin.maps, p[lin.perm])
@@ -75,11 +84,13 @@ def random_box_group(
     rng = np.random.default_rng(seed)
     add_flip = bool(rng.random() < 0.5)
     budget = max_order // 2 if add_flip else max_order
-    while True:
+    for _ in range(MAX_DRAWS):
         perm = rng.permutation(dim)
         signs = rng.choice([-1.0, 1.0], size=dim)
         if _signed_perm_order(perm, signs) <= budget:
             break
+    else:
+        raise _budget_unmet(budget)
     maps = signs.reshape(dim, 1, 1)
     lin_gens = [FiberPermIsometry(perm, maps, np.zeros((dim, 1)))]
     if add_flip:
@@ -100,7 +111,7 @@ def random_fiber_group(
     rng = np.random.default_rng(seed)
     add_flip = bool(rng.random() < 0.5)
     budget = max_order // 2 if add_flip else max_order
-    while True:
+    for _ in range(MAX_DRAWS):
         perm = rng.permutation(fibers)
         maps = np.stack([_signed_perm_matrix(rng, fiber_dim) for _ in range(fibers)])
         cand = FiberPermIsometry(perm, maps, np.zeros((fibers, fiber_dim)))
@@ -110,6 +121,8 @@ def random_fiber_group(
             continue
         if len(closure) <= budget:
             break
+    else:
+        raise _budget_unmet(budget)
     lin_gens = [cand]
     if add_flip:
         eye_flip = np.broadcast_to(-np.eye(fiber_dim), (fibers, fiber_dim, fiber_dim)).copy()

@@ -7,7 +7,8 @@ Exit code contract:
         requested witness provably does not exist at tolerance)
     3   input data is mathematically inconsistent: cocycle law violated,
         or an iterate failed its exact invariance check
-    4   scenario file malformed (schema or semantic validation)
+    4   scenario file malformed (schema or semantic validation), or its
+        max_order cannot be met by the instance generator
 
 The "result" block of a report is a pure function of the scenario, so
 rerunning a scenario must reproduce it byte for byte once serialized with
@@ -29,6 +30,7 @@ from .cocycles import check_cocycle, translation_law_worst_pair
 from .errors import (
     CocycleInconsistencyError,
     InvarianceViolationError,
+    SamplingBudgetError,
     ScenarioFormatError,
 )
 from .instances import (
@@ -132,7 +134,7 @@ def _run_group_algebra(params: dict, trace_dir, name: str) -> tuple[dict, int]:
     if params["corrupt"]:
         c = corrupt_cocycle_table(c, params["seed"] + 1)
     defect, g, h = translation_law_worst_pair(group, c)
-    if params["check_cocycle"] and defect > _LAW_TOL:
+    if params["check_cocycle"] and not defect <= _LAW_TOL:
         raise CocycleInconsistencyError(group.labels[g], group.labels[h], defect)
     report = finite_group_algebra_witness(group, c)
     result = {
@@ -200,6 +202,9 @@ def run_scenario(raw: dict, trace_dir=None, name: str | None = None) -> tuple[di
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         code = EXIT_INCONSISTENT
+    except SamplingBudgetError as exc:  # valid schema, but max_order cannot be met
+        result = {"status": "format_error", "error": str(exc)}
+        code = EXIT_FORMAT
     report = {"kind": kind, "scenario": params, "result": result, "meta": _meta(started)}
     return report, code
 

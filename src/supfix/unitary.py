@@ -13,8 +13,11 @@ multiplications into model-space operations:
     E(a g) = E(a) g        right matrix action, an isometry of each row
 
 so matrix identities can be checked or solved entirely inside the model.
-`realify_matrix` turns complex fibers into real ones of twice the
-dimension, which is what the generic isometry machinery consumes.
+`realify_matrix` turns complex fibers, or a whole stack of them, into
+real ones of twice the dimension, which is what the generic isometry
+machinery consumes.  Vectors are matched to the norming set the way
+closure products are matched to known elements, within `tol` in every
+entry, with all pairs compared in one array operation.
 
 Groups are closed by `groups.closure`, the same breadth-first kernel as
 the isometry groups, with the matrix itself as signature: a product
@@ -110,28 +113,24 @@ class NormingSet:
     def d(self) -> int:
         return self.vectors.shape[1]
 
-    def index_of(self, v: np.ndarray) -> int:
-        diffs = np.abs(self.vectors - v).max(axis=1)
-        idx = int(np.argmin(diffs))
-        if diffs[idx] > self.tol:
-            raise KeyError("vector is not in the norming set")
-        return idx
-
 
 def basis_orbit_norming_set(group: UnitaryGroup, tol: float = 1e-9) -> NormingSet:
     """Orbit of the standard basis under the group, deduplicated.
 
     Seeding with the full basis guarantees the set spans C^d, and closing
-    under every group element makes it exactly G-stable.
+    under every group element makes it exactly G-stable.  The candidates
+    g e_j are taken basis index outer, element inner, and each is kept
+    unless it lies within `tol` of a kept one (max |diff| <= tol).
     """
-    d = group.d
-    vectors: list[np.ndarray] = []
-    for j in range(d):
-        for g in group.elements:
-            v = g[:, j]  # g @ e_j
-            if not any(np.abs(v - w).max() <= tol for w in vectors):
-                vectors.append(v)
-    return NormingSet(np.stack(vectors), tol)
+    cands = group.elements.transpose(2, 0, 1).reshape(-1, group.d)  # row j n + l: g_l e_j
+    close = np.abs(cands[:, None] - cands[None]).max(axis=2) <= tol
+    dropped = np.zeros(len(cands), dtype=bool)
+    kept = []
+    for a in range(len(cands)):
+        if not dropped[a]:
+            kept.append(a)
+            dropped |= close[a]
+    return NormingSet(cands[kept], tol)
 
 
 def embed(norming: NormingSet, a: np.ndarray) -> np.ndarray:
@@ -142,18 +141,19 @@ def embed(norming: NormingSet, a: np.ndarray) -> np.ndarray:
 def tilde_permutation(norming: NormingSet, g: np.ndarray) -> np.ndarray:
     """sigma with gamma_{sigma(i)} = g^H gamma_i, so E(g a) = E(a)[sigma]."""
     pulled = norming.vectors @ g.conj()  # row i is (g^H gamma_i)^T
-    try:
-        return np.array([norming.index_of(v) for v in pulled])
-    except KeyError:
-        raise SpaceMismatchError("norming set is not stable under the group") from None
-
-
-def perm_matrix(sigma: np.ndarray) -> np.ndarray:
-    """P with (P M)[i] = M[sigma(i)]."""
-    return np.eye(sigma.shape[0])[sigma]
+    diffs = np.abs(pulled[:, None] - norming.vectors[None]).max(axis=2)
+    sigma = np.argmin(diffs, axis=1)
+    if not np.all(diffs[np.arange(norming.size), sigma] <= norming.tol):
+        raise SpaceMismatchError("norming set is not stable under the group")
+    return sigma
 
 
 def realify_matrix(b: np.ndarray) -> np.ndarray:
-    """The real (2d, 2d) form acting on [Re; Im] stacks; orthogonal iff b is unitary."""
+    """The real (2d, 2d) form acting on [Re; Im] stacks; orthogonal iff b is unitary.
+
+    Realifies every matrix of a (..., d, d) stack at once.
+    """
     b = np.asarray(b, dtype=complex)
-    return np.block([[b.real, -b.imag], [b.imag, b.real]])
+    top = np.concatenate([b.real, -b.imag], axis=-1)
+    bottom = np.concatenate([b.imag, b.real], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)

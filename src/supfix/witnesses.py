@@ -38,7 +38,6 @@ from .unitary import (
     NormingSet,
     basis_orbit_norming_set,
     embed,
-    perm_matrix,
     realify_matrix,
     tilde_permutation,
 )
@@ -88,19 +87,26 @@ def build_affine_action(
     if norming is None:
         norming = basis_orbit_norming_set(group)
     n, d, size = len(group), group.d, norming.size
+    elements = group.elements
 
-    sigmas = np.stack([tilde_permutation(norming, g) for g in group.elements])
-    targets = np.stack(
-        [embed(norming, derivation.values[l]) @ group.elements[l].conj().T for l in range(n)]
-    )
+    # g = p s for the BFS parent p and generator s: g^H gamma_i = s^H gamma_{sigma_p(i)}
+    gen_sigmas = [tilde_permutation(norming, s) for s in group.generators]
+    sigmas = np.empty((n, size), dtype=int)
+    sigmas[0] = np.arange(size)
+    for l in range(1, n):
+        p, gi = group.parents[l]
+        sigmas[l] = gen_sigmas[gi][sigmas[p]]
+    pulled = norming.vectors @ elements.conj()  # [l, i] is (g_l^H gamma_i)^T
+    if not np.all(np.abs(pulled - norming.vectors[sigmas]).max(axis=2) <= norming.tol):
+        raise SpaceMismatchError("norming set is not stable under the group")
 
-    isos = []
-    for l in range(n):
-        g = group.elements[l]
-        fiber_map = realify_matrix(g.conj())  # kets transform by (g^{-1})^T
-        maps = np.broadcast_to(fiber_map, (size, 2 * d, 2 * d)).copy()
-        trans = np.concatenate([targets[l].real, targets[l].imag], axis=1)
-        isos.append(FiberPermIsometry(sigmas[l], maps, trans))
+    targets = embed(norming, derivation.values) @ elements.conj().transpose(0, 2, 1)
+    # kets transform by (g^{-1})^T, the same orthogonal map in every fiber
+    maps = np.broadcast_to(
+        realify_matrix(elements.conj())[:, None], (n, size, 2 * d, 2 * d)
+    ).copy()
+    trans = np.concatenate([targets.real, targets.imag], axis=2)
+    isos = [FiberPermIsometry(sigmas[l], maps[l], trans[l]) for l in range(n)]
 
     gen_indices = [group.words.index((i,)) for i in range(len(group.generators))]
     spec = GroupSpec(
@@ -112,17 +118,20 @@ def build_affine_action(
 
 
 def model_residual(model: AffineActionModel, t_mat: np.ndarray) -> float:
-    """max over g of the worst fiber norm of T g - P_g T - E(delta(g))."""
+    """max over g of the worst fiber norm of T g - P_g T - E(delta(g)).
+
+    NaN in the data propagates to the result, so it is never within a tolerance.
+    """
     group = model.derivation.group
-    worst = 0.0
+    worst = np.empty(len(group))
     for l in range(len(group)):
         defect = (
             t_mat @ group.elements[l]
             - t_mat[model.sigmas[l]]
             - embed(model.norming, model.derivation.values[l])
         )
-        worst = max(worst, float(np.linalg.norm(defect, axis=1).max()))
-    return worst
+        worst[l] = np.linalg.norm(defect, axis=1).max()
+    return float(worst.max())
 
 
 def recover_witness(model: AffineActionModel, t_mat: np.ndarray) -> np.ndarray:
@@ -168,16 +177,15 @@ class WitnessReport:
 def _solve_least_squares(model: AffineActionModel) -> np.ndarray:
     group = model.derivation.group
     n, d, size = len(group), model.d, model.size
-    blocks = []
-    rhs = []
-    eye_d = np.eye(d)
-    for l in range(n):
-        p_mat = perm_matrix(model.sigmas[l])
-        # row-major vec: vec(T g) = (I (x) g^T) vec T, vec(P T) = (P (x) I) vec T
-        blocks.append(np.kron(np.eye(size), group.elements[l].T) - np.kron(p_mat, eye_d))
-        rhs.append(embed(model.norming, model.derivation.values[l]).reshape(-1))
-    a_mat = np.vstack(blocks)
-    b_vec = np.concatenate(rhs)
+    # row-major vec: vec(T g) = (I (x) g^T) vec T, vec(P T) = (P (x) I) vec T;
+    # block l of the system is their difference, written in place
+    a_mat = np.zeros((n * size * d, size * d), dtype=complex)
+    blocks = a_mat.reshape(n, size, d, size, d)  # [l, i, a, j, b]
+    diag = np.arange(size)
+    blocks[:, diag, :, diag, :] = group.elements.transpose(0, 2, 1)
+    l_idx, i_idx, a_idx = np.ix_(np.arange(n), diag, np.arange(d))
+    blocks[l_idx, i_idx, a_idx, model.sigmas[:, :, None], a_idx] -= 1.0
+    b_vec = embed(model.norming, model.derivation.values).reshape(-1)
     sol, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     return sol.reshape(size, d)
 
@@ -215,7 +223,7 @@ def solve_witness(
     m_res = model_residual(model, t_mat)
     t0 = recover_witness(model, t_mat)
     w_res = witness_residual(derivation, t0)
-    flagged = m_res > flag_tol
+    flagged = not m_res <= flag_tol
     reason = None
     if flagged:
         reason = (
@@ -271,18 +279,18 @@ def build_similarity(model: AffineActionModel, t_mat: np.ndarray) -> SimilarityR
     us[:, :d, d:] = -model.derivation.values
     # diag(P_g, P_g) S is a row gather of S
     rows = np.concatenate([model.sigmas, model.sigmas + size], axis=1)
-    inter = hom = 0.0
+    inter, hom = np.empty(n), np.empty(n)
     for l in range(n):
-        inter = max(inter, float(np.abs(s_mat @ us[l] - s_mat[rows[l]]).max()))
-        hom = max(hom, float(np.abs(us[group.cayley[l]] - us[l] @ us).max()))
+        inter[l] = np.abs(s_mat @ us[l] - s_mat[rows[l]]).max()
+        hom[l] = np.abs(us[group.cayley[l]] - us[l] @ us).max()
 
     left_res = float(np.abs(s_left_inv @ s_mat - np.eye(2 * d)).max())
     return SimilarityReport(
         s_mat=s_mat,
         s_left_inv=s_left_inv,
-        intertwine_residual=inter,
+        intertwine_residual=float(inter.max()),
         left_inverse_residual=left_res,
-        homomorphism_residual=hom,
+        homomorphism_residual=float(hom.max()),
         s_norm=float(np.linalg.norm(s_mat, 2)),
         s_left_inv_norm=float(np.linalg.norm(s_left_inv, 2)),
     )
@@ -324,4 +332,4 @@ def finite_group_algebra_witness(
     t = t - t.mean()
     residual = float(np.abs(c - (t[group.table] - t[group.table.T])).max())
     defect = translation_cocycle_defect(group, c)
-    return GroupAlgebraReport(t, residual, defect, residual > flag_tol)
+    return GroupAlgebraReport(t, residual, defect, not residual <= flag_tol)

@@ -7,6 +7,7 @@ import pytest
 
 from supfix.cocycles import (
     CayleyGroup,
+    DerivationData,
     check_cocycle,
     cocycle_defect,
     extend_cocycle,
@@ -17,6 +18,7 @@ from supfix.cocycles import (
 )
 from supfix.errors import CocycleInconsistencyError, SpaceMismatchError
 from supfix.instances import (
+    cayley_group,
     corrupt_cocycle_table,
     corrupt_derivation,
     random_inner_derivation,
@@ -162,3 +164,23 @@ class TestTranslationCocycles:
             rhs = bad[gg, g.table[h, s]] + bad[h, g.table[s, gg]]
             worst = max(worst, abs(lhs - rhs))
         assert translation_cocycle_defect(g, bad) == pytest.approx(worst, abs=1e-15)
+
+
+class TestNaNData:
+    """NaN is never within a tolerance: it must reach the decision, not be skipped."""
+
+    def test_nan_cocycle_value_fails_the_check(self, named_groups):
+        data, _ = random_inner_derivation(named_groups["q8"], 1)
+        values = data.values.copy()
+        values[3, 0, 1] = np.nan
+        bad = DerivationData(data.group, values)
+        assert np.isnan(cocycle_defect(bad)[0])
+        for tol in (1e-8, np.inf):
+            with pytest.raises(CocycleInconsistencyError, match="defect nan"):
+                check_cocycle(bad, tol)
+
+    def test_nan_table_entry_reaches_the_worst_pair(self):
+        group = cayley_group("cyclic:6")
+        c, _ = random_translation_cocycle(group, 1)
+        c[2, 3] = np.nan
+        assert np.isnan(translation_law_worst_pair(group, c)[0])

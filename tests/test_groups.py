@@ -4,11 +4,12 @@ Each `loop_*` function below is the straightforward loop that the array
 form in the package replaced.  They scan the known elements or the
 element pairs one at a time, so they are slow but obviously right; the
 package must agree with them bit for bit: the same elements in the same
-order, the same words, tables and inverses, and the same law defects
-and worst pairs.
+order, the same words, tables and inverses, the same law defects and
+worst pairs, and the same affine-action model and least-squares solution.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from supfix.cocycles import (
     cocycle_defect,
     translation_law_worst_pair,
 )
-from supfix.errors import GroupNotClosedError
+from supfix.errors import GroupNotClosedError, SpaceMismatchError
 from supfix.groups import closure
 from supfix.instances import (
     cayley_group,
@@ -31,11 +32,21 @@ from supfix.instances import (
     unitary_group,
 )
 from supfix.isometries import FiberPermIsometry, _probe_cloud, _signature, compose
-from supfix.unitary import perm_matrix, unitary_closure
-from supfix.witnesses import build_affine_action, build_similarity, finite_group_algebra_witness
+from supfix.unitary import NormingSet, basis_orbit_norming_set, embed, unitary_closure
+from supfix.witnesses import (
+    _solve_least_squares,
+    build_affine_action,
+    build_similarity,
+    finite_group_algebra_witness,
+)
 
 
 # -- loop forms ------------------------------------------------------------
+
+
+def perm_matrix(sigma):
+    """P with (P M)[i] = M[sigma(i)]."""
+    return np.eye(sigma.shape[0])[sigma]
 
 
 def loop_group_closure(generators, cap, tol=1e-10):
@@ -158,6 +169,58 @@ def loop_orbit_of_zero(group, c):
     return np.array([c[g, group.table[inv[g]]] for g in range(len(group))])
 
 
+def loop_norming_set(group, tol=1e-9):
+    vectors = []
+    for j in range(group.d):
+        for g in group.elements:
+            v = g[:, j]
+            if not any(np.abs(v - w).max() <= tol for w in vectors):
+                vectors.append(v)
+    return np.stack(vectors)
+
+
+def loop_tilde_permutation(norming, g):
+    sigma = []
+    for v in norming.vectors @ g.conj():
+        diffs = np.abs(norming.vectors - v).max(axis=1)
+        idx = int(np.argmin(diffs))
+        if diffs[idx] > norming.tol:
+            raise SpaceMismatchError("norming set is not stable under the group")
+        sigma.append(idx)
+    return np.array(sigma)
+
+
+def loop_affine_action(data, norming):
+    """(sigmas, targets, [(perm, maps, trans)]) one element at a time."""
+    group = data.group
+    sigmas, targets, isos = [], [], []
+    for g, value in zip(group.elements, data.values):
+        sigma = loop_tilde_permutation(norming, g)
+        target = embed(norming, value) @ g.conj().T
+        b = g.conj()
+        fiber_map = np.block([[b.real, -b.imag], [b.imag, b.real]])
+        maps = np.broadcast_to(fiber_map, (norming.size,) + fiber_map.shape).copy()
+        trans = np.concatenate([target.real, target.imag], axis=1)
+        sigmas.append(sigma)
+        targets.append(target)
+        isos.append((sigma, maps, trans))
+    return np.stack(sigmas), np.stack(targets), isos
+
+
+def loop_least_squares(model):
+    """The stacked system built one Kronecker block per element."""
+    group = model.derivation.group
+    blocks, rhs = [], []
+    for l in range(len(group)):
+        p_mat = perm_matrix(model.sigmas[l])
+        blocks.append(
+            np.kron(np.eye(model.size), group.elements[l].T) - np.kron(p_mat, np.eye(model.d))
+        )
+        rhs.append(embed(model.norming, model.derivation.values[l]).reshape(-1))
+    sol, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(rhs), rcond=None)
+    return sol.reshape(model.size, model.d)
+
+
 # -- inputs ----------------------------------------------------------------
 
 
@@ -277,3 +340,47 @@ class TestCayleyKernel:
     def test_symmetric_group_labels_are_lexicographic(self):
         group = CayleyGroup.symmetric(3)
         assert group.labels == ("012", "021", "102", "120", "201", "210")
+
+
+class TestAffineActionModel:
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("name", list(ORDERS))
+    def test_model_matches_loop(self, unitary_groups, name, corrupt):
+        group = unitary_groups[name]
+        data, _ = random_inner_derivation(group, seed=len(name) + 1)
+        if corrupt:
+            data = corrupt_derivation(data, seed=5)
+        model = build_affine_action(data)
+        assert np.array_equal(model.norming.vectors, loop_norming_set(group))
+        sigmas, targets, isos = loop_affine_action(data, model.norming)
+        assert np.array_equal(model.sigmas, sigmas)
+        assert np.array_equal(model.targets, targets)
+        for got, (perm, maps, trans) in zip(model.group_spec.elements, isos, strict=True):
+            assert np.array_equal(got.perm, perm)
+            assert np.array_equal(got.maps, maps)
+            assert np.array_equal(got.trans, trans)
+        assert np.array_equal(_solve_least_squares(model), loop_least_squares(model))
+
+    @pytest.mark.parametrize("name", ["q8", "2T", "B3"])
+    def test_norming_set_missing_a_vector_is_rejected(self, unitary_groups, name):
+        group = unitary_groups[name]
+        data, _ = random_inner_derivation(group, seed=1)
+        full = basis_orbit_norming_set(group)
+        for drop in (0, full.size - 1):
+            short = NormingSet(np.delete(full.vectors, drop, axis=0), full.tol)
+            with pytest.raises(SpaceMismatchError, match="not stable"):
+                build_affine_action(data, short)
+
+    def test_least_squares_peak_memory_near_system_size(self, unitary_groups):
+        """The system is assembled in place: no per-element blocks, no stacked copy."""
+        data, _ = random_inner_derivation(unitary_groups["2O"], seed=2)
+        model = build_affine_action(data)
+        n, size, d = len(data.group), model.size, model.d
+        system_bytes = n * size * d * size * d * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            _solve_least_squares(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * system_bytes

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from supfix.errors import SamplingBudgetError
 from supfix.instances import (
     GRID_STEP,
     cayley_group,
@@ -75,6 +76,20 @@ class TestRandomFiberGroup:
         group, x0 = random_fiber_group(3, fibers=2, fiber_dim=2, max_order=16)
         assert len(group) <= 16
         assert group.m == 2 and group.k == 2
+
+
+class TestSamplingBudget:
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: random_box_group(0, dim=8, max_order=1),
+            lambda: random_fiber_group(0, max_order=1),
+            lambda: random_fiber_group(0, max_order=2),
+        ],
+    )
+    def test_unmeetable_order_budget_raises(self, draw):
+        with pytest.raises(SamplingBudgetError, match="draws"):
+            draw()
 
 
 class TestCloudsAndNamedGroups:

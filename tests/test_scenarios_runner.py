@@ -1,5 +1,7 @@
 """Scenario validation and runner behavior, including the exit-code contract."""
 
+import time
+
 import jsonschema
 import numpy as np
 import pytest
@@ -181,6 +183,37 @@ class TestRunnerExitCodes:
         report, code = run_scenario(scenario)
         assert code == EXIT_FORMAT
         assert report["result"]["status"] == "format_error"
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"kind": "box_fixed_point", "seed": 0, "max_order": 1},
+            {"kind": "fiber_fixed_point", "seed": 0, "max_order": 1},
+            {"kind": "fiber_fixed_point", "seed": 0, "max_order": 2},
+        ],
+    )
+    def test_unmeetable_order_budget_is_format_error(self, scenario):
+        """Rejection sampling gives up after a fixed number of draws, so a
+        max_order no draw can meet ends in exit 4 instead of a hang."""
+        started = time.perf_counter()
+        report, code = run_scenario(scenario)
+        assert time.perf_counter() - started < 5.0
+        assert code == EXIT_FORMAT
+        assert report["result"]["status"] == "format_error"
+        assert "max_order" in report["result"]["error"]
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_group_algebra_nan_table_is_not_accepted(self, check, monkeypatch):
+        def with_nan(group, seed):
+            c = np.zeros((len(group), len(group)))
+            c[2, 3] = np.nan
+            return c, np.zeros(len(group))
+
+        monkeypatch.setattr(runner, "random_translation_cocycle", with_nan)
+        scenario = {"kind": "group_algebra_derivation", "seed": 1, "group": "cyclic:6",
+                    "check_cocycle": check}
+        report, code = run_scenario(scenario)
+        assert code == (EXIT_INCONSISTENT if check else EXIT_FLAGGED)
 
     def test_sample_box_inversion_is_format_error(self):
         report, code = run_scenario(

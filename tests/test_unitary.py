@@ -13,11 +13,15 @@ from supfix.instances import unitary_group
 from supfix.unitary import (
     basis_orbit_norming_set,
     embed,
-    perm_matrix,
     realify_matrix,
     tilde_permutation,
     unitary_closure,
 )
+
+
+def perm_matrix(sigma):
+    """P with (P M)[i] = M[sigma(i)]."""
+    return np.eye(sigma.shape[0])[sigma]
 
 
 def random_matrix(rng, d):

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from supfix.cocycles import inner_derivation, translation_cocycle
+from supfix.cocycles import DerivationData, inner_derivation, translation_cocycle
 from supfix.instances import (
     cayley_group,
     corrupt_cocycle_table,
@@ -267,3 +267,38 @@ class TestGroupAlgebra:
         assert rep.residual == 0.0
         bad = corrupt_cocycle_table(c, 2)
         assert finite_group_algebra_witness(group, bad).flagged
+
+
+class TestNaNData:
+    """A NaN in the data gives a NaN residual, and a NaN residual is flagged."""
+
+    @pytest.fixture()
+    def nan_data(self, named_groups):
+        data, _ = random_inner_derivation(named_groups["q8"], 1)
+        values = data.values.copy()
+        values[3, 0, 1] = np.nan
+        return DerivationData(data.group, values)
+
+    @pytest.mark.parametrize("method", ["averaging", "least_squares"])
+    def test_solvers_flag_nan_values(self, nan_data, method):
+        rep = solve_witness(nan_data, method=method)
+        assert np.isnan(rep.model_residual)
+        assert rep.flagged
+
+    def test_model_residual_propagates_nan(self, nan_data):
+        model = build_affine_action(nan_data)
+        assert np.isnan(model_residual(model, np.zeros((model.size, model.d))))
+
+    def test_similarity_residuals_propagate_nan(self, nan_data):
+        model = build_affine_action(nan_data)
+        sim = build_similarity(model, np.zeros((model.size, model.d)))
+        assert np.isnan(sim.intertwine_residual)
+        assert np.isnan(sim.homomorphism_residual)
+
+    def test_group_algebra_flags_nan_table(self):
+        group = cayley_group("cyclic:6")
+        c, _ = random_translation_cocycle(group, 1)
+        c[2, 3] = np.nan
+        rep = finite_group_algebra_witness(group, c)
+        assert np.isnan(rep.residual) and np.isnan(rep.law_defect)
+        assert rep.flagged
