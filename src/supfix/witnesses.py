@@ -215,10 +215,13 @@ def solve_witness(
         t_mat = _solve_least_squares(model)
     elif method == "averaging":
         t_mat = _solve_averaging(model)
-    else:
+    elif np.isfinite(model.targets).all():
         z = orbit_center_fixed_point(model.group_spec, model.origin())
         fp_res = fixed_point_residual(model.group_spec, z)
         t_mat = model.decode(z)
+    else:  # non-finite data: the orbit leaves the space, so it has no center
+        t_mat = np.full((model.size, model.d), np.nan, dtype=complex)
+        fp_res = float("nan")
 
     m_res = model_residual(model, t_mat)
     t0 = recover_witness(model, t_mat)

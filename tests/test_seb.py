@@ -88,6 +88,63 @@ def recursive_welzl_reference(points):
     return np.array(center), max(math.dist(tuple(row), center) for row in uniq)
 
 
+def exactness_clouds(case, rng):
+    """Inputs on which seb_center must match the recursive reference.
+
+    An integer k gives random and grid clouds in R^k.  certify_k4 and
+    certify_k5 are shaped like the fibers of the benchmark's 50-point
+    certificate clouds.  2T_quaternions, B3_orbit and heptagon are
+    cospherical: every point lies within rounding of the boundary, where
+    the inside test cannot be settled by `math.dist` and must fall back to
+    the exact squared distance.  ulp_boundary has one point on which the
+    two distances disagree.
+    """
+    if isinstance(case, int):
+        return [pts for n in (2, 3, 7, 15, 40)
+                for pts in (rng.standard_normal((n, case)),
+                            rng.integers(-4, 5, size=(n, case)) * 0.25)]  # duplicates, degenerate sets
+    if case.startswith("certify_k"):
+        return [rng.standard_normal((50, int(case[-1]))) for _ in range(6)]
+    if case == "2T_quaternions":  # the 24 units of the binary tetrahedral group in R^4
+        units = [v for v in itertools.product((-1.0, 0.0, 1.0), repeat=4) if sum(map(abs, v)) == 1]
+        units += list(itertools.product((-0.5, 0.5), repeat=4))
+        shift = np.array([0.1, 1 / 3, -0.7, 2 / 7])
+        return [np.array(units) * scale + shift * scale for scale in (1.0, 0.3, 1.7, math.pi)]
+    if case == "B3_orbit":  # signed permutations of a generic vector in R^3, 48 points
+        clouds = []
+        for v in ((0.3, 0.7, 1.1), (1 / 3, 2 / 7, 5 / 11)):
+            orbit = [[s * v[i] for s, i in zip(signs, perm)]
+                     for perm in itertools.permutations(range(3))
+                     for signs in itertools.product((-1, 1), repeat=3)]
+            clouds += [np.array(orbit) + shift for shift in (0.0, 0.37, -1.9)]
+        return clouds
+    if case == "heptagon":  # rotated regular 7-gons
+        clouds = []
+        for rot in (0.1, 1.234, math.pi / 7):
+            angles = rot + 2 * np.pi * np.arange(7) / 7
+            for radius, x, y in ((1.0, 0.0, 0.0), (2.5, 0.3, -0.7), (1e-4, 1 / 3, 1 / 9)):
+                clouds.append(np.stack([radius * np.cos(angles) + x,
+                                        radius * np.sin(angles) + y], axis=1))
+        return clouds
+    if case == "ulp_boundary":
+        # The last point visited lies within ulps of the widened boundary
+        # sqrt(rad2 (1 + 1e-13)) of the ball of the other six: `math.dist`
+        # puts it inside, the explicit sum of squares outside.
+        return [np.array([[float.fromhex(x) for x in row] for row in ULP_BOUNDARY_CLOUD])]
+    raise ValueError(case)
+
+
+ULP_BOUNDARY_CLOUD = [
+    ["0x1.427a31c1ffc58p-10", "0x1.31ea59a5b303ep-2", "-0x1.18b7980d81558p-2"],
+    ["-0x1.c7fba74b18102p-1", "-0x1.d19537e309692p-2", "-0x1.fbb918e5cd3f0p-1"],
+    ["0x1.ecb246c7071e5p-5", "0x1.571858a941e07p+0", "-0x1.f804fc5039525p-2"],
+    ["-0x1.3daee2d56e58bp-1", "0x1.f5992787010aap-2", "0x1.6d73c9b1a8b33p-2"],
+    ["0x1.afc6d9ffa76cap-4", "-0x1.dc664ebbfd571p-1", "-0x1.df43093500899p-6"],
+    ["-0x1.23d74921e4afcp-1", "-0x1.3d97e674b9a4ap-1", "-0x1.5c685d3d362f8p+0"],
+    ["0x1.63fec7c2015e9p-1", "-0x1.581e71cf65997p+0", "-0x1.d49939df35222p-2"],
+]
+
+
 def center_in_hull_of_support(points, center, radius, tol=1e-7):
     """Optimality: the center is a convex combination of boundary points."""
     support = [p for p in points if abs(math.dist(p, center) - radius) <= tol * (1 + radius)]
@@ -151,14 +208,13 @@ class TestSebProperties:
             c, r = seb_center(pts)
             assert center_in_hull_of_support([tuple(p) for p in pts], c, r)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
-    def test_loop_form_matches_recursive_reference_exactly(self, rng, k):
-        for n in (2, 3, 7, 15, 40):
-            for pts in (rng.standard_normal((n, k)),
-                        rng.integers(-4, 5, size=(n, k)) * 0.25):  # duplicates, degenerate sets
-                c, r = seb_center(pts)
-                want_c, want_r = recursive_welzl_reference(pts)
-                assert np.array_equal(c, want_c) and r == want_r
+    @pytest.mark.parametrize("case", [1, 2, 3, 5, 8, "certify_k4", "certify_k5",
+                                      "2T_quaternions", "B3_orbit", "heptagon", "ulp_boundary"])
+    def test_loop_form_matches_recursive_reference_exactly(self, rng, case):
+        for pts in exactness_clouds(case, rng):
+            c, r = seb_center(pts)
+            want_c, want_r = recursive_welzl_reference(pts)
+            assert np.array_equal(c, want_c) and r == want_r
 
     def test_deterministic_across_calls(self, rng):
         pts = rng.standard_normal((10, 3))
@@ -193,8 +249,15 @@ class TestSebProperties:
         assert max(math.dist(p, c) for p in pts.tolist()) <= r
         assert center_in_hull_of_support([tuple(p) for p in pts], c, r)
 
+    @pytest.mark.parametrize("pts", [[[1.0, np.nan]], [[0.0, 0.0], [np.nan, 1.0], [2.0, 0.0]],
+                                     [[0.0], [np.inf]]])
+    def test_non_finite_points_are_refused(self, pts):
+        """They once gave a NaN center, or a NaN center with radius 0."""
+        with pytest.raises(ValueError, match="must be finite"):
+            seb_center(pts)
+
     @pytest.mark.parametrize("pts", [[[0.0], [1.2e154]], [[0.0, 0.0], [1.2e154, 0.0], [0.0, 1.2e154]],
-                                     [[0.0], [1e200]]])
+                                     [[0.0], [1e200]], [[-1e308], [1e308]]])
     def test_points_too_far_apart_are_refused(self, pts):
         """Their Gram entries overflow; they once gave a wrong or NaN center."""
         with pytest.raises(OverflowError):

@@ -279,11 +279,13 @@ class TestNaNData:
         values[3, 0, 1] = np.nan
         return DerivationData(data.group, values)
 
-    @pytest.mark.parametrize("method", ["averaging", "least_squares"])
+    @pytest.mark.parametrize("method", ["averaging", "least_squares", "orbit_center"])
     def test_solvers_flag_nan_values(self, nan_data, method):
         rep = solve_witness(nan_data, method=method)
         assert np.isnan(rep.model_residual)
         assert rep.flagged
+        if method == "orbit_center":
+            assert np.isnan(rep.fixed_point_residual)
 
     def test_model_residual_propagates_nan(self, nan_data):
         model = build_affine_action(nan_data)
