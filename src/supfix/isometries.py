@@ -16,12 +16,12 @@ duplicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, _box_over, _scaled
 from .errors import SpaceMismatchError
 from .groups import closure, word_labels
 from .spaces import PointCloud, SupPoint
@@ -52,6 +52,19 @@ class FiberPermIsometry:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _trusted(cls, perm: np.ndarray, maps: np.ndarray, trans: np.ndarray) -> "FiberPermIsometry":
+        """Wrap arrays that are valid by construction, skipping the checks.
+
+        For products and inverses of checked maps: the permutations compose
+        to a permutation and the orthogonal maps to orthogonal maps.
+        """
+        iso = object.__new__(cls)
+        for name, arr in (("perm", perm), ("maps", maps), ("trans", trans)):
+            arr.setflags(write=False)
+            object.__setattr__(iso, name, arr)
+        return iso
+
     @property
     def m(self) -> int:
         return self.perm.shape[0]
@@ -78,14 +91,14 @@ def compose(a: FiberPermIsometry, b: FiberPermIsometry) -> FiberPermIsometry:
     perm = b.perm[a.perm]
     maps = np.einsum("gij,gjl->gil", a.maps, b.maps[a.perm])
     trans = np.einsum("gij,gj->gi", a.maps, b.trans[a.perm]) + a.trans
-    return FiberPermIsometry(perm, maps, trans)
+    return FiberPermIsometry._trusted(perm, maps, trans)
 
 
 def invert(a: FiberPermIsometry) -> FiberPermIsometry:
     q = np.argsort(a.perm)  # q[g] is the index sent to g
     maps = np.swapaxes(a.maps[q], 1, 2)
     trans = -np.einsum("gij,gj->gi", maps, a.trans[q])
-    return FiberPermIsometry(q, maps, trans)
+    return FiberPermIsometry._trusted(q, maps, trans)
 
 
 def _probe_cloud(m: int, k: int) -> np.ndarray:
@@ -134,13 +147,23 @@ class GroupSpec:
     def labels(self) -> tuple[str, ...]:
         return word_labels(self.words)
 
-    def element_index(self, iso: FiberPermIsometry) -> int:
-        probes = _probe_cloud(self.m, self.k)
-        sig = _signature(iso, probes)
-        for i, e in enumerate(self.elements):
-            if np.allclose(_signature(e, probes), sig, atol=self.tol, rtol=0.0):
-                return i
-        raise KeyError("isometry is not an element of the group")
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every element's (perm, maps, trans), stacked along a leading axis."""
+        return tuple(np.stack([getattr(e, name) for e in self.elements])
+                     for name in ("perm", "maps", "trans"))
+
+    def images(self, x: SupPoint) -> np.ndarray:
+        """The images g(x) of every element g, in element order, as one
+        (n, m, k) array; entry for entry the same floats as g(x)."""
+        if x.m != self.m or x.k != self.k:
+            raise SpaceMismatchError("point shape does not match isometry")
+        perm, maps, trans = self._stacked
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            out = np.einsum("ngij,ngj->ngi", maps, x.fibers[perm]) + trans
+        if not np.isfinite(out).all():
+            raise ValueError("fiber coordinates must be finite")
+        return out
 
 
 def group_closure(
@@ -173,14 +196,15 @@ def group_closure(
 
 def orbit(group: GroupSpec, x: SupPoint) -> PointCloud:
     """The images of x under every group element, in element order."""
-    return PointCloud.from_iter(g(x) for g in group.elements)
+    return PointCloud.from_array(group.images(x))
 
 
 def box_image(iso: FiberPermIsometry, box: Box) -> Box:
     """Exact image of a k = 1 box under a signed-permutation isometry.
 
     Fiber maps must be exactly +-1 (as floats); translations are floats and
-    hence dyadic, so the image bounds are computed without rounding.
+    hence dyadic, so the image bounds are computed without rounding, as
+    numerators over one common denominator.
     """
     if iso.k != 1:
         raise SpaceMismatchError("exact box images are defined for k=1")
@@ -188,18 +212,16 @@ def box_image(iso: FiberPermIsometry, box: Box) -> Box:
         return Box.empty(box.dim)
     if iso.m != box.dim:
         raise SpaceMismatchError("box dimension does not match isometry")
-    lo_out: list[Fraction] = []
-    hi_out: list[Fraction] = []
-    for g in range(iso.m):
-        s = float(iso.maps[g, 0, 0])
-        if s not in (1.0, -1.0):
-            raise ValueError("fiber map entries must be exactly +1 or -1")
-        t = Fraction(float(iso.trans[g, 0]))
-        a, b = box.lo[iso.perm[g]], box.hi[iso.perm[g]]
+    signs = iso.maps[:, 0, 0].tolist()
+    if any(s != 1.0 and s != -1.0 for s in signs):
+        raise ValueError("fiber map entries must be exactly +1 or -1")
+    den, (lo, hi, trans) = _scaled(box.lo, box.hi, iso.trans[:, 0].tolist())
+    lo_out, hi_out = [], []
+    for s, p, t in zip(signs, iso.perm.tolist(), trans):
         if s > 0:
-            lo_out.append(a + t)
-            hi_out.append(b + t)
+            lo_out.append(lo[p] + t)
+            hi_out.append(hi[p] + t)
         else:
-            lo_out.append(-b + t)
-            hi_out.append(-a + t)
-    return Box(box.dim, tuple(lo_out), tuple(hi_out))
+            lo_out.append(t - hi[p])
+            hi_out.append(t - lo[p])
+    return _box_over(box.dim, lo_out, hi_out, den)

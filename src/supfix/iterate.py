@@ -20,35 +20,34 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxes import Box, ball_intersection, box_H, box_center
+from .boxes import Box, _scaled, ball_intersection, box_H, box_center
 from .centers import urns_center
 from .errors import InvarianceViolationError, SpaceMismatchError
 from .isometries import GroupSpec, box_image, orbit
-from .spaces import SupPoint, sup_distance
+from .spaces import SupPoint
 
 BOX_CONTRACTION = Fraction(1, 2)
 
 
 def fixed_point_residual(group: GroupSpec, x: SupPoint) -> float:
     """max over all group elements g of d_sup(g x, x)."""
-    return max(sup_distance(g(x), x) for g in group.elements)
+    diff = group.images(x) - x.fibers
+    return float(np.sqrt(np.sum(diff * diff, axis=2)).max())
 
 
 def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[list[SupPoint], Fraction]:
     """Orbit of x0 and its exact sup-diameter (k = 1 only).
 
     The sup-diameter is the largest per-coordinate spread, max - min.
-    Floats are dyadic, so those differences are exact once lifted to
-    Fraction; a float difference may round a near-maximal spread down,
-    which would make the initial ball intersection empty.
+    Floats are dyadic, so those differences are exact once taken over a
+    common denominator; a float difference may round a near-maximal spread
+    down, which would make the initial ball intersection empty.
     """
-    pts = [g(x0) for g in group.elements]
-    coords = np.stack([p.fibers[:, 0] for p in pts])
-    diam = max(
-        Fraction(float(hi)) - Fraction(float(lo))
-        for lo, hi in zip(coords.min(axis=0), coords.max(axis=0))
-    )
-    return pts, diam
+    images = group.images(x0)
+    coords = images[:, :, 0]
+    den, (lo, hi) = _scaled(coords.min(axis=0).tolist(), coords.max(axis=0).tolist())
+    diam = Fraction(max(b - a for a, b in zip(lo, hi)), den)
+    return [SupPoint(p) for p in images], diam
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,7 @@ def iterate_box(
 
     boxes = [box]
     diams = [box.diameter()]
+    tol_exact = Fraction(tol)
     reason = "max_iter"
     for _ in range(max_iter):
         for gi, g in enumerate(group.generators):
@@ -104,7 +104,7 @@ def iterate_box(
                 raise InvarianceViolationError(
                     f"iterate is not invariant under generator {gi}"
                 )
-        if diams[-1] <= Fraction(tol):
+        if diams[-1] <= tol_exact:
             reason = "converged"
             break
         box = box_H(box, BOX_CONTRACTION)

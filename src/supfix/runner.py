@@ -6,9 +6,11 @@ Exit code contract:
     2   solver finished but flagged the outcome (non-convergence, or the
         requested witness provably does not exist at tolerance)
     3   input data is mathematically inconsistent: cocycle law violated,
-        or an iterate failed its exact invariance check
-    4   scenario file malformed (schema or semantic validation), or its
-        max_order cannot be met by the instance generator
+        an iterate failed its exact invariance check, or the data's
+        shapes or domains do not fit together
+    4   scenario file malformed (schema or semantic validation), its
+        max_order cannot be met by the instance generator, or a group
+        closure outgrew its element cap
 
 The "result" block of a report is a pure function of the scenario, so
 rerunning a scenario must reproduce it byte for byte once serialized with
@@ -29,9 +31,12 @@ from .centers import verify_urns_certificate
 from .cocycles import check_cocycle, translation_law_worst_pair
 from .errors import (
     CocycleInconsistencyError,
+    EmptyDomainError,
+    GroupNotClosedError,
     InvarianceViolationError,
     SamplingBudgetError,
     ScenarioFormatError,
+    SpaceMismatchError,
 )
 from .instances import (
     cayley_group,
@@ -196,13 +201,19 @@ def run_scenario(raw: dict, trace_dir=None, name: str | None = None) -> tuple[di
         name = f"{kind}_{params['seed']}"
     try:
         result, code = _DISPATCH[kind](params, trace_dir, name)
-    except (CocycleInconsistencyError, InvarianceViolationError) as exc:
+    except (
+        CocycleInconsistencyError,
+        InvarianceViolationError,
+        SpaceMismatchError,
+        EmptyDomainError,
+    ) as exc:
         result = {
             "status": "inconsistent",
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         code = EXIT_INCONSISTENT
-    except SamplingBudgetError as exc:  # valid schema, but max_order cannot be met
+    # valid schema, but max_order cannot be met, or the group outgrows its cap
+    except (SamplingBudgetError, GroupNotClosedError) as exc:
         result = {"status": "format_error", "error": str(exc)}
         code = EXIT_FORMAT
     report = {"kind": kind, "scenario": params, "result": result, "meta": _meta(started)}

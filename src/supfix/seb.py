@@ -154,7 +154,8 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
     if arr.size == 0:
         raise EmptyDomainError("smallest enclosing ball of no points")
     _, k = arr.shape
-    spread = np.ptp(arr, axis=0).max()  # NaN or inf when a coordinate is, or on overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below judge it
+        spread = np.ptp(arr, axis=0).max()  # NaN or inf when a coordinate is, or on overflow
     if not math.isfinite(spread) and not np.isfinite(arr).all():
         raise ValueError("enclosing-ball points must be finite")
     if spread > math.sqrt(sys.float_info.max / (4 * k)):

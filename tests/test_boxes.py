@@ -212,3 +212,182 @@ class TestCentersAndBounding:
         cloud = PointCloud.from_array(rng.standard_normal((4, 2, 2)))
         with pytest.raises(Exception):
             bounding_box(cloud)
+
+
+# -- reference forms ------------------------------------------------------------
+# The operators once did every step in Fraction arithmetic.  These loops are
+# those forms; the integer arithmetic at a common denominator must give the
+# same Fractions on every input.
+
+
+def ref_intersect(a: Box, b: Box) -> Box:
+    if a.is_empty or b.is_empty:
+        return Box.empty(a.dim)
+    lo = tuple(max(x, y) for x, y in zip(a.lo, b.lo))
+    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
+    if any(x > y for x, y in zip(lo, hi)):
+        return Box.empty(a.dim)
+    return Box(a.dim, lo, hi)
+
+
+def ref_ball_intersection(centers, radius) -> Box:
+    r = Fraction(radius)
+    cols = list(zip(*(tuple(Fraction(x) for x in c) for c in centers)))
+    lo = tuple(max(col) - r for col in cols)
+    hi = tuple(min(col) + r for col in cols)
+    if any(a > b for a, b in zip(lo, hi)):
+        return Box.empty(len(cols))
+    return Box(len(cols), lo, hi)
+
+
+def ref_box_A(M: Box, c) -> Box:
+    if M.is_empty:
+        return Box.empty(M.dim)
+    r = Fraction(c) * M.diameter()
+    lo = tuple(b - r for b in M.hi)
+    hi = tuple(a + r for a in M.lo)
+    if any(a > b for a, b in zip(lo, hi)):
+        return Box.empty(M.dim)
+    return Box(M.dim, lo, hi)
+
+
+def ref_box_H(M: Box, c) -> Box:
+    if M.is_empty:
+        return Box.empty(M.dim)
+    A = ref_box_A(M, c)
+    if A.is_empty:
+        return Box.empty(M.dim)
+    r = Fraction(c) * M.diameter()
+    lo = tuple(max(b - r, y) for b, y in zip(A.hi, A.lo))
+    hi = tuple(min(a + r, y) for a, y in zip(A.lo, A.hi))
+    if any(a > b for a, b in zip(lo, hi)):
+        return Box.empty(M.dim)
+    return Box(M.dim, lo, hi)
+
+
+def ref_bounding_box(cloud: PointCloud) -> Box:
+    flat = cloud.stack()[:, :, 0]
+    lo = [min(Fraction(float(v)) for v in flat[:, i]) for i in range(flat.shape[1])]
+    hi = [max(Fraction(float(v)) for v in flat[:, i]) for i in range(flat.shape[1])]
+    return Box.bounds(lo, hi)
+
+
+def assert_same_box(got: Box, want: Box):
+    """Equal boxes with every bound a Fraction of the same lowest terms."""
+    assert got == want
+    if not want.is_empty:
+        for x, y in zip(got.lo + got.hi, want.lo + want.hi):
+            assert type(x) is Fraction
+            assert x.as_integer_ratio() == y.as_integer_ratio()
+
+
+SUBNORMAL = 5e-324
+
+
+def thirds_box(rng, dim) -> Box:
+    lo = [Fraction(int(v), 3) for v in rng.integers(-30, 30, size=dim)]
+    return Box.bounds(lo, [a + Fraction(int(w), 3) for a, w in zip(lo, rng.integers(0, 20, size=dim))])
+
+
+def mixed_box(rng, dim) -> Box:
+    """Thirds in some coordinates, dyadic floats at a spread of magnitudes in others."""
+    lo, hi = [], []
+    for i in range(dim):
+        if i % 2:
+            a = Fraction(int(rng.integers(-30, 30)), 3)
+            b = a + Fraction(int(rng.integers(0, 20)), 3 * 2 ** int(rng.integers(0, 5)))
+        else:
+            scale = 10.0 ** int(rng.integers(-12, 13))
+            a = Fraction(float(rng.standard_normal() * scale))
+            b = a + Fraction(float(abs(rng.standard_normal()) * scale))
+        lo.append(a)
+        hi.append(b)
+    return Box.bounds(lo, hi)
+
+
+def subnormal_box(rng, dim) -> Box:
+    lo = rng.integers(-50, 50, size=dim)
+    return Box.bounds([float(v) * SUBNORMAL for v in lo],
+                      [float(v + w) * SUBNORMAL for v, w in zip(lo, rng.integers(0, 9, size=dim))])
+
+
+BOX_KINDS = {"dyadic": random_box, "thirds": thirds_box, "mixed": mixed_box,
+             "subnormal": subnormal_box}
+CONSTANTS = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), 0.5)
+
+
+class TestAgainstFractionForms:
+    @pytest.mark.parametrize("kind", BOX_KINDS)
+    @pytest.mark.parametrize("c", CONSTANTS)
+    def test_box_A_and_box_H(self, kind, c, rng):
+        empties = 0
+        for _ in range(40):
+            m = BOX_KINDS[kind](rng, int(rng.integers(1, 7)))
+            assert_same_box(box_A(m, c), ref_box_A(m, c))
+            h = box_H(m, c)
+            assert_same_box(h, ref_box_H(m, c))
+            empties += h.is_empty
+        # c < 1/2 empties A(M) of every box with a nonzero diameter
+        assert (empties > 0) == (c < HALF)
+
+    @pytest.mark.parametrize("kind", BOX_KINDS)
+    def test_box_H_iterated(self, kind, rng):
+        """Descent chains reach deep denominators (2^-60 and below)."""
+        for _ in range(5):
+            m = BOX_KINDS[kind](rng, 4)
+            for _ in range(60):
+                want = ref_box_H(m, HALF)
+                m = box_H(m, HALF)
+                assert_same_box(m, want)
+
+    @pytest.mark.parametrize("kind", BOX_KINDS)
+    def test_intersect(self, kind, rng):
+        empties = 0
+        for _ in range(60):
+            dim = int(rng.integers(1, 6))
+            a, b = BOX_KINDS[kind](rng, dim), BOX_KINDS[kind](rng, dim)
+            got = intersect(a, b)
+            assert_same_box(got, ref_intersect(a, b))
+            empties += got.is_empty
+        assert empties > 0
+        a = BOX_KINDS[kind](rng, 3)
+        assert_same_box(intersect(a, Box.empty(3)), Box.empty(3))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12, SUBNORMAL, 1e-310])
+    def test_ball_intersection(self, scale, rng):
+        empties = 0
+        for _ in range(40):
+            n, dim = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            centers = rng.standard_normal((n, dim)) * scale
+            if scale < 1e-300:  # subnormal: integer multiples of the scale
+                centers = rng.integers(-40, 40, size=(n, dim)) * scale
+            for radius in (float(rng.uniform(0.0, 2.0) * scale), Fraction(2, 3) * Fraction(scale)):
+                got = ball_intersection(centers, radius)
+                assert_same_box(got, ref_ball_intersection(centers, radius))
+                assert_same_box(ball_intersection(centers.tolist(), radius), got)
+                empties += got.is_empty
+        assert empties > 0
+
+    def test_ball_intersection_of_fraction_centers(self):
+        centers = [[Fraction(1, 3), 0.5], [Fraction(-2, 3), Fraction(7, 6)], [0, 2**70]]
+        for radius in (Fraction(2**69), Fraction(1, 7), 3):
+            assert_same_box(ball_intersection(centers, radius),
+                            ref_ball_intersection(centers, radius))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ball_intersection_rejects_non_finite_centers(self, bad):
+        centers = np.zeros((3, 2))
+        centers[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ball_intersection(centers, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ball_intersection([[0.0, 0.0], [Fraction(1, 3), bad]], 1.0)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12, SUBNORMAL, 1e-310])
+    def test_bounding_box(self, scale, rng):
+        for _ in range(20):
+            arr = rng.standard_normal((int(rng.integers(1, 9)), 4, 1)) * scale
+            if scale < 1e-300:
+                arr = rng.integers(-40, 40, size=arr.shape) * scale
+            cloud = PointCloud.from_array(arr)
+            assert_same_box(bounding_box(cloud), ref_bounding_box(cloud))

@@ -1,5 +1,6 @@
 """Scenario validation and runner behavior, including the exit-code contract."""
 
+import json
 import time
 
 import jsonschema
@@ -7,7 +8,12 @@ import numpy as np
 import pytest
 
 from supfix import runner
-from supfix.errors import ScenarioFormatError
+from supfix.errors import (
+    EmptyDomainError,
+    GroupNotClosedError,
+    ScenarioFormatError,
+    SpaceMismatchError,
+)
 from supfix.runner import (
     EXIT_FLAGGED,
     EXIT_FORMAT,
@@ -214,6 +220,31 @@ class TestRunnerExitCodes:
                     "check_cocycle": check}
         report, code = run_scenario(scenario)
         assert code == (EXIT_INCONSISTENT if check else EXIT_FLAGGED)
+
+    @pytest.mark.parametrize(
+        "layer, scenario, error, code, status",
+        [
+            ("unitary_group", {"kind": "matrix_derivation", "seed": 1, "group": "q8"},
+             GroupNotClosedError("closure exceeded 64 elements"), EXIT_FORMAT, "format_error"),
+            ("iterate_box", {"kind": "box_fixed_point", "seed": 1},
+             SpaceMismatchError("box descent requires k=1 fibers"), EXIT_INCONSISTENT,
+             "inconsistent"),
+            ("orbit_center_fixed_point", {"kind": "fiber_fixed_point", "seed": 1},
+             EmptyDomainError("empty cloud has no stacked form"), EXIT_INCONSISTENT,
+             "inconsistent"),
+        ],
+    )
+    def test_package_errors_map_to_exit_codes(self, layer, scenario, error, code, status,
+                                              monkeypatch):
+        """No package error escapes as a traceback."""
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(runner, layer, fail)
+        report, got = run_scenario(scenario)
+        assert got == code
+        assert report["result"]["status"] == status
+        assert str(error) in json.dumps(report["result"]["error"])
 
     def test_sample_box_inversion_is_format_error(self):
         report, code = run_scenario(
