@@ -23,7 +23,7 @@ from .centers import urns_center
 from .cocycles import CayleyGroup, DerivationData, inner_derivation, translation_cocycle
 from .errors import GroupNotClosedError, SamplingBudgetError
 from .isometries import FiberPermIsometry, GroupSpec, group_closure
-from .spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, cloud_diameter
+from .spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, _points_from_stack, cloud_diameter
 from .unitary import UnitaryGroup, unitary_closure
 
 GRID_STEP = 2.0 ** -16
@@ -172,7 +172,7 @@ def certificate_samples(
         u[i] = rng.uniform(0.0, margin, size=(m, 1))
     norms = np.linalg.norm(dirs, axis=2, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return [SupPoint(y) for y in z.fibers + dirs / norms * (u * slack[:, None])]
+    return list(_points_from_stack(z.fibers + dirs / norms * (u * slack[:, None])))
 
 
 def random_certificate_instance(

@@ -80,7 +80,8 @@ class FiberPermIsometry:
     def __call__(self, x: SupPoint) -> SupPoint:
         if x.m != self.m or x.k != self.k:
             raise SpaceMismatchError("point shape does not match isometry")
-        out = np.einsum("gij,gj->gi", self.maps, x.fibers[self.perm]) + self.trans
+        with np.errstate(over="ignore"):  # SupPoint refuses an overflowed image
+            out = np.einsum("gij,gj->gi", self.maps, x.fibers[self.perm]) + self.trans
         return SupPoint(out)
 
 

@@ -24,7 +24,7 @@ from .boxes import Box, _scaled, ball_intersection, box_H, box_center
 from .centers import urns_center
 from .errors import InvarianceViolationError, SpaceMismatchError
 from .isometries import GroupSpec, box_image, orbit
-from .spaces import SupPoint
+from .spaces import SupPoint, _points_from_stack
 
 BOX_CONTRACTION = Fraction(1, 2)
 
@@ -47,7 +47,7 @@ def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[list[SupPoint]
     coords = images[:, :, 0]
     den, (lo, hi) = _scaled(coords.min(axis=0).tolist(), coords.max(axis=0).tolist())
     diam = Fraction(max(b - a for a, b in zip(lo, hi)), den)
-    return [SupPoint(p) for p in images], diam
+    return list(_points_from_stack(images)), diam
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,14 @@ earlier row b, the diagonal 2 (a . a) and the right-hand side a . a.  The
 support is a stack shared by the whole recursion (`_Support`), because a
 nested call only writes at and beyond its own depth.
 
+Systems of two or more rows are solved by `_umath_linalg.solve1`, the
+LAPACK gufunc `np.linalg.solve` dispatches to for a 1-D right-hand side,
+under the same floating-point state `np.linalg.solve` sets (entered once
+per `seb_center` call).  The floats are those of `np.linalg.solve`; what
+is skipped is its per-call wrapper, which on these 2 x 2 to 5 x 5
+systems costs several times the solve itself.  An exactly singular Gram
+raises LinAlgError and takes the least-squares fallback.
+
 Points are carried as tuples of Python floats; profiling showed float
 arithmetic beats small-ndarray arithmetic by a wide margin at these sizes.
 Sums run left to right in explicit loops (builtin `sum` compensates float
@@ -46,11 +54,24 @@ from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import EmptyDomainError
 
 _SHUFFLE_SEED = 0x5EB
 _MIN_NORMAL = sys.float_info.min
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve_errstate() -> np.errstate:
+    """The floating-point state np.linalg.solve sets around its gufunc: an
+    invalid flag (LAPACK's report of an exactly singular matrix) raises
+    LinAlgError, and the other flags are ignored."""
+    return np.errstate(call=_raise_singular, invalid="call",
+                       over="ignore", divide="ignore", under="ignore")
 
 
 @lru_cache(maxsize=256)
@@ -103,8 +124,8 @@ class _Support:
             lam = [aa / g]  # the one division a 1 x 1 LAPACK solve performs
         else:
             g_s, rhs_s = gram[:s, :s], self.rhs[:s]
-            try:
-                lam = np.linalg.solve(g_s, rhs_s).tolist()
+            try:  # the LAPACK gufunc np.linalg.solve calls; see _solve_errstate
+                lam = _umath_linalg.solve1(g_s, rhs_s, signature="dd->d").tolist()
             except np.linalg.LinAlgError:
                 lam = np.linalg.lstsq(g_s, rhs_s, rcond=None)[0].tolist()
         acc = [0.0] * len(r0)
@@ -165,6 +186,7 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
         return np.array(uniq[0]), 0.0
     shuffled = [uniq[i] for i in _visit_order(len(uniq))]
     # start from the empty ball, which holds no point, not even its center
-    center, _ = _welzl(shuffled, len(shuffled), _Support(k), 0, shuffled[0], -math.inf)
+    with _solve_errstate():
+        center, _ = _welzl(shuffled, len(shuffled), _Support(k), 0, shuffled[0], -math.inf)
     radius = max(math.dist(row, center) for row in uniq)
     return np.array(center), radius

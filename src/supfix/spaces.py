@@ -60,6 +60,31 @@ class SupPoint:
         return cls(np.asarray(coords, dtype=float)[:, np.newaxis])
 
 
+def _points_from_stack(stacked) -> tuple[SupPoint, ...]:
+    """The rows of an (N, m, k) stack as SupPoints, validated once for all.
+
+    Same checks and exception types as `SupPoint` on each row (an (N, m)
+    stack gives (m, 1) points), on one read-only contiguous copy whose rows
+    the points share.
+    """
+    arr = np.array(stacked, dtype=float, order="C")
+    if arr.ndim == 2:
+        arr = arr[:, :, np.newaxis]
+    if arr.ndim and arr.shape[0] == 0:
+        return ()
+    if arr.ndim != 3 or arr.size == 0:
+        raise SpaceMismatchError(f"fibers must be a nonempty (m, k) array, got shape {arr.shape[1:]}")
+    if not np.isfinite(arr).all():
+        raise ValueError("fiber coordinates must be finite")
+    arr.setflags(write=False)
+    points = []
+    for row in arr:
+        point = object.__new__(SupPoint)
+        object.__setattr__(point, "fibers", row)
+        points.append(point)
+    return tuple(points)
+
+
 def sup_distance(x: SupPoint, y: SupPoint) -> float:
     """Sup-norm distance: max over Gamma of the Euclidean fiber distance."""
     if x.fibers.shape != y.fibers.shape:
@@ -92,7 +117,7 @@ class PointCloud:
     @classmethod
     def from_array(cls, stacked: np.ndarray) -> "PointCloud":
         """Cloud from an (N, m, k) array."""
-        return cls(tuple(SupPoint(stacked[i]) for i in range(stacked.shape[0])))
+        return cls(_points_from_stack(stacked))
 
     def __len__(self) -> int:
         return len(self.points)

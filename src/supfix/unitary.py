@@ -71,13 +71,6 @@ class UnitaryGroup:
     def labels(self) -> tuple[str, ...]:
         return word_labels(self.words)
 
-    def index_of(self, mat: np.ndarray) -> int:
-        diffs = np.abs(self.elements - np.asarray(mat, dtype=complex)).max(axis=(1, 2))
-        idx = int(np.argmin(diffs))
-        if diffs[idx] > self.tol:
-            raise KeyError("matrix is not an element of the group")
-        return idx
-
     @cached_property
     def cayley(self) -> np.ndarray:
         """cayley[i, j] = index of elements[i] @ elements[j]."""

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cocycles import CayleyGroup, DerivationData, translation_cocycle_defect
 from .errors import SpaceMismatchError
-from .isometries import FiberPermIsometry, GroupSpec
+from .isometries import _ORTHO_TOL, FiberPermIsometry, GroupSpec
 from .iterate import fixed_point_residual, orbit_center_fixed_point
 from .spaces import SupPoint
 from .unitary import (
@@ -102,11 +102,17 @@ def build_affine_action(
 
     targets = embed(norming, derivation.values) @ elements.conj().transpose(0, 2, 1)
     # kets transform by (g^{-1})^T, the same orthogonal map in every fiber
-    maps = np.broadcast_to(
-        realify_matrix(elements.conj())[:, None], (n, size, 2 * d, 2 * d)
-    ).copy()
+    real_maps = realify_matrix(elements.conj())
+    # FiberPermIsometry's checks, once for the whole model: every fiber
+    # copies one of the n maps, and every row of sigmas is a permutation
+    if not (np.sort(sigmas, axis=1) == np.arange(size)).all():
+        raise ValueError("perm is not a permutation")
+    gram = np.einsum("gij,gil->gjl", real_maps, real_maps)
+    if not np.allclose(gram, np.eye(2 * d), atol=_ORTHO_TOL):
+        raise ValueError("fiber maps must be orthogonal")
+    maps = np.broadcast_to(real_maps[:, None], (n, size, 2 * d, 2 * d)).copy()
     trans = np.concatenate([targets.real, targets.imag], axis=2)
-    isos = [FiberPermIsometry(sigmas[l], maps[l], trans[l]) for l in range(n)]
+    isos = [FiberPermIsometry._trusted(sigmas[l], maps[l], trans[l]) for l in range(n)]
 
     gen_indices = [group.words.index((i,)) for i in range(len(group.generators))]
     spec = GroupSpec(

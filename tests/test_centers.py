@@ -145,3 +145,17 @@ class TestCertificateSamples:
             bound = FIBER_URNS_CONSTANT * cloud_diameter(cloud)
             for y in certificate_samples(cloud, z, FIBER_URNS_CONSTANT, 15, rng):
                 assert center_radius(cloud, y) <= bound
+
+    def test_samples_are_read_only_points_of_the_space(self, rng):
+        cloud = random_cloud(3, fibers=4, fiber_dim=2, points=6)
+        z = urns_center(cloud)
+        ys = certificate_samples(cloud, z, FIBER_URNS_CONSTANT, 7, rng)
+        assert len(ys) == 7
+        for y in ys:
+            assert type(y) is SupPoint and y.fibers.shape == z.fibers.shape
+            assert not y.fibers.flags.writeable
+
+    def test_non_finite_samples_refused(self, rng):
+        cloud = random_cloud(3, fibers=4, fiber_dim=2, points=6)
+        with pytest.raises(ValueError, match="finite"):
+            certificate_samples(cloud, urns_center(cloud), math.inf, 5, rng)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from test_groups import unitary_index
 
 from supfix.cocycles import (
     CayleyGroup,
@@ -44,7 +45,7 @@ class TestMatrixCocycles:
         for i in range(len(group)):
             for j in range(len(group)):
                 prod = group.elements[i] @ group.elements[j]
-                idx = group.index_of(prod)
+                idx = unitary_index(group, prod)
                 expect = data.values[i] @ group.elements[j] + group.elements[i] @ data.values[j]
                 worst = max(worst, float(np.abs(data.values[idx] - expect).max()))
         assert cocycle_defect(data)[0] == pytest.approx(worst, abs=1e-15)

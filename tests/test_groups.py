@@ -93,16 +93,26 @@ def loop_unitary_closure(gens, tol=1e-9):
     return np.stack(elements), words, parents
 
 
+def unitary_index(group, mat) -> int:
+    """Index of the element of the unitary `group` within group.tol of mat
+    in every entry, the closure's duplicate rule."""
+    diffs = np.abs(group.elements - np.asarray(mat, dtype=complex)).max(axis=(1, 2))
+    idx = int(np.argmin(diffs))
+    if diffs[idx] > group.tol:
+        raise KeyError("matrix is not an element of the group")
+    return idx
+
+
 def loop_cayley(group):
     n = len(group)
     return np.array(
-        [[group.index_of(group.elements[i] @ group.elements[j]) for j in range(n)]
+        [[unitary_index(group, group.elements[i] @ group.elements[j]) for j in range(n)]
          for i in range(n)]
     )
 
 
 def loop_inverse(group):
-    return np.array([group.index_of(g.conj().T) for g in group.elements])
+    return np.array([unitary_index(group, g.conj().T) for g in group.elements])
 
 
 def loop_table_inverse(table):

@@ -91,6 +91,13 @@ class TestFiberPermIsometry:
         with pytest.raises(SpaceMismatchError):
             iso(SupPoint(np.zeros((2, 2))))
 
+    def test_overflowed_image_refused_without_warning(self):
+        """The suite turns RuntimeWarning into an error, so an overflow
+        warning from the sum would fail this test before the ValueError."""
+        g = FiberPermIsometry(np.array([0]), np.ones((1, 1, 1)), np.array([[1e308]]))
+        with pytest.raises(ValueError, match="finite"):
+            g(SupPoint.of([1e308]))
+
 
 class TestComposeInvert:
     def test_compose_matches_pointwise(self, rng):

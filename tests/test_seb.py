@@ -18,7 +18,7 @@ import pytest
 from scipy.optimize import nnls
 
 from supfix.errors import EmptyDomainError
-from supfix.seb import _SHUFFLE_SEED, seb_center
+from supfix.seb import _SHUFFLE_SEED, _dist2, _solve_errstate, _Support, seb_center
 
 
 def brute_force_2d(points):
@@ -262,3 +262,67 @@ class TestSebProperties:
         """Their Gram entries overflow; they once gave a wrong or NaN center."""
         with pytest.raises(OverflowError):
             seb_center(pts)
+
+
+def push_all(points):
+    """Push the points as supports 0, 1, ... under seb_center's solve state;
+    returns the last circumball and the support."""
+    sup = _Support(len(points[0]))
+    with _solve_errstate():
+        for s, p in enumerate(points):
+            ball = sup.push(s, tuple(p))
+    return ball, sup
+
+
+def center_from(sup, lam):
+    """The center r_0 + sum_i lam_i a_i, summed as _Support.push sums it."""
+    acc = [0.0] * len(sup.r0)
+    for l, a in zip(lam, sup.rows):
+        acc = [c + l * x for c, x in zip(acc, a)]
+    return tuple([x0 + c for x0, c in zip(sup.r0, acc)])
+
+
+class TestSupportSolve:
+    """_Support.push calls the LAPACK gufunc under np.linalg.solve directly."""
+
+    def test_singular_gram_takes_the_lstsq_fallback(self, monkeypatch):
+        """Collinear supports make the 2 x 2 Gram [[2, 4], [4, 8]] exactly singular."""
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        (center, rad2), sup = push_all([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+        assert calls == [1]
+        gram, rhs = sup.gram[:2, :2], sup.rhs[:2]
+        assert gram.tolist() == [[2.0, 4.0], [4.0, 8.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(gram, rhs)
+        want = center_from(sup, lstsq(gram, rhs, rcond=None)[0].tolist())
+        assert center == want and all(map(math.isfinite, center))
+        assert rad2 == _dist2(want, sup.r0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_regular_grams_solve_as_np_linalg_solve(self, rng, k):
+        for _ in range(40):
+            pts = rng.standard_normal((k + 1, k)) * 10.0 ** rng.integers(-3, 4)
+            for s in range(2, k + 1):
+                (center, _), sup = push_all(pts[:s + 1])
+                lam = np.linalg.solve(sup.gram[:s, :s], sup.rhs[:s])
+                assert np.array(center).tobytes() == np.array(center_from(sup, lam.tolist())).tobytes()
+
+    def test_seb_center_pushes_under_the_solve_state(self, rng, monkeypatch):
+        """The state np.linalg.solve sets around the gufunc: invalid (a
+        singular matrix) raises LinAlgError, the other flags are ignored."""
+        seen = []
+        push = _Support.push
+
+        def spy(sup, s, p):
+            seen.append((np.geterr(), np.geterrcall()))
+            return push(sup, s, p)
+
+        monkeypatch.setattr(_Support, "push", spy)
+        seb_center(rng.standard_normal((12, 3)))
+        assert len(seen) >= 4
+        for state, callback in seen:
+            assert state == {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"}
+            with pytest.raises(np.linalg.LinAlgError):
+                callback("invalid", 8)

@@ -7,6 +7,7 @@ from supfix.errors import SpaceMismatchError
 from supfix.spaces import (
     PointCloud,
     SupPoint,
+    _points_from_stack,
     cloud_diameter,
     sup_distance,
 )
@@ -93,3 +94,49 @@ class TestPointCloud:
 
     def test_single_point_diameter_zero(self):
         assert cloud_diameter(PointCloud.from_iter([SupPoint.of([1.0, 2.0])])) == 0.0
+
+
+class TestPointsFromStack:
+    """One check of a whole (N, m, k) stack must refuse and accept what
+    SupPoint refuses and accepts row by row."""
+
+    @pytest.mark.parametrize("shape", [(5, 3, 2), (4, 1, 1), (3, 6)])
+    def test_rows_equal_checked_points(self, rng, shape):
+        arr = rng.standard_normal(shape)
+        points = _points_from_stack(arr)
+        assert len(points) == shape[0]
+        for p, row in zip(points, arr):
+            want = SupPoint(row)
+            assert type(p) is SupPoint and p.fibers.shape == want.fibers.shape
+            assert p.fibers.tobytes() == want.fibers.tobytes()
+            assert p.fibers.flags.c_contiguous and not p.fibers.flags.writeable
+            with pytest.raises(ValueError):
+                p.fibers[0, 0] = 1.0
+
+    def test_points_do_not_share_the_caller_array(self, rng):
+        arr = rng.standard_normal((3, 2, 2))
+        points = _points_from_stack(arr)
+        arr[0, 0, 0] += 1.0  # the caller's array stays writable
+        assert points[0].fibers[0, 0] != arr[0, 0, 0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, rng, bad):
+        arr = rng.standard_normal((6, 3, 2))
+        arr[4, 2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _points_from_stack(arr)
+        with pytest.raises(ValueError, match="finite"):
+            PointCloud.from_array(arr)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 0, 1), (2, 3, 0), (2, 0), (1, 2, 2, 2)])
+    def test_malformed_shapes_refused(self, shape):
+        with pytest.raises(SpaceMismatchError):
+            SupPoint(np.zeros(shape)[0])
+        with pytest.raises(SpaceMismatchError):
+            _points_from_stack(np.zeros(shape))
+        with pytest.raises(SpaceMismatchError):
+            PointCloud.from_array(np.zeros(shape))
+
+    def test_empty_stack_gives_empty_cloud(self):
+        assert _points_from_stack(np.zeros((0, 3, 2))) == ()
+        assert len(PointCloud.from_array(np.zeros((0, 3, 2)))) == 0

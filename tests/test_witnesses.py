@@ -5,6 +5,7 @@ commutator identity with plain matrix arithmetic; no test trusts the
 model plumbing it is checking.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -21,7 +22,7 @@ from supfix.instances import (
 from supfix.isometries import compose
 from supfix.iterate import fixed_point_residual
 from supfix.spaces import sup_distance
-from supfix.unitary import basis_orbit_norming_set, embed
+from supfix.unitary import NormingSet, basis_orbit_norming_set, embed
 from supfix.witnesses import (
     WITNESS_METHODS,
     build_affine_action,
@@ -81,6 +82,30 @@ class TestAffineActionModel:
         rep = solve_witness(data, method="least_squares")
         point = model.encode(rep.t_model)
         assert fixed_point_residual(model.group_spec, point) <= 1e-10
+
+
+class TestAffineActionChecks:
+    """build_affine_action checks the model once, as a stack; it must refuse
+    what the checking FiberPermIsometry constructor refuses."""
+
+    def test_non_orthogonal_maps_refused(self, named_groups):
+        group = named_groups["q8"]
+        data, _ = random_inner_derivation(group, 2)
+        scaled = dataclasses.replace(group, elements=1.001 * group.elements)
+        # a norming tolerance wide enough that the stability check lets the scaled group pass
+        loose = NormingSet(basis_orbit_norming_set(group).vectors, tol=1e-2)
+        with pytest.raises(ValueError, match="orthogonal"):
+            build_affine_action(DerivationData(scaled, data.values), loose)
+        build_affine_action(DerivationData(group, data.values), loose)
+
+    def test_non_permutation_sigma_refused(self, named_groups):
+        group = named_groups["s3"]
+        data, _ = random_inner_derivation(group, 2)
+        vectors = basis_orbit_norming_set(group).vectors
+        # a repeated norming vector is never matched, so no sigma reaches its index
+        repeated = NormingSet(np.concatenate([vectors, vectors[:1]]))
+        with pytest.raises(ValueError, match="permutation"):
+            build_affine_action(data, repeated)
 
 
 class TestSolveWitness:
