@@ -8,12 +8,13 @@ halving) is closed over the dyadics.  This makes contraction statements
 like diam(H(M)) <= c * diam(M) provable equalities of the represented
 sets, not approximations, which downstream iteration tests rely on.
 
-The operators below do their arithmetic on Python ints: the bounds and the
-constants of one call are put over a common denominator (the lcm of theirs),
-the numerators are added, subtracted and compared exactly, and the results
-go back to `Fraction` only when the result box is built.  This is the same
-exact arithmetic as on the Fractions themselves, for every rational input,
-without the cost of normalising each intermediate value.
+A box keeps its bounds as Python ints over one common denominator, reduced
+once when the box is made.  The operators put those and the constants of
+one call over a common denominator (the lcm of theirs), add, subtract and
+compare the numerators exactly, and hand the result numerators to the next
+box; `Fraction` bounds are built only when a caller reads them.  This is
+the same exact arithmetic as on the Fractions themselves, for every
+rational input, without the cost of normalising each intermediate value.
 
 The empty intersection is a distinguished marker value so that chained set
 algebra never raises mid-computation.
@@ -22,7 +23,6 @@ algebra never raises mid-computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -52,32 +52,56 @@ def _scaled(*seqs: Sequence[Scalar]) -> tuple[int, list[list[int]]]:
 
 def _box_over(dim: int, lo: Sequence[int], hi: Sequence[int], den: int) -> "Box":
     """The box with bounds lo[i] / den and hi[i] / den, or the empty marker
-    when some lo[i] > hi[i]."""
+    when some lo[i] > hi[i].  The bounds are already compared, so the box is
+    built without the constructor's checks, in lowest terms."""
     if any(a > b for a, b in zip(lo, hi)):
         return Box.empty(dim)
-    return Box(dim, tuple(Fraction(a, den) for a in lo), tuple(Fraction(b, den) for b in hi))
+    g = math.gcd(den, *lo, *hi)
+    if g > 1:
+        den, lo, hi = den // g, [a // g for a in lo], [b // g for b in hi]
+    return Box._over(dim, den, tuple(lo), tuple(hi))
 
 
-@dataclass(frozen=True)
 class Box:
     """A coordinate box, or the empty-set marker (lo is None).
 
     Invariant: lo[i] <= hi[i] for every coordinate of a nonempty box.
+
+    A nonempty box is kept as integer numerators over its least common
+    denominator: bound i is lo_num[i] / den and hi_num[i] / den, with den
+    the lcm of the bounds' lowest-terms denominators.  The operators below
+    work on those integers; the `Fraction` bounds `lo` and `hi` are built
+    the first time they are read.  Two boxes are equal exactly when they
+    are the same set, which in lowest terms is equality of the integers.
     """
 
-    dim: int
-    lo: tuple[Fraction, ...] | None
-    hi: tuple[Fraction, ...] | None
+    __slots__ = ("_dim", "_den", "_lo_num", "_hi_num", "_bounds")
 
-    def __post_init__(self):
-        if (self.lo is None) != (self.hi is None):
+    def __init__(self, dim: int, lo: Sequence[Scalar] | None, hi: Sequence[Scalar] | None):
+        if (lo is None) != (hi is None):
             raise ValueError("lo and hi must both be set or both be None")
-        if self.lo is not None:
-            if len(self.lo) != self.dim or len(self.hi) != self.dim:
-                raise SpaceMismatchError("bound length does not match dimension")
-            for a, b in zip(self.lo, self.hi):
-                if a > b:
-                    raise ValueError(f"inverted interval [{a}, {b}]; use Box.empty for empty sets")
+        if lo is None:
+            self._set(dim, 1, None, None)
+            return
+        lo_f, hi_f = tuple(_frac(x) for x in lo), tuple(_frac(x) for x in hi)
+        if len(lo_f) != dim or len(hi_f) != dim:
+            raise SpaceMismatchError("bound length does not match dimension")
+        for a, b in zip(lo_f, hi_f):
+            if a > b:
+                raise ValueError(f"inverted interval [{a}, {b}]; use Box.empty for empty sets")
+        den, (lo_num, hi_num) = _scaled(lo_f, hi_f)  # lcm of lowest terms: already reduced
+        self._set(dim, den, tuple(lo_num), tuple(hi_num))
+
+    def _set(self, dim, den, lo_num, hi_num) -> None:
+        self._dim, self._den, self._lo_num, self._hi_num = dim, den, lo_num, hi_num
+        self._bounds = None
+
+    @classmethod
+    def _over(cls, dim: int, den: int, lo_num: tuple[int, ...], hi_num: tuple[int, ...]) -> "Box":
+        """Wrap numerators that are valid and in lowest terms, skipping the checks."""
+        box = object.__new__(cls)
+        box._set(dim, den, lo_num, hi_num)
+        return box
 
     @classmethod
     def bounds(cls, lo: Sequence[Scalar], hi: Sequence[Scalar]) -> "Box":
@@ -97,20 +121,55 @@ class Box:
         return cls(dim, None, None)
 
     @property
+    def dim(self) -> int:
+        return self._dim
+
+    @property
+    def lo(self) -> tuple[Fraction, ...] | None:
+        return None if self._lo_num is None else self._fractions()[0]
+
+    @property
+    def hi(self) -> tuple[Fraction, ...] | None:
+        return None if self._hi_num is None else self._fractions()[1]
+
+    def _fractions(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        if self._bounds is None:
+            den = self._den
+            self._bounds = (tuple(Fraction(a, den) for a in self._lo_num),
+                            tuple(Fraction(b, den) for b in self._hi_num))
+        return self._bounds
+
+    @property
     def is_empty(self) -> bool:
-        return self.lo is None
+        return self._lo_num is None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._dim, self._den, self._lo_num, self._hi_num) == (
+            other._dim, other._den, other._lo_num, other._hi_num)
+
+    def __hash__(self):
+        return hash((self._dim, self._den, self._lo_num, self._hi_num))
+
+    def __repr__(self):
+        return f"Box(dim={self._dim!r}, lo={self.lo!r}, hi={self.hi!r})"
+
+    def _width(self) -> int:
+        """The sup-norm diameter times den."""
+        return max((b - a for a, b in zip(self._lo_num, self._hi_num)), default=0)
 
     def diameter(self) -> Fraction:
         """Sup-norm diameter, exact.  Zero for the empty marker."""
         if self.is_empty:
             return Fraction(0)
-        den, (lo, hi) = _scaled(self.lo, self.hi)
-        return Fraction(max((b - a for a, b in zip(lo, hi)), default=0), den)
+        return Fraction(self._width(), self._den)
 
     def center_exact(self) -> tuple[Fraction, ...]:
         if self.is_empty:
             raise EmptyDomainError("empty box has no center")
-        return tuple((a + b) / 2 for a, b in zip(self.lo, self.hi))
+        den = 2 * self._den
+        return tuple(Fraction(a + b, den) for a, b in zip(self._lo_num, self._hi_num))
 
     def contains(self, p: Sequence[Scalar], tol: Scalar = 0) -> bool:
         if self.is_empty:
@@ -121,12 +180,20 @@ class Box:
         )
 
 
+def _rescaled(nums: Sequence[int], den: int, to: int) -> list[int]:
+    """Numerators over den as numerators over `to`, a multiple of den."""
+    f = to // den
+    return [a * f for a in nums]
+
+
 def intersect(a: Box, b: Box) -> Box:
     if a.dim != b.dim:
         raise SpaceMismatchError("cannot intersect boxes of different dimensions")
     if a.is_empty or b.is_empty:
         return Box.empty(a.dim)
-    den, (alo, ahi, blo, bhi) = _scaled(a.lo, a.hi, b.lo, b.hi)
+    den = math.lcm(a._den, b._den)
+    alo, ahi = _rescaled(a._lo_num, a._den, den), _rescaled(a._hi_num, a._den, den)
+    blo, bhi = _rescaled(b._lo_num, b._den, den), _rescaled(b._hi_num, b._den, den)
     lo = [max(x, y) for x, y in zip(alo, blo)]
     hi = [min(x, y) for x, y in zip(ahi, bhi)]
     return _box_over(a.dim, lo, hi, den)
@@ -146,10 +213,11 @@ def ball_intersection(centers: Sequence[Sequence[Scalar]], radius: Scalar) -> Bo
         raise SpaceMismatchError("ball centers must form an (N, dim) array")
     if pts.dtype == object:  # Fractions or big ints: lift every entry, which also checks it
         pts = np.vectorize(_frac, otypes=[object])(pts)
-    # a non-finite float is the extreme of its column, so _frac rejects it here
-    top = [_frac(x) for x in pts.max(axis=0).tolist()]
-    bottom = [_frac(x) for x in pts.min(axis=0).tolist()]
-    den, (top, bottom, (r,)) = _scaled(top, bottom, (_frac(radius),))
+    top, bottom = pts.max(axis=0), pts.min(axis=0)
+    # a non-finite float is the extreme of its column, so checking the extremes checks all
+    if pts.dtype != object and not (np.isfinite(top).all() and np.isfinite(bottom).all()):
+        raise ValueError("box bounds must be finite")
+    den, (top, bottom, (r,)) = _scaled(top.tolist(), bottom.tolist(), (_frac(radius),))
     return _box_over(pts.shape[1], [t - r for t in top], [b + r for b in bottom], den)
 
 
@@ -158,9 +226,9 @@ def _contract(M: Box, c: Scalar) -> tuple[int, list[int], list[int], int]:
     denominator.  With D the lcm of M's denominators and c = p / q, den is
     D * q: the diameter is delta / D for an integer delta, so r = p * delta / den."""
     p, q = _frac(c).as_integer_ratio()
-    den, (lo, hi) = _scaled(M.lo, M.hi)
-    delta = max((b - a for a, b in zip(lo, hi)), default=0)
-    return den * q, [a * q for a in lo], [b * q for b in hi], p * delta
+    den = M._den * q
+    lo, hi = _rescaled(M._lo_num, M._den, den), _rescaled(M._hi_num, M._den, den)
+    return den, lo, hi, p * M._width()
 
 
 def box_A(M: Box, c: Scalar) -> Box:

@@ -134,6 +134,8 @@ class CayleyGroup:
             raise SpaceMismatchError("multiplication table shape mismatch")
         if not (np.all(table[0] == np.arange(n)) and np.all(table[:, 0] == np.arange(n))):
             raise ValueError("index 0 must be the identity")
+        if n and not (table.min() >= 0 and table.max() < n):
+            raise ValueError("multiplication table entries must be element indices")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -176,10 +178,21 @@ def translation_law_worst_pair(group: CayleyGroup, c: np.ndarray) -> tuple[float
     if c.shape != (n, n):
         raise SpaceMismatchError("cocycle table must be |G| x |G|")
     table = group.table
+    c_t = np.ascontiguousarray(c.T)
     defects = np.empty((n, n))
+    # Row h of each term, over s: lhs = c[g h, s], rhs = c[g, h s], and
+    # c[h, s g], gathered as rhs_t[s, h], row s g of the transpose.  The
+    # table holds checked element indices, so mode="clip" clips nothing; it
+    # only lets np.take write straight into the buffers.
+    lhs, rhs, rhs_t = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     for g in range(n):
-        # row h of each term: c[g h, s], c[g, h s] and c[h, s g] over s
-        defects[g] = np.abs(c[table[g]] - (c[g, table] + c[:, table[:, g]])).max(axis=1)
+        np.take(c, table[g], axis=0, out=lhs, mode="clip")
+        np.take(c[g], table, out=rhs, mode="clip")
+        np.take(c_t, table[:, g], axis=0, out=rhs_t, mode="clip")
+        np.add(rhs, rhs_t.T, out=rhs)
+        np.subtract(lhs, rhs, out=lhs)
+        np.abs(lhs, out=lhs)
+        np.max(lhs, axis=1, out=defects[g])
     return _worst_pair(defects)
 
 

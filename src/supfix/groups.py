@@ -5,7 +5,8 @@ identity it takes the elements in order, multiplies each on the right by
 every generator in turn, and appends each product it has not seen.  A
 product counts as seen when its signature lies within `tol` of a stored
 one in every entry (max |diff| <= tol); the stored signatures fill one
-preallocated (cap, L) array, so each check is a single array comparison.
+preallocated (cap, L) array, so each check is a single array comparison,
+made in place in scratch arrays allocated once per closure.
 The closure records the generator words, the BFS parents and the
 right-multiplication table; the Cayley table and the inverses are gathers
 from those, with no further element comparisons.
@@ -43,6 +44,11 @@ def closure(
     first = np.ravel(signature(identity))
     sigs = np.empty((cap, first.size), dtype=first.dtype)
     sigs[0] = first
+    # scratch for the duplicate scan, written in place for every product
+    diff = np.empty_like(sigs)
+    spread = np.empty(sigs.shape)
+    worst = np.empty(cap)
+    close = np.empty(cap, dtype=bool)
     elements = [identity]
     words: list[tuple[int, ...]] = [()]
     parents: list[tuple[int, int] | None] = [None]
@@ -51,11 +57,15 @@ def closure(
     while i < len(elements):
         for gi, gen in enumerate(generators):
             cand = multiply(elements[i], gen)
-            sig = np.ravel(signature(cand))
+            sig = signature(cand).ravel()
             n = len(elements)
-            hits = np.flatnonzero(np.abs(sigs[:n] - sig).max(axis=1) <= tol)
-            if hits.size:
-                right[i, gi] = hits[0]
+            np.subtract(sigs[:n], sig, out=diff[:n])
+            np.abs(diff[:n], out=spread[:n])
+            np.maximum.reduce(spread[:n], axis=1, out=worst[:n])  # np.max's routine
+            hits = np.less_equal(worst[:n], tol, out=close[:n])
+            first_hit = int(hits.argmax())  # the first True in index order
+            if hits[first_hit]:
+                right[i, gi] = first_hit
                 continue
             if n >= cap:
                 raise GroupNotClosedError(

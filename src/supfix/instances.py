@@ -141,9 +141,11 @@ def random_cloud(
 ) -> PointCloud:
     rng = np.random.default_rng(seed)
     arr = rng.standard_normal((points, fibers, fiber_dim))
-    if points > 1 and cloud_diameter(PointCloud.from_array(arr)) < 1e-6:
+    cloud = PointCloud.from_array(arr)
+    if points > 1 and cloud_diameter(cloud) < 1e-6:
         arr[0] += 1.0  # degenerate draw; force a nonzero diameter
-    return PointCloud.from_array(arr)
+        cloud = PointCloud.from_array(arr)
+    return cloud
 
 
 def certificate_samples(

@@ -16,17 +16,34 @@ duplicate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .boxes import Box, _box_over, _scaled
+try:  # the routine np.einsum calls when optimize is off: same floats, no wrapper
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
+
+from .boxes import Box, _box_over, _rescaled, _scaled
 from .errors import SpaceMismatchError
 from .groups import closure, word_labels
 from .spaces import PointCloud, SupPoint
 
 _ORTHO_TOL = 1e-8
+
+
+def _orthogonal(maps: np.ndarray) -> bool:
+    """Whether every (k, k) map of the stack is orthogonal to _ORTHO_TOL.
+
+    The test of np.allclose(M^T M, I, atol=_ORTHO_TOL), written out: it
+    accepts and rejects the same Gram matrices (NaN and inf entries fail).
+    """
+    eye = np.eye(maps.shape[-1])
+    gram = c_einsum("gij,gil->gjl", maps, maps)
+    return bool((np.abs(gram - eye) <= _ORTHO_TOL + 1e-5 * eye).all())
 
 
 @dataclass(frozen=True)
@@ -44,9 +61,7 @@ class FiberPermIsometry:
             raise ValueError("perm is not a permutation")
         if maps.shape != (m, trans.shape[1], trans.shape[1]) or trans.shape[0] != m:
             raise SpaceMismatchError("inconsistent isometry data shapes")
-        k = trans.shape[1]
-        gram = np.einsum("gij,gil->gjl", maps, maps)
-        if not np.allclose(gram, np.eye(k), atol=_ORTHO_TOL):
+        if not _orthogonal(maps):
             raise ValueError("fiber maps must be orthogonal")
         for name, arr in (("perm", perm), ("maps", maps), ("trans", trans)):
             arr.setflags(write=False)
@@ -75,7 +90,8 @@ class FiberPermIsometry:
 
     @classmethod
     def identity(cls, m: int, k: int) -> "FiberPermIsometry":
-        return cls(np.arange(m), np.broadcast_to(np.eye(k), (m, k, k)).copy(), np.zeros((m, k)))
+        return cls._trusted(np.arange(m), np.broadcast_to(np.eye(k), (m, k, k)).copy(),
+                            np.zeros((m, k)))
 
     def __call__(self, x: SupPoint) -> SupPoint:
         if x.m != self.m or x.k != self.k:
@@ -87,11 +103,13 @@ class FiberPermIsometry:
 
 def compose(a: FiberPermIsometry, b: FiberPermIsometry) -> FiberPermIsometry:
     """The isometry x -> a(b(x))."""
-    if a.m != b.m or a.k != b.k:
+    if a.trans.shape != b.trans.shape:
         raise SpaceMismatchError("cannot compose isometries of different spaces")
-    perm = b.perm[a.perm]
-    maps = np.einsum("gij,gjl->gil", a.maps, b.maps[a.perm])
-    trans = np.einsum("gij,gj->gi", a.maps, b.trans[a.perm]) + a.trans
+    p = a.perm
+    perm = b.perm.take(p)
+    maps = c_einsum("gij,gjl->gil", a.maps, b.maps.take(p, axis=0))
+    trans = c_einsum("gij,gj->gi", a.maps, b.trans.take(p, axis=0))
+    trans += a.trans
     return FiberPermIsometry._trusted(perm, maps, trans)
 
 
@@ -102,9 +120,11 @@ def invert(a: FiberPermIsometry) -> FiberPermIsometry:
     return FiberPermIsometry._trusted(q, maps, trans)
 
 
+@lru_cache(maxsize=64)
 def _probe_cloud(m: int, k: int) -> np.ndarray:
     """Fixed probe points whose images identify an isometry: the origin,
-    one-hot points, and one generic point to split symmetric cases."""
+    one-hot points, and one generic point to split symmetric cases.
+    Built once per (m, k) and shared, so read-only."""
     probes = [np.zeros((m, k))]
     one = np.zeros((m, k))
     one[0, 0] = 1.0
@@ -112,11 +132,14 @@ def _probe_cloud(m: int, k: int) -> np.ndarray:
     if m > 1 or k > 1:
         rng = np.random.default_rng(20240)
         probes.append(rng.standard_normal((m, k)))
-    return np.stack(probes)
+    out = np.stack(probes)
+    out.setflags(write=False)
+    return out
 
 
 def _signature(iso: FiberPermIsometry, probes: np.ndarray) -> np.ndarray:
-    out = np.einsum("gij,pgj->pgi", iso.maps, probes[:, iso.perm, :]) + iso.trans
+    out = c_einsum("gij,pgj->pgi", iso.maps, probes.take(iso.perm, axis=1))
+    out += iso.trans
     return out
 
 
@@ -216,7 +239,10 @@ def box_image(iso: FiberPermIsometry, box: Box) -> Box:
     signs = iso.maps[:, 0, 0].tolist()
     if any(s != 1.0 and s != -1.0 for s in signs):
         raise ValueError("fiber map entries must be exactly +1 or -1")
-    den, (lo, hi, trans) = _scaled(box.lo, box.hi, iso.trans[:, 0].tolist())
+    t_den, (trans,) = _scaled(iso.trans[:, 0].tolist())
+    den = math.lcm(box._den, t_den)
+    lo, hi = _rescaled(box._lo_num, box._den, den), _rescaled(box._hi_num, box._den, den)
+    trans = _rescaled(trans, t_den, den)
     lo_out, hi_out = [], []
     for s, p, t in zip(signs, iso.perm.tolist(), trans):
         if s > 0:

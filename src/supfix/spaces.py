@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,29 +61,40 @@ class SupPoint:
         return cls(np.asarray(coords, dtype=float)[:, np.newaxis])
 
 
-def _points_from_stack(stacked) -> tuple[SupPoint, ...]:
-    """The rows of an (N, m, k) stack as SupPoints, validated once for all.
+def _checked_stack(stacked) -> np.ndarray:
+    """An (N, m, k) stack of points as one read-only contiguous copy,
+    validated once for all rows.
 
     Same checks and exception types as `SupPoint` on each row (an (N, m)
-    stack gives (m, 1) points), on one read-only contiguous copy whose rows
-    the points share.
+    stack holds (m, 1) points); an empty stack is returned unchecked.
     """
     arr = np.array(stacked, dtype=float, order="C")
     if arr.ndim == 2:
         arr = arr[:, :, np.newaxis]
     if arr.ndim and arr.shape[0] == 0:
-        return ()
+        return arr
     if arr.ndim != 3 or arr.size == 0:
         raise SpaceMismatchError(f"fibers must be a nonempty (m, k) array, got shape {arr.shape[1:]}")
     if not np.isfinite(arr).all():
         raise ValueError("fiber coordinates must be finite")
     arr.setflags(write=False)
+    return arr
+
+
+def _rows_as_points(arr: np.ndarray) -> tuple[SupPoint, ...]:
+    """The rows of a stack from `_checked_stack` as SupPoints sharing them."""
     points = []
     for row in arr:
         point = object.__new__(SupPoint)
         object.__setattr__(point, "fibers", row)
         points.append(point)
     return tuple(points)
+
+
+def _points_from_stack(stacked) -> tuple[SupPoint, ...]:
+    """The rows of an (N, m, k) stack as SupPoints, validated once for all,
+    sharing the rows of one read-only contiguous copy."""
+    return _rows_as_points(_checked_stack(stacked))
 
 
 def sup_distance(x: SupPoint, y: SupPoint) -> float:
@@ -97,7 +109,11 @@ def sup_distance(x: SupPoint, y: SupPoint) -> float:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """A finite set of points of a common space, e.g. a group orbit."""
+    """A finite set of points of a common space, e.g. a group orbit.
+
+    The stacked points and the diameter are computed once, on first use,
+    and kept; the kept stack is read-only.
+    """
 
     points: tuple[SupPoint, ...]
 
@@ -116,25 +132,39 @@ class PointCloud:
 
     @classmethod
     def from_array(cls, stacked: np.ndarray) -> "PointCloud":
-        """Cloud from an (N, m, k) array."""
-        return cls(_points_from_stack(stacked))
+        """Cloud from an (N, m, k) array, whose checked copy is the kept stack."""
+        arr = _checked_stack(stacked)
+        cloud = cls(_rows_as_points(arr))
+        if len(arr):
+            cloud.__dict__["_stacked"] = arr  # the points are its rows
+        return cloud
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def stack(self) -> np.ndarray:
-        """All points as one (N, m, k) array."""
+    @cached_property
+    def _stacked(self) -> np.ndarray:
         if not self.points:
             raise EmptyDomainError("empty cloud has no stacked form")
-        return np.stack([p.fibers for p in self.points])
+        arr = np.stack([p.fibers for p in self.points])
+        arr.setflags(write=False)
+        return arr
+
+    def stack(self) -> np.ndarray:
+        """All points as one read-only (N, m, k) array."""
+        return self._stacked
+
+    @cached_property
+    def _diameter(self) -> float:
+        pts = self.stack()
+        # (N, N, m) matrix of fiber distances, then sup over fibers, max over pairs.
+        diff = pts[:, np.newaxis, :, :] - pts[np.newaxis, :, :, :]
+        fiber_d = np.sqrt(np.sum(diff * diff, axis=3))
+        return float(np.max(np.max(fiber_d, axis=2)))
 
 
 def cloud_diameter(cloud: PointCloud) -> float:
-    """Largest pairwise sup-distance within the cloud."""
+    """Largest pairwise sup-distance within the cloud, computed once per cloud."""
     if len(cloud) == 0:
         raise EmptyDomainError("diameter of an empty cloud is undefined")
-    pts = cloud.stack()
-    # (N, N, m) matrix of fiber distances, then sup over fibers, max over pairs.
-    diff = pts[:, np.newaxis, :, :] - pts[np.newaxis, :, :, :]
-    fiber_d = np.sqrt(np.sum(diff * diff, axis=3))
-    return float(np.max(np.max(fiber_d, axis=2)))
+    return cloud._diameter

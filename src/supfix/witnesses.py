@@ -31,7 +31,7 @@ import numpy as np
 
 from .cocycles import CayleyGroup, DerivationData, translation_cocycle_defect
 from .errors import SpaceMismatchError
-from .isometries import _ORTHO_TOL, FiberPermIsometry, GroupSpec
+from .isometries import FiberPermIsometry, GroupSpec, _orthogonal
 from .iterate import fixed_point_residual, orbit_center_fixed_point
 from .spaces import SupPoint
 from .unitary import (
@@ -107,8 +107,7 @@ def build_affine_action(
     # copies one of the n maps, and every row of sigmas is a permutation
     if not (np.sort(sigmas, axis=1) == np.arange(size)).all():
         raise ValueError("perm is not a permutation")
-    gram = np.einsum("gij,gil->gjl", real_maps, real_maps)
-    if not np.allclose(gram, np.eye(2 * d), atol=_ORTHO_TOL):
+    if not _orthogonal(real_maps):
         raise ValueError("fiber maps must be orthogonal")
     maps = np.broadcast_to(real_maps[:, None], (n, size, 2 * d, 2 * d)).copy()
     trans = np.concatenate([targets.real, targets.imag], axis=2)

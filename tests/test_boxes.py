@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supfix.boxes import (
     Box,
@@ -21,7 +23,7 @@ from supfix.boxes import (
     box_center,
     intersect,
 )
-from supfix.errors import EmptyDomainError
+from supfix.errors import EmptyDomainError, SpaceMismatchError
 from supfix.spaces import PointCloud, SupPoint
 
 HALF = Fraction(1, 2)
@@ -374,6 +376,13 @@ class TestAgainstFractionForms:
             assert_same_box(ball_intersection(centers, radius),
                             ref_ball_intersection(centers, radius))
 
+    def test_ball_intersection_of_integer_centers(self, rng):
+        for dtype in (np.int64, np.uint8, np.int32):
+            centers = rng.integers(0, 100, size=(5, 3)).astype(dtype)
+            for radius in (40, Fraction(81, 2), 49.75):
+                assert_same_box(ball_intersection(centers, radius),
+                                ref_ball_intersection(centers.tolist(), radius))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_ball_intersection_rejects_non_finite_centers(self, bad):
         centers = np.zeros((3, 2))
@@ -391,3 +400,112 @@ class TestAgainstFractionForms:
                 arr = rng.integers(-40, 40, size=arr.shape) * scale
             cloud = PointCloud.from_array(arr)
             assert_same_box(bounding_box(cloud), ref_bounding_box(cloud))
+
+
+# -- numerator boxes against the Fraction forms, property based -----------------
+# A box keeps integer numerators over its least common denominator and builds
+# Fraction bounds only when read; every operator must still give the box the
+# Fraction forms above give, on any mix of dyadic, non-dyadic and subnormal
+# bounds.
+
+PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+FLOAT_BOUND = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False,
+                        allow_infinity=False, allow_subnormal=True)
+BOUND_KINDS = {
+    "dyadic": FLOAT_BOUND.map(Fraction),
+    "non-dyadic": st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9),
+    "subnormal": st.integers(-2**40, 2**40).map(lambda n: Fraction(n * SUBNORMAL)),
+}
+BOUND = st.one_of(*BOUND_KINDS.values())
+
+
+@st.composite
+def boxes(draw, dim=None):
+    """A nonempty box whose coordinates each draw their own kind of bound."""
+    dim = draw(st.integers(1, 5)) if dim is None else dim
+    lo = [draw(BOUND) for _ in range(dim)]
+    return Box(dim, tuple(lo), tuple(a + abs(draw(BOUND)) for a in lo))
+
+
+@st.composite
+def box_pairs(draw):
+    dim = draw(st.integers(1, 5))
+    return draw(boxes(dim)), draw(boxes(dim))
+
+
+class TestNumeratorBoxes:
+    @PROPERTY_SETTINGS
+    @given(boxes(), st.sampled_from(CONSTANTS))
+    def test_box_A_and_box_H(self, m, c):
+        assert_same_box(box_A(m, c), ref_box_A(m, c))
+        assert_same_box(box_H(m, c), ref_box_H(m, c))
+
+    @PROPERTY_SETTINGS
+    @given(boxes())
+    def test_box_H_chain(self, m):
+        for _ in range(8):
+            want = ref_box_H(m, HALF)
+            m = box_H(m, HALF)
+            assert_same_box(m, want)
+
+    @PROPERTY_SETTINGS
+    @given(box_pairs())
+    def test_intersect(self, pair):
+        a, b = pair
+        assert_same_box(intersect(a, b), ref_intersect(a, b))
+        assert_same_box(intersect(b, a), ref_intersect(b, a))
+
+    @PROPERTY_SETTINGS
+    @given(boxes())
+    def test_diameter_and_center(self, m):
+        diam = m.diameter()
+        assert type(diam) is Fraction
+        assert diam == max(b - a for a, b in zip(m.lo, m.hi))
+        assert m.center_exact() == tuple((a + b) / 2 for a, b in zip(m.lo, m.hi))
+
+    @PROPERTY_SETTINGS
+    @given(box_pairs())
+    def test_equal_exactly_when_the_same_set(self, pair):
+        a, b = pair
+        same = a.lo == b.lo and a.hi == b.hi
+        assert (a == b) == same and (a != b) == (not same)
+        rebuilt = Box.bounds(list(a.lo), list(a.hi))
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+        assert_same_box(rebuilt, a)
+
+
+class TestNumeratorBoxEdges:
+    def test_bounds_of_mixed_types_give_one_box(self):
+        want = Box(2, (Fraction(1, 2), Fraction(-3)), (Fraction(3, 4), Fraction(5)))
+        for lo, hi in (((0.5, -3), (0.75, 5)), ((Fraction(2, 4), -3.0), (Fraction(6, 8), 5))):
+            got = Box(2, lo, hi)
+            assert_same_box(got, want)
+            assert hash(got) == hash(want)
+
+    def test_empty_markers_equal_by_dimension(self):
+        assert Box.empty(3) == Box.empty(3)
+        assert Box.empty(3) != Box.empty(2)
+        assert Box.empty(1) != Box.point([0])
+        assert Box.empty(2).lo is None and Box.empty(2).hi is None
+        assert Box.point([1]) != (1,)
+
+    def test_immutable(self):
+        b = Box.bounds([0, 1], [2, 3])
+        for name in ("dim", "lo", "hi", "other"):
+            with pytest.raises(AttributeError):
+                setattr(b, name, 1)
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError, match="inverted"):
+            Box(1, (Fraction(1, 3),), (Fraction(1, 4),))
+        with pytest.raises(ValueError, match="finite"):
+            Box(1, (float("-inf"),), (0.0,))
+        with pytest.raises(SpaceMismatchError):
+            Box(2, (0, 1), (1,))
+        with pytest.raises(ValueError):
+            Box(1, (0,), None)
+
+    def test_repr_shows_fraction_bounds(self):
+        assert repr(Box.bounds([0.5], [1])) == (
+            "Box(dim=1, lo=(Fraction(1, 2),), hi=(Fraction(1, 1),))")

@@ -73,6 +73,34 @@ def loop_group_closure(generators, cap, tol=1e-10):
     return elements, words
 
 
+def scan_closure(identity, generators, multiply, signature, cap, tol):
+    """The closure kernel with its duplicate scan written as a fresh
+    comparison against every stored signature, first hit in index order."""
+    first = np.ravel(signature(identity))
+    sigs = np.empty((cap, first.size), dtype=first.dtype)
+    sigs[0] = first
+    elements, words, parents = [identity], [()], [None]
+    right = np.empty((cap, len(generators)), dtype=int)
+    i = 0
+    while i < len(elements):
+        for gi, gen in enumerate(generators):
+            cand = multiply(elements[i], gen)
+            sig = np.ravel(signature(cand))
+            n = len(elements)
+            hits = np.flatnonzero(np.abs(sigs[:n] - sig).max(axis=1) <= tol)
+            if hits.size:
+                right[i, gi] = hits[0]
+                continue
+            assert n < cap
+            sigs[n] = sig
+            elements.append(cand)
+            words.append(words[i] + (gi,))
+            parents.append((i, gi))
+            right[i, gi] = n
+        i += 1
+    return elements, tuple(words), tuple(parents), right[: len(elements)]
+
+
 def loop_unitary_closure(gens, tol=1e-9):
     elements = [np.eye(gens.shape[1], dtype=complex)]
     words, parents = [()], [None]
@@ -149,6 +177,17 @@ def loop_translation_law_worst_pair(group, c):
             if defect > worst:
                 worst, wg, wh = defect, g, h
     return worst, wg, wh
+
+
+def row_translation_law_worst_pair(group, c):
+    """The law check with one fancy-indexed gather per term and row g, as it
+    was before the gathers went through np.take into preallocated buffers."""
+    table, n = group.table, len(group)
+    defects = np.empty((n, n))
+    for g in range(n):
+        defects[g] = np.abs(c[table[g]] - (c[g, table] + c[:, table[:, g]])).max(axis=1)
+    i, j = np.unravel_index(np.argmax(defects), defects.shape)
+    return float(defects[i, j]), int(i), int(j)
 
 
 def loop_similarity_residuals(model, s_mat):
@@ -289,6 +328,45 @@ class TestIsometryClosure:
         self.assert_same(group, max_order + 1)
 
 
+class TestClosureScan:
+    """The in-place duplicate scan decides as a fresh comparison does, also
+    where a product lies within tol of several stored elements (only the
+    first counts) or exactly at tol from one."""
+
+    @staticmethod
+    def add_mod_seven(a, b):
+        """Translation on the torus (R / 7Z)^2: products land between stored
+        elements, unlike in a finite group."""
+        return np.mod(a + b, 7.0)
+
+    @pytest.mark.parametrize("gens, tol", [
+        ((1.3, 2.9), 0.8), ((0.7, 1.9, 4.3), 1.1), ((0.75, 0.5), 0.5), ((0.5,), 0.25),
+        ((1 / 3, 1.4142), 0.2),
+    ])
+    def test_matches_fresh_comparison_on_a_torus(self, gens, tol):
+        generators = [np.array([g, -2 * g]) for g in gens]
+        identity = np.zeros(2)
+        got = closure(identity, generators, self.add_mod_seven, np.ravel, 64, tol)
+        elements, words, parents, right = scan_closure(
+            identity, generators, self.add_mod_seven, np.ravel, 64, tol)
+        assert [e.tobytes() for e in got.elements] == [e.tobytes() for e in elements]
+        assert (got.words, got.parents) == (words, parents)
+        assert np.array_equal(got.right, right)
+
+    def test_first_of_several_hits_decides(self):
+        generators = [np.array([g, -2 * g]) for g in (0.7, 1.9, 4.3)]
+        got = closure(np.zeros(2), generators, self.add_mod_seven, np.ravel, 64, 1.1)
+        stored = np.array(got.elements)
+        several = 0
+        for i, e in enumerate(got.elements):
+            for gi, g in enumerate(generators):
+                product = self.add_mod_seven(e, g)
+                close = np.flatnonzero(np.abs(stored - product).max(axis=1) <= 1.1)
+                assert got.right[i, gi] == close[0]
+                several += len(close) > 1
+        assert several > 0
+
+
 class TestUnitaryKernel:
     @pytest.mark.parametrize("name", list(ORDERS))
     def test_closure_matches_loop(self, unitary_groups, name):
@@ -346,6 +424,30 @@ class TestCayleyKernel:
             report = finite_group_algebra_witness(group, table)
             t = loop_orbit_of_zero(group, table).mean(axis=0)
             assert report.t_witness.tobytes() == (t - t.mean()).tobytes()
+
+    @pytest.mark.parametrize("name", [f"cyclic:{n}" for n in range(1, 61)]
+                             + [f"symmetric:{n}" for n in range(1, 6)])
+    def test_law_check_matches_the_row_gather_form(self, name):
+        """Same worst float and same pair on valid, corrupted and NaN data."""
+        group = cayley_group(name)
+        n = len(group)
+        c, _ = random_translation_cocycle(group, seed=n)
+        tables = [c, corrupt_cocycle_table(c, seed=n + 1) if n > 1 else c]
+        for where in ((0, 0), (n - 1, n // 2), (n // 3, n - 1)):
+            bad = tables[1].copy()
+            bad[where] = np.nan
+            tables.append(bad)
+        for table in tables:
+            got = translation_law_worst_pair(group, table)
+            want = row_translation_law_worst_pair(group, table)
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("entry", [-1, 3, 7])
+    def test_table_entries_must_be_element_indices(self, entry):
+        table = np.array(CayleyGroup.cyclic(3).table)
+        table[1, 2] = entry
+        with pytest.raises(ValueError, match="element indices"):
+            CayleyGroup(("a", "b", "c"), table)
 
     def test_symmetric_group_labels_are_lexicographic(self):
         group = CayleyGroup.symmetric(3)

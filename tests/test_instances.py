@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from supfix import instances
 from supfix.errors import SamplingBudgetError
 from supfix.instances import (
     GRID_STEP,
@@ -15,7 +16,7 @@ from supfix.instances import (
     random_inner_derivation,
     unitary_group,
 )
-from supfix.spaces import sup_distance
+from supfix.spaces import cloud_diameter, sup_distance
 
 
 def on_grid(arr: np.ndarray) -> bool:
@@ -96,6 +97,21 @@ class TestCloudsAndNamedGroups:
     def test_cloud_shapes(self):
         cloud = random_cloud(4, fibers=6, fiber_dim=3, points=9)
         assert cloud.stack().shape == (9, 6, 3)
+
+    def test_degenerate_cloud_is_spread(self, monkeypatch):
+        """A draw of coincident points is moved apart, and the cloud returned
+        (with its kept diameter) is the moved one."""
+
+        class Coincident:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        monkeypatch.setattr(instances.np.random, "default_rng", lambda seed: Coincident())
+        cloud = random_cloud(0, fibers=2, fiber_dim=1, points=3)
+        want = np.zeros((3, 2, 1))
+        want[0] += 1.0
+        assert cloud.stack().tobytes() == want.tobytes()
+        assert cloud_diameter(cloud) == 1.0
 
     def test_unknown_unitary_group(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_boxes import assert_same_box
+from hypothesis import given
+from hypothesis import strategies as st
+from test_boxes import BOUND, PROPERTY_SETTINGS, assert_same_box, boxes
 from test_groups import EXTRA_GENERATORS
 
 from supfix.boxes import Box
@@ -22,8 +24,10 @@ from supfix.instances import (
     unitary_group,
 )
 from supfix.isometries import (
+    _ORTHO_TOL,
     FiberPermIsometry,
     GroupSpec,
+    _orthogonal,
     _probe_cloud,
     _signature,
     box_image,
@@ -403,3 +407,191 @@ class TestTrustedProducts:
                     assert np.array_equal(arr, ref)
                     with pytest.raises(ValueError):
                         arr[...] = 0
+
+
+# -- the einsum forms the closure keeps ------------------------------------------
+# Products, signatures and the duplicate scan as they were before the closure
+# scanned in place, called c_einsum directly and cached its probe cloud.  The
+# closure must give the same elements byte for byte, in the same order.
+
+
+def ref_probe_cloud(m, k):
+    probes = [np.zeros((m, k))]
+    one = np.zeros((m, k))
+    one[0, 0] = 1.0
+    probes.append(one)
+    if m > 1 or k > 1:
+        probes.append(np.random.default_rng(20240).standard_normal((m, k)))
+    return np.stack(probes)
+
+
+def ref_compose(a, b):
+    perm, maps, trans = a
+    return (b[0][perm], np.einsum("gij,gjl->gil", maps, b[1][perm]),
+            np.einsum("gij,gj->gi", maps, b[2][perm]) + trans)
+
+
+def ref_signature(iso, probes):
+    perm, maps, trans = iso
+    return np.einsum("gij,pgj->pgi", maps, probes[:, perm, :]) + trans
+
+
+def ref_closure(generators, cap, tol=1e-10):
+    m, k = generators[0].m, generators[0].k
+    gens = [(g.perm, g.maps, g.trans) for g in generators]
+    probes = ref_probe_cloud(m, k)
+    elements = [(np.arange(m), np.broadcast_to(np.eye(k), (m, k, k)).copy(), np.zeros((m, k)))]
+    sigs = np.empty((cap, probes.size))
+    sigs[0] = np.ravel(ref_signature(elements[0], probes))
+    words = [()]
+    i = 0
+    while i < len(elements):
+        for gi, gen in enumerate(gens):
+            cand = ref_compose(elements[i], gen)
+            sig = np.ravel(ref_signature(cand, probes))
+            n = len(elements)
+            if np.flatnonzero(np.abs(sigs[:n] - sig).max(axis=1) <= tol).size:
+                continue
+            assert n < cap
+            sigs[n] = sig
+            elements.append(cand)
+            words.append(words[i] + (gi,))
+        i += 1
+    return elements, words
+
+
+def rotation_generators(rng, m, k, order):
+    """A fiber-cycling rotation by 2 pi / order and a reflection, both in one
+    generic orthonormal frame and both fixing one generic point: a finite
+    group whose products are generic floats, equal only up to rounding."""
+    frame, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    angle = 2 * np.pi / order
+    turn, flip = np.eye(k), np.eye(k)
+    turn[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    flip[1, 1] = -1.0
+    p = rng.standard_normal((m, k))
+    gens = []
+    for perm, lin in ((np.roll(np.arange(m), 1), turn), (np.arange(m), flip)):
+        maps = np.broadcast_to(frame @ lin @ frame.T, (m, k, k)).copy()
+        gens.append(FiberPermIsometry(perm, maps, p - np.einsum("gij,gj->gi", maps, p[perm])))
+    return gens
+
+
+class TestClosureMatchesEinsumForm:
+    @staticmethod
+    def assert_same(generators, cap, order=None):
+        group = group_closure(generators, cap=cap)
+        elements, words = ref_closure(generators, cap)
+        assert group.words == tuple(words)
+        assert order is None or len(group) == order
+        probes = ref_probe_cloud(group.m, group.k)
+        for got, want in zip(group.elements, elements, strict=True):
+            for arr, ref in zip((got.perm, got.maps, got.trans), want):
+                assert arr.dtype == ref.dtype and arr.shape == ref.shape
+                assert arr.tobytes() == ref.tobytes()
+            sig = _signature(got, _probe_cloud(group.m, group.k))
+            assert sig.tobytes() == ref_signature(want, probes).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_box_generators(self, seed):
+        group, _ = random_box_group(seed, dim=3 + seed)
+        self.assert_same(group.generators, 49)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fiber_generators(self, seed):
+        group, _ = random_fiber_group(seed, fibers=2 + seed % 4, fiber_dim=1 + seed % 3)
+        self.assert_same(group.generators, 49)
+
+    @pytest.mark.parametrize("m, k, order", [(1, 2, 5), (3, 2, 5), (2, 3, 6), (4, 3, 7)])
+    def test_generic_rotation_generators(self, m, k, order, rng):
+        gens = rotation_generators(rng, m, k, order)
+        cycle = int(np.lcm(m, order))
+        self.assert_same(gens, 4 * cycle + 1, order=2 * cycle)
+
+    def test_probe_cloud_is_built_once_and_read_only(self):
+        for m, k in ((1, 1), (8, 1), (5, 3)):
+            probes = _probe_cloud(m, k)
+            assert _probe_cloud(m, k) is probes
+            assert probes.tobytes() == ref_probe_cloud(m, k).tobytes()
+            assert not probes.flags.writeable
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (4, 1), (3, 2)])
+    def test_identity_equals_the_checked_form(self, m, k):
+        e = FiberPermIsometry.identity(m, k)
+        checked = FiberPermIsometry(np.arange(m), np.broadcast_to(np.eye(k), (m, k, k)).copy(),
+                                    np.zeros((m, k)))
+        for name in ("perm", "maps", "trans"):
+            arr, ref = getattr(e, name), getattr(checked, name)
+            assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes()
+            assert not arr.flags.writeable
+
+
+class TestOrthogonalityCheck:
+    """_orthogonal is np.allclose(M^T M, I, atol=_ORTHO_TOL) written out."""
+
+    @staticmethod
+    def allclose_form(maps):
+        gram = np.einsum("gij,gil->gjl", maps, maps)
+        return np.allclose(gram, np.eye(maps.shape[-1]), atol=_ORTHO_TOL)
+
+    def test_boundary_of_the_off_diagonal_tolerance(self):
+        # M = [[1, 0], [e, 1]] has Gram [[1 + e^2, e], [e, 1]]
+        accepted = []
+        for e in (_ORTHO_TOL, np.nextafter(_ORTHO_TOL, 1.0), np.nextafter(_ORTHO_TOL, 0.0),
+                  -_ORTHO_TOL, np.nextafter(-_ORTHO_TOL, -1.0)):
+            maps = np.array([[[1.0, 0.0], [e, 1.0]]])
+            assert _orthogonal(maps) == self.allclose_form(maps)
+            accepted.append(_orthogonal(maps))
+        assert accepted == [True, False, True, True, False]
+
+    def test_boundary_of_the_diagonal_tolerance(self):
+        # a 1 x 1 map a has Gram a^2; step a through the floats around the bound
+        bound = _ORTHO_TOL + 1e-5
+        seen = set()
+        for centre in (np.sqrt(1.0 + bound), np.sqrt(1.0 - bound)):
+            a = centre
+            for _ in range(6):
+                a = np.nextafter(a, 0.0)
+            for _ in range(12):
+                for maps in (np.array([[[a]]]), np.array([[[-a]]]), np.full((3, 1, 1), a)):
+                    got = _orthogonal(maps)
+                    assert got == self.allclose_form(maps)
+                    seen.add(got)
+                a = np.nextafter(a, 2.0)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_maps_rejected(self, bad):
+        for where in ((0, 0, 0), (1, 0, 1)):
+            maps = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
+            maps[where] = bad
+            with np.errstate(invalid="ignore"):
+                assert _orthogonal(maps) is False
+                assert not self.allclose_form(maps)
+
+    def test_random_maps(self, rng):
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            maps = q + rng.standard_normal((2, k, k)) * 10.0 ** rng.integers(-12, -3)
+            assert _orthogonal(maps) == self.allclose_form(maps)
+        assert _orthogonal(np.empty((0, 2, 2)))
+
+
+@st.composite
+def isometry_and_box(draw):
+    """A signed-permutation isometry with any kind of translation, and a box."""
+    dim = draw(st.integers(1, 5))
+    perm = np.array(draw(st.permutations(range(dim))))
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=dim, max_size=dim)))
+    trans = np.array([[float(draw(BOUND))] for _ in range(dim)])
+    return FiberPermIsometry(perm, signs.reshape(dim, 1, 1), trans), draw(boxes(dim))
+
+
+@PROPERTY_SETTINGS
+@given(isometry_and_box())
+def test_box_image_matches_fraction_form(pair):
+    iso, box = pair
+    got = box_image(iso, box)
+    assert_same_box(got, ref_box_image(iso, box))
+    assert (got == box) == (got.lo == box.lo and got.hi == box.hi)

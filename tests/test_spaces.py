@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from supfix.errors import SpaceMismatchError
+from supfix.errors import EmptyDomainError, SpaceMismatchError
 from supfix.spaces import (
     PointCloud,
     SupPoint,
@@ -94,6 +94,28 @@ class TestPointCloud:
 
     def test_single_point_diameter_zero(self):
         assert cloud_diameter(PointCloud.from_iter([SupPoint.of([1.0, 2.0])])) == 0.0
+
+    @pytest.mark.parametrize("build", ["from_array", "from_iter"])
+    def test_stack_and_diameter_are_kept(self, rng, build):
+        arr = rng.standard_normal((6, 4, 3))
+        if build == "from_array":
+            cloud = PointCloud.from_array(arr)
+            assert all(np.shares_memory(p.fibers, cloud.stack()) for p in cloud.points)
+        else:
+            cloud = PointCloud.from_iter(SupPoint(row) for row in arr)
+        stack = cloud.stack()
+        assert cloud.stack() is stack and not stack.flags.writeable
+        assert stack.tobytes() == arr.tobytes()
+        diff = arr[:, None] - arr[None, :]
+        want = float(np.max(np.max(np.sqrt(np.sum(diff * diff, axis=3)), axis=2)))
+        assert repr(cloud_diameter(cloud)) == repr(want)
+        assert vars(cloud)["_diameter"] == want  # kept for the next caller
+
+    def test_empty_cloud_has_no_stack(self):
+        cloud = PointCloud.from_array(np.empty((0, 2, 1)))
+        for fn in (PointCloud.stack, cloud_diameter):
+            with pytest.raises(EmptyDomainError):
+                fn(cloud)
 
 
 class TestPointsFromStack:
