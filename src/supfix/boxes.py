@@ -274,7 +274,7 @@ def bounding_box(cloud: PointCloud) -> Box:
     """Smallest box containing a box-space (k = 1) cloud."""
     if len(cloud) == 0:
         raise EmptyDomainError("empty cloud has no bounding box")
-    pts = cloud.stack()
+    pts = cloud.points
     if pts.shape[2] != 1:
         raise SpaceMismatchError("bounding boxes are defined for k=1 clouds")
     flat = pts[:, :, 0]

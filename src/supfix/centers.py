@@ -17,7 +17,6 @@ numerically against sampled ball centers y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -40,24 +39,21 @@ def urns_center(cloud: PointCloud) -> SupPoint:
     """
     if len(cloud) == 0:
         raise EmptyDomainError("cannot center an empty cloud")
-    pts = cloud.stack()  # (N, m, k)
+    pts = cloud.points  # (N, m, k)
     fibers = np.empty((pts.shape[1], pts.shape[2]))
     for g in range(pts.shape[1]):
         fibers[g], _ = seb_center(pts[:, g, :])
     return SupPoint(fibers)
 
 
-def _stack_centers(cloud_pts: np.ndarray, centers: Sequence[SupPoint]) -> np.ndarray:
-    """The centers as one (S, m, k) array; each must live in the cloud's space."""
-    shape = cloud_pts.shape[1:]
-    for y in centers:
-        if y.fibers.shape != shape:
-            raise SpaceMismatchError(
-                f"points live in different spaces: {y.fibers.shape} vs {shape}"
-            )
-    if not centers:
-        return np.empty((0,) + shape)
-    return np.stack([y.fibers for y in centers])
+def _in_space(cloud_pts: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """points, an (m, k) point or an (S, m, k) stack, checked to live in the
+    space of the (N, m, k) cloud."""
+    if points.shape[-2:] != cloud_pts.shape[1:]:
+        raise SpaceMismatchError(
+            f"points live in different spaces: {points.shape[-2:]} vs {cloud_pts.shape[1:]}"
+        )
+    return points
 
 
 def _sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,8 +75,10 @@ def _radii(cloud_pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def center_radius(cloud: PointCloud, z: SupPoint) -> float:
     """max over x in the cloud of d_sup(z, x)."""
-    pts = cloud.stack()
-    return float(_radii(pts, _stack_centers(pts, [z]))[0])
+    if len(cloud) == 0:
+        raise EmptyDomainError("an empty cloud has no radius")
+    pts = cloud.points
+    return float(_radii(pts, _in_space(pts, z.fibers)[np.newaxis])[0])
 
 
 @dataclass(frozen=True)
@@ -109,10 +107,11 @@ def verify_urns_certificate(
     cloud: PointCloud,
     z: SupPoint,
     c: float,
-    y_samples: Sequence[SupPoint] = (),
+    y_samples: PointCloud,
     tol: float = 1e-10,
 ) -> CertificateReport:
-    """Check the two relative-center properties of z for the cloud at constant c.
+    """Check the two relative-center properties of z for the cloud at constant c,
+    challenged by the ball centers in y_samples (a cloud of the same space).
 
     Samples whose ball of radius c * diam does not actually contain the
     cloud are counted as rejected rather than failing the certificate;
@@ -121,9 +120,9 @@ def verify_urns_certificate(
     """
     diam = cloud_diameter(cloud)
     bound = c * diam + tol
-    pts = cloud.stack()
-    ys = _stack_centers(pts, list(y_samples))
-    radii = _radii(pts, np.concatenate([_stack_centers(pts, [z]), ys]))
+    pts = cloud.points
+    ys = _in_space(pts, y_samples.points)
+    radii = _radii(pts, np.concatenate([_in_space(pts, z.fibers)[np.newaxis], ys]))
     radius = float(radii[0])
     checked = ys[~(radii[1:] > bound)]
     gaps = _sup_distances(z.fibers, checked)

@@ -34,6 +34,9 @@ from .errors import CocycleInconsistencyError, SpaceMismatchError
 from .groups import inverse_indices
 from .unitary import UnitaryGroup
 
+# Largest law defect accepted as a cocycle, for the matrix and the scalar law.
+LAW_TOL = 1e-8
+
 
 def _worst_pair(defects: np.ndarray) -> tuple[float, int, int]:
     """The largest entry with its (row, column), first in row-major order."""
@@ -82,7 +85,7 @@ def cocycle_defect(data: DerivationData) -> tuple[float, int, int]:
     return _worst_pair(np.abs(vals[data.group.cayley] - expect).max(axis=(2, 3)))
 
 
-def check_cocycle(data: DerivationData, tol: float = 1e-8) -> float:
+def check_cocycle(data: DerivationData, tol: float = LAW_TOL) -> float:
     defect, i, j = cocycle_defect(data)
     if not defect <= tol:  # NaN is never within tolerance
         labels = data.group.labels
@@ -94,7 +97,7 @@ def extend_cocycle(
     group: UnitaryGroup,
     generator_values: np.ndarray,
     check: bool = True,
-    tol: float = 1e-8,
+    tol: float = LAW_TOL,
 ) -> DerivationData:
     """Extend generator values to the whole group along its BFS words.
 
@@ -194,6 +197,14 @@ def translation_law_worst_pair(group: CayleyGroup, c: np.ndarray) -> tuple[float
         np.abs(lhs, out=lhs)
         np.max(lhs, axis=1, out=defects[g])
     return _worst_pair(defects)
+
+
+def check_translation_cocycle(group: CayleyGroup, c: np.ndarray, tol: float = LAW_TOL) -> float:
+    """The worst translation-law defect; raises naming its pair when above tol."""
+    defect, g, h = translation_law_worst_pair(group, c)
+    if not defect <= tol:  # NaN is never within tolerance
+        raise CocycleInconsistencyError(group.labels[g], group.labels[h], defect)
+    return defect
 
 
 def translation_cocycle_defect(group: CayleyGroup, c: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from .centers import urns_center
 from .cocycles import CayleyGroup, DerivationData, inner_derivation, translation_cocycle
 from .errors import GroupNotClosedError, SamplingBudgetError
 from .isometries import FiberPermIsometry, GroupSpec, group_closure
-from .spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, _points_from_stack, cloud_diameter
+from .spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, cloud_diameter
 from .unitary import UnitaryGroup, unitary_closure
 
 GRID_STEP = 2.0 ** -16
@@ -141,10 +141,10 @@ def random_cloud(
 ) -> PointCloud:
     rng = np.random.default_rng(seed)
     arr = rng.standard_normal((points, fibers, fiber_dim))
-    cloud = PointCloud.from_array(arr)
+    cloud = PointCloud(arr)
     if points > 1 and cloud_diameter(cloud) < 1e-6:
         arr[0] += 1.0  # degenerate draw; force a nonzero diameter
-        cloud = PointCloud.from_array(arr)
+        cloud = PointCloud(arr)
     return cloud
 
 
@@ -155,14 +155,14 @@ def certificate_samples(
     count: int,
     rng: np.random.Generator,
     margin: float = 0.95,
-) -> list[SupPoint]:
+) -> PointCloud:
     """Centers y of radius constant * diam balls containing the cloud.
 
     Each sample moves away from the enclosing-ball center by at most
     `margin` of the per-fiber slack, so containment holds with room to
     spare and no rejection loop is needed.
     """
-    pts = cloud.stack()
+    pts = cloud.points
     bound = constant * cloud_diameter(cloud)
     fiber_radii = np.linalg.norm(pts - z.fibers, axis=2).max(axis=0)  # (m,)
     slack = bound - fiber_radii
@@ -174,13 +174,13 @@ def certificate_samples(
         u[i] = rng.uniform(0.0, margin, size=(m, 1))
     norms = np.linalg.norm(dirs, axis=2, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return list(_points_from_stack(z.fibers + dirs / norms * (u * slack[:, None])))
+    return PointCloud(z.fibers + dirs / norms * (u * slack[:, None]))
 
 
 def random_certificate_instance(
     seed: int, fibers: int = 4, fiber_dim: int = 3, points: int = 10, samples: int = 50,
     constant: float | None = None,
-) -> tuple[PointCloud, SupPoint, float, list[SupPoint]]:
+) -> tuple[PointCloud, SupPoint, float, PointCloud]:
     if constant is None:
         constant = FIBER_URNS_CONSTANT
     rng = np.random.default_rng(seed)
@@ -249,10 +249,13 @@ def random_translation_cocycle(group: CayleyGroup, seed: int) -> tuple[np.ndarra
 
 
 def corrupt_cocycle_table(c: np.ndarray, seed: int, scale: float = 1e-2) -> np.ndarray:
+    """Perturb one entry off the identity row; the law then fails at about
+    `scale`.  The trivial group has only the identity row, so its one entry
+    is perturbed (c[e, e] = 0 is forced by the law)."""
     rng = np.random.default_rng(seed)
     n = c.shape[0]
     out = np.array(c, dtype=float)
-    g = int(rng.integers(1, n))
+    g = int(rng.integers(1, n)) if n > 1 else 0
     s = int(rng.integers(0, n))
     out[g, s] += scale * (1.0 + rng.random())
     return out

@@ -220,7 +220,7 @@ def group_closure(
 
 def orbit(group: GroupSpec, x: SupPoint) -> PointCloud:
     """The images of x under every group element, in element order."""
-    return PointCloud.from_array(group.images(x))
+    return PointCloud(group.images(x))
 
 
 def box_image(iso: FiberPermIsometry, box: Box) -> Box:

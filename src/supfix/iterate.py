@@ -24,7 +24,7 @@ from .boxes import Box, _scaled, ball_intersection, box_H, box_center
 from .centers import urns_center
 from .errors import InvarianceViolationError, SpaceMismatchError
 from .isometries import GroupSpec, box_image, orbit
-from .spaces import SupPoint, _points_from_stack
+from .spaces import PointCloud, SupPoint
 
 BOX_CONTRACTION = Fraction(1, 2)
 
@@ -35,7 +35,7 @@ def fixed_point_residual(group: GroupSpec, x: SupPoint) -> float:
     return float(np.sqrt(np.sum(diff * diff, axis=2)).max())
 
 
-def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[list[SupPoint], Fraction]:
+def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[PointCloud, Fraction]:
     """Orbit of x0 and its exact sup-diameter (k = 1 only).
 
     The sup-diameter is the largest per-coordinate spread, max - min.
@@ -43,11 +43,10 @@ def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[list[SupPoint]
     common denominator; a float difference may round a near-maximal spread
     down, which would make the initial ball intersection empty.
     """
-    images = group.images(x0)
-    coords = images[:, :, 0]
+    pts = orbit(group, x0)
+    coords = pts.points[:, :, 0]
     den, (lo, hi) = _scaled(coords.min(axis=0).tolist(), coords.max(axis=0).tolist())
-    diam = Fraction(max(b - a for a, b in zip(lo, hi)), den)
-    return list(_points_from_stack(images)), diam
+    return pts, Fraction(max(b - a for a, b in zip(lo, hi)), den)
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def iterate_box(
     if group.k != 1:
         raise SpaceMismatchError("box descent requires k=1 fibers")
     pts, delta = exact_orbit_diameter(group, x0)
-    box = ball_intersection([p.fibers[:, 0] for p in pts], delta)
+    box = ball_intersection(pts.points[:, :, 0], delta)
     if box.is_empty:
         raise InvarianceViolationError("initial ball intersection is empty")
 

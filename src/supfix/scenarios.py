@@ -3,13 +3,15 @@
 Each scenario is one JSON object with a "kind" field choosing the solver
 path and a "seed" pinning the random instance.  Structural validation is
 jsonschema, with one validator per kind built on first use; the handful
-of semantic rules a schema cannot express (bound ordering, length
-agreement, group sizes) are checked here as well.  All violations raise
-ScenarioFormatError, which the runner maps to exit code 4.
+of semantic rules a schema cannot express (finite numbers, bound ordering,
+length agreement, group sizes) are checked here as well.  All violations
+raise ScenarioFormatError, which the runner maps to exit code 4.  Integers
+written as floats (8.0, which JSON Schema counts as an integer) become ints.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import jsonschema
@@ -126,6 +128,11 @@ def validate_scenario(obj) -> dict:
         raise ScenarioFormatError(f"invalid {kind} scenario: {error.message}")
 
     merged = {**SCENARIO_DEFAULTS[kind], **obj}
+    for key, value in obj.items():
+        if key in _integer_fields(kind):
+            merged[key] = int(value)
+        elif not _finite(value):
+            raise ScenarioFormatError(f"{key} must hold finite numbers, got {value!r}")
     if kind == "group_algebra_derivation":
         family, _, digits = merged["group"].partition(":")
         bound = _GROUP_SIZE_BOUNDS[family]
@@ -149,6 +156,23 @@ def validate_scenario(obj) -> dict:
                     f"sample_box coordinate {i} has lo={a} > hi={b}"
                 )
     return merged
+
+
+def _finite(value) -> bool:
+    """Whether every number inside a schema-checked JSON value is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return True
+
+
+@cache
+def _integer_fields(kind: str) -> frozenset[str]:
+    props = SCENARIO_SCHEMAS[kind]["properties"]
+    return frozenset(key for key, prop in props.items() if prop.get("type") == "integer")
 
 
 @cache

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,35 +66,20 @@ def _checked_stack(stacked) -> np.ndarray:
     validated once for all rows.
 
     Same checks and exception types as `SupPoint` on each row (an (N, m)
-    stack holds (m, 1) points); an empty stack is returned unchecked.
+    stack holds (m, 1) points); N may be 0.
     """
-    arr = np.array(stacked, dtype=float, order="C")
+    try:
+        arr = np.array(stacked, dtype=float, order="C")
+    except ValueError as exc:  # e.g. points of different shapes
+        raise SpaceMismatchError(f"points do not form one (N, m, k) array: {exc}") from exc
     if arr.ndim == 2:
         arr = arr[:, :, np.newaxis]
-    if arr.ndim and arr.shape[0] == 0:
-        return arr
-    if arr.ndim != 3 or arr.size == 0:
+    if arr.ndim != 3 or 0 in arr.shape[1:]:
         raise SpaceMismatchError(f"fibers must be a nonempty (m, k) array, got shape {arr.shape[1:]}")
     if not np.isfinite(arr).all():
         raise ValueError("fiber coordinates must be finite")
     arr.setflags(write=False)
     return arr
-
-
-def _rows_as_points(arr: np.ndarray) -> tuple[SupPoint, ...]:
-    """The rows of a stack from `_checked_stack` as SupPoints sharing them."""
-    points = []
-    for row in arr:
-        point = object.__new__(SupPoint)
-        object.__setattr__(point, "fibers", row)
-        points.append(point)
-    return tuple(points)
-
-
-def _points_from_stack(stacked) -> tuple[SupPoint, ...]:
-    """The rows of an (N, m, k) stack as SupPoints, validated once for all,
-    sharing the rows of one read-only contiguous copy."""
-    return _rows_as_points(_checked_stack(stacked))
 
 
 def sup_distance(x: SupPoint, y: SupPoint) -> float:
@@ -111,52 +96,22 @@ def sup_distance(x: SupPoint, y: SupPoint) -> float:
 class PointCloud:
     """A finite set of points of a common space, e.g. a group orbit.
 
-    The stacked points and the diameter are computed once, on first use,
-    and kept; the kept stack is read-only.
+    The points are one read-only (N, m, k) array, a copy of the given
+    stack checked once as a whole; an (N, m) stack holds box-space points.
+    The diameter is computed on first use and kept.
     """
 
-    points: tuple[SupPoint, ...]
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        if pts:
-            shape = pts[0].fibers.shape
-            for p in pts[1:]:
-                if p.fibers.shape != shape:
-                    raise SpaceMismatchError("cloud mixes points from different spaces")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def from_iter(cls, points: Iterable[SupPoint]) -> "PointCloud":
-        return cls(tuple(points))
-
-    @classmethod
-    def from_array(cls, stacked: np.ndarray) -> "PointCloud":
-        """Cloud from an (N, m, k) array, whose checked copy is the kept stack."""
-        arr = _checked_stack(stacked)
-        cloud = cls(_rows_as_points(arr))
-        if len(arr):
-            cloud.__dict__["_stacked"] = arr  # the points are its rows
-        return cloud
+        object.__setattr__(self, "points", _checked_stack(self.points))
 
     def __len__(self) -> int:
         return len(self.points)
 
     @cached_property
-    def _stacked(self) -> np.ndarray:
-        if not self.points:
-            raise EmptyDomainError("empty cloud has no stacked form")
-        arr = np.stack([p.fibers for p in self.points])
-        arr.setflags(write=False)
-        return arr
-
-    def stack(self) -> np.ndarray:
-        """All points as one read-only (N, m, k) array."""
-        return self._stacked
-
-    @cached_property
     def _diameter(self) -> float:
-        pts = self.stack()
+        pts = self.points
         # (N, N, m) matrix of fiber distances, then sup over fibers, max over pairs.
         diff = pts[:, np.newaxis, :, :] - pts[np.newaxis, :, :, :]
         fiber_d = np.sqrt(np.sum(diff * diff, axis=3))

@@ -203,7 +203,7 @@ class TestCentersAndBounding:
 
     def test_bounding_box_of_cloud(self, rng):
         arr = rng.standard_normal((6, 3, 1))
-        cloud = PointCloud.from_array(arr)
+        cloud = PointCloud(arr)
         bb = bounding_box(cloud)
         flat = arr[:, :, 0]
         for i in range(3):
@@ -211,7 +211,7 @@ class TestCentersAndBounding:
             assert float(bb.hi[i]) == flat[:, i].max()
 
     def test_bounding_box_needs_k1(self, rng):
-        cloud = PointCloud.from_array(rng.standard_normal((4, 2, 2)))
+        cloud = PointCloud(rng.standard_normal((4, 2, 2)))
         with pytest.raises(Exception):
             bounding_box(cloud)
 
@@ -268,7 +268,7 @@ def ref_box_H(M: Box, c) -> Box:
 
 
 def ref_bounding_box(cloud: PointCloud) -> Box:
-    flat = cloud.stack()[:, :, 0]
+    flat = cloud.points[:, :, 0]
     lo = [min(Fraction(float(v)) for v in flat[:, i]) for i in range(flat.shape[1])]
     hi = [max(Fraction(float(v)) for v in flat[:, i]) for i in range(flat.shape[1])]
     return Box.bounds(lo, hi)
@@ -398,7 +398,7 @@ class TestAgainstFractionForms:
             arr = rng.standard_normal((int(rng.integers(1, 9)), 4, 1)) * scale
             if scale < 1e-300:
                 arr = rng.integers(-40, 40, size=arr.shape) * scale
-            cloud = PointCloud.from_array(arr)
+            cloud = PointCloud(arr)
             assert_same_box(bounding_box(cloud), ref_bounding_box(cloud))
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from supfix.boxes import bounding_box, box_center
 from supfix.centers import center_radius, urns_center, verify_urns_certificate
-from supfix.errors import SpaceMismatchError
+from supfix.errors import EmptyDomainError, SpaceMismatchError
 from supfix.instances import certificate_samples, random_cloud
 from supfix.spaces import (
     FIBER_URNS_CONSTANT,
@@ -22,10 +22,15 @@ from supfix.spaces import (
 )
 
 
+def no_samples(cloud: PointCloud) -> PointCloud:
+    """A zero-sample cloud of the cloud's space."""
+    return PointCloud(np.empty((0,) + cloud.points.shape[1:]))
+
+
 class TestUrnsCenter:
     def test_k1_equals_bounding_box_midpoint(self, rng):
         for _ in range(20):
-            cloud = PointCloud.from_array(rng.standard_normal((7, 4, 1)))
+            cloud = PointCloud(rng.standard_normal((7, 4, 1)))
             z = urns_center(cloud)
             mid = box_center(bounding_box(cloud))
             assert sup_distance(z, mid) <= 1e-9
@@ -33,20 +38,27 @@ class TestUrnsCenter:
     def test_radius_at_most_diameter_over_sqrt2(self, rng):
         """Per-fiber enclosing balls give the Jung-type bound in every fiber."""
         for _ in range(50):
-            cloud = PointCloud.from_array(rng.standard_normal((9, 3, 3)))
+            cloud = PointCloud(rng.standard_normal((9, 3, 3)))
             z = urns_center(cloud)
             assert center_radius(cloud, z) <= cloud_diameter(cloud) / math.sqrt(2) + 1e-9
 
     def test_single_point_cloud(self):
-        cloud = PointCloud.from_iter([SupPoint(np.ones((2, 3)))])
+        cloud = PointCloud(np.ones((1, 2, 3)))
         z = urns_center(cloud)
-        assert sup_distance(z, cloud.points[0]) == 0.0
+        assert sup_distance(z, SupPoint(cloud.points[0])) == 0.0
+
+    def test_empty_cloud_has_no_center_and_no_radius(self):
+        cloud = PointCloud(np.empty((0, 2, 3)))
+        with pytest.raises(EmptyDomainError):
+            urns_center(cloud)
+        with pytest.raises(EmptyDomainError):
+            center_radius(cloud, SupPoint(np.zeros((2, 3))))
 
     def test_translation_equivariance(self, rng):
         arr = rng.standard_normal((6, 3, 2))
         shift = rng.standard_normal((3, 2))
-        z1 = urns_center(PointCloud.from_array(arr))
-        z2 = urns_center(PointCloud.from_array(arr + shift))
+        z1 = urns_center(PointCloud(arr))
+        z2 = urns_center(PointCloud(arr + shift))
         assert np.allclose(z1.fibers + shift, z2.fibers, atol=1e-9)
 
 
@@ -65,8 +77,9 @@ class TestCertificate:
         cloud = random_cloud(3)
         z = urns_center(cloud)
         far = SupPoint(z.fibers + 10.0)
-        rep = verify_urns_certificate(cloud, far, FIBER_URNS_CONSTANT, [])
+        rep = verify_urns_certificate(cloud, far, FIBER_URNS_CONSTANT, no_samples(cloud))
         assert not rep.ok
+        assert rep.checked_samples == 0 and rep.rejected_samples == 0
 
     def test_distant_valid_ball_center_fails_second_condition(self):
         """A z that encloses the cloud but sits far from a legitimate ball
@@ -74,7 +87,7 @@ class TestCertificate:
         points of the lens of valid centers around a two-point cloud are
         farther apart than the bound, so this genuinely discriminates."""
         a = 0.1
-        cloud = PointCloud.from_array(np.array([[[-a, 0.0]], [[a, 0.0]]]))
+        cloud = PointCloud(np.array([[[-a, 0.0]], [[a, 0.0]]]))
         bound = FIBER_URNS_CONSTANT * cloud_diameter(cloud)
         height = 0.99 * math.sqrt(2.0) * a
         z = SupPoint(np.array([[0.0, height]]))
@@ -82,14 +95,14 @@ class TestCertificate:
         assert center_radius(cloud, z) <= bound
         assert center_radius(cloud, y) <= bound
         assert sup_distance(z, y) > bound
-        rep = verify_urns_certificate(cloud, z, FIBER_URNS_CONSTANT, [y])
+        rep = verify_urns_certificate(cloud, z, FIBER_URNS_CONSTANT, PointCloud([y.fibers]))
         assert not rep.ok
 
     def test_invalid_samples_counted_not_failed(self, rng):
         cloud = random_cloud(5)
         z = urns_center(cloud)
-        bad_y = SupPoint(z.fibers + 100.0)
-        rep = verify_urns_certificate(cloud, z, FIBER_URNS_CONSTANT, [bad_y])
+        bad_y = z.fibers + 100.0
+        rep = verify_urns_certificate(cloud, z, FIBER_URNS_CONSTANT, PointCloud([bad_y]))
         assert rep.ok
         assert rep.rejected_samples == 1 and rep.checked_samples == 0
 
@@ -98,19 +111,20 @@ class TestCertificate:
         at a time with sup_distance, on a mix of valid and far-off samples."""
         cloud = random_cloud(17, fibers=4, fiber_dim=3, points=12)
         z = urns_center(cloud)
-        valid = certificate_samples(cloud, z, FIBER_URNS_CONSTANT, 12, rng)
-        far = [SupPoint(y.fibers + rng.normal(scale=3.0, size=y.fibers.shape)) for y in valid[:6]]
-        ys = [(valid + far)[i] for i in rng.permutation(18)]
+        valid = certificate_samples(cloud, z, FIBER_URNS_CONSTANT, 12, rng).points
+        far = valid[:6] + rng.normal(scale=3.0, size=valid[:6].shape)
+        samples = PointCloud(np.concatenate([valid, far])[rng.permutation(18)])
+        ys = [SupPoint(y) for y in samples.points]
         bound = FIBER_URNS_CONSTANT * cloud_diameter(cloud) + 1e-10
 
         def radius(c):
-            return max(sup_distance(c, x) for x in cloud.points)
+            return max(sup_distance(c, SupPoint(x)) for x in cloud.points)
 
         verdicts = []
         for cand in (z, SupPoint(z.fibers + 2.0)):
             checked = [y for y in ys if radius(y) <= bound]
             gaps = [sup_distance(cand, y) for y in checked]
-            rep = verify_urns_certificate(cloud, cand, FIBER_URNS_CONSTANT, ys)
+            rep = verify_urns_certificate(cloud, cand, FIBER_URNS_CONSTANT, samples)
             assert rep.radius == radius(cand) == center_radius(cloud, cand)
             assert rep.checked_samples == len(checked) and 0 < len(checked) < len(ys)
             assert rep.rejected_samples == len(ys) - len(checked)
@@ -120,11 +134,27 @@ class TestCertificate:
         assert verdicts == [True, False]
         assert [center_radius(cloud, y) for y in ys] == [radius(y) for y in ys]
 
+    def test_zero_samples_check_the_radius_alone(self, rng):
+        """`samples: 0` draws an empty cloud, which the checker accepts."""
+        cloud = random_cloud(4)
+        z = urns_center(cloud)
+        drawn = certificate_samples(cloud, z, FIBER_URNS_CONSTANT, 0, rng)
+        assert drawn.points.shape == (0,) + z.fibers.shape
+        for ys in (drawn, no_samples(cloud)):
+            rep = verify_urns_certificate(cloud, z, FIBER_URNS_CONSTANT, ys)
+            assert rep.ok and rep.worst_center_gap == 0.0
+            assert rep.checked_samples == 0 and rep.rejected_samples == 0
+            assert rep.radius == center_radius(cloud, z)
+
     def test_samples_from_another_space_raise(self):
         cloud = random_cloud(2, fibers=3, fiber_dim=3)
         z = urns_center(cloud)
+        for shape in ((1, 3, 1), (0, 3, 1), (2, 2, 3)):
+            with pytest.raises(SpaceMismatchError):
+                verify_urns_certificate(cloud, z, FIBER_URNS_CONSTANT, PointCloud(np.zeros(shape)))
         with pytest.raises(SpaceMismatchError):
-            verify_urns_certificate(cloud, z, FIBER_URNS_CONSTANT, [SupPoint(np.zeros((3, 1)))])
+            verify_urns_certificate(cloud, SupPoint(np.zeros((3, 1))), FIBER_URNS_CONSTANT,
+                                    no_samples(cloud))
         with pytest.raises(SpaceMismatchError):
             center_radius(cloud, SupPoint(np.zeros((3, 1))))
 
@@ -143,17 +173,16 @@ class TestCertificateSamples:
             cloud = random_cloud(seed, fibers=5, fiber_dim=3, points=8)
             z = urns_center(cloud)
             bound = FIBER_URNS_CONSTANT * cloud_diameter(cloud)
-            for y in certificate_samples(cloud, z, FIBER_URNS_CONSTANT, 15, rng):
-                assert center_radius(cloud, y) <= bound
+            for y in certificate_samples(cloud, z, FIBER_URNS_CONSTANT, 15, rng).points:
+                assert center_radius(cloud, SupPoint(y)) <= bound
 
     def test_samples_are_read_only_points_of_the_space(self, rng):
         cloud = random_cloud(3, fibers=4, fiber_dim=2, points=6)
         z = urns_center(cloud)
         ys = certificate_samples(cloud, z, FIBER_URNS_CONSTANT, 7, rng)
-        assert len(ys) == 7
-        for y in ys:
-            assert type(y) is SupPoint and y.fibers.shape == z.fibers.shape
-            assert not y.fibers.flags.writeable
+        assert type(ys) is PointCloud and len(ys) == 7
+        assert ys.points.shape == (7,) + z.fibers.shape
+        assert not ys.points.flags.writeable
 
     def test_non_finite_samples_refused(self, rng):
         cloud = random_cloud(3, fibers=4, fiber_dim=2, points=6)

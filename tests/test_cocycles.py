@@ -7,9 +7,11 @@ import pytest
 from test_groups import unitary_index
 
 from supfix.cocycles import (
+    LAW_TOL,
     CayleyGroup,
     DerivationData,
     check_cocycle,
+    check_translation_cocycle,
     cocycle_defect,
     extend_cocycle,
     inner_derivation,
@@ -154,6 +156,20 @@ class TestTranslationCocycles:
         assert defect > 1e-4
         assert 0 <= i < len(g) and 0 <= j < len(g)
 
+    def test_check_names_the_worst_pair(self):
+        g = CayleyGroup.symmetric(3)
+        c, _ = random_translation_cocycle(g, 4)
+        assert check_translation_cocycle(g, c) == translation_cocycle_defect(g, c) <= LAW_TOL
+        bad = corrupt_cocycle_table(c, 9)
+        defect, i, j = translation_law_worst_pair(g, bad)
+        assert i != j
+        with pytest.raises(CocycleInconsistencyError) as info:
+            check_translation_cocycle(g, bad)
+        assert (info.value.label_a, info.value.label_b, info.value.defect) == (g.labels[i], g.labels[j], defect)
+        assert check_translation_cocycle(g, bad, tol=defect) == defect
+        with pytest.raises(CocycleInconsistencyError):
+            check_translation_cocycle(g, bad, tol=np.nextafter(defect, 0.0))
+
     def test_law_brute_force_oracle(self):
         g = CayleyGroup.symmetric(3)
         c, _ = random_translation_cocycle(g, 13)
@@ -185,3 +201,6 @@ class TestNaNData:
         c, _ = random_translation_cocycle(group, 1)
         c[2, 3] = np.nan
         assert np.isnan(translation_law_worst_pair(group, c)[0])
+        for tol in (LAW_TOL, np.inf):
+            with pytest.raises(CocycleInconsistencyError, match="defect nan"):
+                check_translation_cocycle(group, c, tol)

@@ -96,7 +96,7 @@ class TestSamplingBudget:
 class TestCloudsAndNamedGroups:
     def test_cloud_shapes(self):
         cloud = random_cloud(4, fibers=6, fiber_dim=3, points=9)
-        assert cloud.stack().shape == (9, 6, 3)
+        assert cloud.points.shape == (9, 6, 3)
 
     def test_degenerate_cloud_is_spread(self, monkeypatch):
         """A draw of coincident points is moved apart, and the cloud returned
@@ -110,7 +110,7 @@ class TestCloudsAndNamedGroups:
         cloud = random_cloud(0, fibers=2, fiber_dim=1, points=3)
         want = np.zeros((3, 2, 1))
         want[0] += 1.0
-        assert cloud.stack().tobytes() == want.tobytes()
+        assert cloud.points.tobytes() == want.tobytes()
         assert cloud_diameter(cloud) == 1.0
 
     def test_unknown_unitary_group(self):

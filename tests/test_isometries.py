@@ -258,7 +258,7 @@ def ref_box_image(iso: FiberPermIsometry, box: Box) -> Box:
 
 
 def ref_orbit(group, x) -> PointCloud:
-    return PointCloud.from_iter(g(x) for g in group.elements)
+    return PointCloud([g(x).fibers for g in group.elements])
 
 
 def ref_exact_orbit_diameter(group, x0):
@@ -292,12 +292,15 @@ def spread_points(rng, m, k, count=4):
 
 def assert_stacked_forms_match(group, x):
     got, want = orbit(group, x), ref_orbit(group, x)
-    assert got.stack().tobytes() == want.stack().tobytes()
+    assert got.points.tobytes() == want.points.tobytes()
     assert repr(fixed_point_residual(group, x)) == repr(ref_fixed_point_residual(group, x))
     if group.k == 1:
         pts, diam = exact_orbit_diameter(group, x)
         ref_pts, ref_diam = ref_exact_orbit_diameter(group, x)
-        assert [p.fibers.tobytes() for p in pts] == [p.fibers.tobytes() for p in ref_pts]
+        assert type(pts) is PointCloud and not pts.points.flags.writeable
+        want_stack = np.stack([p.fibers for p in ref_pts])
+        assert pts.points.shape == want_stack.shape
+        assert pts.points.tobytes() == want_stack.tobytes()
         assert type(diam) is Fraction and diam.as_integer_ratio() == ref_diam.as_integer_ratio()
 
 

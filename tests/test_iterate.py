@@ -24,7 +24,7 @@ class TestExactOrbitDiameter:
             group, x0 = random_box_group(seed)
             pts, diam = exact_orbit_diameter(group, x0)
             float_diam = max(
-                sup_distance(a, b) for a in pts for b in pts
+                sup_distance(SupPoint(a), SupPoint(b)) for a in pts.points for b in pts.points
             )
             assert float(diam) == float_diam  # grid data keeps floats exact
 
@@ -38,7 +38,7 @@ class TestExactOrbitDiameter:
             scale = 10.0 ** rng.integers(-12, 12, size=(group.m, 1))
             x0 = SupPoint(rng.standard_normal((group.m, 1)) * scale)
         pts, diam = exact_orbit_diameter(group, x0)
-        coords = [[Fraction(float(v)) for v in p.fibers[:, 0]] for p in pts]
+        coords = [[Fraction(float(v)) for v in p[:, 0]] for p in pts.points]
         want = max(
             max(abs(a - b) for a, b in zip(p, q)) for p in coords for q in coords
         )

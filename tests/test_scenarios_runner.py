@@ -119,6 +119,37 @@ class TestValidation:
         with pytest.raises(ScenarioFormatError, match="out of range"):
             validate_scenario(scenario)
 
+    def test_integers_written_as_floats_become_ints(self):
+        got = validate_scenario({"kind": "urns_certificate", "seed": 3.0, "points": 5.0,
+                                 "samples": 0.0, "constant": 0.9})
+        assert [type(got[key]) for key in ("seed", "points", "samples")] == [int, int, int]
+        assert (got["seed"], got["points"], got["samples"], got["constant"]) == (3, 5, 0, 0.9)
+        as_floats = {"kind": "box_fixed_point", "seed": 4.0, "dim": 6.0, "max_order": 24.0}
+        as_ints = {"kind": "box_fixed_point", "seed": 4, "dim": 6, "max_order": 24}
+        assert (canonical_result_bytes(run_scenario(as_floats)[0])
+                == canonical_result_bytes(run_scenario(as_ints)[0]))
+
+    @pytest.mark.parametrize(
+        "scenario, key",
+        [
+            ({"kind": "box_fixed_point", "seed": 1, "tol": np.nan}, "tol"),
+            ({"kind": "box_fixed_point", "seed": 1, "tol": np.inf}, "tol"),
+            ({"kind": "fiber_fixed_point", "seed": 1, "tol": np.nan}, "tol"),
+            ({"kind": "fiber_fixed_point", "seed": 1, "tol": np.inf}, "tol"),
+            ({"kind": "urns_certificate", "seed": 1, "constant": np.nan}, "constant"),
+            ({"kind": "box_fixed_point", "seed": 1, "dim": 2,
+              "sample_box": {"lo": [0.0, 0.0], "hi": [1.0, np.nan]}}, "sample_box"),
+        ],
+    )
+    def test_non_finite_numbers_are_format_errors(self, scenario, key):
+        """A JSON Schema number admits NaN (no bound excludes it) and inf
+        (where no upper bound is set); both are refused before any solver runs."""
+        jsonschema.validate(scenario, SCENARIO_SCHEMAS[scenario["kind"]])
+        with pytest.raises(ScenarioFormatError, match=f"{key} must hold finite numbers"):
+            validate_scenario(scenario)
+        report, code = run_scenario(scenario)
+        assert code == EXIT_FORMAT and report["result"]["status"] == "format_error"
+
     def test_every_kind_has_defaults(self):
         for kind, defaults in SCENARIO_DEFAULTS.items():
             assert isinstance(defaults, dict)
@@ -173,6 +204,17 @@ class TestRunnerExitCodes:
             }
         )
         assert code == EXIT_FLAGGED
+
+    @pytest.mark.parametrize("group", ["cyclic:1", "symmetric:1"])
+    def test_corrupt_trivial_group(self, group):
+        """The trivial group's one table entry is the one corrupted."""
+        scenario = {"kind": "group_algebra_derivation", "seed": 2, "group": group, "corrupt": True}
+        report, code = run_scenario(scenario)
+        assert code == EXIT_INCONSISTENT
+        assert report["result"]["error"]["type"] == "CocycleInconsistencyError"
+        report, code = run_scenario({**scenario, "check_cocycle": False})
+        assert code == EXIT_FLAGGED
+        assert report["result"]["law_defect"] > 1e-3
 
     def test_format_error(self):
         report, code = run_scenario({"kind": "box_fixed_point"})

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from supfix.errors import EmptyDomainError, SpaceMismatchError
-from supfix.spaces import (
-    PointCloud,
-    SupPoint,
-    _points_from_stack,
-    cloud_diameter,
-    sup_distance,
-)
+from supfix.spaces import PointCloud, SupPoint, cloud_diameter, sup_distance
 
 
 def naive_sup_distance(a, b):
@@ -73,18 +67,24 @@ class TestSupDistance:
 class TestPointCloud:
     def test_from_array_and_len(self, rng):
         arr = rng.standard_normal((5, 3, 2))
-        cloud = PointCloud.from_array(arr)
+        cloud = PointCloud(arr)
         assert len(cloud) == 5
-        assert np.array_equal(cloud.stack(), arr)
+        assert np.array_equal(cloud.points, arr)
+
+    def test_box_space_stack_promotes_to_columns(self, rng):
+        arr = rng.standard_normal((4, 3))
+        cloud = PointCloud(arr)
+        assert cloud.points.shape == (4, 3, 1)
+        assert cloud.points[:, :, 0].tobytes() == arr.tobytes()
 
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(SpaceMismatchError):
-            PointCloud.from_iter([SupPoint.of([1.0]), SupPoint(np.zeros((2, 1)))])
+            PointCloud([SupPoint.of([1.0]).fibers, np.zeros((2, 1))])
 
     def test_diameter_matches_pairwise_loop(self, rng):
         for _ in range(20):
             arr = rng.standard_normal((7, 4, 3))
-            cloud = PointCloud.from_array(arr)
+            cloud = PointCloud(arr)
             want = max(
                 naive_sup_distance(arr[i], arr[j])
                 for i in range(len(arr))
@@ -93,72 +93,75 @@ class TestPointCloud:
             assert cloud_diameter(cloud) == pytest.approx(want, abs=1e-12)
 
     def test_single_point_diameter_zero(self):
-        assert cloud_diameter(PointCloud.from_iter([SupPoint.of([1.0, 2.0])])) == 0.0
+        assert cloud_diameter(PointCloud([SupPoint.of([1.0, 2.0]).fibers])) == 0.0
 
     @pytest.mark.parametrize("build", ["from_array", "from_iter"])
     def test_stack_and_diameter_are_kept(self, rng, build):
         arr = rng.standard_normal((6, 4, 3))
         if build == "from_array":
-            cloud = PointCloud.from_array(arr)
-            assert all(np.shares_memory(p.fibers, cloud.stack()) for p in cloud.points)
-        else:
-            cloud = PointCloud.from_iter(SupPoint(row) for row in arr)
-        stack = cloud.stack()
-        assert cloud.stack() is stack and not stack.flags.writeable
+            cloud = PointCloud(arr)
+        else:  # a sequence of per-point arrays
+            cloud = PointCloud([SupPoint(row).fibers for row in arr])
+        stack = cloud.points
+        assert not stack.flags.writeable and not np.shares_memory(stack, arr)
         assert stack.tobytes() == arr.tobytes()
         diff = arr[:, None] - arr[None, :]
         want = float(np.max(np.max(np.sqrt(np.sum(diff * diff, axis=3)), axis=2)))
         assert repr(cloud_diameter(cloud)) == repr(want)
         assert vars(cloud)["_diameter"] == want  # kept for the next caller
 
-    def test_empty_cloud_has_no_stack(self):
-        cloud = PointCloud.from_array(np.empty((0, 2, 1)))
-        for fn in (PointCloud.stack, cloud_diameter):
-            with pytest.raises(EmptyDomainError):
-                fn(cloud)
+    def test_empty_cloud_has_no_diameter(self):
+        cloud = PointCloud(np.empty((0, 2, 1)))
+        with pytest.raises(EmptyDomainError):
+            cloud_diameter(cloud)
 
 
 class TestPointsFromStack:
-    """One check of a whole (N, m, k) stack must refuse and accept what
-    SupPoint refuses and accepts row by row."""
+    """The cloud's one check of a whole (N, m, k) stack must refuse and
+    accept what SupPoint refuses and accepts row by row."""
 
     @pytest.mark.parametrize("shape", [(5, 3, 2), (4, 1, 1), (3, 6)])
     def test_rows_equal_checked_points(self, rng, shape):
         arr = rng.standard_normal(shape)
-        points = _points_from_stack(arr)
+        points = PointCloud(arr).points
         assert len(points) == shape[0]
+        assert points.flags.c_contiguous and not points.flags.writeable
         for p, row in zip(points, arr):
             want = SupPoint(row)
-            assert type(p) is SupPoint and p.fibers.shape == want.fibers.shape
-            assert p.fibers.tobytes() == want.fibers.tobytes()
-            assert p.fibers.flags.c_contiguous and not p.fibers.flags.writeable
-            with pytest.raises(ValueError):
-                p.fibers[0, 0] = 1.0
+            assert p.shape == want.fibers.shape
+            assert p.tobytes() == want.fibers.tobytes()
+        with pytest.raises(ValueError):
+            points[0, 0, 0] = 1.0
 
     def test_points_do_not_share_the_caller_array(self, rng):
         arr = rng.standard_normal((3, 2, 2))
-        points = _points_from_stack(arr)
+        points = PointCloud(arr).points
+        assert not np.shares_memory(points, arr)
         arr[0, 0, 0] += 1.0  # the caller's array stays writable
-        assert points[0].fibers[0, 0] != arr[0, 0, 0]
+        assert points[0, 0, 0] != arr[0, 0, 0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused(self, rng, bad):
         arr = rng.standard_normal((6, 3, 2))
         arr[4, 2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            _points_from_stack(arr)
+            SupPoint(arr[4])
         with pytest.raises(ValueError, match="finite"):
-            PointCloud.from_array(arr)
+            PointCloud(arr)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 0, 1), (2, 3, 0), (2, 0), (1, 2, 2, 2)])
     def test_malformed_shapes_refused(self, shape):
         with pytest.raises(SpaceMismatchError):
             SupPoint(np.zeros(shape)[0])
         with pytest.raises(SpaceMismatchError):
-            _points_from_stack(np.zeros(shape))
+            PointCloud(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 0, 1), (0, 3, 0), (0, 2, 2, 2)])
+    def test_malformed_empty_shapes_refused(self, shape):
         with pytest.raises(SpaceMismatchError):
-            PointCloud.from_array(np.zeros(shape))
+            PointCloud(np.zeros(shape))
 
     def test_empty_stack_gives_empty_cloud(self):
-        assert _points_from_stack(np.zeros((0, 3, 2))) == ()
-        assert len(PointCloud.from_array(np.zeros((0, 3, 2)))) == 0
+        cloud = PointCloud(np.zeros((0, 3, 2)))
+        assert len(cloud) == 0
+        assert cloud.points.shape == (0, 3, 2) and not cloud.points.flags.writeable
