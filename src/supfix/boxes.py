@@ -112,7 +112,7 @@ class Box:
         return cls(len(lo_t), lo_t, hi_t)
 
     @classmethod
-    def point(cls, p: Sequence[Scalar]) -> "Box":
+    def point(cls, p: Sequence[Scalar]) -> "Box":  # public: box vocabulary
         t = tuple(_frac(x) for x in p)
         return cls(len(t), t, t)
 
@@ -171,7 +171,7 @@ class Box:
         den = 2 * self._den
         return tuple(Fraction(a + b, den) for a, b in zip(self._lo_num, self._hi_num))
 
-    def contains(self, p: Sequence[Scalar], tol: Scalar = 0) -> bool:
+    def contains(self, p: Sequence[Scalar], tol: Scalar = 0) -> bool:  # public: box vocabulary
         if self.is_empty:
             return False
         t = _frac(tol)
@@ -186,7 +186,7 @@ def _rescaled(nums: Sequence[int], den: int, to: int) -> list[int]:
     return [a * f for a in nums]
 
 
-def intersect(a: Box, b: Box) -> Box:
+def intersect(a: Box, b: Box) -> Box:  # public: box vocabulary
     if a.dim != b.dim:
         raise SpaceMismatchError("cannot intersect boxes of different dimensions")
     if a.is_empty or b.is_empty:
@@ -231,7 +231,7 @@ def _contract(M: Box, c: Scalar) -> tuple[int, list[int], list[int], int]:
     return den, lo, hi, p * M._width()
 
 
-def box_A(M: Box, c: Scalar) -> Box:
+def box_A(M: Box, c: Scalar) -> Box:  # public: box vocabulary
     """Intersection of the balls B(x, c * diam M) over all x in M.
 
     Per coordinate the farthest x sits at an endpoint, so the result is
@@ -270,7 +270,7 @@ def box_center(M: Box) -> SupPoint:
     return SupPoint.of([float(x) for x in M.center_exact()])
 
 
-def bounding_box(cloud: PointCloud) -> Box:
+def bounding_box(cloud: PointCloud) -> Box:  # public: box vocabulary
     """Smallest box containing a box-space (k = 1) cloud."""
     if len(cloud) == 0:
         raise EmptyDomainError("empty cloud has no bounding box")

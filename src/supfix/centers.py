@@ -30,6 +30,8 @@ from .spaces import sup_distance  # noqa: F401
 # Elements per block of the (centers, N, m, k) difference array, so the
 # temporaries stay near half a megabyte whatever the sample count.
 _BLOCK_ELEMENTS = 1 << 16
+# Slack added to the bound c * diam before radii and gaps are compared with it.
+_CERTIFICATE_TOL = 1e-10
 
 
 def urns_center(cloud: PointCloud) -> SupPoint:
@@ -108,7 +110,6 @@ def verify_urns_certificate(
     z: SupPoint,
     c: float,
     y_samples: PointCloud,
-    tol: float = 1e-10,
 ) -> CertificateReport:
     """Check the two relative-center properties of z for the cloud at constant c,
     challenged by the ball centers in y_samples (a cloud of the same space).
@@ -119,7 +120,7 @@ def verify_urns_certificate(
     reduction over (samples + 1, N, m, k) and all gaps from one more.
     """
     diam = cloud_diameter(cloud)
-    bound = c * diam + tol
+    bound = c * diam + _CERTIFICATE_TOL
     pts = cloud.points
     ys = _in_space(pts, y_samples.points)
     radii = _radii(pts, np.concatenate([_in_space(pts, z.fibers)[np.newaxis], ys]))

@@ -1,15 +1,14 @@
 """Derivation-style cocycles on finite groups, matrix and scalar flavor.
 
-A map g -> delta(g) into d x d matrices satisfies the multiplicative
-Leibniz law
+A map g -> delta(g) into d x d matrices is a cocycle when it satisfies
+the multiplicative Leibniz law
 
     delta(g h) = delta(g) h + g delta(h)
 
-exactly when it extends consistently from generator values along group
-words.  `extend_cocycle` performs that extension and, on request, checks
-the law on the full multiplication table, raising on any defect above
-tolerance; corrupted inputs are detected here rather than miles later as
-a mysteriously bad least-squares fit.
+on every pair of elements.  `check_cocycle` checks the law on the full
+multiplication table and raises on any defect above tolerance, so
+corrupted inputs are detected here rather than miles later as a
+mysteriously bad least-squares fit.
 
 The scalar flavor lives on the function space over an abstract finite
 group: c(g)(s) = t(g s) - t(s g) for a fixed function t, with the law
@@ -19,7 +18,7 @@ Both laws are checked as gathers over the Cayley table (the matrix one
 with batched products over all pairs, the scalar one a row g at a time),
 and inverses come from `groups.inverse_indices`.  Matrix groups are
 closed by the kernel in `groups.py`, where duplicates are products within
-`tol` of a known element in every entry.
+a fixed tolerance of a known element in every entry.
 """
 
 from __future__ import annotations
@@ -61,10 +60,6 @@ class DerivationData:
     def d(self) -> int:
         return self.group.d
 
-    def generator_values(self) -> np.ndarray:
-        idx = [self.group.words.index((i,)) for i in range(len(self.group.generators))]
-        return self.values[idx]
-
 
 def inner_derivation(group: UnitaryGroup, t0: np.ndarray) -> DerivationData:
     """delta(g) = t0 g - g t0 for every element; always satisfies the law."""
@@ -91,32 +86,6 @@ def check_cocycle(data: DerivationData, tol: float = LAW_TOL) -> float:
         labels = data.group.labels
         raise CocycleInconsistencyError(labels[i], labels[j], defect)
     return defect
-
-
-def extend_cocycle(
-    group: UnitaryGroup,
-    generator_values: np.ndarray,
-    check: bool = True,
-    tol: float = LAW_TOL,
-) -> DerivationData:
-    """Extend generator values to the whole group along its BFS words.
-
-    delta(identity) = 0 is forced by the law.  With check=True the full
-    multiplication table is verified afterwards, which is what separates
-    genuine cocycles from arbitrary generator data.
-    """
-    gen_vals = np.asarray(generator_values, dtype=complex)
-    if gen_vals.shape != (len(group.generators), group.d, group.d):
-        raise SpaceMismatchError("need one value per generator")
-    vals = np.zeros((len(group), group.d, group.d), dtype=complex)
-    for idx in range(1, len(group)):
-        parent, gi = group.parents[idx]
-        # delta(u g) = delta(u) g + u delta(g), u the BFS parent
-        vals[idx] = vals[parent] @ group.generators[gi] + group.elements[parent] @ gen_vals[gi]
-    data = DerivationData(group, vals)
-    if check:
-        check_cocycle(data, tol)
-    return data
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ from .unitary import UnitaryGroup, unitary_closure
 GRID_STEP = 2.0 ** -16
 GRID_RANGE = 2.0  # grid points live in [-GRID_RANGE, GRID_RANGE]
 MAX_DRAWS = 1000  # rejection-sampling draws before an order budget counts as unmet
+SAMPLE_MARGIN = 0.95  # share of the per-fiber slack a certificate sample may use
+CORRUPTION_SCALE = 1e-2  # size of the perturbation the corrupt_* helpers add
 
 
 def grid_point(rng: np.random.Generator, shape) -> np.ndarray:
@@ -154,13 +156,12 @@ def certificate_samples(
     constant: float,
     count: int,
     rng: np.random.Generator,
-    margin: float = 0.95,
 ) -> PointCloud:
     """Centers y of radius constant * diam balls containing the cloud.
 
     Each sample moves away from the enclosing-ball center by at most
-    `margin` of the per-fiber slack, so containment holds with room to
-    spare and no rejection loop is needed.
+    SAMPLE_MARGIN of the per-fiber slack, so containment holds with room
+    to spare and no rejection loop is needed.
     """
     pts = cloud.points
     bound = constant * cloud_diameter(cloud)
@@ -171,7 +172,7 @@ def certificate_samples(
     u = np.empty((count, m, 1))
     for i in range(count):  # draw order per sample: directions, then step lengths
         rng.standard_normal(out=dirs[i])
-        u[i] = rng.uniform(0.0, margin, size=(m, 1))
+        u[i] = rng.uniform(0.0, SAMPLE_MARGIN, size=(m, 1))
     norms = np.linalg.norm(dirs, axis=2, keepdims=True)
     norms[norms == 0.0] = 1.0
     return PointCloud(z.fibers + dirs / norms * (u * slack[:, None]))
@@ -209,21 +210,19 @@ def unitary_group(name: str) -> UnitaryGroup:
     return unitary_closure(gens, cap=64)
 
 
-def random_inner_derivation(
-    group: UnitaryGroup, seed: int, scale: float = 1.0
-) -> tuple[DerivationData, np.ndarray]:
+def random_inner_derivation(group: UnitaryGroup, seed: int) -> tuple[DerivationData, np.ndarray]:
     rng = np.random.default_rng(seed)
     d = group.d
-    t0 = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    t0 = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     return inner_derivation(group, t0), t0
 
 
-def corrupt_derivation(data: DerivationData, seed: int, scale: float = 1e-2) -> DerivationData:
-    """Perturb one non-identity value; the law then fails at about `scale`."""
+def corrupt_derivation(data: DerivationData, seed: int) -> DerivationData:
+    """Perturb one non-identity value; the law then fails at about CORRUPTION_SCALE."""
     rng = np.random.default_rng(seed)
     idx = int(rng.integers(1, len(data.group)))
     d = data.d
-    bump = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    bump = CORRUPTION_SCALE * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     values = data.values.copy()
     values[idx] += bump
     return DerivationData(data.group, values)
@@ -248,14 +247,14 @@ def random_translation_cocycle(group: CayleyGroup, seed: int) -> tuple[np.ndarra
     return translation_cocycle(group, t), t
 
 
-def corrupt_cocycle_table(c: np.ndarray, seed: int, scale: float = 1e-2) -> np.ndarray:
+def corrupt_cocycle_table(c: np.ndarray, seed: int) -> np.ndarray:
     """Perturb one entry off the identity row; the law then fails at about
-    `scale`.  The trivial group has only the identity row, so its one entry
-    is perturbed (c[e, e] = 0 is forced by the law)."""
+    CORRUPTION_SCALE.  The trivial group has only the identity row, so its
+    one entry is perturbed (c[e, e] = 0 is forced by the law)."""
     rng = np.random.default_rng(seed)
     n = c.shape[0]
     out = np.array(c, dtype=float)
     g = int(rng.integers(1, n)) if n > 1 else 0
     s = int(rng.integers(0, n))
-    out[g, s] += scale * (1.0 + rng.random())
+    out[g, s] += CORRUPTION_SCALE * (1.0 + rng.random())
     return out

@@ -5,13 +5,13 @@ in each fiber, and translates:
 
     (phi x)_g = maps[g] @ x[perm[g]] + trans[g]
 
-This family is closed under composition and inversion, which is all the
-group machinery needs.  Finite groups are produced by the breadth-first
+This family is closed under composition, which is all the group
+machinery needs.  Finite groups are produced by the breadth-first
 closure of `groups.closure` over right multiplication by the generators.
 An element's signature is its image of a fixed probe cloud, so no
 canonical form of the matrix data is required; a product whose signature
-is within `tol` of a known one in every entry (max |diff| <= tol) is a
-duplicate.
+is within _CLOSURE_TOL of a known one in every entry (max |diff| <=
+_CLOSURE_TOL) is a duplicate.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ except ImportError:  # numpy < 2
 
 from .boxes import Box, _box_over, _rescaled, _scaled
 from .errors import SpaceMismatchError
-from .groups import closure, word_labels
+from .groups import closure
 from .spaces import PointCloud, SupPoint
 
 _ORTHO_TOL = 1e-8
+_CLOSURE_TOL = 1e-10
 
 
 def _orthogonal(maps: np.ndarray) -> bool:
@@ -71,8 +72,8 @@ class FiberPermIsometry:
     def _trusted(cls, perm: np.ndarray, maps: np.ndarray, trans: np.ndarray) -> "FiberPermIsometry":
         """Wrap arrays that are valid by construction, skipping the checks.
 
-        For products and inverses of checked maps: the permutations compose
-        to a permutation and the orthogonal maps to orthogonal maps.
+        For products of checked maps: the permutations compose to a
+        permutation and the orthogonal maps to orthogonal maps.
         """
         iso = object.__new__(cls)
         for name, arr in (("perm", perm), ("maps", maps), ("trans", trans)):
@@ -113,13 +114,6 @@ def compose(a: FiberPermIsometry, b: FiberPermIsometry) -> FiberPermIsometry:
     return FiberPermIsometry._trusted(perm, maps, trans)
 
 
-def invert(a: FiberPermIsometry) -> FiberPermIsometry:
-    q = np.argsort(a.perm)  # q[g] is the index sent to g
-    maps = np.swapaxes(a.maps[q], 1, 2)
-    trans = -np.einsum("gij,gj->gi", maps, a.trans[q])
-    return FiberPermIsometry._trusted(q, maps, trans)
-
-
 @lru_cache(maxsize=64)
 def _probe_cloud(m: int, k: int) -> np.ndarray:
     """Fixed probe points whose images identify an isometry: the origin,
@@ -154,7 +148,6 @@ class GroupSpec:
     generators: tuple[FiberPermIsometry, ...]
     elements: tuple[FiberPermIsometry, ...]
     words: tuple[tuple[int, ...], ...]
-    tol: float = 1e-10
 
     @property
     def m(self) -> int:
@@ -166,10 +159,6 @@ class GroupSpec:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return word_labels(self.words)
 
     @cached_property
     def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,7 +182,6 @@ class GroupSpec:
 def group_closure(
     generators: list[FiberPermIsometry] | tuple[FiberPermIsometry, ...],
     cap: int = 512,
-    tol: float = 1e-10,
 ) -> GroupSpec:
     """Close the generators under composition, breadth first.
 
@@ -213,9 +201,9 @@ def group_closure(
         compose,
         lambda iso: _signature(iso, probes),
         cap,
-        tol,
+        _CLOSURE_TOL,
     )
-    return GroupSpec(tuple(generators), tuple(found.elements), found.words, tol)
+    return GroupSpec(tuple(generators), tuple(found.elements), found.words)
 
 
 def orbit(group: GroupSpec, x: SupPoint) -> PointCloud:

@@ -27,6 +27,7 @@ from .isometries import GroupSpec, box_image, orbit
 from .spaces import PointCloud, SupPoint
 
 BOX_CONTRACTION = Fraction(1, 2)
+MAX_ITER = 200  # contraction steps before the descent stops unconverged
 
 
 def fixed_point_residual(group: GroupSpec, x: SupPoint) -> float:
@@ -57,10 +58,6 @@ class IterationTrace:
     diameters_exact: tuple[Fraction, ...]
     terminated: str  # "converged" or "max_iter"
 
-    @property
-    def diameters(self) -> tuple[float, ...]:
-        return tuple(float(d) for d in self.diameters_exact)
-
     def __len__(self) -> int:
         return len(self.boxes)
 
@@ -75,10 +72,7 @@ class IterationTrace:
 
 
 def iterate_box(
-    group: GroupSpec,
-    x0: SupPoint,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    group: GroupSpec, x0: SupPoint, tol: float = 1e-10
 ) -> tuple[SupPoint, IterationTrace]:
     """Shrink an invariant box onto a common fixed point of the group.
 
@@ -97,7 +91,7 @@ def iterate_box(
     diams = [box.diameter()]
     tol_exact = Fraction(tol)
     reason = "max_iter"
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         for gi, g in enumerate(group.generators):
             if box_image(g, box) != box:
                 raise InvarianceViolationError(

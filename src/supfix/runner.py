@@ -75,7 +75,11 @@ def canonical_result_bytes(report: dict) -> bytes:
     return json.dumps(report["result"], sort_keys=True, separators=(",", ":")).encode()
 
 
-def _run_box(params: dict, trace_dir, name: str) -> tuple[dict, int]:
+# Each _run_<kind> returns (result, ok); run_scenario turns ok into the
+# result's status and the exit code.
+
+
+def _run_box(params: dict, trace_dir, name: str) -> tuple[dict, bool]:
     group, x0 = random_box_group(params["seed"], params["dim"], params["max_order"])
     if "sample_box" in params:
         lo = np.array(params["sample_box"]["lo"])
@@ -84,7 +88,6 @@ def _run_box(params: dict, trace_dir, name: str) -> tuple[dict, int]:
     fixed_point, trace = iterate_box(group, x0, tol=params["tol"])
     diams = trace.diameters_exact
     result = {
-        "status": "ok" if trace.terminated == "converged" else "flagged",
         "group_order": len(group),
         "iterations": len(trace) - 1,
         "initial_diameter": float(diams[0]),
@@ -96,26 +99,24 @@ def _run_box(params: dict, trace_dir, name: str) -> tuple[dict, int]:
     }
     if trace_dir is not None:
         trace.write_csv(Path(trace_dir) / f"{name}.csv")
-    return result, EXIT_OK if trace.terminated == "converged" else EXIT_FLAGGED
+    return result, trace.terminated == "converged"
 
 
-def _run_fiber(params: dict, trace_dir, name: str) -> tuple[dict, int]:
+def _run_fiber(params: dict, trace_dir, name: str) -> tuple[dict, bool]:
     group, x0 = random_fiber_group(
         params["seed"], params["fibers"], params["fiber_dim"], params["max_order"]
     )
     z = orbit_center_fixed_point(group, x0)
     residual = fixed_point_residual(group, z)
-    ok = residual <= params["tol"]
     result = {
-        "status": "ok" if ok else "flagged",
         "group_order": len(group),
         "residual": residual,
         "fixed_point": z.fibers.tolist(),
     }
-    return result, EXIT_OK if ok else EXIT_FLAGGED
+    return result, residual <= params["tol"]
 
 
-def _run_matrix(params: dict, trace_dir, name: str) -> tuple[dict, int]:
+def _run_matrix(params: dict, trace_dir, name: str) -> tuple[dict, bool]:
     group = unitary_group(params["group"])
     data, _ = random_inner_derivation(group, params["seed"])
     if params["corrupt"]:
@@ -123,7 +124,6 @@ def _run_matrix(params: dict, trace_dir, name: str) -> tuple[dict, int]:
     defect = check_cocycle(data, LAW_TOL if params["check_cocycle"] else math.inf)
     report = solve_witness(data, method=params["method"])
     result = {
-        "status": "flagged" if report.flagged else "ok",
         "group": params["group"],
         "group_order": len(group),
         "norming_size": report.t_model.shape[0],
@@ -133,10 +133,10 @@ def _run_matrix(params: dict, trace_dir, name: str) -> tuple[dict, int]:
     if params["similarity"] and not report.flagged:
         model = build_affine_action(data)
         result["similarity"] = build_similarity(model, report.t_model).as_dict()
-    return result, EXIT_FLAGGED if report.flagged else EXIT_OK
+    return result, not report.flagged
 
 
-def _run_group_algebra(params: dict, trace_dir, name: str) -> tuple[dict, int]:
+def _run_group_algebra(params: dict, trace_dir, name: str) -> tuple[dict, bool]:
     group = cayley_group(params["group"])
     c, _ = random_translation_cocycle(group, params["seed"])
     if params["corrupt"]:
@@ -147,16 +147,15 @@ def _run_group_algebra(params: dict, trace_dir, name: str) -> tuple[dict, int]:
         defect = translation_cocycle_defect(group, c)
     report = finite_group_algebra_witness(group, c)
     result = {
-        "status": "flagged" if report.flagged else "ok",
         "group": params["group"],
         "group_order": len(group),
         "law_defect": defect,
         "witness": report.as_dict(),
     }
-    return result, EXIT_FLAGGED if report.flagged else EXIT_OK
+    return result, not report.flagged
 
 
-def _run_urns(params: dict, trace_dir, name: str) -> tuple[dict, int]:
+def _run_urns(params: dict, trace_dir, name: str) -> tuple[dict, bool]:
     cloud, z, constant, ys = random_certificate_instance(
         params["seed"],
         params["fibers"],
@@ -167,13 +166,12 @@ def _run_urns(params: dict, trace_dir, name: str) -> tuple[dict, int]:
     )
     cert = verify_urns_certificate(cloud, z, constant, ys)
     result = {
-        "status": "ok" if cert.ok else "flagged",
         "fibers": params["fibers"],
         "fiber_dim": params["fiber_dim"],
         "points": params["points"],
         **cert.as_dict(),
     }
-    return result, EXIT_OK if cert.ok else EXIT_FLAGGED
+    return result, cert.ok
 
 
 _DISPATCH = {
@@ -204,7 +202,9 @@ def run_scenario(raw: dict, trace_dir=None, name: str | None = None) -> tuple[di
     if name is None:
         name = f"{kind}_{params['seed']}"
     try:
-        result, code = _DISPATCH[kind](params, trace_dir, name)
+        result, ok = _DISPATCH[kind](params, trace_dir, name)
+        result = {"status": "ok" if ok else "flagged", **result}
+        code = EXIT_OK if ok else EXIT_FLAGGED
     except (
         CocycleInconsistencyError,
         InvarianceViolationError,

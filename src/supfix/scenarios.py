@@ -2,11 +2,14 @@
 
 Each scenario is one JSON object with a "kind" field choosing the solver
 path and a "seed" pinning the random instance.  Structural validation is
-jsonschema, with one validator per kind built on first use; the handful
-of semantic rules a schema cannot express (finite numbers, bound ordering,
-length agreement, group sizes) are checked here as well.  All violations
-raise ScenarioFormatError, which the runner maps to exit code 4.  Integers
-written as floats (8.0, which JSON Schema counts as an integer) become ints.
+jsonschema, with one validator per kind built on first use.  An optional
+field's value when absent is its JSON Schema "default" annotation, which
+jsonschema does not apply; `validate_scenario` fills the defaults in
+after validation.  The handful of semantic rules a schema cannot express
+(finite numbers, bound ordering, length agreement, group sizes) are
+checked here as well.  All violations raise ScenarioFormatError, which
+the runner maps to exit code 4.  Integers written as floats (8.0, which
+JSON Schema counts as an integer) become ints.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "properties": {
             "kind": {"const": "box_fixed_point"},
             "seed": _SEED,
-            "dim": {"type": "integer", "minimum": 1, "maximum": 64},
-            "max_order": {"type": "integer", "minimum": 1, "maximum": 512},
-            "tol": {"type": "number", "exclusiveMinimum": 0.0},
+            "dim": {"type": "integer", "minimum": 1, "maximum": 64, "default": 8},
+            "max_order": {"type": "integer", "minimum": 1, "maximum": 512, "default": 48},
+            "tol": {"type": "number", "exclusiveMinimum": 0.0, "default": 1e-10},
             "sample_box": {
                 "type": "object",
                 "additionalProperties": False,
@@ -49,10 +52,10 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "properties": {
             "kind": {"const": "fiber_fixed_point"},
             "seed": _SEED,
-            "fibers": {"type": "integer", "minimum": 1, "maximum": 16},
-            "fiber_dim": {"type": "integer", "minimum": 1, "maximum": 8},
-            "max_order": {"type": "integer", "minimum": 1, "maximum": 512},
-            "tol": {"type": "number", "exclusiveMinimum": 0.0},
+            "fibers": {"type": "integer", "minimum": 1, "maximum": 16, "default": 5},
+            "fiber_dim": {"type": "integer", "minimum": 1, "maximum": 8, "default": 3},
+            "max_order": {"type": "integer", "minimum": 1, "maximum": 512, "default": 48},
+            "tol": {"type": "number", "exclusiveMinimum": 0.0, "default": 1e-9},
         },
     },
     "matrix_derivation": {
@@ -63,10 +66,13 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
             "kind": {"const": "matrix_derivation"},
             "seed": _SEED,
             "group": {"enum": ["q8", "s3", "c12"]},
-            "method": {"enum": ["orbit_center", "averaging", "least_squares"]},
-            "corrupt": {"type": "boolean"},
-            "check_cocycle": {"type": "boolean"},
-            "similarity": {"type": "boolean"},
+            "method": {
+                "enum": ["orbit_center", "averaging", "least_squares"],
+                "default": "least_squares",
+            },
+            "corrupt": {"type": "boolean", "default": False},
+            "check_cocycle": {"type": "boolean", "default": True},
+            "similarity": {"type": "boolean", "default": True},
         },
     },
     "group_algebra_derivation": {
@@ -77,8 +83,8 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
             "kind": {"const": "group_algebra_derivation"},
             "seed": _SEED,
             "group": {"type": "string", "pattern": "^(cyclic|symmetric):[0-9]+$"},
-            "corrupt": {"type": "boolean"},
-            "check_cocycle": {"type": "boolean"},
+            "corrupt": {"type": "boolean", "default": False},
+            "check_cocycle": {"type": "boolean", "default": True},
         },
     },
     "urns_certificate": {
@@ -88,10 +94,10 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "properties": {
             "kind": {"const": "urns_certificate"},
             "seed": _SEED,
-            "fibers": {"type": "integer", "minimum": 1, "maximum": 16},
-            "fiber_dim": {"type": "integer", "minimum": 1, "maximum": 8},
-            "points": {"type": "integer", "minimum": 2, "maximum": 200},
-            "samples": {"type": "integer", "minimum": 0, "maximum": 1000},
+            "fibers": {"type": "integer", "minimum": 1, "maximum": 16, "default": 4},
+            "fiber_dim": {"type": "integer", "minimum": 1, "maximum": 8, "default": 3},
+            "points": {"type": "integer", "minimum": 2, "maximum": 200, "default": 10},
+            "samples": {"type": "integer", "minimum": 0, "maximum": 1000, "default": 50},
             "constant": {"type": "number", "exclusiveMinimum": 0.0, "exclusiveMaximum": 1.0},
         },
     },
@@ -99,19 +105,6 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
 
 # Largest N accepted in a group_algebra_derivation "family:N" group name.
 _GROUP_SIZE_BOUNDS = {"cyclic": 512, "symmetric": 5}
-
-SCENARIO_DEFAULTS: dict[str, dict] = {
-    "box_fixed_point": {"dim": 8, "max_order": 48, "tol": 1e-10},
-    "fiber_fixed_point": {"fibers": 5, "fiber_dim": 3, "max_order": 48, "tol": 1e-9},
-    "matrix_derivation": {
-        "method": "least_squares",
-        "corrupt": False,
-        "check_cocycle": True,
-        "similarity": True,
-    },
-    "group_algebra_derivation": {"corrupt": False, "check_cocycle": True},
-    "urns_certificate": {"fibers": 4, "fiber_dim": 3, "points": 10, "samples": 50},
-}
 
 
 def validate_scenario(obj) -> dict:
@@ -127,7 +120,7 @@ def validate_scenario(obj) -> dict:
     if error is not None:
         raise ScenarioFormatError(f"invalid {kind} scenario: {error.message}")
 
-    merged = {**SCENARIO_DEFAULTS[kind], **obj}
+    merged = {**_defaults(kind), **obj}
     for key, value in obj.items():
         if key in _integer_fields(kind):
             merged[key] = int(value)
@@ -173,6 +166,13 @@ def _finite(value) -> bool:
 def _integer_fields(kind: str) -> frozenset[str]:
     props = SCENARIO_SCHEMAS[kind]["properties"]
     return frozenset(key for key, prop in props.items() if prop.get("type") == "integer")
+
+
+@cache
+def _defaults(kind: str) -> dict:
+    """The schema's "default" annotations of the kind, by field."""
+    props = SCENARIO_SCHEMAS[kind]["properties"]
+    return {key: prop["default"] for key, prop in props.items() if "default" in prop}
 
 
 @cache

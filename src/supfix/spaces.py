@@ -25,21 +25,17 @@ FIBER_URNS_CONSTANT = math.sqrt(3.0) / 2.0
 
 @dataclass(frozen=True)
 class SupPoint:
-    """A point of l-infinity(Gamma, R^k): an (m, k) array of fiber vectors."""
+    """A point of l-infinity(Gamma, R^k): an (m, k) array of fiber vectors.
+
+    The fibers are a read-only copy of the given array, checked by
+    `_checked_stack` as a stack of one point; an (m,) array is a
+    box-space point.
+    """
 
     fibers: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.fibers, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, np.newaxis]
-        if arr.ndim != 2 or arr.size == 0:
-            raise SpaceMismatchError(f"fibers must be a nonempty (m, k) array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("fiber coordinates must be finite")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "fibers", arr)
+        object.__setattr__(self, "fibers", _checked_stack([self.fibers])[0])
 
     @property
     def m(self) -> int:
@@ -49,12 +45,6 @@ class SupPoint:
     def k(self) -> int:
         return self.fibers.shape[1]
 
-    def flat(self) -> np.ndarray:
-        """The point as a vector of length n = m for k = 1 (box space view)."""
-        if self.k != 1:
-            raise SpaceMismatchError(f"flat() requires k=1 fibers, got k={self.k}")
-        return self.fibers[:, 0]
-
     @classmethod
     def of(cls, coords: Sequence[float]) -> "SupPoint":
         """Box-space point from a plain coordinate sequence."""
@@ -63,10 +53,8 @@ class SupPoint:
 
 def _checked_stack(stacked) -> np.ndarray:
     """An (N, m, k) stack of points as one read-only contiguous copy,
-    validated once for all rows.
-
-    Same checks and exception types as `SupPoint` on each row (an (N, m)
-    stack holds (m, 1) points); N may be 0.
+    validated once for all rows: the one validity check of points and
+    clouds.  An (N, m) stack holds (m, 1) points; N may be 0.
     """
     try:
         arr = np.array(stacked, dtype=float, order="C")

@@ -16,14 +16,15 @@ so matrix identities can be checked or solved entirely inside the model.
 `realify_matrix` turns complex fibers, or a whole stack of them, into
 real ones of twice the dimension, which is what the generic isometry
 machinery consumes.  Vectors are matched to the norming set the way
-closure products are matched to known elements, within `tol` in every
-entry, with all pairs compared in one array operation.
+closure products are matched to known elements, within the norming
+set's `tol` (_MATCH_TOL unless set otherwise) in every entry, with all
+pairs compared in one array operation.
 
 Groups are closed by `groups.closure`, the same breadth-first kernel as
 the isometry groups, with the matrix itself as signature: a product
-within `tol` of a known element in every entry (max |diff| <= tol) is a
-duplicate.  The Cayley table and the inverses are gathers from the
-closure's right-multiplication table.
+within _MATCH_TOL of a known element in every entry (max |diff| <=
+_MATCH_TOL) is a duplicate.  The Cayley table and the inverses are
+gathers from the closure's right-multiplication table.
 """
 
 from __future__ import annotations
@@ -38,13 +39,15 @@ from .errors import SpaceMismatchError
 from .groups import cayley_table, closure, inverse_indices, word_labels
 
 _UNITARY_TOL = 1e-9
+# Entrywise distance within which two matrices, or two vectors, are the same.
+_MATCH_TOL = 1e-9
 
 
-def _check_unitary(g: np.ndarray, tol: float = _UNITARY_TOL) -> np.ndarray:
+def _check_unitary(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise SpaceMismatchError("group elements must be square matrices")
-    if not np.allclose(g.conj().T @ g, np.eye(g.shape[0]), atol=tol):
+    if not np.allclose(g.conj().T @ g, np.eye(g.shape[0]), atol=_UNITARY_TOL):
         raise ValueError("matrix is not unitary")
     return g
 
@@ -58,7 +61,6 @@ class UnitaryGroup:
     words: tuple[tuple[int, ...], ...]
     parents: tuple[tuple[int, int] | None, ...]  # (parent index, generator index)
     right: np.ndarray  # (n, n_gen): index of elements[i] @ generators[g]
-    tol: float = 1e-9
 
     @property
     def d(self) -> int:
@@ -81,14 +83,11 @@ class UnitaryGroup:
         return inverse_indices(self.cayley)
 
 
-def unitary_closure(
-    generators: Sequence[np.ndarray], cap: int = 256, tol: float = 1e-9
-) -> UnitaryGroup:
+def unitary_closure(generators: Sequence[np.ndarray], cap: int = 256) -> UnitaryGroup:
     gens = np.stack([_check_unitary(g) for g in generators])
-    found = closure(np.eye(gens.shape[1], dtype=complex), gens, np.matmul, np.ravel, cap, tol)
-    return UnitaryGroup(
-        gens, np.stack(found.elements), found.words, found.parents, found.right, tol
-    )
+    found = closure(np.eye(gens.shape[1], dtype=complex), gens, np.matmul, np.ravel, cap,
+                    _MATCH_TOL)
+    return UnitaryGroup(gens, np.stack(found.elements), found.words, found.parents, found.right)
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class NormingSet:
     """G-stable spanning set of unit vectors indexing the model fibers."""
 
     vectors: np.ndarray  # (size, d) complex, rows are the norming vectors
-    tol: float = 1e-9
+    tol: float = _MATCH_TOL
 
     @property
     def size(self) -> int:
@@ -107,23 +106,23 @@ class NormingSet:
         return self.vectors.shape[1]
 
 
-def basis_orbit_norming_set(group: UnitaryGroup, tol: float = 1e-9) -> NormingSet:
+def basis_orbit_norming_set(group: UnitaryGroup) -> NormingSet:
     """Orbit of the standard basis under the group, deduplicated.
 
     Seeding with the full basis guarantees the set spans C^d, and closing
     under every group element makes it exactly G-stable.  The candidates
     g e_j are taken basis index outer, element inner, and each is kept
-    unless it lies within `tol` of a kept one (max |diff| <= tol).
+    unless it lies within _MATCH_TOL of a kept one (max |diff| <= _MATCH_TOL).
     """
     cands = group.elements.transpose(2, 0, 1).reshape(-1, group.d)  # row j n + l: g_l e_j
-    close = np.abs(cands[:, None] - cands[None]).max(axis=2) <= tol
+    close = np.abs(cands[:, None] - cands[None]).max(axis=2) <= _MATCH_TOL
     dropped = np.zeros(len(cands), dtype=bool)
     kept = []
     for a in range(len(cands)):
         if not dropped[a]:
             kept.append(a)
             dropped |= close[a]
-    return NormingSet(cands[kept], tol)
+    return NormingSet(cands[kept])
 
 
 def embed(norming: NormingSet, a: np.ndarray) -> np.ndarray:

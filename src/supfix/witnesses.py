@@ -68,7 +68,7 @@ class AffineActionModel:
     def d(self) -> int:
         return self.derivation.d
 
-    def encode(self, m_mat: np.ndarray) -> SupPoint:
+    def encode(self, m_mat: np.ndarray) -> SupPoint:  # public: inverse of decode
         m_mat = np.asarray(m_mat, dtype=complex)
         return SupPoint(np.concatenate([m_mat.real, m_mat.imag], axis=1))
 
@@ -113,9 +113,9 @@ def build_affine_action(
     trans = np.concatenate([targets.real, targets.imag], axis=2)
     isos = [FiberPermIsometry._trusted(sigmas[l], maps[l], trans[l]) for l in range(n)]
 
-    gen_indices = [group.words.index((i,)) for i in range(len(group.generators))]
+    # generator i is the element e * g_i, which the closure recorded in right[0, i]
     spec = GroupSpec(
-        generators=tuple(isos[i] for i in gen_indices),
+        generators=tuple(isos[l] for l in group.right[0].tolist()),
         elements=tuple(isos),
         words=group.words,
     )
@@ -199,12 +199,7 @@ def _solve_averaging(model: AffineActionModel) -> np.ndarray:
     return model.targets.mean(axis=0)
 
 
-def solve_witness(
-    derivation: DerivationData,
-    method: str = "least_squares",
-    norming: NormingSet | None = None,
-    flag_tol: float = FLAG_TOL,
-) -> WitnessReport:
+def solve_witness(derivation: DerivationData, method: str = "least_squares") -> WitnessReport:
     """Produce a witness candidate and its honest residuals.
 
     A report is flagged, never silently zeroed, when the model system has
@@ -213,7 +208,7 @@ def solve_witness(
     """
     if method not in WITNESS_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    model = build_affine_action(derivation, norming)
+    model = build_affine_action(derivation)
 
     fp_res: float | None = None
     if method == "least_squares":
@@ -231,7 +226,7 @@ def solve_witness(
     m_res = model_residual(model, t_mat)
     t0 = recover_witness(model, t_mat)
     w_res = witness_residual(derivation, t0)
-    flagged = not m_res <= flag_tol
+    flagged = not m_res <= FLAG_TOL
     reason = None
     if flagged:
         reason = (
@@ -320,9 +315,7 @@ class GroupAlgebraReport:
         }
 
 
-def finite_group_algebra_witness(
-    group: CayleyGroup, c: np.ndarray, flag_tol: float = FLAG_TOL
-) -> GroupAlgebraReport:
+def finite_group_algebra_witness(group: CayleyGroup, c: np.ndarray) -> GroupAlgebraReport:
     """Find t with c[g, s] = t[g s] - t[s g] by averaging the affine orbit.
 
     Element g acts on functions by x -> x(g^{-1} s g) + c[g, g^{-1} s];
@@ -340,4 +333,4 @@ def finite_group_algebra_witness(
     t = t - t.mean()
     residual = float(np.abs(c - (t[group.table] - t[group.table.T])).max())
     defect = translation_cocycle_defect(group, c)
-    return GroupAlgebraReport(t, residual, defect, not residual <= flag_tol)
+    return GroupAlgebraReport(t, residual, defect, not residual <= FLAG_TOL)

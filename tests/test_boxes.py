@@ -199,7 +199,7 @@ class TestBoxH:
 class TestCentersAndBounding:
     def test_box_center_is_midpoint(self):
         c = box_center(Box.bounds([0.0, -2.0], [1.0, 0.0]))
-        assert c.flat().tolist() == [0.5, -1.0]
+        assert c.fibers[:, 0].tolist() == [0.5, -1.0]
 
     def test_bounding_box_of_cloud(self, rng):
         arr = rng.standard_normal((6, 3, 1))

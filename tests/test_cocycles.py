@@ -1,4 +1,4 @@
-"""Cocycle law, extension, and the abstract group tables."""
+"""Cocycle law, extension along group words, and the abstract group tables."""
 
 import itertools
 
@@ -13,7 +13,6 @@ from supfix.cocycles import (
     check_cocycle,
     check_translation_cocycle,
     cocycle_defect,
-    extend_cocycle,
     inner_derivation,
     translation_cocycle,
     translation_cocycle_defect,
@@ -58,28 +57,37 @@ class TestMatrixCocycles:
 
     @pytest.mark.parametrize("name", ["q8", "s3", "c12"])
     def test_extension_recovers_inner_derivation(self, named_groups, name):
-        """Extending only the generator values along words must reproduce the
-        full inner derivation, which pins every branch of the recursion."""
+        """Extending the generator values along the closure's BFS parents by
+        the law, delta(u g) = delta(u) g + u delta(g), must reproduce the
+        full inner derivation; generator g's value sits at right[0, g]."""
         group = named_groups[name]
         data, _ = random_inner_derivation(group, 11)
-        extended = extend_cocycle(group, data.generator_values(), check=True)
-        assert np.allclose(extended.values, data.values, atol=1e-10)
+        gen_vals = data.values[group.right[0]]
+        extended = np.zeros_like(data.values)
+        for idx in range(1, len(group)):
+            parent, gi = group.parents[idx]
+            extended[idx] = (extended[parent] @ group.generators[gi]
+                             + group.elements[parent] @ gen_vals[gi])
+        assert np.allclose(extended, data.values, atol=1e-10)
 
     def test_corrupted_generator_values_fail_check(self, named_groups, rng):
         group = named_groups["s3"]
         data, _ = random_inner_derivation(group, 2)
-        gen_vals = data.generator_values().copy()
-        gen_vals[0] += 1e-2 * rng.standard_normal(gen_vals[0].shape)
+        values = data.values.copy()
+        g0 = group.right[0, 0]
+        values[g0] += 1e-2 * rng.standard_normal(values[g0].shape)
         with pytest.raises(CocycleInconsistencyError):
-            extend_cocycle(group, gen_vals, check=True)
+            check_cocycle(DerivationData(group, values))
 
     def test_unchecked_extension_returns_data(self, named_groups, rng):
+        """At tol=inf, the runner's unchecked setting, the defect is returned."""
         group = named_groups["s3"]
         data, _ = random_inner_derivation(group, 2)
-        gen_vals = data.generator_values().copy()
-        gen_vals[0] += 1e-2 * rng.standard_normal(gen_vals[0].shape)
-        extended = extend_cocycle(group, gen_vals, check=False)
-        assert cocycle_defect(extended)[0] > 1e-4
+        values = data.values.copy()
+        g0 = group.right[0, 0]
+        values[g0] += 1e-2 * rng.standard_normal(values[g0].shape)
+        defect = check_cocycle(DerivationData(group, values), tol=np.inf)
+        assert defect == cocycle_defect(DerivationData(group, values))[0] > 1e-4
 
     def test_error_message_names_pair_and_defect(self, named_groups):
         group = named_groups["q8"]
@@ -94,7 +102,7 @@ class TestMatrixCocycles:
     def test_shape_validation(self, named_groups):
         group = named_groups["q8"]
         with pytest.raises(SpaceMismatchError):
-            extend_cocycle(group, np.zeros((1, 2, 2)))
+            DerivationData(group, np.zeros((1, 2, 2)))
 
 
 class TestCayleyGroup:

@@ -32,7 +32,13 @@ from supfix.instances import (
     unitary_group,
 )
 from supfix.isometries import FiberPermIsometry, _probe_cloud, _signature, compose
-from supfix.unitary import NormingSet, basis_orbit_norming_set, embed, unitary_closure
+from supfix.unitary import (
+    _MATCH_TOL,
+    NormingSet,
+    basis_orbit_norming_set,
+    embed,
+    unitary_closure,
+)
 from supfix.witnesses import (
     _solve_least_squares,
     build_affine_action,
@@ -122,11 +128,11 @@ def loop_unitary_closure(gens, tol=1e-9):
 
 
 def unitary_index(group, mat) -> int:
-    """Index of the element of the unitary `group` within group.tol of mat
+    """Index of the element of the unitary `group` within _MATCH_TOL of mat
     in every entry, the closure's duplicate rule."""
     diffs = np.abs(group.elements - np.asarray(mat, dtype=complex)).max(axis=(1, 2))
     idx = int(np.argmin(diffs))
-    if diffs[idx] > group.tol:
+    if diffs[idx] > _MATCH_TOL:
         raise KeyError("matrix is not an element of the group")
     return idx
 

@@ -1,8 +1,7 @@
 """Isometry algebra and group closure tests.
 
-Composition and inversion are checked pointwise against direct
-evaluation, which is the defining property and needs no knowledge of the
-internal data layout.
+Composition is checked pointwise against direct evaluation, which is the
+defining property and needs no knowledge of the internal data layout.
 """
 
 import itertools
@@ -24,6 +23,7 @@ from supfix.instances import (
     unitary_group,
 )
 from supfix.isometries import (
+    _CLOSURE_TOL,
     _ORTHO_TOL,
     FiberPermIsometry,
     GroupSpec,
@@ -33,9 +33,9 @@ from supfix.isometries import (
     box_image,
     compose,
     group_closure,
-    invert,
     orbit,
 )
+from supfix.groups import word_labels
 from supfix.iterate import exact_orbit_diameter, fixed_point_residual
 from supfix.spaces import PointCloud, SupPoint, cloud_diameter, sup_distance
 from supfix.unitary import unitary_closure
@@ -53,11 +53,11 @@ def random_iso(rng, m, k) -> FiberPermIsometry:
 
 def element_index(group, iso: FiberPermIsometry) -> int:
     """Index of the element of `group` equal to iso, compared as the closure
-    compares them: by the images of its probe cloud, within group.tol."""
+    compares them: by the images of its probe cloud, within _CLOSURE_TOL."""
     probes = _probe_cloud(group.m, group.k)
     sig = _signature(iso, probes)
     for i, e in enumerate(group.elements):
-        if np.allclose(_signature(e, probes), sig, atol=group.tol, rtol=0.0):
+        if np.allclose(_signature(e, probes), sig, atol=_CLOSURE_TOL, rtol=0.0):
             return i
     raise KeyError("isometry is not an element of the group")
 
@@ -110,13 +110,6 @@ class TestComposeInvert:
             x = SupPoint(rng.standard_normal((4, 2)))
             assert sup_distance(compose(a, b)(x), a(b(x))) <= 1e-12
 
-    def test_invert_round_trips(self, rng):
-        for _ in range(20):
-            a = random_iso(rng, 5, 3)
-            x = SupPoint(rng.standard_normal((5, 3)))
-            assert sup_distance(invert(a)(a(x)), x) <= 1e-12
-            assert sup_distance(a(invert(a)(x)), x) <= 1e-12
-
     def test_compose_associative(self, rng):
         a, b, c = (random_iso(rng, 3, 2) for _ in range(3))
         x = SupPoint(rng.standard_normal((3, 2)))
@@ -132,7 +125,7 @@ class TestGroupClosure:
         group = group_closure([g])
         assert len(group) == 3
         assert group.words[0] == ()
-        assert "e" in group.labels
+        assert "e" in word_labels(group.words)
 
     def test_adding_global_flip_doubles(self):
         g = FiberPermIsometry(np.array([1, 2, 0]), np.ones((3, 1, 1)), np.zeros((3, 1)))
@@ -159,10 +152,12 @@ class TestGroupClosure:
                 assert element_index(group, compose(a, b)) is not None
 
     def test_inverse_in_group(self):
+        """Every element has an inverse among the elements: some b with a b
+        equal to the identity, element 0."""
         g = FiberPermIsometry(np.array([1, 2, 3, 0]), np.ones((4, 1, 1)), np.zeros((4, 1)))
         group = group_closure([g])
         for a in group.elements:
-            element_index(group, invert(a))
+            assert any(element_index(group, compose(a, b)) == 0 for b in group.elements)
 
     def test_infinite_order_raises(self):
         with pytest.raises(GroupNotClosedError):
@@ -352,7 +347,7 @@ class TestBoxImageAgainstFractionForm:
     def test_group_elements_on_shrinking_boxes(self, seed):
         group, x0 = random_box_group(seed)
         rng = np.random.default_rng(seed)
-        lo = x0.flat() - rng.uniform(0, 2, size=group.m)
+        lo = x0.fibers[:, 0] - rng.uniform(0, 2, size=group.m)
         box = Box.bounds(lo, lo + rng.uniform(0, 2, size=group.m))
         for _ in range(12):
             for g in group.elements:
@@ -378,7 +373,7 @@ class TestBoxImageAgainstFractionForm:
 
 
 class TestTrustedProducts:
-    """compose and invert skip the constructor's checks; their output must
+    """compose and identity skip the constructor's checks; their output must
     still be what the checking constructor makes of the same arrays."""
 
     def test_public_constructor_still_checks(self, rng):
@@ -401,7 +396,7 @@ class TestTrustedProducts:
     def test_outputs_read_only_and_equal_to_checked(self, k, rng):
         for _ in range(10):
             a, b = random_iso(rng, 5, k), random_iso(rng, 5, k)
-            for out in (compose(a, b), invert(a), invert(compose(b, a))):
+            for out in (compose(a, b), compose(b, a), FiberPermIsometry.identity(5, k)):
                 checked = FiberPermIsometry(out.perm.copy(), out.maps.copy(), out.trans.copy())
                 for name in ("perm", "maps", "trans"):
                     arr, ref = getattr(out, name), getattr(checked, name)

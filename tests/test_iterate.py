@@ -82,7 +82,7 @@ class TestIterateBox:
         monotone and halving a float is exact."""
         group, x0 = random_box_group(8)
         _, trace = iterate_box(group, x0)
-        diams = trace.diameters
+        diams = [float(d) for d in trace.diameters_exact]
         for a, b in zip(diams, diams[1:]):
             assert b <= a / 2
 
@@ -123,7 +123,7 @@ class TestIterateBox:
         assert len(rows) == len(trace.boxes) + 1
         for i, row in enumerate(rows[1:]):
             assert int(row[0]) == i
-            assert float(row[1]) == trace.diameters[i]
+            assert float(row[1]) == float(trace.diameters_exact[i])
 
 
 class TestOrbitCenterFixedPoint:

@@ -24,7 +24,6 @@ from supfix.runner import (
     run_suite,
 )
 from supfix.scenarios import (
-    SCENARIO_DEFAULTS,
     SCENARIO_SCHEMAS,
     validate_scenario,
     validate_suite,
@@ -151,8 +150,18 @@ class TestValidation:
         assert code == EXIT_FORMAT and report["result"]["status"] == "format_error"
 
     def test_every_kind_has_defaults(self):
-        for kind, defaults in SCENARIO_DEFAULTS.items():
-            assert isinstance(defaults, dict)
+        """Each optional field's "default" annotation is valid for the field,
+        required fields have none, and validation fills them all in."""
+        for kind, schema in SCENARIO_SCHEMAS.items():
+            defaults = {key: prop["default"] for key, prop in schema["properties"].items()
+                        if "default" in prop}
+            assert defaults and not defaults.keys() & set(schema["required"])
+            for key, value in defaults.items():
+                jsonschema.validate(value, schema["properties"][key])
+            minimal = {"kind": kind, "seed": 1}
+            if "group" in schema["required"]:
+                minimal["group"] = "q8" if kind == "matrix_derivation" else "cyclic:3"
+            assert validate_scenario(minimal) == {**defaults, **minimal}
 
 
 class TestRunnerExitCodes:
@@ -204,6 +213,24 @@ class TestRunnerExitCodes:
             }
         )
         assert code == EXIT_FLAGGED
+
+    @pytest.mark.parametrize(
+        "scenario, code",
+        [
+            ({"kind": "fiber_fixed_point", "seed": 0}, EXIT_OK),
+            ({"kind": "fiber_fixed_point", "seed": 0, "tol": 1e-300}, EXIT_FLAGGED),
+            ({"kind": "urns_certificate", "seed": 3, "constant": 0.05}, EXIT_FLAGGED),
+        ],
+    )
+    def test_solver_verdict_sets_status_and_exit_code(self, scenario, code):
+        """A fiber residual above tol, or a certificate that fails, is flagged."""
+        report, got = run_scenario(scenario)
+        assert got == code
+        assert report["result"]["status"] == ("ok" if code == EXIT_OK else "flagged")
+        if scenario["kind"] == "fiber_fixed_point":
+            assert (report["result"]["residual"] <= report["scenario"]["tol"]) == (code == EXIT_OK)
+        else:
+            assert report["result"]["ok"] is False
 
     @pytest.mark.parametrize("group", ["cyclic:1", "symmetric:1"])
     def test_corrupt_trivial_group(self, group):

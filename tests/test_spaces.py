@@ -21,15 +21,6 @@ class TestSupPoint:
         assert p.m == 3 and p.k == 1
         assert p.fibers.shape == (3, 1)
 
-    def test_flat_view_round_trips(self):
-        p = SupPoint.of([0.5, 0.25])
-        assert p.flat().tolist() == [0.5, 0.25]
-
-    def test_flat_rejects_wide_fibers(self):
-        p = SupPoint(np.zeros((2, 3)))
-        with pytest.raises(SpaceMismatchError):
-            p.flat()
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SupPoint(np.array([[np.nan]]))
@@ -38,6 +29,18 @@ class TestSupPoint:
         p = SupPoint.of([1.0])
         with pytest.raises(ValueError):
             p.fibers[0, 0] = 2.0
+
+    def test_callers_array_stays_writable_and_unshared(self):
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        p = SupPoint(x)
+        assert x.flags.writeable
+        assert not np.shares_memory(x, p.fibers)
+        x[0, 0] = 9.0
+        assert p.fibers[0, 0] == 1.0
+
+    def test_ragged_point_is_a_space_mismatch(self):
+        with pytest.raises(SpaceMismatchError):
+            SupPoint([[1.0, 2.0], [3.0]])
 
 
 class TestSupDistance:

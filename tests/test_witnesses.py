@@ -22,7 +22,7 @@ from supfix.instances import (
 from supfix.isometries import compose
 from supfix.iterate import fixed_point_residual
 from supfix.spaces import sup_distance
-from supfix.unitary import NormingSet, basis_orbit_norming_set, embed
+from supfix.unitary import NormingSet, basis_orbit_norming_set, embed, unitary_closure
 from supfix.witnesses import (
     WITNESS_METHODS,
     build_affine_action,
@@ -119,6 +119,28 @@ class TestSolveWitness:
             assert not rep.flagged
             assert rep.model_residual <= 1e-10
             assert rep.witness_residual <= 1e-10
+
+    @pytest.mark.parametrize("repeat", ["same_twice", "identity_first"])
+    @pytest.mark.parametrize("method", WITNESS_METHODS)
+    def test_repeated_generators(self, repeat, method):
+        """A generator equal to the identity or to an earlier generator has no
+        one-letter word; the model's generator i is element right[0, i]."""
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])  # order 4
+        gens = (a, a) if repeat == "same_twice" else (np.eye(2), a)
+        group = unitary_closure(gens)
+        assert len(group) == 4
+        data, _ = random_inner_derivation(group, 3)
+        rep = solve_witness(data, method=method)
+        assert not rep.flagged
+        assert rep.model_residual <= 1e-10 and rep.witness_residual <= 1e-10
+        model = build_affine_action(data)
+        spec = model.group_spec
+        index = {id(e): l for l, e in enumerate(spec.elements)}
+        assert [index[id(g)] for g in spec.generators] == group.right[0].tolist()
+        sim = build_similarity(model, rep.t_model)
+        assert sim.intertwine_residual <= 1e-9
+        assert sim.left_inverse_residual <= 1e-9
+        assert sim.homomorphism_residual <= 1e-9
 
     @pytest.mark.parametrize("name", GROUP_NAMES)
     def test_recovered_witness_satisfies_commutator_identity(self, named_groups, name):
