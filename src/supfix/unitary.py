@@ -23,8 +23,16 @@ pairs compared in one array operation.
 Groups are closed by `groups.closure`, the same breadth-first kernel as
 the isometry groups, with the matrix itself as signature: a product
 within _MATCH_TOL of a known element in every entry (max |diff| <=
-_MATCH_TOL) is a duplicate.  The Cayley table and the inverses are
-gathers from the closure's right-multiplication table.
+_MATCH_TOL) is a duplicate.  The Cayley table is a gather from the
+closure's right-multiplication table.  A closed group's arrays are
+read-only, so one group can be shared: `instances.unitary_group` closes
+each named group once per process.
+
+Everything about the model that depends on the group alone (the norming
+set, its permutations sigma_g, the realified fiber maps, J = E(I) and
+J^+) is one `ModelFrame`, checked once when it is built.  A group builds
+the frame over its basis-orbit norming set on first use and keeps it
+(`UnitaryGroup.frame`), so the frame lives exactly as long as the group.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SpaceMismatchError
-from .groups import cayley_table, closure, inverse_indices, word_labels
+from .groups import cayley_table, closure, word_labels
+from .isometries import _orthogonal
 
 _UNITARY_TOL = 1e-9
 # Entrywise distance within which two matrices, or two vectors, are the same.
@@ -76,18 +85,24 @@ class UnitaryGroup:
     @cached_property
     def cayley(self) -> np.ndarray:
         """cayley[i, j] = index of elements[i] @ elements[j]."""
-        return cayley_table(self.parents, self.right)
+        table = cayley_table(self.parents, self.right)
+        table.setflags(write=False)
+        return table
 
     @cached_property
-    def inverse(self) -> np.ndarray:
-        return inverse_indices(self.cayley)
+    def frame(self) -> ModelFrame:
+        """The model frame over the basis-orbit norming set, built on first use."""
+        return model_frame(self, basis_orbit_norming_set(self))
 
 
 def unitary_closure(generators: Sequence[np.ndarray], cap: int = 256) -> UnitaryGroup:
     gens = np.stack([_check_unitary(g) for g in generators])
     found = closure(np.eye(gens.shape[1], dtype=complex), gens, np.matmul, np.ravel, cap,
                     _MATCH_TOL)
-    return UnitaryGroup(gens, np.stack(found.elements), found.words, found.parents, found.right)
+    elements = np.stack(found.elements)
+    for arr in (gens, elements, found.right):
+        arr.setflags(write=False)
+    return UnitaryGroup(gens, elements, found.words, found.parents, found.right)
 
 
 @dataclass(frozen=True)
@@ -122,7 +137,9 @@ def basis_orbit_norming_set(group: UnitaryGroup) -> NormingSet:
         if not dropped[a]:
             kept.append(a)
             dropped |= close[a]
-    return NormingSet(cands[kept])
+    vectors = cands[kept]
+    vectors.setflags(write=False)
+    return NormingSet(vectors)
 
 
 def embed(norming: NormingSet, a: np.ndarray) -> np.ndarray:
@@ -149,3 +166,55 @@ def realify_matrix(b: np.ndarray) -> np.ndarray:
     top = np.concatenate([b.real, -b.imag], axis=-1)
     bottom = np.concatenate([b.imag, b.real], axis=-1)
     return np.concatenate([top, bottom], axis=-2)
+
+
+@dataclass(frozen=True)
+class ModelFrame:
+    """The group-only part of the affine-action model over one norming set.
+
+    Arrays are read-only: one frame serves every cocycle on its group.
+    """
+
+    norming: NormingSet
+    sigmas: np.ndarray  # (|G|, size) tilde permutations, gamma_{sigma_l(i)} = g_l^H gamma_i
+    maps: np.ndarray  # (|G|, size, 2d, 2d) realified g_l^*, the same map in every fiber
+    j_mat: np.ndarray  # (size, d) complex, J = E(I)
+    j_pinv: np.ndarray  # (d, size) complex, J^+
+
+
+def model_frame(group: UnitaryGroup, norming: NormingSet) -> ModelFrame:
+    """Permutations and fiber maps of every element, checked as whole stacks.
+
+    Raises SpaceMismatchError when the norming set is not stable under the
+    group, and ValueError where the checking FiberPermIsometry constructor
+    would refuse an element (a sigma that is not a permutation, a fiber map
+    that is not orthogonal).
+    """
+    n, d, size = len(group), group.d, norming.size
+    elements = group.elements
+
+    # g = p s for the BFS parent p and generator s: g^H gamma_i = s^H gamma_{sigma_p(i)}
+    gen_sigmas = [tilde_permutation(norming, s) for s in group.generators]
+    sigmas = np.empty((n, size), dtype=int)
+    sigmas[0] = np.arange(size)
+    for l in range(1, n):
+        p, gi = group.parents[l]
+        sigmas[l] = gen_sigmas[gi][sigmas[p]]
+    pulled = norming.vectors @ elements.conj()  # [l, i] is (g_l^H gamma_i)^T
+    if not np.all(np.abs(pulled - norming.vectors[sigmas]).max(axis=2) <= norming.tol):
+        raise SpaceMismatchError("norming set is not stable under the group")
+
+    # kets transform by (g^{-1})^T, the same orthogonal map in every fiber
+    real_maps = realify_matrix(elements.conj())
+    # FiberPermIsometry's checks, once for the whole model: every fiber
+    # copies one of the n maps, and every row of sigmas is a permutation
+    if not (np.sort(sigmas, axis=1) == np.arange(size)).all():
+        raise ValueError("perm is not a permutation")
+    if not _orthogonal(real_maps):
+        raise ValueError("fiber maps must be orthogonal")
+    maps = np.broadcast_to(real_maps[:, None], (n, size, 2 * d, 2 * d)).copy()
+    j_mat = embed(norming, np.eye(d))
+    j_pinv = np.linalg.pinv(j_mat)
+    for arr in (sigmas, maps, j_mat, j_pinv):
+        arr.setflags(write=False)
+    return ModelFrame(norming, sigmas, maps, j_mat, j_pinv)

@@ -21,6 +21,13 @@ Three routes to T are implemented and kept deliberately independent:
 
 Agreement of their residuals on valid data, and joint refusal on
 corrupted data, is the cross-check the test suite leans on.
+
+The group-only part of the model (norming set, permutations, fiber maps,
+J and J^+) is the group's `ModelFrame`, built and checked once per group;
+a model built for one cocycle adds only its targets and translations.
+The model residual and the similarity residuals are stacked array
+expressions over all elements at once (the homomorphism residual in row
+blocks of about a megabyte), with the same floats as one element at a time.
 """
 
 from __future__ import annotations
@@ -31,19 +38,15 @@ import numpy as np
 
 from .cocycles import CayleyGroup, DerivationData, translation_cocycle_defect
 from .errors import SpaceMismatchError
-from .isometries import FiberPermIsometry, GroupSpec, _orthogonal
+from .isometries import FiberPermIsometry, GroupSpec
 from .iterate import fixed_point_residual, orbit_center_fixed_point
 from .spaces import SupPoint
-from .unitary import (
-    NormingSet,
-    basis_orbit_norming_set,
-    embed,
-    realify_matrix,
-    tilde_permutation,
-)
+from .unitary import ModelFrame, NormingSet, embed, model_frame
 
 WITNESS_METHODS = ("orbit_center", "averaging", "least_squares")
 FLAG_TOL = 1e-6
+# Bytes per row block of the (rows, |G|, 2d, 2d) homomorphism temporaries.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,18 @@ class AffineActionModel:
     """
 
     derivation: DerivationData
-    norming: NormingSet
+    frame: ModelFrame
     group_spec: GroupSpec
-    sigmas: np.ndarray  # (|G|, size) tilde permutations
     targets: np.ndarray  # (|G|, size, d) complex, E(delta(g)) g^H
+
+    @property
+    def norming(self) -> NormingSet:
+        return self.frame.norming
+
+    @property
+    def sigmas(self) -> np.ndarray:
+        """(|G|, size) tilde permutations."""
+        return self.frame.sigmas
 
     @property
     def size(self) -> int:
@@ -67,10 +78,6 @@ class AffineActionModel:
     @property
     def d(self) -> int:
         return self.derivation.d
-
-    def encode(self, m_mat: np.ndarray) -> SupPoint:  # public: inverse of decode
-        m_mat = np.asarray(m_mat, dtype=complex)
-        return SupPoint(np.concatenate([m_mat.real, m_mat.imag], axis=1))
 
     def decode(self, x: SupPoint) -> np.ndarray:
         d = self.d
@@ -83,35 +90,17 @@ class AffineActionModel:
 def build_affine_action(
     derivation: DerivationData, norming: NormingSet | None = None
 ) -> AffineActionModel:
+    """The model of one cocycle: the group's frame plus this cocycle's targets.
+
+    Without a norming set the group's own frame is used; an explicit one
+    gets a frame of its own, built and checked in this call.
+    """
     group = derivation.group
-    if norming is None:
-        norming = basis_orbit_norming_set(group)
-    n, d, size = len(group), group.d, norming.size
-    elements = group.elements
-
-    # g = p s for the BFS parent p and generator s: g^H gamma_i = s^H gamma_{sigma_p(i)}
-    gen_sigmas = [tilde_permutation(norming, s) for s in group.generators]
-    sigmas = np.empty((n, size), dtype=int)
-    sigmas[0] = np.arange(size)
-    for l in range(1, n):
-        p, gi = group.parents[l]
-        sigmas[l] = gen_sigmas[gi][sigmas[p]]
-    pulled = norming.vectors @ elements.conj()  # [l, i] is (g_l^H gamma_i)^T
-    if not np.all(np.abs(pulled - norming.vectors[sigmas]).max(axis=2) <= norming.tol):
-        raise SpaceMismatchError("norming set is not stable under the group")
-
-    targets = embed(norming, derivation.values) @ elements.conj().transpose(0, 2, 1)
-    # kets transform by (g^{-1})^T, the same orthogonal map in every fiber
-    real_maps = realify_matrix(elements.conj())
-    # FiberPermIsometry's checks, once for the whole model: every fiber
-    # copies one of the n maps, and every row of sigmas is a permutation
-    if not (np.sort(sigmas, axis=1) == np.arange(size)).all():
-        raise ValueError("perm is not a permutation")
-    if not _orthogonal(real_maps):
-        raise ValueError("fiber maps must be orthogonal")
-    maps = np.broadcast_to(real_maps[:, None], (n, size, 2 * d, 2 * d)).copy()
+    frame = group.frame if norming is None else model_frame(group, norming)
+    targets = embed(frame.norming, derivation.values) @ group.elements.conj().transpose(0, 2, 1)
     trans = np.concatenate([targets.real, targets.imag], axis=2)
-    isos = [FiberPermIsometry._trusted(sigmas[l], maps[l], trans[l]) for l in range(n)]
+    isos = [FiberPermIsometry._trusted(frame.sigmas[l], frame.maps[l], trans[l])
+            for l in range(len(group))]
 
     # generator i is the element e * g_i, which the closure recorded in right[0, i]
     spec = GroupSpec(
@@ -119,7 +108,7 @@ def build_affine_action(
         elements=tuple(isos),
         words=group.words,
     )
-    return AffineActionModel(derivation, norming, spec, sigmas, targets)
+    return AffineActionModel(derivation, frame, spec, targets)
 
 
 def model_residual(model: AffineActionModel, t_mat: np.ndarray) -> float:
@@ -127,22 +116,17 @@ def model_residual(model: AffineActionModel, t_mat: np.ndarray) -> float:
 
     NaN in the data propagates to the result, so it is never within a tolerance.
     """
-    group = model.derivation.group
-    worst = np.empty(len(group))
-    for l in range(len(group)):
-        defect = (
-            t_mat @ group.elements[l]
-            - t_mat[model.sigmas[l]]
-            - embed(model.norming, model.derivation.values[l])
-        )
-        worst[l] = np.linalg.norm(defect, axis=1).max()
-    return float(worst.max())
+    defect = (
+        t_mat @ model.derivation.group.elements
+        - t_mat[model.sigmas]
+        - embed(model.norming, model.derivation.values)
+    )
+    return float(np.linalg.norm(defect, axis=2).max())
 
 
 def recover_witness(model: AffineActionModel, t_mat: np.ndarray) -> np.ndarray:
     """Project the model solution to d x d: t0 = J^+ T with J the norming matrix."""
-    j_mat = embed(model.norming, np.eye(model.d))
-    t0, *_ = np.linalg.lstsq(j_mat, np.asarray(t_mat, dtype=complex), rcond=None)
+    t0, *_ = np.linalg.lstsq(model.frame.j_mat, np.asarray(t_mat, dtype=complex), rcond=None)
     return t0
 
 
@@ -264,17 +248,31 @@ class SimilarityReport:
         }
 
 
+def _homomorphism_residual(us: np.ndarray, cayley: np.ndarray) -> float:
+    """max over pairs (g, h) of |u(g h) - u(g) u(h)|, in blocks of rows g."""
+    n = len(us)
+    rows = max(1, _BLOCK_BYTES // (n * us[0].nbytes))
+    worst = np.empty((n + rows - 1) // rows)
+    for b, g in enumerate(range(0, n, rows)):
+        block = us[cayley[g:g + rows]] - us[g:g + rows, None] @ us[None]
+        worst[b] = np.abs(block).max()
+    return float(worst.max())
+
+
 def build_similarity(model: AffineActionModel, t_mat: np.ndarray) -> SimilarityReport:
     group = model.derivation.group
     size, d, n = model.size, model.d, len(group)
-    j_mat = embed(model.norming, np.eye(d))
+    j_mat, j_pinv = model.frame.j_mat, model.frame.j_pinv
     t_mat = np.asarray(t_mat, dtype=complex)
+    if t_mat.shape != (size, d):
+        raise SpaceMismatchError("model solution must be norming size x d")
 
-    zero_sd = np.zeros((size, d))
-    s_mat = np.block([[j_mat, t_mat], [zero_sd, j_mat]])
-    j_pinv = np.linalg.pinv(j_mat)
-    zero_ds = np.zeros((d, size))
-    s_left_inv = np.block([[j_pinv, -j_pinv @ t_mat @ j_pinv], [zero_ds, j_pinv]])
+    s_mat = np.zeros((2 * size, 2 * d), dtype=complex)
+    s_mat[:size, :d] = s_mat[size:, d:] = j_mat
+    s_mat[:size, d:] = t_mat
+    s_left_inv = np.zeros((2 * d, 2 * size), dtype=complex)
+    s_left_inv[:d, :size] = s_left_inv[d:, size:] = j_pinv
+    s_left_inv[:d, size:] = -j_pinv @ t_mat @ j_pinv
 
     # u(g) = [[g, -delta(g)], [0, g]] for every element
     us = np.zeros((n, 2 * d, 2 * d), dtype=complex)
@@ -282,18 +280,15 @@ def build_similarity(model: AffineActionModel, t_mat: np.ndarray) -> SimilarityR
     us[:, :d, d:] = -model.derivation.values
     # diag(P_g, P_g) S is a row gather of S
     rows = np.concatenate([model.sigmas, model.sigmas + size], axis=1)
-    inter, hom = np.empty(n), np.empty(n)
-    for l in range(n):
-        inter[l] = np.abs(s_mat @ us[l] - s_mat[rows[l]]).max()
-        hom[l] = np.abs(us[group.cayley[l]] - us[l] @ us).max()
+    inter = float(np.abs(s_mat @ us - s_mat[rows]).max())
 
     left_res = float(np.abs(s_left_inv @ s_mat - np.eye(2 * d)).max())
     return SimilarityReport(
         s_mat=s_mat,
         s_left_inv=s_left_inv,
-        intertwine_residual=float(inter.max()),
+        intertwine_residual=inter,
         left_inverse_residual=left_res,
-        homomorphism_residual=float(hom.max()),
+        homomorphism_residual=_homomorphism_residual(us, group.cayley),
         s_norm=float(np.linalg.norm(s_mat, 2)),
         s_left_inv_norm=float(np.linalg.norm(s_left_inv, 2)),
     )

@@ -16,11 +16,12 @@ import pytest
 
 from supfix.cocycles import (
     CayleyGroup,
+    DerivationData,
     cocycle_defect,
     translation_law_worst_pair,
 )
 from supfix.errors import GroupNotClosedError, SpaceMismatchError
-from supfix.groups import closure
+from supfix.groups import closure, inverse_indices
 from supfix.instances import (
     cayley_group,
     corrupt_cocycle_table,
@@ -40,10 +41,12 @@ from supfix.unitary import (
     unitary_closure,
 )
 from supfix.witnesses import (
+    _homomorphism_residual,
     _solve_least_squares,
     build_affine_action,
     build_similarity,
     finite_group_algebra_witness,
+    model_residual,
 )
 
 
@@ -219,8 +222,51 @@ def loop_similarity_residuals(model, s_mat):
     return inter, hom
 
 
+def loop_model_residual(model, t_mat):
+    """model_residual one element at a time."""
+    group = model.derivation.group
+    worst = np.empty(len(group))
+    for l in range(len(group)):
+        defect = (
+            t_mat @ group.elements[l]
+            - t_mat[model.sigmas[l]]
+            - embed(model.norming, model.derivation.values[l])
+        )
+        worst[l] = np.linalg.norm(defect, axis=1).max()
+    return float(worst.max())
+
+
+def loop_similarity(model, t_mat):
+    """build_similarity one element at a time, with S and its left inverse
+    assembled by np.block; the report's fields as a dict."""
+    group = model.derivation.group
+    size, d, n = model.size, model.d, len(group)
+    j_mat = embed(model.norming, np.eye(d))
+    t_mat = np.asarray(t_mat, dtype=complex)
+    s_mat = np.block([[j_mat, t_mat], [np.zeros((size, d)), j_mat]])
+    j_pinv = np.linalg.pinv(j_mat)
+    s_left_inv = np.block([[j_pinv, -j_pinv @ t_mat @ j_pinv], [np.zeros((d, size)), j_pinv]])
+    us = np.zeros((n, 2 * d, 2 * d), dtype=complex)
+    us[:, :d, :d] = us[:, d:, d:] = group.elements
+    us[:, :d, d:] = -model.derivation.values
+    rows = np.concatenate([model.sigmas, model.sigmas + size], axis=1)
+    inter, hom = np.empty(n), np.empty(n)
+    for l in range(n):
+        inter[l] = np.abs(s_mat @ us[l] - s_mat[rows[l]]).max()
+        hom[l] = np.abs(us[group.cayley[l]] - us[l] @ us).max()
+    return {
+        "s_mat": s_mat,
+        "s_left_inv": s_left_inv,
+        "intertwine_residual": float(inter.max()),
+        "left_inverse_residual": float(np.abs(s_left_inv @ s_mat - np.eye(2 * d)).max()),
+        "homomorphism_residual": float(hom.max()),
+        "s_norm": float(np.linalg.norm(s_mat, 2)),
+        "s_left_inv_norm": float(np.linalg.norm(s_left_inv, 2)),
+    }
+
+
 def loop_orbit_of_zero(group, c):
-    inv = group.inverse
+    inv = loop_table_inverse(group.table)
     return np.array([c[g, group.table[inv[g]]] for g in range(len(group))])
 
 
@@ -387,8 +433,9 @@ class TestUnitaryKernel:
     def test_cayley_and_inverse_match_loop(self, unitary_groups, name):
         group = unitary_groups[name]
         assert np.array_equal(group.cayley, loop_cayley(group))
-        assert np.array_equal(group.inverse, loop_inverse(group))
-        assert np.array_equal(group.inverse, loop_table_inverse(group.cayley))
+        inverse = inverse_indices(group.cayley)
+        assert np.array_equal(inverse, loop_inverse(group))
+        assert np.array_equal(inverse, loop_table_inverse(group.cayley))
 
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize("name", list(ORDERS))
@@ -502,3 +549,49 @@ class TestAffineActionModel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * system_bytes
+
+
+class TestBatchedChecks:
+    """model_residual and build_similarity, stacked over all elements, give
+    the floats of their per-element loops on valid, corrupted and NaN data."""
+
+    @staticmethod
+    def derivation(group, kind):
+        data, _ = random_inner_derivation(group, seed=7)
+        if kind == "corrupt":
+            return corrupt_derivation(data, seed=8)
+        if kind == "nan":
+            values = data.values.copy()
+            values[len(group) // 2, 0, -1] = np.nan
+            return DerivationData(group, values)
+        return data
+
+    @pytest.mark.parametrize("kind", ["valid", "corrupt", "nan"])
+    @pytest.mark.parametrize("name", list(ORDERS))
+    def test_match_the_loops(self, unitary_groups, name, kind):
+        model = build_affine_action(self.derivation(unitary_groups[name], kind))
+        rng = np.random.default_rng(len(name))
+        shape = (model.size, model.d)
+        averaging = model.targets.mean(axis=0)  # the model solution on valid data
+        for t_mat in (averaging, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+            assert repr(model_residual(model, t_mat)) == repr(loop_model_residual(model, t_mat))
+            if not np.isfinite(t_mat).all():
+                continue  # S would be non-finite, and its norm undefined
+            got, want = build_similarity(model, t_mat), loop_similarity(model, t_mat)
+            assert got.s_mat.tobytes() == want["s_mat"].tobytes()
+            assert got.s_left_inv.tobytes() == want["s_left_inv"].tobytes()
+            assert {k: repr(v) for k, v in got.as_dict().items()} == {
+                k: repr(want[k]) for k in got.as_dict()}
+
+    @pytest.mark.parametrize("worst_row", ["first", "last"])
+    def test_homomorphism_blocks_cover_every_row(self, unitary_groups, worst_row):
+        """On 2I the rows take several blocks; a stack of random u whose
+        worst pair lies in the first or in the last row gives the loop's float."""
+        cayley = unitary_groups["2I"].cayley
+        n = len(cayley)
+        rng = np.random.default_rng(5)
+        us = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+        scale = np.arange(1.0, n + 1)
+        us *= (scale if worst_row == "last" else scale[::-1])[:, None, None]
+        want = max(float(np.abs(us[cayley[g]] - us[g] @ us).max()) for g in range(n))
+        assert _homomorphism_residual(us, cayley) == want

@@ -117,6 +117,14 @@ class TestCloudsAndNamedGroups:
         with pytest.raises(ValueError):
             unitary_group("so3")
 
+    @pytest.mark.parametrize("name", ["q8", "s3", "c12"])
+    def test_named_groups_are_shared_and_read_only(self, name):
+        group = unitary_group(name)
+        assert unitary_group(name) is group
+        for arr in (group.generators, group.elements, group.right, group.cayley):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
     def test_cayley_group_parsing(self):
         assert len(cayley_group("cyclic:9")) == 9
         assert len(cayley_group("symmetric:4")) == 24

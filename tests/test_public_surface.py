@@ -10,16 +10,27 @@ attribute or an import; a method or property only by an attribute.  A
 definition marked `# public: <reason>` on its `def` or `class` line is
 kept on purpose.  The check matches names, not types: a method counts as
 used once an attribute of that name is read anywhere.
+
+The benchmark's tracer (perfbench/tracing.py) wraps only the plain
+functions of its layer modules, so a public name a layer defines must be a
+plain function or a class; a caching wrapper around a function would hide
+that layer from the per-layer metrics without a word.
 """
 
 import ast
+import functools
+import importlib
+import importlib.util
+import inspect
 import re
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "supfix"
 OUTSIDE = [*sorted((ROOT / "perfbench").rglob("*.py")), ROOT / "BENCHMARK.json",
            ROOT / "pyproject.toml"]
+TRACING = ROOT / "perfbench" / "tracing.py"
 MARKER = "# public:"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -126,3 +137,46 @@ def caller():
                "bench.py": 'CALLS = ("b", "caller")  # "unused_method"'}
     assert unreferenced(package, outside) == ["a.Shape.edges", "a.Shape.unused_method",
                                               "a.only_in_docs", "a.recursive"]
+
+
+def untraceable(modules) -> list[str]:
+    """'module.name' of every public name a module defines (its __module__ is
+    the module's) that is neither a plain function nor a class."""
+    return sorted(f"{mod.__name__}.{attr}" for mod in modules
+                  for attr, obj in vars(mod).items()
+                  if not attr.startswith("_")
+                  and getattr(obj, "__module__", None) == mod.__name__
+                  and not (inspect.isfunction(obj) or inspect.isclass(obj)))
+
+
+def _traced_layers() -> tuple[str, ...]:
+    spec = importlib.util.spec_from_file_location("_tracing_layers", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+def test_traced_layers_define_only_functions_and_classes():
+    layers = _traced_layers()
+    assert len(layers) == 12
+    modules = [importlib.import_module(f"supfix.{layer}") for layer in layers]
+    assert untraceable(modules) == []
+
+
+def test_the_layer_check_finds_a_cached_function():
+    layer = types.ModuleType("supfix.planted")
+
+    def plain(n):
+        return n
+
+    def looked_up(n):
+        return n
+
+    for fn in (plain, looked_up):
+        fn.__module__ = layer.__name__
+    layer.plain = plain
+    layer.looked_up = functools.cache(looked_up)  # copies __module__, is no function
+    layer.LIMIT = 3
+    layer.imported = re.compile  # defined elsewhere
+    layer._private = functools.cache(plain)
+    assert untraceable([layer]) == ["supfix.planted.looked_up"]

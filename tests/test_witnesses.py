@@ -11,7 +11,9 @@ import itertools
 import numpy as np
 import pytest
 
+from supfix import unitary
 from supfix.cocycles import DerivationData, inner_derivation, translation_cocycle
+from supfix.errors import SpaceMismatchError
 from supfix.instances import (
     cayley_group,
     corrupt_cocycle_table,
@@ -21,7 +23,7 @@ from supfix.instances import (
 )
 from supfix.isometries import compose
 from supfix.iterate import fixed_point_residual
-from supfix.spaces import sup_distance
+from supfix.spaces import SupPoint, sup_distance
 from supfix.unitary import NormingSet, basis_orbit_norming_set, embed, unitary_closure
 from supfix.witnesses import (
     WITNESS_METHODS,
@@ -35,6 +37,12 @@ from supfix.witnesses import (
 )
 
 GROUP_NAMES = ("q8", "s3", "c12")
+
+
+def encode(m_mat):
+    """The model point of a (size, d) complex matrix; inverse of model.decode."""
+    m_mat = np.asarray(m_mat, dtype=complex)
+    return SupPoint(np.concatenate([m_mat.real, m_mat.imag], axis=1))
 
 
 class TestAffineActionModel:
@@ -56,7 +64,7 @@ class TestAffineActionModel:
         data, _ = random_inner_derivation(group, 4)
         model = build_affine_action(data)
         isos = model.group_spec.elements
-        x = model.encode(
+        x = encode(
             rng.standard_normal((model.size, model.d))
             + 1j * rng.standard_normal((model.size, model.d))
         )
@@ -72,7 +80,7 @@ class TestAffineActionModel:
         m = rng.standard_normal((model.size, model.d)) + 1j * rng.standard_normal(
             (model.size, model.d)
         )
-        assert np.allclose(model.decode(model.encode(m)), m)
+        assert np.allclose(model.decode(encode(m)), m)
 
     def test_model_solutions_are_fixed_points(self, named_groups):
         """T solves the model system iff encode(T) is fixed by every element."""
@@ -80,7 +88,7 @@ class TestAffineActionModel:
         data, _ = random_inner_derivation(group, 6)
         model = build_affine_action(data)
         rep = solve_witness(data, method="least_squares")
-        point = model.encode(rep.t_model)
+        point = encode(rep.t_model)
         assert fixed_point_residual(model.group_spec, point) <= 1e-10
 
 
@@ -106,6 +114,47 @@ class TestAffineActionChecks:
         repeated = NormingSet(np.concatenate([vectors, vectors[:1]]))
         with pytest.raises(ValueError, match="permutation"):
             build_affine_action(data, repeated)
+
+
+class TestModelFrame:
+    """A group builds its default frame once and keeps it; an explicit
+    norming set always gets a frame of its own, checked in that call."""
+
+    def test_default_frame_built_once_per_group(self, named_groups, monkeypatch):
+        built = []
+
+        def counting(group):
+            built.append(group)
+            return basis_orbit_norming_set(group)
+
+        monkeypatch.setattr(unitary, "basis_orbit_norming_set", counting)
+        group = unitary_closure(named_groups["s3"].generators)  # fresh, nothing cached
+        for seed in (1, 2):
+            data, _ = random_inner_derivation(group, seed)
+            assert not solve_witness(data).flagged
+        assert built == [group]
+        assert build_affine_action(data).frame is group.frame
+        assert built == [group]
+
+    def test_explicit_norming_set_checked_after_default_frame(self, named_groups):
+        group = named_groups["q8"]
+        data, _ = random_inner_derivation(group, 1)
+        frame = build_affine_action(data).frame
+        assert frame is group.frame
+        short = NormingSet(frame.norming.vectors[1:])
+        with pytest.raises(SpaceMismatchError, match="not stable"):
+            build_affine_action(data, short)
+        assert group.frame is frame
+        own = build_affine_action(data, frame.norming).frame
+        assert own is not frame
+        assert np.array_equal(own.sigmas, frame.sigmas)
+        assert np.array_equal(own.maps, frame.maps)
+
+    def test_frame_arrays_are_read_only(self, named_groups):
+        frame = named_groups["c12"].frame
+        for arr in (frame.norming.vectors, frame.sigmas, frame.maps, frame.j_mat, frame.j_pinv):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
 
 
 class TestSolveWitness:
@@ -259,6 +308,13 @@ class TestSimilarity:
         wrong = rng.standard_normal((model.size, model.d))
         sim = build_similarity(model, wrong)
         assert sim.intertwine_residual > 1e-3
+
+    def test_wrong_shape_refused(self, named_groups):
+        data, _ = random_inner_derivation(named_groups["q8"], 2)
+        model = build_affine_action(data)
+        for shape in ((model.d,), (1, model.d), (model.size, model.d + 1)):
+            with pytest.raises(SpaceMismatchError):
+                build_similarity(model, np.zeros(shape))
 
 
 class TestGroupAlgebra:
