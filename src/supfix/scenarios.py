@@ -1,23 +1,28 @@
 """Scenario file format: JSON descriptions of runnable problem instances.
 
 Each scenario is one JSON object with a "kind" field choosing the solver
-path and a "seed" pinning the random instance.  Structural validation is
-jsonschema, with one validator per kind built on first use.  An optional
-field's value when absent is its JSON Schema "default" annotation, which
-jsonschema does not apply; `validate_scenario` fills the defaults in
-after validation.  The handful of semantic rules a schema cannot express
-(finite numbers, bound ordering, length agreement, group sizes) are
-checked here as well.  All violations raise ScenarioFormatError, which
-the runner maps to exit code 4.  Integers written as floats (8.0, which
-JSON Schema counts as an integer) become ints.
+path and a "seed" pinning the random instance.  Structural validation
+follows the kind's JSON Schema in `SCENARIO_SCHEMAS`.  Each schema is
+compiled once into a plain Python check that accepts only plain JSON
+values the schema accepts; whatever it does not accept goes to
+jsonschema, which is imported only then, to word the rejection (or to
+accept what the compiled check left to it, such as a dict subclass).  An
+optional field's value when absent is its JSON Schema "default"
+annotation, which validation does not apply; `validate_scenario` fills
+the defaults in after validation.  The handful of semantic rules a
+schema cannot express (finite numbers, bound ordering, length
+agreement, group names and sizes) are checked here as well.  All
+violations raise ScenarioFormatError, which the runner maps to exit code
+4.  Integers written as floats (8.0, which JSON Schema counts as an
+integer) become ints.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 from functools import cache
-
-import jsonschema
 
 from .errors import ScenarioFormatError
 
@@ -112,13 +117,16 @@ def validate_scenario(obj) -> dict:
     if not isinstance(obj, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
     kind = obj.get("kind")
-    if kind not in SCENARIO_SCHEMAS:
+    if not isinstance(kind, str) or kind not in SCENARIO_SCHEMAS:
         raise ScenarioFormatError(
             f"unknown scenario kind {kind!r}; expected one of {sorted(SCENARIO_SCHEMAS)}"
         )
-    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(obj))
-    if error is not None:
-        raise ScenarioFormatError(f"invalid {kind} scenario: {error.message}")
+    if not _accepts(kind)(obj):
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_validator(kind).iter_errors(obj))
+        if error is not None:
+            raise ScenarioFormatError(f"invalid {kind} scenario: {error.message}")
 
     merged = {**_defaults(kind), **obj}
     for key, value in obj.items():
@@ -128,6 +136,10 @@ def validate_scenario(obj) -> dict:
             raise ScenarioFormatError(f"{key} must hold finite numbers, got {value!r}")
     if kind == "group_algebra_derivation":
         family, _, digits = merged["group"].partition(":")
+        if not (digits.isascii() and digits.isdigit()):  # the pattern's $ admits a final newline
+            raise ScenarioFormatError(
+                f"group {merged['group']!r} must be {family}:N with N in decimal digits"
+            )
         bound = _GROUP_SIZE_BOUNDS[family]
         digits = digits.lstrip("0") or "0"  # length check first: int() refuses huge strings
         if len(digits) > len(str(bound)) or not 1 <= int(digits) <= bound:
@@ -177,8 +189,125 @@ def _defaults(kind: str) -> dict:
 
 @cache
 def _validator(kind: str):
+    """jsonschema's validator of the kind, loaded when a scenario is not accepted."""
+    import jsonschema
+
     schema = SCENARIO_SCHEMAS[kind]
     return jsonschema.validators.validator_for(schema)(schema)
+
+
+@cache
+def _accepts(kind: str):
+    return _compile(SCENARIO_SCHEMAS[kind])
+
+
+# The JSON Schema keywords `_compile` covers: those SCENARIO_SCHEMAS uses.
+# "default" is an annotation and constrains nothing.
+_KEYWORDS = frozenset({
+    "type", "const", "enum", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "pattern", "required", "properties", "additionalProperties", "items", "default",
+})
+
+# Exact JSON types only: a subclass, or a bool where a number is due, is
+# left to jsonschema.  An integral float is an integer, as in Draft 2020-12.
+_IS_TYPE = {
+    "integer": lambda v: type(v) is int or (type(v) is float and v.is_integer()),
+    "number": lambda v: type(v) is int or type(v) is float,
+    "boolean": lambda v: type(v) is bool,
+    "string": lambda v: type(v) is str,
+    "array": lambda v: type(v) is list,
+    "object": lambda v: type(v) is dict,
+}
+
+# The "type" each type-specific keyword must come with, so that it is
+# tested only on a value that passed that type's test.
+_NEEDS_TYPE = {
+    "minimum": ("integer", "number"),
+    "maximum": ("integer", "number"),
+    "exclusiveMinimum": ("integer", "number"),
+    "exclusiveMaximum": ("integer", "number"),
+    "pattern": ("string",),
+    "items": ("array",),
+    "required": ("object",),
+    "properties": ("object",),
+    "additionalProperties": ("object",),
+}
+
+# The comparison by which each bound fails a value, as jsonschema makes it
+# (so NaN fails none).
+_FAILS_BOUND = {
+    "minimum": operator.lt,
+    "maximum": operator.gt,
+    "exclusiveMinimum": operator.le,
+    "exclusiveMaximum": operator.ge,
+}
+
+
+def _compile(schema: dict):
+    """A check that accepts a value only if the schema accepts it.
+
+    It accepts every value built from plain JSON types (dict, list, str,
+    int, float, bool) that the schema accepts, and rejects the rest; a
+    rejection is final only once jsonschema agrees.  A keyword outside
+    `_KEYWORDS`, or one without the type it needs, raises ValueError:
+    skipping it would accept what the schema refuses.
+    """
+    if type(schema) is not dict:
+        raise ValueError(f"no compiled check for the schema {schema!r}")
+    unknown = sorted(schema.keys() - _KEYWORDS)
+    if unknown:
+        raise ValueError(f"no compiled check for the schema keywords {unknown}")
+    kind = schema.get("type")
+    if kind is not None and not (isinstance(kind, str) and kind in _IS_TYPE):
+        raise ValueError(f"no compiled check for the type {kind!r}")
+    for keyword in sorted(schema.keys() & _NEEDS_TYPE.keys()):
+        if kind not in _NEEDS_TYPE[keyword]:
+            raise ValueError(f"{keyword} needs a type of {_NEEDS_TYPE[keyword]}, not {kind!r}")
+
+    tests = [] if kind is None else [_IS_TYPE[kind]]
+    if "const" in schema:
+        tests.append(_one_of([schema["const"]]))
+    if "enum" in schema:
+        tests.append(_one_of(schema["enum"]))
+    for keyword, fails in _FAILS_BOUND.items():
+        if keyword in schema:
+            tests.append(lambda v, fails=fails, bound=schema[keyword]: not fails(v, bound))
+    if "pattern" in schema:
+        search = re.compile(schema["pattern"]).search  # jsonschema's re.search
+        tests.append(lambda v: search(v) is not None)
+    if "items" in schema:
+        item = _compile(schema["items"])
+        tests.append(lambda v: all(map(item, v)))
+    if kind == "object":
+        tests.append(_members(schema))
+    if len(tests) == 1:
+        return tests[0]
+    return lambda v: all(test(v) for test in tests)
+
+
+def _one_of(values: list):
+    if not all(type(c) is str for c in values):
+        raise ValueError(f"const and enum are compiled for strings only, not {values!r}")
+    allowed = frozenset(values)
+    return lambda v: type(v) is str and v in allowed
+
+
+def _members(schema: dict):
+    """The check of an object schema's required, properties and additionalProperties."""
+    props = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+    required = tuple(schema.get("required", ()))
+    extra = schema.get("additionalProperties", True)
+    if type(extra) is not bool:
+        raise ValueError(f"additionalProperties is compiled for booleans only, not {extra!r}")
+
+    def check(v: dict) -> bool:
+        for key, value in v.items():
+            test = props.get(key)
+            if not (extra if test is None else test(value)):
+                return False
+        return all(key in v for key in required)
+
+    return check
 
 
 def validate_suite(obj) -> list[dict]:

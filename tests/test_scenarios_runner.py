@@ -58,6 +58,7 @@ class TestValidation:
             {"kind": "group_algebra_derivation", "seed": 1, "group": "dihedral:3"},
             {"kind": "urns_certificate", "seed": 1, "constant": 1.5},
             {"kind": "urns_certificate", "seed": 1, "points": 1},
+            {"kind": ["box_fixed_point"], "seed": 1},
         ],
     )
     def test_rejected(self, bad):
@@ -117,6 +118,16 @@ class TestValidation:
         scenario = {"kind": "group_algebra_derivation", "seed": 1, "group": group}
         with pytest.raises(ScenarioFormatError, match="out of range"):
             validate_scenario(scenario)
+
+    @pytest.mark.parametrize("group", ["cyclic:5\n", "symmetric:3\n"])
+    def test_group_name_with_a_final_newline_rejected(self, group):
+        """Python's $ matches before a final newline, so the schema pattern
+        admits these names; the semantic check refuses them."""
+        scenario = {"kind": "group_algebra_derivation", "seed": 1, "group": group}
+        with pytest.raises(ScenarioFormatError, match="decimal digits"):
+            validate_scenario(scenario)
+        report, code = run_scenario(scenario)
+        assert code == EXIT_FORMAT and report["result"]["status"] == "format_error"
 
     def test_integers_written_as_floats_become_ints(self):
         got = validate_scenario({"kind": "urns_certificate", "seed": 3.0, "points": 5.0,
