@@ -26,9 +26,23 @@ raises LinAlgError and takes the least-squares fallback.
 
 Points are carried as tuples of Python floats; profiling showed float
 arithmetic beats small-ndarray arithmetic by a wide margin at these sizes.
-Sums run left to right in explicit loops (builtin `sum` compensates float
-sums from Python 3.12 on), so every float is the same on every supported
-Python.
+The arithmetic itself is generated code (`_kernel`), specialised to the
+dimension k and the support depth s and compiled on first use, as
+`dataclasses` builds `__init__`: for depth s, `push` is straight-line
+code over named coordinates, and `welzl` is the loop with its inside test
+written out.  Generated code keeps one float order, so every float is the
+same on every supported Python and for every k:
+- each sum is written out as `0.0 + t_0 + t_1 + ...`, evaluated left to
+  right (builtin `sum` compensates float sums from Python 3.12 on), and a
+  sum of more than `_CHUNK` terms continues in the next statement from
+  its partial total, which changes no operation and keeps the compiler's
+  recursion shallow;
+- a Gram entry is `2.0 * (b . a)`, a squared distance sums `(x - y) ** 2`,
+  and a center coordinate is `r_0 + (0.0 + lambda_0 a_0 + ...)`;
+- a one-row system with a positive finite Gram entry g is solved by the
+  one division `aa / g` that a 1 x 1 LAPACK solve performs.
+The sources are registered in `linecache` under `<supfix.seb kernel k=.
+s=.>`, so tracebacks, profiles and `inspect.getsource` show their lines.
 
 A point is inside the current ball when its squared distance from the
 center is at most limit = rad2 (1 + 1e-13).  The test runs in two stages.
@@ -37,8 +51,9 @@ center: it is within an ulp of the exact distance, and the explicit sum of
 squares within about (k + 1) ulps of it, so such a point passes the exact
 test too (for fewer than 10^6 coordinates, and for limits above the
 smallest normal float, where underflow cannot reach the margin).  Every
-other point takes the exact test `_dist2(p, center) <= limit`, so each
-point lands on the same side as with the exact test alone.
+other point takes the exact test, the written-out squared distance
+`<= limit`, so each point lands on the same side as with the exact test
+alone.
 
 Points are visited in the order of a permutation from a fixed-seed
 generator, so results are deterministic for a given input and do not
@@ -47,11 +62,13 @@ depend on the recursion limit.
 
 from __future__ import annotations
 
+import linecache
 import math
 import sys
+import weakref
 from functools import lru_cache
 from itertools import compress, repeat
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -60,6 +77,7 @@ from .errors import EmptyDomainError
 
 _SHUFFLE_SEED = 0x5EB
 _MIN_NORMAL = sys.float_info.min
+_CHUNK = 64  # terms per statement of a generated sum
 
 
 def _raise_singular(err, flag):
@@ -79,85 +97,145 @@ def _visit_order(n: int) -> tuple[int, ...]:
     return tuple(np.random.default_rng(_SHUFFLE_SEED).permutation(n).tolist())
 
 
-def _dot(a, b) -> float:
-    acc = 0.0
-    for u, v in zip(a, b):
-        acc += u * v
-    return acc
-
-
-def _dist2(a, b) -> float:
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc += (x - y) ** 2
-    return acc
-
-
 class _Support:
-    """The support set as a stack: r0 = r_0, rows[i] = r_{i+1} - r_0, and
-    the Gram system 2 (a_i . a_j) lambda_j = a_i . a_i of the first s rows
-    in gram[:s, :s] and rhs[:s].  Pushing point s writes at index s - 1
-    only, so the rows and Gram block of a shallower support stay intact."""
+    """The support set as a stack of up to d + 1 points: r0 = r_0,
+    rows[i] = r_{i+1} - r_0, and the Gram system 2 (a_i . a_j) lambda_j =
+    a_i . a_i of the first s rows in gram[:s, :s] and rhs[:s] (the views
+    grams[s] and rhss[s]).  Pushing point s writes at index s - 1 only,
+    through the memoryviews gram_mv and rhs_mv, so the rows and Gram block
+    of a shallower support stay intact."""
 
-    def __init__(self, k: int):
+    def __init__(self, d: int):
         self.r0: tuple = ()
-        self.rows: list = [None] * k
-        self.gram = np.empty((k, k))
-        self.rhs = np.empty(k)
-
-    def push(self, s: int, p: tuple) -> tuple[tuple, float]:
-        """Make p support point s; return the circumball of points 0..s
-        (affinely independent input assumed) as (center, squared radius)."""
-        if s == 0:
-            self.r0 = p
-            return p, 0.0
-        r0, rows, gram = self.r0, self.rows, self.gram
-        m = s - 1
-        a = [x - y for x, y in zip(p, r0)]
-        rows[m] = a
-        for j in range(m):
-            gram[j, m] = gram[m, j] = 2.0 * _dot(rows[j], a)
-        aa = _dot(a, a)
-        gram[m, m] = g = 2.0 * aa
-        self.rhs[m] = aa
-        if m == 0 and 0.0 < g < math.inf:
-            lam = [aa / g]  # the one division a 1 x 1 LAPACK solve performs
-        else:
-            g_s, rhs_s = gram[:s, :s], self.rhs[:s]
-            try:  # the LAPACK gufunc np.linalg.solve calls; see _solve_errstate
-                lam = _umath_linalg.solve1(g_s, rhs_s, signature="dd->d").tolist()
-            except np.linalg.LinAlgError:
-                lam = np.linalg.lstsq(g_s, rhs_s, rcond=None)[0].tolist()
-        acc = [0.0] * len(r0)
-        for l, a in zip(lam, rows):
-            acc = [c + l * x for c, x in zip(acc, a)]
-        center = tuple([x0 + c for x0, c in zip(r0, acc)])
-        return center, _dist2(center, r0)
+        self.rows: list = [None] * d
+        self.gram = np.empty((d, d))
+        self.rhs = np.empty(d)
+        self.gram_mv = memoryview(self.gram)
+        self.rhs_mv = memoryview(self.rhs)
+        self.grams = [self.gram[:s, :s] for s in range(d + 1)]
+        self.rhss = [self.rhs[:s] for s in range(d + 1)]
 
 
-def _welzl(points: list[tuple], n: int, sup: _Support, s: int,
-           center: tuple, rad2: float) -> tuple[tuple, float]:
-    """Smallest ball enclosing points[:n] with the first s support points on
-    its boundary; (center, rad2) is the circumball of those s points."""
-    if s == len(sup.rows) + 1:
-        return center, rad2
+class _Kernel(NamedTuple):
+    push: Callable  # (sup, p) -> (center, rad2) with p as support point s
+    welzl: Callable  # (points, n, sup, center, rad2) -> (center, rad2)
+
+
+_TEMPLATE = '''\
+def push(sup, p):
+    """Make p support point {s} and return the circumball of support
+    points 0..{s} (affinely independent input assumed) as (center,
+    squared radius)."""
+    {push_body}
+
+
+def welzl(points, n, sup, center, rad2):
+    """Smallest ball enclosing points[:n] with the first {s} support points
+    on its boundary; (center, rad2) is the circumball of those points."""
+    {c} = center
     i = 0
     while i < n:
         limit = rad2 * (1.0 + 1e-13)
         if limit >= _MIN_NORMAL:
-            cut = math.sqrt(limit) * (1.0 - 1e-9)
-            dists = map(math.dist, points[i:n], repeat(center))
+            cut = sqrt(limit) * (1.0 - 1e-9)
+            dists = map(dist, points[i:n], repeat(center))
             candidates = compress(range(i, n), map(cut.__lt__, dists))
         else:  # empty, point-sized or NaN ball: every point takes the exact test
             candidates = range(i, n)
         for j in candidates:
-            if not _dist2(points[j], center) <= limit:
+            {p} = points[j]
+            {inside_test}
                 break
         else:
             return center, rad2
-        center, rad2 = _welzl(points, j, sup, s + 1, *sup.push(s, points[j]))
+        center, rad2 = {descend}
+        {c} = center
         i = j + 1
     return center, rad2
+'''
+
+
+def _sum(first: str, terms: list[str]) -> tuple[list[str], str]:
+    """(statements, expression) for first + terms[0] + terms[1] + ...,
+    summed left to right; past _CHUNK terms the partial total t is carried
+    from statement to statement."""
+    if len(terms) <= _CHUNK:
+        return [], " + ".join([first, *terms])
+    lines = []
+    for at in range(0, len(terms), _CHUNK):
+        lines.append("t = " + " + ".join([first, *terms[at:at + _CHUNK]]))
+        first = "t"
+    return lines, "t"
+
+
+def _names(prefix: str, count: int) -> str:
+    """'x0, x1, x2' for an unpacking target or a tuple display; 'x0,' if count is 1."""
+    return ", ".join(f"{prefix}{i}" for i in range(count)) + ("," if count == 1 else "")
+
+
+def _push_body(k: int, s: int) -> list[str]:
+    if s == 0:
+        return ["sup.r0 = p", "return p, 0.0"]
+    m = s - 1
+    row = [[f"a{j}_{i}" for i in range(k)] for j in range(s)]
+    a = row[m]
+    lines = [f"{_names('r0_', k)} = sup.r0", f"{_names('p', k)} = p"]
+    lines += [f"{a[i]} = p{i} - r0_{i}" for i in range(k)]
+    lines += ["rows = sup.rows", f"rows[{m}] = ({_names(f'a{m}_', k)})"]
+    lines += [f"{_names(f'a{j}_', k)} = rows[{j}]" for j in range(m)]
+    lines.append("gram = sup.gram_mv")
+    for j in range(m):
+        pre, dot = _sum("0.0", [f"{b} * {x}" for b, x in zip(row[j], a)])
+        lines += [*pre, f"gram[{j}, {m}] = gram[{m}, {j}] = 2.0 * ({dot})"]
+    pre, aa = _sum("0.0", [f"{x} * {x}" for x in a])
+    lines += [*pre, f"aa = {aa}", f"gram[{m}, {m}] = g = 2.0 * aa", f"sup.rhs_mv[{m}] = aa"]
+    lam = _names("l", s)
+    solve = ["try:  # the LAPACK gufunc np.linalg.solve calls; see _solve_errstate",
+             f"    {lam} = _umath_linalg.solve1(sup.grams[{s}], sup.rhss[{s}], signature=\"dd->d\").tolist()",
+             "except np.linalg.LinAlgError:",
+             f"    {lam} = np.linalg.lstsq(sup.grams[{s}], sup.rhss[{s}], rcond=None)[0].tolist()"]
+    if s == 1:
+        solve = ["if 0.0 < g < inf:",
+                 "    l0 = aa / g  # the one division a 1 x 1 LAPACK solve performs",
+                 "else:", *["    " + line for line in solve]]
+    lines += solve
+    for i in range(k):
+        pre, acc = _sum("0.0", [f"l{j} * {row[j][i]}" for j in range(s)])
+        lines += [*pre, f"c{i} = r0_{i} + ({acc})"]
+    pre, rad2 = _sum("0.0", [f"(c{i} - r0_{i}) ** 2" for i in range(k)])
+    return [*lines, *pre, f"return ({_names('c', k)}), {rad2}"]
+
+
+def _source(k: int, s: int) -> str:
+    pre, d2 = _sum("0.0", [f"(p{i} - c{i}) ** 2" for i in range(k)])
+    descend = "push(sup, points[j])"
+    if s < k:  # k + 1 support points fix the ball: it is their circumball
+        descend = f"_kernel({k}, {s + 1}).welzl(points, j, sup, *{descend})"
+    return _TEMPLATE.format(
+        s=s, c=_names("c", k), p=_names("p", k), descend=descend,
+        push_body="\n    ".join(_push_body(k, s)),
+        inside_test="\n            ".join([*pre, f"if not {d2} <= limit:"]))
+
+
+def _forget_source(filename: str, entry: tuple) -> None:
+    if linecache.cache.get(filename) is entry:
+        del linecache.cache[filename]
+
+
+@lru_cache(maxsize=128)
+def _kernel(k: int, s: int) -> _Kernel:
+    """The generated push and welzl of dimension k and support depth s."""
+    source = _source(k, s)
+    filename = f"<supfix.seb kernel k={k} s={s}>"
+    namespace = {"__name__": __name__, "_kernel": _kernel, "_MIN_NORMAL": _MIN_NORMAL,
+                 "compress": compress, "repeat": repeat, "dist": math.dist,
+                 "sqrt": math.sqrt, "inf": math.inf, "np": np, "_umath_linalg": _umath_linalg}
+    exec(compile(source, filename, "exec"), namespace)
+    entry = (len(source), None, source.splitlines(True), filename)
+    linecache.cache[filename] = entry
+    kernel = _Kernel(namespace["push"], namespace["welzl"])
+    weakref.finalize(kernel.welzl, _forget_source, filename, entry)
+    return kernel
 
 
 def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarray, float]:
@@ -185,8 +263,10 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
     if len(uniq) == 1:
         return np.array(uniq[0]), 0.0
     shuffled = [uniq[i] for i in _visit_order(len(uniq))]
-    # start from the empty ball, which holds no point, not even its center
+    # n distinct points are at most n supports; start from the empty ball,
+    # which holds no point, not even its center
+    sup = _Support(min(k, len(uniq) - 1))
     with _solve_errstate():
-        center, _ = _welzl(shuffled, len(shuffled), _Support(k), 0, shuffled[0], -math.inf)
+        center, _ = _kernel(k, 0).welzl(shuffled, len(shuffled), sup, shuffled[0], -math.inf)
     radius = max(math.dist(row, center) for row in uniq)
     return np.array(center), radius

@@ -7,18 +7,29 @@ independent arithmetic.  Higher dimensions are covered by the optimality
 conditions: containment, the dimension-dependent radius-to-diameter
 bound, and the support points surrounding the center.  The recursive
 form of Welzl's algorithm, on numpy scalars, is kept as the reference the
-loop form must match float for float.
+generated loop form must match float for float.
 """
 
+import gc
+import inspect
 import itertools
+import json
+import linecache
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from scipy.optimize import nnls
 
+import supfix
+from supfix import seb
 from supfix.errors import EmptyDomainError
-from supfix.seb import _SHUFFLE_SEED, _dist2, _solve_errstate, _Support, seb_center
+from supfix.seb import _SHUFFLE_SEED, _kernel, _solve_errstate, _Support, seb_center
 
 
 def brute_force_2d(points):
@@ -91,18 +102,44 @@ def recursive_welzl_reference(points):
 def exactness_clouds(case, rng):
     """Inputs on which seb_center must match the recursive reference.
 
-    An integer k gives random and grid clouds in R^k.  certify_k4 and
+    An integer k gives random and grid clouds in R^k, of at most 15 points
+    past k = 8, where the reference's recursion gets slow.  certify_k4 and
     certify_k5 are shaped like the fibers of the benchmark's 50-point
     certificate clouds.  2T_quaternions, B3_orbit and heptagon are
     cospherical: every point lies within rounding of the boundary, where
     the inside test cannot be settled by `math.dist` and must fall back to
     the exact squared distance.  ulp_boundary has one point on which the
-    two distances disagree.
+    two distances disagree.  subnormal clouds have squared radii below the
+    smallest normal float, so every point takes the exact test (and some
+    squares underflow to zero).  signed_zero_grid mixes 0.0 and -0.0,
+    which compare equal, so the first of two such points is the one kept.
+    coplanar_3 and coplanar_5 lie in a 2-plane of R^3 and R^5 on a dyadic
+    grid.  At scale 0.5e-162 their squares are subnormal and round coarsely
+    enough to push a fourth support point, whose singular Gram takes the
+    least-squares fallback.
     """
     if isinstance(case, int):
-        return [pts for n in (2, 3, 7, 15, 40)
+        return [pts for n in (2, 3, 7, 15, 40) if n <= 15 or case <= 8
                 for pts in (rng.standard_normal((n, case)),
                             rng.integers(-4, 5, size=(n, case)) * 0.25)]  # duplicates, degenerate sets
+    if case == "subnormal":
+        return [rng.standard_normal((n, k)) * scale for k in (1, 2, 3, 5)
+                for n in (3, 12) for scale in (1e-155, 1e-160, 1e-300)]
+    if case == "signed_zero_grid":
+        return [rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, k)) for k in (1, 2, 3, 4)
+                for n in (4, 12, 30)]
+    if case.startswith("coplanar_"):
+        k = int(case[-1])
+        clouds = []
+        for n in (6, 12, 25):
+            plane = np.zeros((n, k))
+            plane[:, :2] = rng.integers(-4, 5, size=(n, 2)) * 0.5
+            clouds += [plane, plane + rng.integers(-8, 9, size=k) * 0.125]
+        for _ in range(30):
+            plane = np.zeros((25, k))
+            plane[:, :2] = rng.integers(-4, 5, size=(25, 2)) * 0.5e-162
+            clouds.append(plane)
+        return clouds
     if case.startswith("certify_k"):
         return [rng.standard_normal((50, int(case[-1]))) for _ in range(6)]
     if case == "2T_quaternions":  # the 24 units of the binary tetrahedral group in R^4
@@ -208,13 +245,17 @@ class TestSebProperties:
             c, r = seb_center(pts)
             assert center_in_hull_of_support([tuple(p) for p in pts], c, r)
 
-    @pytest.mark.parametrize("case", [1, 2, 3, 5, 8, "certify_k4", "certify_k5",
-                                      "2T_quaternions", "B3_orbit", "heptagon", "ulp_boundary"])
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6, 7, 8, 24, "certify_k4", "certify_k5",
+                                      "2T_quaternions", "B3_orbit", "heptagon", "ulp_boundary",
+                                      "subnormal", "signed_zero_grid", "coplanar_3", "coplanar_5"])
     def test_loop_form_matches_recursive_reference_exactly(self, rng, case):
         for pts in exactness_clouds(case, rng):
             c, r = seb_center(pts)
-            want_c, want_r = recursive_welzl_reference(pts)
-            assert np.array_equal(c, want_c) and r == want_r
+            # a subnormal coplanar Gram can give an infinite lambda, and
+            # inf * 0.0 warns on the reference's numpy scalars, not on floats
+            with np.errstate(invalid="ignore"):
+                want_c, want_r = recursive_welzl_reference(pts)
+            assert c.tobytes() == want_c.tobytes() and r == want_r  # signed zeros too
 
     def test_deterministic_across_calls(self, rng):
         pts = rng.standard_normal((10, 3))
@@ -265,64 +306,165 @@ class TestSebProperties:
 
 
 def push_all(points):
-    """Push the points as supports 0, 1, ... under seb_center's solve state;
-    returns the last circumball and the support."""
-    sup = _Support(len(points[0]))
+    """Push the points as supports 0, 1, ... with the generated kernel of
+    their dimension, under seb_center's solve state; returns the last
+    circumball and the support."""
+    k = len(points[0])
+    sup = _Support(k)
     with _solve_errstate():
         for s, p in enumerate(points):
-            ball = sup.push(s, tuple(p))
+            ball = _kernel(k, s).push(sup, tuple(p))
     return ball, sup
 
 
 def center_from(sup, lam):
-    """The center r_0 + sum_i lam_i a_i, summed as _Support.push sums it."""
+    """The center r_0 + sum_i lam_i a_i, summed left to right from 0.0."""
     acc = [0.0] * len(sup.r0)
     for l, a in zip(lam, sup.rows):
         acc = [c + l * x for c, x in zip(acc, a)]
     return tuple([x0 + c for x0, c in zip(sup.r0, acc)])
 
 
+def dist2(a, b):
+    """Squared distance, summed left to right from 0.0."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += (x - y) ** 2
+    return acc
+
+
+def spy_on_lstsq(monkeypatch):
+    """Record the order of every Gram np.linalg.lstsq is called on."""
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, *rest, **kw: calls.append(len(a)) or lstsq(a, *rest, **kw))
+    return calls
+
+
 class TestSupportSolve:
-    """_Support.push calls the LAPACK gufunc under np.linalg.solve directly."""
+    """The generated push calls the LAPACK gufunc under np.linalg.solve directly."""
 
     def test_singular_gram_takes_the_lstsq_fallback(self, monkeypatch):
-        """Collinear supports make the 2 x 2 Gram [[2, 4], [4, 8]] exactly singular."""
-        calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
-        (center, rad2), sup = push_all([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-        assert calls == [1]
-        gram, rhs = sup.gram[:2, :2], sup.rhs[:2]
-        assert gram.tolist() == [[2.0, 4.0], [4.0, 8.0]]
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(gram, rhs)
-        want = center_from(sup, lstsq(gram, rhs, rcond=None)[0].tolist())
-        assert center == want and all(map(math.isfinite, center))
-        assert rad2 == _dist2(want, sup.r0)
+        """Collinear supports make the 2 x 2 Gram exactly singular, and
+        coplanar ones in R^3 the 3 x 3 Gram."""
+        singular = [
+            ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [[2.0, 4.0], [4.0, 8.0]]),
+            ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
+             [[2.0, 0.0, 2.0], [0.0, 2.0, 2.0], [2.0, 2.0, 4.0]]),
+        ]
+        calls = spy_on_lstsq(monkeypatch)
+        for points, gram in singular:
+            calls.clear()
+            (center, rad2), sup = push_all(points)
+            s = len(points) - 1
+            assert calls == [s]
+            g_s, rhs = sup.gram[:s, :s], sup.rhs[:s]
+            assert g_s.tolist() == gram
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(g_s, rhs)
+            want = center_from(sup, np.linalg.lstsq(g_s, rhs, rcond=None)[0].tolist())
+            assert np.array(center).tobytes() == np.array(want).tobytes()
+            assert all(map(math.isfinite, center))
+            assert rad2 == dist2(want, sup.r0)
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_center_sums_start_from_zero(self):
+        """Here every row is 0.0 in the last coordinate and the lambdas are
+        negative, so the sum of the lambda_i a_i there is -0.0 without the
+        0.0 it starts from, and r_0 + -0.0 keeps r_0's sign."""
+        points = [(0.0, 0.0, -0.0), (-2.0, 1.0, -0.0), (1.0, 2.0, -0.0), (0.0, -3.0, -0.0)]
+        (center, _), sup = push_all(points)
+        lam = np.linalg.solve(sup.gram[:3, :3], sup.rhs[:3]).tolist()
+        assert max(lam) < 0.0
+        assert np.array(center).tobytes() == np.array(center_from(sup, lam)).tobytes()
+        assert math.copysign(1.0, center[2]) == 1.0
+
+    @pytest.mark.parametrize("case", ["coplanar_3", "coplanar_5"])
+    def test_seb_center_takes_the_fallback_on_coplanar_clouds(self, rng, monkeypatch, case):
+        """The exactness clouds reach singular Grams of order 3 and more."""
+        calls = spy_on_lstsq(monkeypatch)
+        for pts in exactness_clouds(case, rng):
+            seb_center(pts)
+        assert max(calls) >= 3
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
     def test_regular_grams_solve_as_np_linalg_solve(self, rng, k):
         for _ in range(40):
             pts = rng.standard_normal((k + 1, k)) * 10.0 ** rng.integers(-3, 4)
             for s in range(2, k + 1):
-                (center, _), sup = push_all(pts[:s + 1])
+                (center, rad2), sup = push_all(pts[:s + 1])
                 lam = np.linalg.solve(sup.gram[:s, :s], sup.rhs[:s])
-                assert np.array(center).tobytes() == np.array(center_from(sup, lam.tolist())).tobytes()
+                want = center_from(sup, lam.tolist())
+                assert np.array(center).tobytes() == np.array(want).tobytes()
+                assert rad2 == dist2(want, sup.r0)
 
     def test_seb_center_pushes_under_the_solve_state(self, rng, monkeypatch):
         """The state np.linalg.solve sets around the gufunc: invalid (a
         singular matrix) raises LinAlgError, the other flags are ignored."""
         seen = []
-        push = _Support.push
+        solve1 = _umath_linalg.solve1
 
-        def spy(sup, s, p):
+        def spy(*args, **kwargs):
             seen.append((np.geterr(), np.geterrcall()))
-            return push(sup, s, p)
+            return solve1(*args, **kwargs)
 
-        monkeypatch.setattr(_Support, "push", spy)
+        monkeypatch.setattr(_umath_linalg, "solve1", spy)
         seb_center(rng.standard_normal((12, 3)))
         assert len(seen) >= 4
         for state, callback in seen:
             assert state == {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"}
             with pytest.raises(np.linalg.LinAlgError):
                 callback("invalid", 8)
+
+
+FRESH = """
+import json, sys
+from supfix import runner, scenarios, seb
+scenarios.validate_scenario(json.loads(sys.argv[1]))
+before = seb._kernel.cache_info().currsize
+seb.seb_center([[0.0, 0.0], [1.0, 0.0]])
+print(json.dumps([before, seb._kernel.cache_info().currsize]))
+"""
+
+
+class TestKernel:
+    """Generation of the per-dimension, per-depth code."""
+
+    def test_wide_points_compile_in_bounded_statements(self):
+        """A sum of 5000 terms in one expression overflows the compiler's
+        recursion; the generated sums carry a partial total instead."""
+        pts = np.random.default_rng(5000).standard_normal((3, 5000))
+        c, r = seb_center(pts)
+        want_c, want_r = recursive_welzl_reference(pts)
+        assert np.array_equal(c, want_c) and r == want_r
+
+    def test_the_kernel_cache_is_bounded(self):
+        assert 0 < _kernel.cache_info().maxsize <= 256
+
+    def test_nothing_is_generated_at_import(self):
+        valid = {"kind": "urns_certificate", "seed": 3}
+        src = str(Path(supfix.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", FRESH, json.dumps(valid)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout)
+        assert before == 0 < after
+
+    def test_generated_code_has_readable_source(self):
+        kernel = _kernel(5, 3)
+        filename = "<supfix.seb kernel k=5 s=3>"
+        assert kernel.push.__code__.co_filename == kernel.welzl.__code__.co_filename == filename
+        source = "".join(linecache.getlines(filename))
+        assert source == seb._source(5, 3)
+        push = inspect.getsource(kernel.push)
+        assert push.startswith("def push(sup, p):") and push in source
+        assert "_umath_linalg.solve1(sup.grams[3], sup.rhss[3]" in push
+        assert inspect.getsource(kernel.welzl).startswith("def welzl(points, n, sup, center, rad2):")
+
+    def test_a_collected_kernel_leaves_linecache(self):
+        filename = "<supfix.seb kernel k=11 s=0>"
+        _kernel(11, 0)
+        assert filename in linecache.cache
+        _kernel.cache_clear()
+        gc.collect()
+        assert filename not in linecache.cache
