@@ -201,25 +201,16 @@ _NAMED_GENERATORS = {
 }
 
 
-# Each named group, closed on first request and shared from then on.
-_NAMED_GROUPS: dict[str, UnitaryGroup] = {}
-
-
 def unitary_group(name: str) -> UnitaryGroup:
-    """The named finite unitary group, one shared read-only object per name.
-
-    Sharing keeps the Cayley table and the model frame, which the group
-    caches, across every derivation on it.
-    """
-    group = _NAMED_GROUPS.get(name)
-    if group is None:
-        try:
-            gens = _NAMED_GENERATORS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown group name {name!r}; choose from {sorted(_NAMED_GENERATORS)}")
-        group = _NAMED_GROUPS[name] = unitary_closure(gens, cap=64)
-    return group
+    """The named finite unitary group: `unitary_closure` of its generators
+    with cap 64, so every request gets the one read-only group that the
+    closure keeps, with its Cayley table and model frame."""
+    try:
+        gens = _NAMED_GENERATORS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown group name {name!r}; choose from {sorted(_NAMED_GENERATORS)}")
+    return unitary_closure(gens, cap=64)
 
 
 def random_inner_derivation(group: UnitaryGroup, seed: int) -> tuple[DerivationData, np.ndarray]:

@@ -25,20 +25,25 @@ the isometry groups, with the matrix itself as signature: a product
 within _MATCH_TOL of a known element in every entry (max |diff| <=
 _MATCH_TOL) is a duplicate.  The Cayley table is a gather from the
 closure's right-multiplication table.  A closed group's arrays are
-read-only, so one group can be shared: `instances.unitary_group` closes
-each named group once per process.
+read-only, so one group can be shared: `unitary_closure` keeps the last
+_CLOSED_GROUPS groups it closed, keyed by the checked complex generator
+stack (shape and bytes) and the cap, and returns the kept object when the
+same generators and cap come again.  A failed closure is not kept, so
+it raises again on every call.
 
 Everything about the model that depends on the group alone (the norming
 set, its permutations sigma_g, the realified fiber maps, J = E(I) and
 J^+) is one `ModelFrame`, checked once when it is built.  A group builds
 the frame over its basis-orbit norming set on first use and keeps it
-(`UnitaryGroup.frame`), so the frame lives exactly as long as the group.
+(`UnitaryGroup.frame`), so the frame lives exactly as long as the group,
+and a group `unitary_closure` keeps carries its Cayley table and frame
+from one derivation to the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +55,9 @@ from .isometries import _orthogonal
 _UNITARY_TOL = 1e-9
 # Entrywise distance within which two matrices, or two vectors, are the same.
 _MATCH_TOL = 1e-9
+# Closed groups `unitary_closure` keeps; a 2I group (order 120) with its
+# frame takes about 2.5 MB.
+_CLOSED_GROUPS = 8
 
 
 def _check_unitary(g: np.ndarray) -> np.ndarray:
@@ -96,7 +104,25 @@ class UnitaryGroup:
 
 
 def unitary_closure(generators: Sequence[np.ndarray], cap: int = 256) -> UnitaryGroup:
-    gens = np.stack([_check_unitary(g) for g in generators])
+    """The group the generators close to within cap elements, one shared
+    read-only object per (generator stack, cap) while it is kept.
+
+    Only a stack that is not kept is checked for unitarity: a kept group's
+    generators passed the check with the same bytes.
+    """
+    mats = [np.asarray(g, dtype=complex) for g in generators]
+    try:
+        gens = np.stack(mats)
+    except ValueError:  # no generators, or ragged: fail as the checks always have
+        gens = np.stack([_check_unitary(m) for m in mats])
+    return _closed_group(gens.shape, gens.tobytes(), cap)
+
+
+@lru_cache(maxsize=_CLOSED_GROUPS)
+def _closed_group(shape: tuple[int, ...], data: bytes, cap: int) -> UnitaryGroup:
+    gens = np.frombuffer(data, dtype=complex).reshape(shape).copy()
+    for g in gens:
+        _check_unitary(g)
     found = closure(np.eye(gens.shape[1], dtype=complex), gens, np.matmul, np.ravel, cap,
                     _MATCH_TOL)
     elements = np.stack(found.elements)

@@ -171,6 +171,35 @@ def exactness_clouds(case, rng):
     raise ValueError(case)
 
 
+EXACTNESS_CASES = [1, 2, 3, 4, 5, 6, 7, 8, 24, "certify_k4", "certify_k5", "2T_quaternions",
+                   "B3_orbit", "heptagon", "ulp_boundary", "subnormal", "signed_zero_grid",
+                   "coplanar_3", "coplanar_5"]
+# No exactness cloud has more points than this.
+LARGEST_CLOUD = 50
+
+
+def assert_matches_reference(pts):
+    c, r = seb_center(pts)
+    # a subnormal coplanar Gram can give an infinite lambda, and
+    # inf * 0.0 warns on the reference's numpy scalars, not on floats
+    with np.errstate(invalid="ignore"):
+        want_c, want_r = recursive_welzl_reference(pts)
+    assert c.tobytes() == want_c.tobytes() and r == want_r  # signed zeros too
+
+
+@pytest.fixture(params=["always", "never"])
+def prefilter_above(request, monkeypatch):
+    """Kernels generated with the math.dist pre-filter on every range, or
+    on none of the exactness clouds' ranges, where the package filters
+    ranges of more than _PREFILTER_ABOVE points.  Each must decide as
+    the exact test alone."""
+    value = {"always": 0, "never": LARGEST_CLOUD}[request.param]
+    monkeypatch.setattr(seb, "_PREFILTER_ABOVE", value)
+    _kernel.cache_clear()
+    yield value
+    _kernel.cache_clear()
+
+
 ULP_BOUNDARY_CLOUD = [
     ["0x1.427a31c1ffc58p-10", "0x1.31ea59a5b303ep-2", "-0x1.18b7980d81558p-2"],
     ["-0x1.c7fba74b18102p-1", "-0x1.d19537e309692p-2", "-0x1.fbb918e5cd3f0p-1"],
@@ -245,17 +274,16 @@ class TestSebProperties:
             c, r = seb_center(pts)
             assert center_in_hull_of_support([tuple(p) for p in pts], c, r)
 
-    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6, 7, 8, 24, "certify_k4", "certify_k5",
-                                      "2T_quaternions", "B3_orbit", "heptagon", "ulp_boundary",
-                                      "subnormal", "signed_zero_grid", "coplanar_3", "coplanar_5"])
+    @pytest.mark.parametrize("case", EXACTNESS_CASES)
     def test_loop_form_matches_recursive_reference_exactly(self, rng, case):
         for pts in exactness_clouds(case, rng):
-            c, r = seb_center(pts)
-            # a subnormal coplanar Gram can give an infinite lambda, and
-            # inf * 0.0 warns on the reference's numpy scalars, not on floats
-            with np.errstate(invalid="ignore"):
-                want_c, want_r = recursive_welzl_reference(pts)
-            assert c.tobytes() == want_c.tobytes() and r == want_r  # signed zeros too
+            assert_matches_reference(pts)
+
+    @pytest.mark.parametrize("case", EXACTNESS_CASES)
+    def test_prefilter_threshold_changes_no_float(self, rng, case, prefilter_above):
+        for pts in exactness_clouds(case, rng):
+            assert len(pts) <= LARGEST_CLOUD
+            assert_matches_reference(pts)
 
     def test_deterministic_across_calls(self, rng):
         pts = rng.standard_normal((10, 3))

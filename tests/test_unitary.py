@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from test_groups import unitary_index
 
+from supfix import unitary
 from supfix.errors import GroupNotClosedError
 from supfix.groups import inverse_indices
-from supfix.instances import unitary_group
+from supfix.instances import _NAMED_GENERATORS, unitary_group
 from supfix.unitary import (
     basis_orbit_norming_set,
     embed,
@@ -98,6 +99,59 @@ class TestClosure:
             for wi in word:
                 acc = acc @ g.generators[wi]
             assert np.allclose(acc, g.elements[idx], atol=1e-12)
+
+
+def cyclic_generator(n):
+    return np.diag([np.exp(2j * np.pi / n), 1.0])
+
+
+class TestClosureCache:
+    """unitary_closure keeps one closed group per (generator stack, cap)."""
+
+    def test_equal_generators_share_one_group(self, monkeypatch):
+        a = [[0.0, 1.0], [-1.0, 0.0]]
+        b = [[1j, 0.0], [0.0, -1j]]
+        group = unitary_closure([np.array(a), np.array(b)])
+        checked = []
+        monkeypatch.setattr(unitary, "_check_unitary", checked.append)
+        assert unitary_closure((np.array(a, dtype=complex), np.array(b))) is group
+        assert unitary_closure((a, b)) is group
+        assert unitary_closure(np.array([a, b])) is group
+        assert checked == []  # a kept stack passed the check with the same bytes
+
+    def test_another_cap_is_another_entry(self):
+        gens = [cyclic_generator(10)]
+        group = unitary_closure(gens, cap=64)
+        other = unitary_closure(gens, cap=65)
+        assert other is not group
+        assert unitary_closure(gens, cap=65) is other and unitary_closure(gens, cap=64) is group
+        assert other.elements.tobytes() == group.elements.tobytes()
+
+    def test_failures_are_closed_again_and_never_kept(self):
+        closed = unitary._closed_group.cache_info
+        failing = [(_NAMED_GENERATORS["q8"], len(unitary_group("q8")) - 1, GroupNotClosedError),
+                   ([np.array([[2.0, 0], [0, 1.0]])], 256, ValueError)]
+        for gens, cap, error in failing:
+            for _ in range(2):
+                before = closed()
+                with pytest.raises(error):
+                    unitary_closure(gens, cap=cap)
+                after = closed()  # checked and closed again, and nothing kept
+                assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
+
+    def test_the_bound_is_a_module_constant(self):
+        assert unitary._closed_group.cache_info().maxsize == unitary._CLOSED_GROUPS
+        first = unitary_closure([cyclic_generator(3)])
+        kept = [unitary_closure([cyclic_generator(n)]) for n in range(4, 4 + unitary._CLOSED_GROUPS)]
+        assert unitary._closed_group.cache_info().currsize == unitary._CLOSED_GROUPS
+        assert unitary_closure([cyclic_generator(4 + unitary._CLOSED_GROUPS - 1)]) is kept[-1]
+        again = unitary_closure([cyclic_generator(3)])  # the oldest entry went first
+        assert again is not first
+        assert again.elements.tobytes() == first.elements.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_GENERATORS))
+    def test_named_groups_are_the_kept_closures(self, name):
+        assert unitary_group(name) is unitary_closure(_NAMED_GENERATORS[name], cap=64)
 
 
 class TestNormingSet:

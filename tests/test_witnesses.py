@@ -128,7 +128,8 @@ class TestModelFrame:
             return basis_orbit_norming_set(group)
 
         monkeypatch.setattr(unitary, "basis_orbit_norming_set", counting)
-        group = unitary_closure(named_groups["s3"].generators)  # fresh, nothing cached
+        unitary._closed_group.cache_clear()  # a group closed afresh, nothing cached on it
+        group = unitary_closure(named_groups["s3"].generators)
         for seed in (1, 2):
             data, _ = random_inner_derivation(group, seed)
             assert not solve_witness(data).flagged
