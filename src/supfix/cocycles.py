@@ -14,11 +14,15 @@ The scalar flavor lives on the function space over an abstract finite
 group: c(g)(s) = t(g s) - t(s g) for a fixed function t, with the law
 c(g h)(s) = c(g)(h s) + c(h)(s g).
 
-Both laws are checked as gathers over the Cayley table (the matrix one
-with batched products over all pairs, the scalar one a row g at a time),
-and inverses come from `groups.inverse_indices`.  Matrix groups are
-closed by the kernel in `groups.py`, where duplicates are products within
-a fixed tolerance of a known element in every entry.
+Both laws are checked as gathers over the Cayley table, and inverses come
+from `groups.inverse_indices`.  The matrix law is batched products over all
+pairs.  The scalar law takes its rows g in blocks of about _LAW_BLOCK_BYTES
+per temporary, with s as the leading axis of each term, so the worst defect
+over s is an elementwise max of contiguous (g, h) slabs.  A non-finite
+value never raises a warning in either check: it gives a NaN or inf defect,
+which fails it.  Matrix groups are closed by the kernel in `groups.py`,
+where duplicates are products within a fixed tolerance of a known element
+in every entry.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ from .unitary import UnitaryGroup
 
 # Largest law defect accepted as a cocycle, for the matrix and the scalar law.
 LAW_TOL = 1e-8
+
+# Bytes per temporary of the scalar law check, which sets its rows per block:
+# up to order 25 all rows go in one block, from order 91 one row per block.
+_LAW_BLOCK_BYTES = 128 * 1024
 
 
 def _worst_pair(defects: np.ndarray) -> tuple[float, int, int]:
@@ -76,8 +84,10 @@ def cocycle_defect(data: DerivationData) -> tuple[float, int, int]:
     Returns (defect, i, j) for the worst pair of element indices.
     """
     elems, vals = data.group.elements, data.values
-    expect = vals[:, None] @ elems[None] + elems[:, None] @ vals[None]
-    return _worst_pair(np.abs(vals[data.group.cayley] - expect).max(axis=(2, 3)))
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf value is a NaN or inf defect
+        expect = vals[:, None] @ elems[None] + elems[:, None] @ vals[None]
+        defects = np.abs(vals[data.group.cayley] - expect).max(axis=(2, 3))
+    return _worst_pair(defects)
 
 
 def check_cocycle(data: DerivationData, tol: float = LAW_TOL) -> float:
@@ -128,9 +138,11 @@ class CayleyGroup:
     def symmetric(cls, n: int) -> "CayleyGroup":
         perms = list(itertools.permutations(range(n)))  # lexicographic, identity first
         arr = np.array(perms, dtype=int).reshape(len(perms), n)
-        products = arr[np.arange(len(perms))[:, None, None], arr[None]]  # [i, j, x] = p_i(p_j(x))
-        place = n ** np.arange(n - 1, -1, -1)  # lexicographic order = order of these codes
-        table = np.searchsorted(arr @ place, products @ place)
+        place = n ** np.arange(n - 1, -1, -1)  # base-n digits: one code per permutation
+        rank = np.empty(n**n, dtype=int)
+        rank[arr @ place] = np.arange(len(perms))
+        # The code of p_i(p_j(x)) is sum over y = p_j(x) of p_i(y) place[p_j^-1(y)].
+        table = rank[arr @ place[np.argsort(arr, axis=1)].T]
         labels = tuple("".join(str(x) for x in p) for p in perms)
         return cls(labels, table)
 
@@ -150,21 +162,31 @@ def translation_law_worst_pair(group: CayleyGroup, c: np.ndarray) -> tuple[float
     if c.shape != (n, n):
         raise SpaceMismatchError("cocycle table must be |G| x |G|")
     table = group.table
+    table_t = np.ascontiguousarray(table.T)
     c_t = np.ascontiguousarray(c.T)
     defects = np.empty((n, n))
-    # Row h of each term, over s: lhs = c[g h, s], rhs = c[g, h s], and
-    # c[h, s g], gathered as rhs_t[s, h], row s g of the transpose.  The
-    # table holds checked element indices, so mode="clip" clips nothing; it
-    # only lets np.take write straight into the buffers.
-    lhs, rhs, rhs_t = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-    for g in range(n):
-        np.take(c, table[g], axis=0, out=lhs, mode="clip")
-        np.take(c[g], table, out=rhs, mode="clip")
-        np.take(c_t, table[:, g], axis=0, out=rhs_t, mode="clip")
-        np.add(rhs, rhs_t.T, out=rhs)
-        np.subtract(lhs, rhs, out=lhs)
-        np.abs(lhs, out=lhs)
-        np.max(lhs, axis=1, out=defects[g])
+    # A block of rows g at a time, s leading: lhs[s, g, h] = c[g h, s],
+    # rhs[g, s, h] = c[g, h s] and rhs_t[s, g, h] = c[h, s g], so the worst
+    # over s is an elementwise max of contiguous (g, h) slabs.  The table
+    # holds checked element indices, so mode="clip" clips nothing; it only
+    # lets np.take write straight into the buffers.
+    # n >= 1, since index 0 is the identity.
+    rows = max(1, min(n, _LAW_BLOCK_BYTES // (n * n * c.itemsize)))
+    lhs_buf, rhs_buf, rhs_t_buf = (np.empty(rows * n * n) for _ in range(3))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN defect
+        for g0 in range(0, n, rows):
+            g1 = min(g0 + rows, n)
+            size = (g1 - g0) * n * n
+            lhs = lhs_buf[:size].reshape(n, g1 - g0, n)
+            rhs = rhs_buf[:size].reshape(g1 - g0, n, n)
+            rhs_t = rhs_t_buf[:size].reshape(n, g1 - g0, n)
+            np.take(c_t, table[g0:g1], axis=1, out=lhs, mode="clip")
+            np.take(c[g0:g1], table_t, axis=1, out=rhs, mode="clip")
+            np.take(c_t, table[:, g0:g1], axis=0, out=rhs_t, mode="clip")
+            np.add(rhs.transpose(1, 0, 2), rhs_t, out=rhs_t)
+            np.subtract(lhs, rhs_t, out=lhs)
+            np.abs(lhs, out=lhs)
+            np.maximum.reduce(lhs, axis=0, out=defects[g0:g1])
     return _worst_pair(defects)
 
 

@@ -1,10 +1,11 @@
 """Cocycle law, extension along group words, and the abstract group tables."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from test_groups import unitary_index
+from test_groups import row_translation_law_worst_pair, unitary_index
 
 from supfix.cocycles import (
     LAW_TOL,
@@ -192,7 +193,8 @@ class TestTranslationCocycles:
 
 
 class TestNaNData:
-    """NaN is never within a tolerance: it must reach the decision, not be skipped."""
+    """NaN is never within a tolerance: it must reach the decision, not be skipped.
+    An infinite value reaches it too, as a NaN or inf defect, with no warning."""
 
     def test_nan_cocycle_value_fails_the_check(self, named_groups):
         data, _ = random_inner_derivation(named_groups["q8"], 1)
@@ -212,3 +214,40 @@ class TestNaNData:
         for tol in (LAW_TOL, np.inf):
             with pytest.raises(CocycleInconsistencyError, match="defect nan"):
                 check_translation_cocycle(group, c, tol)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_cocycle_value_fails_the_check(self, named_groups, value):
+        """No warning, and the pair named is the worst, first in row-major order."""
+        data, _ = random_inner_derivation(named_groups["q8"], 1)
+        values = data.values.copy()
+        values[3, 0, 1] = value
+        bad = DerivationData(data.group, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            defect, i, j = cocycle_defect(bad)
+            with pytest.raises(CocycleInconsistencyError) as info:
+                check_cocycle(bad)
+        assert not np.isfinite(defect)
+        labels = bad.group.labels
+        assert (info.value.label_a, info.value.label_b) == (labels[i], labels[j])
+        elems = bad.group.elements
+        with np.errstate(invalid="ignore"):
+            pairs = np.array([[np.abs(values[bad.group.cayley[a, b]]
+                                      - (values[a] @ elems[b] + elems[a] @ values[b])).max()
+                               for b in range(len(elems))] for a in range(len(elems))])
+        assert (i, j) == np.unravel_index(np.argmax(pairs), pairs.shape)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_table_entry_fails_the_check(self, value):
+        group = cayley_group("symmetric:3")
+        c, _ = random_translation_cocycle(group, 1)
+        c[2, 3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            defect, g, h = translation_law_worst_pair(group, c)
+            with pytest.raises(CocycleInconsistencyError) as info:
+                check_translation_cocycle(group, c)
+        assert not np.isfinite(defect)
+        assert (info.value.label_a, info.value.label_b) == (group.labels[g], group.labels[h])
+        with np.errstate(invalid="ignore"):
+            assert (g, h) == row_translation_law_worst_pair(group, c)[1:]

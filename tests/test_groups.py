@@ -495,6 +495,62 @@ class TestCayleyKernel:
             want = row_translation_law_worst_pair(group, table)
             assert repr(got) == repr(want)
 
+    @staticmethod
+    def nonfinite_tables(c, seed):
+        """A corrupted table, then copies with +inf, -inf, -0.0 entries, an
+        all-NaN row, 1e300-scale values and values whose sums overflow."""
+        n = len(c)
+        bad = corrupt_cocycle_table(c, seed)
+        tables = [bad]
+        for where, value in (((n // 2, n - 1), np.inf), ((n - 1, 0), -np.inf),
+                             ((0, n // 3), -0.0)):
+            table = bad.copy()
+            table[where] = value
+            tables.append(table)
+        table = c.copy()
+        table[n // 3 :: max(1, n // 4)] = -0.0  # whole rows of signed zeros
+        tables.append(table)
+        table = bad.copy()
+        table[n - 1] = np.nan
+        tables.append(table)
+        tables += [bad * 1e300, np.where(c < 0, -1.7e308, 1.7e308)]
+        return tables
+
+    # Rows per block at the law check's byte budget: 24 at order 26, 6 at
+    # 50, 4 at 61, 3 at 70, so the last block is short; all 24 rows of
+    # symmetric:4 in one block; 1 at 97, 120 (symmetric:5) and 200.
+    @pytest.mark.parametrize("name", ["cyclic:26", "cyclic:50", "cyclic:61", "cyclic:70",
+                                      "cyclic:97", "cyclic:200", "symmetric:4", "symmetric:5"])
+    def test_law_check_blocks_match_the_row_gather_form(self, name):
+        """Same worst float and same pair whatever the block edges, on
+        non-finite, signed-zero and overflowing data too."""
+        group = cayley_group(name)
+        c, _ = random_translation_cocycle(group, seed=len(group))
+        for table in self.nonfinite_tables(c, seed=len(group) + 1):
+            got = translation_law_worst_pair(group, table)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = row_translation_law_worst_pair(group, table)
+            assert repr(got) == repr(want)
+
+    def test_law_check_at_the_schema_cap_matches_the_row_gather_form(self):
+        group = cayley_group("cyclic:512")
+        c, _ = random_translation_cocycle(group, seed=512)
+        table = corrupt_cocycle_table(c, seed=513)
+        assert repr(translation_law_worst_pair(group, table)) == repr(
+            row_translation_law_worst_pair(group, table))
+
+    def test_law_check_peak_memory_at_the_schema_cap(self):
+        """A few (n, n) arrays, never an (n, n, n) one: that would be 1 GB."""
+        group = cayley_group("cyclic:512")
+        c, _ = random_translation_cocycle(group, seed=1)
+        tracemalloc.start()
+        try:
+            translation_law_worst_pair(group, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
     @pytest.mark.parametrize("entry", [-1, 3, 7])
     def test_table_entries_must_be_element_indices(self, entry):
         table = np.array(CayleyGroup.cyclic(3).table)
