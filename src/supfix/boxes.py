@@ -199,18 +199,26 @@ def intersect(a: Box, b: Box) -> Box:  # public: box vocabulary
     return _box_over(a.dim, lo, hi, den)
 
 
-def ball_intersection(centers: Sequence[Sequence[Scalar]], radius: Scalar) -> Box:
+def ball_intersection(centers: Sequence[Sequence[Scalar]], radius: Scalar,
+                      den: int | None = None) -> Box:
     """The box equal to the intersection of sup-norm balls B(c, r) over the centers.
 
     Per coordinate the intersection is [max c_i - r, min c_i + r]; the
     column extremes are taken on the given values (exact for floats), so
-    only they are converted.
+    only they are converted.  With `den`, the centers are integer
+    numerators (ints or an integer array) of the points centers / den.
     """
     if len(centers) == 0:
         raise EmptyDomainError("need at least one ball center")
     pts = np.asarray(centers)
     if pts.ndim != 2:
         raise SpaceMismatchError("ball centers must form an (N, dim) array")
+    if den is not None:  # integer columns: the extremes are exact already
+        r_num, r_den = _frac(radius).as_integer_ratio()
+        full = math.lcm(den, r_den)
+        f, r = full // den, r_num * (full // r_den)
+        return _box_over(pts.shape[1], [t * f - r for t in pts.max(axis=0).tolist()],
+                         [b * f + r for b in pts.min(axis=0).tolist()], full)
     if pts.dtype == object:  # Fractions or big ints: lift every entry, which also checks it
         pts = np.vectorize(_frac, otypes=[object])(pts)
     top, bottom = pts.max(axis=0), pts.min(axis=0)

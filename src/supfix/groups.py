@@ -2,11 +2,21 @@
 
 `closure` is the package's one breadth-first closure.  Starting from the
 identity it takes the elements in order, multiplies each on the right by
-every generator in turn, and appends each product it has not seen.  A
-product counts as seen when its signature lies within `tol` of a stored
-one in every entry (max |diff| <= tol); the stored signatures fill one
-preallocated (cap, L) array, so each check is a single array comparison,
-made in place in scratch arrays allocated once per closure.
+every generator in turn, and appends each product it has not seen.  It
+decides "seen" in one of two modes:
+
+- Tolerance (a float `tol`): a product counts as seen when its signature
+  lies within `tol` of a stored one in every entry (max |diff| <= tol),
+  the first such one in index order.  The stored signatures fill one
+  preallocated (cap, L) array, so each check is a single array
+  comparison, made in place in scratch arrays allocated once per closure.
+- Exact (`tol=None`): the signature is a hashable key, and a product
+  counts as seen when its key equals a stored one, found by one dict
+  lookup.  The caller chooses this mode only where equal keys and the
+  tolerance rule name the same elements, so both modes visit the same
+  products in the same order and record the same words, parents and
+  table, and raise GroupNotClosedError at the same count.
+
 The closure records the generator words, the BFS parents and the
 right-multiplication table; the Cayley table and the inverses are gathers
 from those, with no further element comparisons.
@@ -32,23 +42,31 @@ def closure(
     identity,
     generators: Sequence,
     multiply: Callable,
-    signature: Callable[..., np.ndarray],
+    signature: Callable,
     cap: int,
-    tol: float,
+    tol: float | None,
 ) -> Closure:
     """Close `generators` under right multiplication, breadth first.
 
+    With `tol=None` the signatures are hashable keys compared for
+    equality; otherwise they are arrays compared within `tol`.
     Raises GroupNotClosedError when more than `cap` distinct elements
     appear, so a typo in the generator data fails fast instead of looping.
     """
-    first = np.ravel(signature(identity))
-    sigs = np.empty((cap, first.size), dtype=first.dtype)
-    sigs[0] = first
-    # scratch for the duplicate scan, written in place for every product
-    diff = np.empty_like(sigs)
-    spread = np.empty(sigs.shape)
-    worst = np.empty(cap)
-    close = np.empty(cap, dtype=bool)
+    message = f"closure exceeded {cap} elements; generators look non-terminating"
+    if cap < 1:  # the identity alone is one element
+        raise GroupNotClosedError(message)
+    if tol is None:
+        seen = {signature(identity): 0}
+    else:
+        first = np.ravel(signature(identity))
+        sigs = np.empty((cap, first.size), dtype=first.dtype)
+        sigs[0] = first
+        # scratch for the duplicate scan, written in place for every product
+        diff = np.empty_like(sigs)
+        spread = np.empty(sigs.shape)
+        worst = np.empty(cap)
+        close = np.empty(cap, dtype=bool)
     elements = [identity]
     words: list[tuple[int, ...]] = [()]
     parents: list[tuple[int, int] | None] = [None]
@@ -57,21 +75,29 @@ def closure(
     while i < len(elements):
         for gi, gen in enumerate(generators):
             cand = multiply(elements[i], gen)
-            sig = signature(cand).ravel()
             n = len(elements)
-            np.subtract(sigs[:n], sig, out=diff[:n])
-            np.abs(diff[:n], out=spread[:n])
-            np.maximum.reduce(spread[:n], axis=1, out=worst[:n])  # np.max's routine
-            hits = np.less_equal(worst[:n], tol, out=close[:n])
-            first_hit = int(hits.argmax())  # the first True in index order
-            if hits[first_hit]:
-                right[i, gi] = first_hit
-                continue
+            if tol is None:
+                sig = signature(cand)
+                hit = seen.get(sig)
+                if hit is not None:
+                    right[i, gi] = hit
+                    continue
+            else:
+                sig = signature(cand).ravel()
+                np.subtract(sigs[:n], sig, out=diff[:n])
+                np.abs(diff[:n], out=spread[:n])
+                np.maximum.reduce(spread[:n], axis=1, out=worst[:n])  # np.max's routine
+                hits = np.less_equal(worst[:n], tol, out=close[:n])
+                first_hit = int(hits.argmax())  # the first True in index order
+                if hits[first_hit]:
+                    right[i, gi] = first_hit
+                    continue
             if n >= cap:
-                raise GroupNotClosedError(
-                    f"closure exceeded {cap} elements; generators look non-terminating"
-                )
-            sigs[n] = sig
+                raise GroupNotClosedError(message)
+            if tol is None:
+                seen[sig] = n
+            else:
+                sigs[n] = sig
             elements.append(cand)
             words.append(words[i] + (gi,))
             parents.append((i, gi))

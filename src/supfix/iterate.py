@@ -2,7 +2,8 @@
 
 For a k = 1 (box) group the construction is fully exact: start from
 A_0, the intersection of the balls of exact orbit-diameter radius around
-the orbit of a seed point, then repeatedly apply the contraction step
+the orbit of a seed point (taken in integers, so exact for any float
+seed point), then repeatedly apply the contraction step
 `box_H` at constant 1/2.  Every iterate is a group-invariant dyadic box
 and its diameter at least halves per step, both checked exactly, so the
 boxes shrink onto a single common fixed point.
@@ -20,11 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxes import Box, _scaled, ball_intersection, box_H, box_center
+from .boxes import Box, ball_intersection, box_H, box_center
 from .centers import urns_center
 from .errors import InvarianceViolationError, SpaceMismatchError
 from .isometries import GroupSpec, box_image, orbit
-from .spaces import PointCloud, SupPoint
+from .spaces import SupPoint
 
 BOX_CONTRACTION = Fraction(1, 2)
 MAX_ITER = 200  # contraction steps before the descent stops unconverged
@@ -36,18 +37,21 @@ def fixed_point_residual(group: GroupSpec, x: SupPoint) -> float:
     return float(np.sqrt(np.sum(diff * diff, axis=2)).max())
 
 
-def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[PointCloud, Fraction]:
-    """Orbit of x0 and its exact sup-diameter (k = 1 only).
+def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[int, np.ndarray, Fraction]:
+    """(den, nums, diameter): the orbit of x0, exactly, and its sup-diameter
+    (k = 1 only).
 
-    The sup-diameter is the largest per-coordinate spread, max - min.
-    Floats are dyadic, so those differences are exact once taken over a
-    common denominator; a float difference may round a near-maximal spread
-    down, which would make the initial ball intersection empty.
+    Row i of nums holds the numerators over den of g_i(x0), the element
+    applied in exact arithmetic (`GroupSpec.exact_images`), so the orbit is
+    the group's true orbit also for a point off the data grid, whose float
+    images round.  The sup-diameter is the largest per-coordinate spread,
+    max - min, taken on those integers.
     """
-    pts = orbit(group, x0)
-    coords = pts.points[:, :, 0]
-    den, (lo, hi) = _scaled(coords.min(axis=0).tolist(), coords.max(axis=0).tolist())
-    return pts, Fraction(max(b - a for a, b in zip(lo, hi)), den)
+    if group.k != 1:
+        raise SpaceMismatchError("exact orbit diameters are defined for k=1")
+    den, nums = group.exact_images(x0)
+    spread = (nums.max(axis=0) - nums.min(axis=0)).max()
+    return den, nums, Fraction(int(spread), den)
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,8 @@ def iterate_box(
     """
     if group.k != 1:
         raise SpaceMismatchError("box descent requires k=1 fibers")
-    pts, delta = exact_orbit_diameter(group, x0)
-    box = ball_intersection(pts.points[:, :, 0], delta)
+    den, nums, delta = exact_orbit_diameter(group, x0)
+    box = ball_intersection(nums, delta, den=den)
     if box.is_empty:
         raise InvarianceViolationError("initial ball intersection is empty")
 

@@ -192,24 +192,27 @@ def solve_witness(derivation: DerivationData, method: str = "least_squares") -> 
     """
     if method not in WITNESS_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    model = build_affine_action(derivation)
+    # inf data makes NaN and inf entries (inf * 0, inf - inf), which the
+    # residuals carry into a flag; they are not worth a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        model = build_affine_action(derivation)
 
-    fp_res: float | None = None
-    if method == "least_squares":
-        t_mat = _solve_least_squares(model)
-    elif method == "averaging":
-        t_mat = _solve_averaging(model)
-    elif np.isfinite(model.targets).all():
-        z = orbit_center_fixed_point(model.group_spec, model.origin())
-        fp_res = fixed_point_residual(model.group_spec, z)
-        t_mat = model.decode(z)
-    else:  # non-finite data: the orbit leaves the space, so it has no center
-        t_mat = np.full((model.size, model.d), np.nan, dtype=complex)
-        fp_res = float("nan")
+        fp_res: float | None = None
+        if method == "least_squares":
+            t_mat = _solve_least_squares(model)
+        elif method == "averaging":
+            t_mat = _solve_averaging(model)
+        elif np.isfinite(model.targets).all():
+            z = orbit_center_fixed_point(model.group_spec, model.origin())
+            fp_res = fixed_point_residual(model.group_spec, z)
+            t_mat = model.decode(z)
+        else:  # non-finite data: the orbit leaves the space, so it has no center
+            t_mat = np.full((model.size, model.d), np.nan, dtype=complex)
+            fp_res = float("nan")
 
-    m_res = model_residual(model, t_mat)
-    t0 = recover_witness(model, t_mat)
-    w_res = witness_residual(derivation, t0)
+        m_res = model_residual(model, t_mat)
+        t0 = recover_witness(model, t_mat)
+        w_res = witness_residual(derivation, t0)
     flagged = not m_res <= FLAG_TOL
     reason = None
     if flagged:
@@ -324,8 +327,9 @@ def finite_group_algebra_witness(group: CayleyGroup, c: np.ndarray) -> GroupAlge
         raise SpaceMismatchError("cocycle table must be |G| x |G|")
     # row g: s -> c[g, g^{-1} s]
     orbit_of_zero = c[np.arange(n)[:, None], group.table[group.inverse]]
-    t = orbit_of_zero.mean(axis=0)
-    t = t - t.mean()
-    residual = float(np.abs(c - (t[group.table] - t[group.table.T])).max())
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN residual
+        t = orbit_of_zero.mean(axis=0)
+        t = t - t.mean()
+        residual = float(np.abs(c - (t[group.table] - t[group.table.T])).max())
     defect = translation_cocycle_defect(group, c)
     return GroupAlgebraReport(t, residual, defect, not residual <= FLAG_TOL)

@@ -383,6 +383,21 @@ class TestAgainstFractionForms:
                 assert_same_box(ball_intersection(centers, radius),
                                 ref_ball_intersection(centers.tolist(), radius))
 
+    @pytest.mark.parametrize("den", [1, 3, 2**16, 2**1074])
+    def test_ball_intersection_of_numerators_over_a_denominator(self, den, rng):
+        """Integer columns with `den` are the points nums / den."""
+        empties = 0
+        for _ in range(30):
+            nums = rng.integers(-2**40, 2**40, size=(int(rng.integers(1, 7)), 4))
+            for centers in (nums, np.array([[int(v) * 2**80 for v in row] for row in nums],
+                                           dtype=object)):
+                points = [[Fraction(int(v), den) for v in row] for row in centers]
+                for radius in (Fraction(int(rng.integers(0, 2**42)), den), 2**39, 0.25):
+                    got = ball_intersection(centers, radius, den=den)
+                    assert_same_box(got, ref_ball_intersection(points, radius))
+                    empties += got.is_empty
+        assert empties > 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_ball_intersection_rejects_non_finite_centers(self, bad):
         centers = np.zeros((3, 2))

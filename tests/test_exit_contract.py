@@ -5,15 +5,24 @@ schema allows, including integers written as floats, non-finite numbers
 (which a JSON Schema "number" admits) and the corrupt and check flags in
 both states.  Each run must end in exit 0, 2, 3 or 4 with the matching
 status, within a few seconds, and its result must serialize.
+
+Exit 3 means inconsistent input data.  The box generator builds only
+consistent groups and the descent starts from the exact orbit of its
+seed point, so a box scenario never ends in exit 3, whatever sample box
+it gives; a group whose translation is moved off its grid by one ulp
+still does.
 """
 
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supfix import runner
+from supfix.isometries import FiberPermIsometry, group_closure
 from supfix.runner import canonical_result_bytes, run_scenario
 
 STATUS = {0: "ok", 2: "flagged", 3: "inconsistent", 4: "format_error"}
@@ -102,5 +111,67 @@ def test_schema_valid_scenarios_end_in_the_exit_contract(kind):
         assert report["result"]["status"] == STATUS[code]
         assert report["kind"] == kind
         assert isinstance(canonical_result_bytes(report), bytes)
+        if kind == "box_fixed_point":
+            assert code != 3, report["result"]
 
     run()
+
+
+def decimal_sample_box(i: int, dim: int = 8) -> dict:
+    """Ordinary decimal bounds, whose midpoints lie off the 2^-16 data grid."""
+    return {"lo": [0.1 + 0.01 * i + 0.001 * j for j in range(dim)],
+            "hi": [0.3 + 0.013 * i + 0.001 * j for j in range(dim)]}
+
+
+def test_off_grid_sample_boxes_are_solved():
+    codes = [run_scenario({"kind": "box_fixed_point", "seed": 1000 + i,
+                           "sample_box": decimal_sample_box(i)})[1] for i in range(40)]
+    assert codes == [0] * 40
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-310, 2.0**-1022])
+def test_subnormal_sample_point_is_solved_in_bounded_time(tiny):
+    """A subnormal coordinate puts the orbit over the denominator 2^1074."""
+    box = decimal_sample_box(3)
+    box["lo"][2] = box["hi"][2] = tiny
+    started = time.perf_counter()
+    report, code = run_scenario({"kind": "box_fixed_point", "seed": 7, "sample_box": box})
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and report["result"]["halving_exact"]
+
+
+def coordinate_on_a_positive_cycle(g: FiberPermIsometry) -> int:
+    """A coordinate whose cycle under g has sign product +1.  Around such a
+    cycle g^L moves x by the signed sum of the translations on it, which is
+    0 in a finite group; moving one of them by an ulp makes g^L a shift.
+    (Around a cycle of product -1, g^L is x -> c - x for any c.)"""
+    perm, signs = g.perm.tolist(), g.maps[:, 0, 0].tolist()
+    for start in range(len(perm)):
+        sign, i = signs[start], perm[start]
+        while i != start:
+            sign, i = sign * signs[i], perm[i]
+        if sign > 0:
+            return start
+    raise LookupError("every cycle of g has sign product -1")
+
+
+# seeds whose first generator has a cycle of sign product +1
+@pytest.mark.parametrize("seed", [1000, 1002, 1003, 1006, 1007, 1008, 1009, 1010])
+def test_translation_one_ulp_off_the_grid_is_inconsistent(seed, monkeypatch):
+    """The moved generator no longer closes exactly; its denominator is
+    beyond 2^33, so its closure takes the float rule, which merges powers
+    an ulp apart, and the exact descent finds an iterate that is not
+    invariant."""
+    group, x0 = runner.random_box_group(seed, 8, 48)
+    g = group.generators[0]
+    q = coordinate_on_a_positive_cycle(g)
+    trans = g.trans.copy()
+    trans[q, 0] = np.nextafter(trans[q, 0], np.inf)
+    moved = group_closure([FiberPermIsometry(g.perm, g.maps, trans), *group.generators[1:]],
+                          cap=49)
+    assert moved._exact is None and moved.words == group.words  # the float rule closed it
+    monkeypatch.setattr(runner, "random_box_group", lambda *args: (moved, x0))
+    report, code = run_scenario({"kind": "box_fixed_point", "seed": seed,
+                                 "sample_box": decimal_sample_box(seed - 1000)})
+    assert code == 3
+    assert "not invariant" in report["result"]["error"]["message"]

@@ -32,7 +32,13 @@ from supfix.instances import (
     random_translation_cocycle,
     unitary_group,
 )
-from supfix.isometries import FiberPermIsometry, _probe_cloud, _signature, compose
+from supfix.isometries import (
+    FiberPermIsometry,
+    _probe_cloud,
+    _signature,
+    compose,
+    group_closure,
+)
 from supfix.unitary import (
     _MATCH_TOL,
     NormingSet,
@@ -380,6 +386,27 @@ class TestIsometryClosure:
         self.assert_same(group, max_order + 1)
 
 
+    def test_box_group_at_the_schema_cap(self):
+        group, _ = random_box_group(2, dim=64, max_order=512)
+        assert len(group) > 200
+        self.assert_same(group, 513)
+
+    def test_fiber_group_at_the_schema_cap(self):
+        group, _ = random_fiber_group(2, fibers=16, fiber_dim=8, max_order=512)
+        assert len(group) > 100
+        self.assert_same(group, 513)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cap_error_where_the_loop_overflows(self, seed):
+        group, _ = random_fiber_group(seed, fibers=4, fiber_dim=3, max_order=48)
+        cap = len(group) - 1
+        with pytest.raises(AssertionError):  # the loop's `len(elements) < cap`
+            loop_group_closure(group.generators, cap)
+        with pytest.raises(GroupNotClosedError):
+            group_closure(group.generators, cap=cap)
+        self.assert_same(group, len(group))
+
+
 class TestClosureScan:
     """The in-place duplicate scan decides as a fresh comparison does, also
     where a product lies within tol of several stored elements (only the
@@ -404,6 +431,13 @@ class TestClosureScan:
         assert [e.tobytes() for e in got.elements] == [e.tobytes() for e in elements]
         assert (got.words, got.parents) == (words, parents)
         assert np.array_equal(got.right, right)
+
+    @pytest.mark.parametrize("tol", [None, 0.5])
+    def test_cap_below_one_element(self, tol):
+        """The identity alone outgrows a cap of 0, in either mode."""
+        signature = (lambda x: x.tobytes()) if tol is None else np.ravel
+        with pytest.raises(GroupNotClosedError, match="exceeded 0 elements"):
+            closure(np.zeros(2), [np.ones(2)], self.add_mod_seven, signature, 0, tol)
 
     def test_first_of_several_hits_decides(self):
         generators = [np.array([g, -2 * g]) for g in (0.7, 1.9, 4.3)]

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from test_boxes import BOUND, PROPERTY_SETTINGS, assert_same_box, boxes
 from test_groups import EXTRA_GENERATORS
 
+from supfix import isometries
 from supfix.boxes import Box
 from supfix.errors import GroupNotClosedError, SpaceMismatchError
 from supfix.instances import (
+    GRID_RANGE,
     random_box_group,
     random_fiber_group,
     random_inner_derivation,
@@ -27,9 +29,12 @@ from supfix.isometries import (
     _ORTHO_TOL,
     FiberPermIsometry,
     GroupSpec,
+    _exact_table,
     _orthogonal,
     _probe_cloud,
+    _probe_gap,
     _signature,
+    _translation_limit,
     box_image,
     compose,
     group_closure,
@@ -37,6 +42,7 @@ from supfix.isometries import (
 )
 from supfix.groups import word_labels
 from supfix.iterate import exact_orbit_diameter, fixed_point_residual
+from supfix.scenarios import SCENARIO_SCHEMAS
 from supfix.spaces import PointCloud, SupPoint, cloud_diameter, sup_distance
 from supfix.unitary import unitary_closure
 from supfix.witnesses import build_affine_action
@@ -257,13 +263,12 @@ def ref_orbit(group, x) -> PointCloud:
 
 
 def ref_exact_orbit_diameter(group, x0):
-    pts = [g(x0) for g in group.elements]
-    coords = np.stack([p.fibers[:, 0] for p in pts])
-    diam = max(
-        Fraction(float(hi)) - Fraction(float(lo))
-        for lo, hi in zip(coords.min(axis=0), coords.max(axis=0))
-    )
-    return pts, diam
+    """The images sign * x0[perm] + trans in Fractions, and their spread."""
+    images = [[Fraction(float(g.maps[i, 0, 0])) * Fraction(float(x0.fibers[g.perm[i], 0]))
+               + Fraction(float(g.trans[i, 0])) for i in range(group.m)]
+              for g in group.elements]
+    diam = max(max(col) - min(col) for col in zip(*images))
+    return images, diam
 
 
 def ref_fixed_point_residual(group, x) -> float:
@@ -290,12 +295,10 @@ def assert_stacked_forms_match(group, x):
     assert got.points.tobytes() == want.points.tobytes()
     assert repr(fixed_point_residual(group, x)) == repr(ref_fixed_point_residual(group, x))
     if group.k == 1:
-        pts, diam = exact_orbit_diameter(group, x)
-        ref_pts, ref_diam = ref_exact_orbit_diameter(group, x)
-        assert type(pts) is PointCloud and not pts.points.flags.writeable
-        want_stack = np.stack([p.fibers for p in ref_pts])
-        assert pts.points.shape == want_stack.shape
-        assert pts.points.tobytes() == want_stack.tobytes()
+        den, nums, diam = exact_orbit_diameter(group, x)
+        ref_images, ref_diam = ref_exact_orbit_diameter(group, x)
+        assert nums.shape == (len(group), group.m)
+        assert [[Fraction(int(v), den) for v in row] for row in nums] == ref_images
         assert type(diam) is Fraction and diam.as_integer_ratio() == ref_diam.as_integer_ratio()
 
 
@@ -506,6 +509,34 @@ class TestClosureMatchesEinsumForm:
         cycle = int(np.lcm(m, order))
         self.assert_same(gens, 4 * cycle + 1, order=2 * cycle)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_box_generators_at_the_schema_cap(self, seed):
+        group, _ = random_box_group(seed, dim=64, max_order=512)
+        assert _exact_table(group.generators, 513) is not None
+        self.assert_same(group.generators, 513)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fiber_generators_at_the_schema_cap(self, seed):
+        group, _ = random_fiber_group(seed, fibers=16, fiber_dim=8, max_order=512)
+        assert _exact_table(group.generators, 513) is not None
+        self.assert_same(group.generators, 513)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_box_group(1, dim=64, max_order=512)[0],
+        lambda: random_fiber_group(2, fibers=16, fiber_dim=8, max_order=512)[0],
+        lambda: random_box_group(4, dim=8, max_order=48)[0],
+    ])
+    def test_cap_error_at_the_same_count(self, make):
+        """One element short of the order, both rules raise; at the order
+        neither does."""
+        group = make()
+        gens, order = group.generators, len(group)
+        with pytest.raises(GroupNotClosedError, match=f"exceeded {order - 1} elements"):
+            group_closure(gens, cap=order - 1)
+        with pytest.raises(AssertionError):  # ref_closure's `n < cap`
+            ref_closure(gens, order - 1)
+        self.assert_same(gens, order, order=order)
+
     def test_probe_cloud_is_built_once_and_read_only(self):
         for m, k in ((1, 1), (8, 1), (5, 3)):
             probes = _probe_cloud(m, k)
@@ -522,6 +553,171 @@ class TestClosureMatchesEinsumForm:
             arr, ref = getattr(e, name), getattr(checked, name)
             assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes()
             assert not arr.flags.writeable
+
+
+def float_rule_closure(generators, cap, monkeypatch):
+    """group_closure with the exact mode switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(isometries, "_exact_closure", lambda generators, cap: None)
+        return group_closure(generators, cap=cap)
+
+
+def assert_same_groups(got, want):
+    assert got.words == want.words
+    for a, b in zip(got.elements, want.elements, strict=True):
+        for name in ("perm", "maps", "trans"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert not x.flags.writeable
+    for x, y in zip(got._stacked, want._stacked, strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def swap_group(trans):
+    """The swap of two coordinates, with the given (2, 1) translation."""
+    return FiberPermIsometry(np.array([1, 0]), np.ones((2, 1, 1)), np.array(trans))
+
+
+def conjugated(perm, signs, p):
+    """x -> L(x - p) + p for the signed permutation L = (perm, signs)."""
+    maps = np.array(signs, dtype=float).reshape(-1, 1, 1)
+    p = np.array(p, dtype=float).reshape(-1, 1)
+    return FiberPermIsometry(np.array(perm), maps, p - maps[:, :, 0] * p[perm])
+
+
+class TestExactModeSelection:
+    """The exact mode runs only where it gives the float rule's elements;
+    elsewhere the float rule runs, byte for byte as before."""
+
+    FLOAT_CASES = {
+        "translation_0.1": lambda rng: [conjugated([1, 2, 0], [1, -1, -1], [0.1, 0.2, 0.3])],
+        "denominator_2^34": lambda rng: [conjugated([1, 0, 2], [-1, 1, -1],
+                                                    [1 + 2.0**-34, 0.5, -0.25])],
+        "negative_zero": lambda rng: [swap_group([[-0.0], [0.0]])],
+        "rotation_maps": lambda rng: rotation_generators(rng, 3, 2, 5),
+        "rotation_of_one_radian": lambda rng: [rotation_by_one_radian()],
+    }
+
+    @pytest.mark.parametrize("case", FLOAT_CASES)
+    def test_float_rule_where_the_conditions_fail(self, case, rng, monkeypatch):
+        gens = self.FLOAT_CASES[case](rng)
+        assert _exact_table(gens, 64) is None
+        if case == "rotation_of_one_radian":
+            with pytest.raises(GroupNotClosedError):
+                group_closure(gens, cap=64)
+            return
+        group = group_closure(gens, cap=64)
+        assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
+        TestClosureMatchesEinsumForm.assert_same(gens, 64)
+
+    def test_swap_without_the_signed_zero_is_exact(self, monkeypatch):
+        gens = [swap_group([[0.0], [0.0]])]
+        assert _exact_table(gens, 64) is not None
+        assert_same_groups(group_closure(gens), float_rule_closure(gens, 512, monkeypatch))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_mode_matches_the_float_rule(self, seed, monkeypatch):
+        if seed % 2:
+            group, _ = random_fiber_group(seed, 1 + seed % 5, 1 + seed % 4, 48)
+        else:
+            group, _ = random_box_group(seed, 1 + seed, 48)
+        assert _exact_table(group.generators, 49) is not None
+        assert_same_groups(group, float_rule_closure(group.generators, 49, monkeypatch))
+
+    def test_numerators_beyond_the_limit_fall_back(self, monkeypatch):
+        """A translation of 2^51 is exact, but at that size a signature rounds
+        to whole numbers, below the probes' gap; the float rule decides."""
+        gens = [conjugated([1, 2, 0], [1, 1, -1], [2.0**51, 0.0, 0.0])]
+        assert 2.0**51 > _translation_limit(3, 1)
+        assert _exact_table(gens, 64) is None
+        group = group_closure(gens, cap=64)
+        assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
+
+    def test_products_beyond_the_limit_fall_back(self, monkeypatch):
+        """About p = (2, 1, 0), the 3-cycle and the sign change of coordinate
+        2 translate by at most 2, but the sign change of coordinate 0, which
+        they generate, translates by 2 p_0 = 4.  With the numerator limit at
+        2 the exact closure stops there and the float rule runs."""
+        gens = [conjugated([1, 2, 0], [1, 1, 1], [2, 1, 0]),
+                conjugated([0, 1, 2], [1, 1, -1], [2, 1, 0])]
+        monkeypatch.setattr(isometries, "_EXACT_NUM", 2)
+        assert _exact_table(gens, 64)[2] == 2
+        products = []
+        monkeypatch.setattr(isometries, "compose", lambda a, b: products.append(1) or
+                            compose(a, b))
+        group = group_closure(gens, cap=64)
+        assert products and max(abs(e.trans).max() for e in group.elements) == 4.0
+        assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 0.0], [0.5, -0.25, 3.0], [2.0**-33, 1.0, -2.0**19], [0.1, 0.2, 0.0],
+        [2.0**20, 0.5, 0.0], [5e-324, 1.0, 0.0], [1e300, -1e-300, 2.5], [2.0**-34, 0.0, 0.0],
+    ])
+    def test_translations_as_numerators_over_the_least_power_of_two(self, values):
+        den, nums = isometries._dyadic(np.array(values))
+        assert [Fraction(v, den) for v in nums.tolist()] == [Fraction(v) for v in values]
+        assert den == max(Fraction(v).denominator for v in values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_no_exact_form_for_a_non_finite_translation(self, bad):
+        for k in (1, 2):
+            iso = FiberPermIsometry(np.arange(2), np.broadcast_to(np.eye(k), (2, k, k)),
+                                    np.zeros((2, k)))
+            trans = iso.trans.copy()
+            trans[1, 0] = bad
+            assert FiberPermIsometry._trusted(iso.perm, iso.maps, trans).exact is None
+
+    def test_exact_forms(self):
+        g = conjugated([2, 0, 1], [1, -1, 1], [0.5, -0.25, 2.0**-20])
+        form = g.exact
+        assert (form.src.tolist(), form.sign.tolist()) == ([2, 0, 1], [1, -1, 1])
+        assert form.den == 2**20
+        assert [Fraction(v, form.den) for v in form.nums.tolist()] == [
+            Fraction(float(t)) for t in g.trans[:, 0]]
+        assert rotation_by_one_radian().exact is None
+        assert FiberPermIsometry(np.array([0]), np.ones((1, 1, 1)), np.array([[np.inf]])).exact \
+            is None
+        fiber = FiberPermIsometry(np.array([1, 0]), np.array([[[0, -1], [1, 0]], [[1, 0], [0, 1]]]),
+                                  np.zeros((2, 2)))
+        assert (fiber.exact.src.tolist(), fiber.exact.sign.tolist()) == ([3, 2, 0, 1],
+                                                                         [-1, 1, 1, 1])
+
+
+def schema_shapes():
+    """Every (m, k) a box or fiber scenario can ask for."""
+    box = SCENARIO_SCHEMAS["box_fixed_point"]["properties"]["dim"]
+    fiber = SCENARIO_SCHEMAS["fiber_fixed_point"]["properties"]
+    shapes = {(m, 1) for m in range(box["minimum"], box["maximum"] + 1)}
+    shapes |= {(m, k) for m in range(fiber["fibers"]["minimum"], fiber["fibers"]["maximum"] + 1)
+               for k in range(fiber["fiber_dim"]["minimum"], fiber["fiber_dim"]["maximum"] + 1)}
+    return sorted(shapes)
+
+
+class TestProbeGap:
+    @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (1, 3), (2, 2),
+                                      (1, 4)])
+    def test_gap_is_the_least_signature_difference(self, m, k):
+        """Over all pairs of signed permutations of the m k coordinates, the
+        smallest largest difference of their probe images is the gap."""
+        n = m * k
+        probes = _probe_cloud(m, k).reshape(-1, n)
+        images = np.stack([probes[:, list(perm)] * np.array(signs)
+                           for perm in itertools.permutations(range(n))
+                           for signs in itertools.product((1.0, -1.0), repeat=n)])
+        flat = images.reshape(len(images), -1)
+        least = min(np.abs(flat[i + 1:] - flat[i]).max(axis=1).min()
+                    for i in range(len(flat) - 1))
+        assert least == _probe_gap(m, k)
+
+    def test_every_schema_shape_separates_signed_permutations(self):
+        """The probes of every shape a scenario allows tell signed permutations
+        apart by far more than _CLOSURE_TOL, and at every translation the
+        generated groups use (at most 2 GRID_RANGE)."""
+        shapes = schema_shapes()
+        assert (64, 1) in shapes and (16, 8) in shapes
+        for m, k in shapes:
+            assert _probe_gap(m, k) > 1e5 * _CLOSURE_TOL, (m, k)
+            assert _translation_limit(m, k) > 1e6 * 2 * GRID_RANGE, (m, k)
 
 
 class TestOrthogonalityCheck:

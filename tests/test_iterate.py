@@ -8,7 +8,7 @@ import pytest
 
 from supfix.errors import InvarianceViolationError, SpaceMismatchError
 from supfix.instances import random_box_group, random_fiber_group
-from supfix.isometries import FiberPermIsometry, GroupSpec, box_image, group_closure
+from supfix.isometries import FiberPermIsometry, GroupSpec, box_image, group_closure, orbit
 from supfix.iterate import (
     exact_orbit_diameter,
     fixed_point_residual,
@@ -18,32 +18,41 @@ from supfix.iterate import (
 from supfix.spaces import SupPoint, sup_distance
 
 
+def exact_images(group, x0):
+    """g(x0) for every element, in Fractions: sign * x0[perm] + trans."""
+    return [[Fraction(float(g.maps[i, 0, 0])) * Fraction(float(x0.fibers[g.perm[i], 0]))
+             + Fraction(float(g.trans[i, 0])) for i in range(group.m)] for g in group.elements]
+
+
 class TestExactOrbitDiameter:
     def test_matches_float_on_grid_data(self):
         for seed in range(10):
             group, x0 = random_box_group(seed)
-            pts, diam = exact_orbit_diameter(group, x0)
+            den, nums, diam = exact_orbit_diameter(group, x0)
+            pts = orbit(group, x0)
             float_diam = max(
                 sup_distance(SupPoint(a), SupPoint(b)) for a in pts.points for b in pts.points
             )
             assert float(diam) == float_diam  # grid data keeps floats exact
+            assert nums.dtype == np.int64 and np.array_equal(nums / den, pts.points[:, :, 0])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_pairwise_fractions(self, seed):
-        """Per-coordinate spread equals the largest pairwise Fraction distance,
-        also off the grid, where float differences round."""
+        """Per-coordinate spread equals the largest pairwise Fraction distance
+        of the exact images, also off the grid, where float images round."""
         group, x0 = random_box_group(seed, dim=2 + seed % 7)
-        if seed % 2:  # magnitudes far apart, so float differences round
+        if seed % 2:  # magnitudes far apart, so float images round
             rng = np.random.default_rng(seed)
             scale = 10.0 ** rng.integers(-12, 12, size=(group.m, 1))
             x0 = SupPoint(rng.standard_normal((group.m, 1)) * scale)
-        pts, diam = exact_orbit_diameter(group, x0)
-        coords = [[Fraction(float(v)) for v in p[:, 0]] for p in pts.points]
+        den, nums, diam = exact_orbit_diameter(group, x0)
+        coords = exact_images(group, x0)
+        assert [[Fraction(int(v), den) for v in row] for row in nums] == coords
         want = max(
             max(abs(a - b) for a, b in zip(p, q)) for p in coords for q in coords
         )
         assert isinstance(diam, Fraction) and diam == want
-        assert len(pts) == len(group)
+        assert len(nums) == len(group)
 
 
 class TestIterateBox:

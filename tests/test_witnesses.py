@@ -408,3 +408,26 @@ class TestNaNData:
         rep = finite_group_algebra_witness(group, c)
         assert np.isnan(rep.residual) and np.isnan(rep.law_defect)
         assert rep.flagged
+
+
+class TestInfiniteData:
+    """An infinite value flags the report as a NaN does, and no step warns
+    (the suite turns RuntimeWarning into an error)."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("method", WITNESS_METHODS)
+    def test_solvers_flag_infinite_values(self, named_groups, method, bad):
+        data, _ = random_inner_derivation(named_groups["q8"], 1)
+        values = data.values.copy()
+        values[3, 0, 1] = bad
+        rep = solve_witness(DerivationData(data.group, values), method=method)
+        assert rep.flagged and not np.isfinite(rep.model_residual)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["symmetric:3", "cyclic:6"])
+    def test_group_algebra_flags_infinite_table(self, name, bad):
+        group = cayley_group(name)
+        c, _ = random_translation_cocycle(group, 1)
+        c[2, 3] = bad
+        rep = finite_group_algebra_witness(group, c)
+        assert rep.flagged and not np.isfinite(rep.residual)
