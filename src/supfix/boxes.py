@@ -213,20 +213,20 @@ def ball_intersection(centers: Sequence[Sequence[Scalar]], radius: Scalar,
     pts = np.asarray(centers)
     if pts.ndim != 2:
         raise SpaceMismatchError("ball centers must form an (N, dim) array")
-    if den is not None:  # integer columns: the extremes are exact already
-        r_num, r_den = _frac(radius).as_integer_ratio()
-        full = math.lcm(den, r_den)
-        f, r = full // den, r_num * (full // r_den)
-        return _box_over(pts.shape[1], [t * f - r for t in pts.max(axis=0).tolist()],
-                         [b * f + r for b in pts.min(axis=0).tolist()], full)
-    if pts.dtype == object:  # Fractions or big ints: lift every entry, which also checks it
-        pts = np.vectorize(_frac, otypes=[object])(pts)
-    top, bottom = pts.max(axis=0), pts.min(axis=0)
-    # a non-finite float is the extreme of its column, so checking the extremes checks all
-    if pts.dtype != object and not (np.isfinite(top).all() and np.isfinite(bottom).all()):
-        raise ValueError("box bounds must be finite")
-    den, (top, bottom, (r,)) = _scaled(top.tolist(), bottom.tolist(), (_frac(radius),))
-    return _box_over(pts.shape[1], [t - r for t in top], [b + r for b in bottom], den)
+    if den is None:  # values: take the extremes, then their numerators
+        if pts.dtype == object:  # Fractions or big ints: lift every entry, which also checks it
+            pts = np.vectorize(_frac, otypes=[object])(pts)
+        top, bottom = pts.max(axis=0), pts.min(axis=0)
+        # a non-finite float is the extreme of its column, so checking the extremes checks all
+        if pts.dtype != object and not (np.isfinite(top).all() and np.isfinite(bottom).all()):
+            raise ValueError("box bounds must be finite")
+        den, (top, bottom) = _scaled(top.tolist(), bottom.tolist())
+    else:  # integer columns: the extremes are numerators already
+        top, bottom = pts.max(axis=0).tolist(), pts.min(axis=0).tolist()
+    r_num, r_den = _frac(radius).as_integer_ratio()
+    full = math.lcm(den, r_den)
+    f, r = full // den, r_num * (full // r_den)
+    return _box_over(pts.shape[1], [t * f - r for t in top], [b * f + r for b in bottom], full)
 
 
 def _contract(M: Box, c: Scalar) -> tuple[int, list[int], list[int], int]:

@@ -10,12 +10,13 @@ decides "seen" in one of two modes:
   the first such one in index order.  The stored signatures fill one
   preallocated (cap, L) array, so each check is a single array
   comparison, made in place in scratch arrays allocated once per closure.
-- Exact (`tol=None`): the signature is a hashable key, and a product
-  counts as seen when its key equals a stored one, found by one dict
-  lookup.  The caller chooses this mode only where equal keys and the
-  tolerance rule name the same elements, so both modes visit the same
-  products in the same order and record the same words, parents and
-  table, and raise GroupNotClosedError at the same count.
+- Exact (`tol=None`): the signature is a hashable key (the element
+  itself when `signature` is None), and a product counts as seen when
+  its key equals a stored one, found by one dict lookup.  The caller
+  chooses this mode only where equal keys and the tolerance rule name
+  the same elements, so both modes visit the same products in the same
+  order and record the same words, parents and table, and raise
+  GroupNotClosedError at the same count.
 
 The closure records the generator words, the BFS parents and the
 right-multiplication table; the Cayley table and the inverses are gathers
@@ -42,14 +43,15 @@ def closure(
     identity,
     generators: Sequence,
     multiply: Callable,
-    signature: Callable,
+    signature: Callable | None,
     cap: int,
     tol: float | None,
 ) -> Closure:
     """Close `generators` under right multiplication, breadth first.
 
     With `tol=None` the signatures are hashable keys compared for
-    equality; otherwise they are arrays compared within `tol`.
+    equality, and `signature=None` makes each element its own key;
+    otherwise they are arrays compared within `tol`.
     Raises GroupNotClosedError when more than `cap` distinct elements
     appear, so a typo in the generator data fails fast instead of looping.
     """
@@ -57,7 +59,7 @@ def closure(
     if cap < 1:  # the identity alone is one element
         raise GroupNotClosedError(message)
     if tol is None:
-        seen = {signature(identity): 0}
+        seen = {identity if signature is None else signature(identity): 0}
     else:
         first = np.ravel(signature(identity))
         sigs = np.empty((cap, first.size), dtype=first.dtype)
@@ -77,7 +79,7 @@ def closure(
             cand = multiply(elements[i], gen)
             n = len(elements)
             if tol is None:
-                sig = signature(cand)
+                sig = cand if signature is None else signature(cand)
                 hit = seen.get(sig)
                 if hit is not None:
                     right[i, gi] = hit

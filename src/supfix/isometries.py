@@ -170,16 +170,8 @@ class FiberPermIsometry:
 
 def _dyadic(values: np.ndarray) -> tuple[int, np.ndarray | None]:
     """(den, nums) with values = nums / den and den the least power of two
-    that makes every nums an integer; nums is None for a value that is not
-    finite.  Values below 2^20 on the 2^-33 grid, all data of the generated
-    groups, take a few array operations; others go through `_scaled`."""
-    if (np.abs(values) < 2.0**20).all():
-        grid = values * float(_EXACT_DEN)  # exact, and below 2^53
-        if (grid == np.floor(grid)).all():
-            nums = grid.astype(np.int64)
-            low = int(np.bitwise_or.reduce(nums))
-            shift = min((low & -low).bit_length() - 1, 33) if low else 33
-            return _EXACT_DEN >> shift, nums >> shift
+    that makes every nums an integer (`_scaled` takes the lcm of lowest-terms
+    denominators); nums is None for a value that is not finite."""
     try:
         den, (nums,) = _scaled(values.tolist())
     except (OverflowError, ValueError):  # an infinite or NaN value
@@ -253,7 +245,7 @@ def _translation_limit(m: int, k: int) -> float:
     return max((_probe_gap(m, k) - 3 * _CLOSURE_TOL) * 2.0**52 - probe_max, 0.0)
 
 
-def _exact_table(generators, cap: int) -> tuple[np.ndarray, int, int] | None:
+def _exact_table(generators, cap: int) -> tuple[np.ndarray, int, int | None] | None:
     """(table, den, limit) for closing the generators exactly, or None when
     the conditions of the exact mode (module docstring) do not hold.
 
@@ -262,10 +254,11 @@ def _exact_table(generators, cap: int) -> tuple[np.ndarray, int, int] | None:
     signed coordinates, then its numerators.  Right multiplication by
     generator g maps a coordinate coded off to table[g, 0, off] and adds
     table[g, 1, off] to its numerator, so a product is one gather.
-    An element is a word of at most cap generators, so its numerators
-    stay below (cap + 1) times the generators' largest, which must fit
-    int64; whether they stay within `limit` is checked once the closure
-    ends.
+    A product the closure makes is a word of at most cap generators, so
+    its numerators are at most cap times the generators' largest, which
+    must fit int64.  Where that bound is within the limit, limit is None
+    and no product needs checking; otherwise the products are checked
+    against it as they are made.
     """
     forms = [g.exact for g in generators]
     if any(f is None for f in forms):
@@ -280,6 +273,8 @@ def _exact_table(generators, cap: int) -> tuple[np.ndarray, int, int] | None:
     largest = max(int(np.abs(f.nums).max()) * (den // f.den) for f in forms)
     if largest > limit or (cap + 1) * largest >= 2**63:
         return None
+    if cap * largest <= limit:
+        limit = None
     n = m * k
     pick, sgn = _code_columns(n)
     code = np.stack([f.sign * (f.src + 1) for f in forms])
@@ -308,32 +303,26 @@ def _identity_code(n: int) -> bytes:
 class _RowProducts:
     """multiply(a, g) of the exact closure on coded elements (bytes).  The
     closure asks for the products of one left factor by every generator in
-    turn, so they are made together, once per left factor, and kept for
-    the range check."""
+    turn, so they are made together, once per left factor, and checked
+    against the numerator limit unless it is None."""
 
-    def __init__(self, table: np.ndarray):
+    def __init__(self, table: np.ndarray, limit: int | None):
         self.table = table
         self.n = (table.shape[2] - 1) // 2
         self.size = 16 * self.n  # bytes per coded element
         self.left = self.rows = None
-        self.made: list[np.ndarray] = []
+        self.limit = limit
+        self.outgrown = False  # whether a product made so far passed the limit
 
     def __call__(self, a: bytes, g: int) -> bytes:
         if a is not self.left:
             code = np.frombuffer(a, dtype=np.int64)
             prod = self.table.take(code[:self.n], axis=2)
             prod[:, 1] += code[self.n:]
-            self.made.append(prod)
+            if self.limit is not None and not self.outgrown:
+                self.outgrown = int(np.abs(prod[:, 1]).max()) > self.limit
             self.left, self.rows = a, prod.tobytes()
         return self.rows[g * self.size:(g + 1) * self.size]
-
-    def largest(self) -> int:
-        """The largest |numerator| of every product made so far."""
-        return int(np.abs(np.stack(self.made)[:, :, 1]).max())
-
-
-def _key(code: bytes) -> bytes:
-    return code
 
 
 class _GroupForm(NamedTuple):
@@ -349,10 +338,9 @@ class _GroupForm(NamedTuple):
 def _exact_closure(generators, cap: int) -> "GroupSpec | None":
     """group_closure by the exact mode, or None where it does not apply.
 
-    The numerators are checked against the limit once the closure ends,
-    on every product it made.  A closure that outgrows its cap is checked
-    the same way before its error counts: only within the limit has the
-    exact mode met the same products as the tolerance rule.
+    Whether some product passed the numerator limit is read once the
+    closure ends, and also before a cap error counts: only within the
+    limit has the exact mode met the same products as the tolerance rule.
     """
     found = _exact_table(generators, cap)
     if found is None:
@@ -360,18 +348,18 @@ def _exact_closure(generators, cap: int) -> "GroupSpec | None":
     table, den, limit = found
     m, k = generators[0].m, generators[0].k
     n = m * k
-    products = _RowProducts(table)
+    products = _RowProducts(table, limit)
     try:
-        closed = closure(_identity_code(n), range(len(generators)), products, _key, cap, None)
+        closed = closure(_identity_code(n), range(len(generators)), products, None, cap, None)
     except GroupNotClosedError:
-        if products.largest() > limit:
+        if products.outgrown:
             return None
         raise
+    if products.outgrown:
+        return None
     size = len(closed.elements)
     codes = np.frombuffer(b"".join(closed.elements), dtype=np.int64).reshape(size, 2, n)
     nums = codes[:, 1]
-    if np.abs(nums).max() > limit:  # every product equals one of the elements
-        return None
     signed = codes[:, 0] - n
     src, sign = np.abs(signed) - 1, np.sign(signed)
     # the float arrays the tolerance closure would hold, all elements at once

@@ -438,6 +438,23 @@ class TestClosureScan:
         signature = (lambda x: x.tobytes()) if tol is None else np.ravel
         with pytest.raises(GroupNotClosedError, match="exceeded 0 elements"):
             closure(np.zeros(2), [np.ones(2)], self.add_mod_seven, signature, 0, tol)
+        if tol is None:  # elements as their own keys
+            with pytest.raises(GroupNotClosedError, match="exceeded 0 elements"):
+                closure(0, [1], lambda a, b: (a + b) % 7, None, 0, None)
+
+    def test_key_mode_matches_the_scan_on_a_finite_group(self):
+        """(Z/7)^2 under addition: equal keys, as tuples or as the elements
+        themselves, decide as the scan does at a tolerance below 1."""
+        gens = [(1, 3), (2, 5)]
+        add = lambda a, b: ((a[0] + b[0]) % 7, (a[1] + b[1]) % 7)  # noqa: E731
+        scan = closure(np.zeros(2), [np.array(g, dtype=float) for g in gens],
+                       lambda a, b: np.mod(a + b, 7.0), np.ravel, 64, 0.5)
+        for signature in (None, tuple):
+            got = closure((0, 0), gens, add, signature, 64, None)
+            assert [np.array(e, dtype=float).tobytes() for e in got.elements] == [
+                e.tobytes() for e in scan.elements]
+            assert (got.words, got.parents) == (scan.words, scan.parents)
+            assert np.array_equal(got.right, scan.right)
 
     def test_first_of_several_hits_decides(self):
         generators = [np.array([g, -2 * g]) for g in (0.7, 1.9, 4.3)]

@@ -537,6 +537,15 @@ class TestClosureMatchesEinsumForm:
             ref_closure(gens, order - 1)
         self.assert_same(gens, order, order=order)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_element(self, cap, rng):
+        """Exact and float closures alike: the identity alone outgrows it."""
+        box = random_box_group(1, dim=8)[0].generators
+        assert _exact_table(box, 1) is not None
+        for gens in (box, rotation_generators(rng, 2, 3, 5)):
+            with pytest.raises(GroupNotClosedError, match=f"exceeded {cap} elements"):
+                group_closure(gens, cap=cap)
+
     def test_probe_cloud_is_built_once_and_read_only(self):
         for m, k in ((1, 1), (8, 1), (5, 3)):
             probes = _probe_cloud(m, k)
@@ -648,6 +657,36 @@ class TestExactModeSelection:
         group = group_closure(gens, cap=64)
         assert products and max(abs(e.trans).max() for e in group.elements) == 4.0
         assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
+
+    @pytest.mark.parametrize("num_limit, checked", [(128, False), (127, True)])
+    def test_products_are_checked_only_where_words_can_pass_the_limit(
+            self, num_limit, checked, monkeypatch):
+        """The generators' largest numerator is 2, so words of at most 64
+        generators stay within 128."""
+        gens = [conjugated([1, 2, 0], [1, 1, 1], [2, 1, 0]),
+                conjugated([0, 1, 2], [1, 1, -1], [2, 1, 0])]
+        monkeypatch.setattr(isometries, "_EXACT_NUM", num_limit)
+        assert _exact_table(gens, 64)[2] == (num_limit if checked else None)
+
+    @pytest.mark.parametrize("num_limit, exact", [(4, True), (2, False)])
+    def test_checked_products_within_and_beyond_the_limit(self, num_limit, exact, monkeypatch):
+        """Numerators reach 4: at a limit of 4 the exact closure stands, also
+        for its cap error; at 2 the float rule decides both."""
+        gens = [conjugated([1, 2, 0], [1, 1, 1], [2, 1, 0]),
+                conjugated([0, 1, 2], [1, 1, -1], [2, 1, 0])]
+        monkeypatch.setattr(isometries, "_EXACT_NUM", num_limit)
+        want = float_rule_closure(gens, 64, monkeypatch)
+        order = len(want)
+        products = []
+        monkeypatch.setattr(isometries, "compose", lambda a, b: products.append(1) or
+                            compose(a, b))
+        assert _exact_table(gens, order - 1)[2] == num_limit
+        with pytest.raises(GroupNotClosedError, match=f"exceeded {order - 1} elements"):
+            group_closure(gens, cap=order - 1)
+        assert bool(products) is not exact
+        products.clear()
+        assert_same_groups(group_closure(gens, cap=order), want)
+        assert bool(products) is not exact
 
     @pytest.mark.parametrize("values", [
         [0.0, -0.0, 0.0], [0.5, -0.25, 3.0], [2.0**-33, 1.0, -2.0**19], [0.1, 0.2, 0.0],
