@@ -69,9 +69,10 @@ def _budget_unmet(budget: int) -> SamplingBudgetError:
 
 
 def _conjugate_by_translation(lin: FiberPermIsometry, p: np.ndarray) -> FiberPermIsometry:
-    """x -> L(x - p) + p for a linear L; fixes p by construction."""
+    """x -> L(x - p) + p for a checked linear L; fixes p by construction.
+    Only the translation is new, finite grid data, so nothing is rechecked."""
     trans = p - np.einsum("gij,gj->gi", lin.maps, p[lin.perm])
-    return FiberPermIsometry(lin.perm, lin.maps, trans)
+    return FiberPermIsometry._trusted(lin.perm, lin.maps, trans)
 
 
 def random_box_group(

@@ -8,6 +8,9 @@ in each fiber, and translates:
 This family is closed under composition, which is all the group
 machinery needs.  Finite groups are produced by the breadth-first
 closure of `groups.closure` over right multiplication by the generators.
+A closed group is its elements' arrays stacked along a leading axis
+(`GroupSpec`); only its generators are single `FiberPermIsometry`
+objects.
 An element's signature is its image of a fixed probe cloud, so no
 canonical form of the matrix data is required; a product whose signature
 is within _CLOSURE_TOL of a known one in every entry (max |diff| <=
@@ -84,12 +87,13 @@ def _orthogonal(maps: np.ndarray) -> bool:
 class ExactForm(NamedTuple):
     """x -> sign * x[src] + nums / den on the flattened m*k coordinates,
     with den the least power of two that makes every nums an integer;
-    entry q of the image is fiber q // k, row q % k."""
+    entry q of the image is fiber q // k, row q % k.  A group's form
+    stacks its elements' along a leading axis over one common den."""
 
-    src: np.ndarray  # (m k,) int
-    sign: np.ndarray  # (m k,) int, +1 or -1
+    src: np.ndarray  # ([n,] m k) int
+    sign: np.ndarray  # ([n,] m k) int, +1 or -1
     den: int
-    nums: np.ndarray  # (m k,) int64, or Python ints where int64 cannot hold them
+    nums: np.ndarray  # ([n,] m k) int64, or Python ints where int64 cannot hold them
 
 
 @dataclass(frozen=True)
@@ -159,13 +163,6 @@ class FiberPermIsometry:
     def identity(cls, m: int, k: int) -> "FiberPermIsometry":
         return cls._trusted(np.arange(m), np.broadcast_to(np.eye(k), (m, k, k)).copy(),
                             np.zeros((m, k)))
-
-    def __call__(self, x: SupPoint) -> SupPoint:
-        if x.m != self.m or x.k != self.k:
-            raise SpaceMismatchError("point shape does not match isometry")
-        with np.errstate(over="ignore"):  # SupPoint refuses an overflowed image
-            out = np.einsum("gij,gj->gi", self.maps, x.fibers[self.perm]) + self.trans
-        return SupPoint(out)
 
 
 def _dyadic(values: np.ndarray) -> tuple[int, np.ndarray | None]:
@@ -325,16 +322,6 @@ class _RowProducts:
         return self.rows[g * self.size:(g + 1) * self.size]
 
 
-class _GroupForm(NamedTuple):
-    """Every element's exact form, stacked: element i maps x to
-    sign[i] * x[src[i]] + nums[i] / den on the flattened coordinates."""
-
-    src: np.ndarray  # (n, m k) int
-    sign: np.ndarray  # (n, m k) int, +-1
-    den: int
-    nums: np.ndarray  # (n, m k) int64
-
-
 def _exact_closure(generators, cap: int) -> "GroupSpec | None":
     """group_closure by the exact mode, or None where it does not apply.
 
@@ -368,59 +355,53 @@ def _exact_closure(generators, cap: int) -> "GroupSpec | None":
     maps[np.arange(size)[:, None], np.arange(n), src % k] = sign
     maps = maps.reshape(size, m, k, k)
     trans = (nums / den).reshape(size, m, k)
-    for arr in (perm, maps, trans, src, sign):
+    for arr in (src, sign):
         arr.setflags(write=False)
-    elements = tuple(FiberPermIsometry._trusted(perm[i], maps[i], trans[i]) for i in range(size))
-    return GroupSpec._seeded(tuple(generators), elements, closed.words, (perm, maps, trans),
-                             _GroupForm(src, sign, den, nums))
+    return GroupSpec(tuple(generators), perm, maps, trans, closed.words,
+                     ExactForm(src, sign, den, nums))
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite isometry group: closed element list with generator words.
+    """A finite isometry group, as its elements' arrays stacked along a
+    leading axis: element i maps x to maps[i] @ x[perm[i]] + trans[i],
+    fiber by fiber.  The arrays are made read-only here.
 
     words[i] is the tuple of generator indices whose left-to-right product
-    equals elements[i]; the identity has the empty word.
+    equals element i; the identity has the empty word.  exact is the
+    elements' stacked exact form, where the exact closure made the group.
     """
 
     generators: tuple[FiberPermIsometry, ...]
-    elements: tuple[FiberPermIsometry, ...]
+    perm: np.ndarray  # (n, m)
+    maps: np.ndarray  # (n, m, k, k)
+    trans: np.ndarray  # (n, m, k)
     words: tuple[tuple[int, ...], ...]
+    exact: ExactForm | None = None
 
-    _exact = None  # the elements' stacked exact form, where the exact closure made them
+    def __post_init__(self):
+        for arr in (self.perm, self.maps, self.trans):
+            arr.setflags(write=False)
 
     @property
     def m(self) -> int:
-        return self.elements[0].m
+        return self.perm.shape[1]
 
     @property
     def k(self) -> int:
-        return self.elements[0].k
+        return self.trans.shape[2]
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    @classmethod
-    def _seeded(cls, generators, elements, words, stacked, exact) -> "GroupSpec":
-        """A group whose stacked arrays and exact form its maker already has."""
-        spec = cls(generators, elements, words)
-        spec.__dict__.update(_stacked=stacked, _exact=exact)
-        return spec
-
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every element's (perm, maps, trans), stacked along a leading axis."""
-        return tuple(np.stack([getattr(e, name) for e in self.elements])
-                     for name in ("perm", "maps", "trans"))
+        return len(self.perm)
 
     def images(self, x: SupPoint) -> np.ndarray:
         """The images g(x) of every element g, in element order, as one
-        (n, m, k) array; entry for entry the same floats as g(x)."""
+        (n, m, k) array; entry for entry the same floats as applying each
+        element on its own with np.einsum."""
         if x.m != self.m or x.k != self.k:
             raise SpaceMismatchError("point shape does not match isometry")
-        perm, maps, trans = self._stacked
         with np.errstate(over="ignore"):  # an overflow is refused below
-            out = np.einsum("ngij,ngj->ngi", maps, x.fibers[perm]) + trans
+            out = np.einsum("ngij,ngj->ngi", self.maps, x.fibers[self.perm]) + self.trans
         if not np.isfinite(out).all():
             raise ValueError("fiber coordinates must be finite")
         return out
@@ -435,7 +416,7 @@ class GroupSpec:
         other group they are the float images, which are dyadic and hence
         exact as they stand.
         """
-        form = self._exact
+        form = self.exact
         if form is None:
             flat = self.images(x).reshape(len(self), -1)
             den, nums = _scaled(*flat.tolist())
@@ -483,7 +464,9 @@ def group_closure(
         cap,
         _CLOSURE_TOL,
     )
-    return GroupSpec(tuple(generators), tuple(found.elements), found.words)
+    perm, maps, trans = (np.stack([getattr(e, name) for e in found.elements])
+                         for name in ("perm", "maps", "trans"))
+    return GroupSpec(tuple(generators), perm, maps, trans, found.words)
 
 
 def orbit(group: GroupSpec, x: SupPoint) -> PointCloud:

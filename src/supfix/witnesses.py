@@ -24,7 +24,8 @@ corrupted data, is the cross-check the test suite leans on.
 
 The group-only part of the model (norming set, permutations, fiber maps,
 J and J^+) is the group's `ModelFrame`, built and checked once per group;
-a model built for one cocycle adds only its targets and translations.
+a model built for one cocycle adds only its targets and translations, and
+its isometry group stacks the frame's arrays with those translations.
 The model residual and the similarity residuals are stacked array
 expressions over all elements at once (the homomorphism residual in row
 blocks of about a megabyte), with the same floats as one element at a time.
@@ -99,15 +100,10 @@ def build_affine_action(
     frame = group.frame if norming is None else model_frame(group, norming)
     targets = embed(frame.norming, derivation.values) @ group.elements.conj().transpose(0, 2, 1)
     trans = np.concatenate([targets.real, targets.imag], axis=2)
-    isos = [FiberPermIsometry._trusted(frame.sigmas[l], frame.maps[l], trans[l])
-            for l in range(len(group))]
-
     # generator i is the element e * g_i, which the closure recorded in right[0, i]
-    spec = GroupSpec(
-        generators=tuple(isos[l] for l in group.right[0].tolist()),
-        elements=tuple(isos),
-        words=group.words,
-    )
+    gens = tuple(FiberPermIsometry._trusted(frame.sigmas[l], frame.maps[l], trans[l])
+                 for l in group.right[0].tolist())
+    spec = GroupSpec(gens, frame.sigmas, frame.maps, trans, group.words)
     return AffineActionModel(derivation, frame, spec, targets)
 
 

@@ -169,7 +169,7 @@ def test_translation_one_ulp_off_the_grid_is_inconsistent(seed, monkeypatch):
     trans[q, 0] = np.nextafter(trans[q, 0], np.inf)
     moved = group_closure([FiberPermIsometry(g.perm, g.maps, trans), *group.generators[1:]],
                           cap=49)
-    assert moved._exact is None and moved.words == group.words  # the float rule closed it
+    assert moved.exact is None and moved.words == group.words  # the float rule closed it
     monkeypatch.setattr(runner, "random_box_group", lambda *args: (moved, x0))
     report, code = run_scenario({"kind": "box_fixed_point", "seed": seed,
                                  "sample_box": decimal_sample_box(seed - 1000)})

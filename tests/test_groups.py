@@ -366,45 +366,45 @@ ALGEBRA_GROUPS = [f"cyclic:{n}" for n in range(1, 31)] + [f"symmetric:{n}" for n
 
 class TestIsometryClosure:
     @staticmethod
-    def assert_same(group, cap):
-        elements, words = loop_group_closure(group.generators, cap)
+    def assert_same(group, cap, elements):
+        refs, words = loop_group_closure(group.generators, cap)
         assert group.words == tuple(words)
-        for got, want in zip(group.elements, elements, strict=True):
+        for got, want in zip(elements(group), refs, strict=True):
             for name in ("perm", "maps", "trans"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_box_groups(self, seed):
+    def test_box_groups(self, seed, elements):
         dim, max_order = 2 + seed % 9, (12, 24, 48)[seed % 3]
         group, _ = random_box_group(seed, dim, max_order)
-        self.assert_same(group, max_order + 1)
+        self.assert_same(group, max_order + 1, elements)
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_fiber_groups(self, seed):
+    def test_fiber_groups(self, seed, elements):
         fibers, fiber_dim, max_order = 1 + seed % 6, 1 + seed % 4, (12, 24, 48)[seed % 3]
         group, _ = random_fiber_group(seed, fibers, fiber_dim, max_order)
-        self.assert_same(group, max_order + 1)
+        self.assert_same(group, max_order + 1, elements)
 
 
-    def test_box_group_at_the_schema_cap(self):
+    def test_box_group_at_the_schema_cap(self, elements):
         group, _ = random_box_group(2, dim=64, max_order=512)
         assert len(group) > 200
-        self.assert_same(group, 513)
+        self.assert_same(group, 513, elements)
 
-    def test_fiber_group_at_the_schema_cap(self):
+    def test_fiber_group_at_the_schema_cap(self, elements):
         group, _ = random_fiber_group(2, fibers=16, fiber_dim=8, max_order=512)
         assert len(group) > 100
-        self.assert_same(group, 513)
+        self.assert_same(group, 513, elements)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_cap_error_where_the_loop_overflows(self, seed):
+    def test_cap_error_where_the_loop_overflows(self, seed, elements):
         group, _ = random_fiber_group(seed, fibers=4, fiber_dim=3, max_order=48)
         cap = len(group) - 1
         with pytest.raises(AssertionError):  # the loop's `len(elements) < cap`
             loop_group_closure(group.generators, cap)
         with pytest.raises(GroupNotClosedError):
             group_closure(group.generators, cap=cap)
-        self.assert_same(group, len(group))
+        self.assert_same(group, len(group), elements)
 
 
 class TestClosureScan:
@@ -617,7 +617,7 @@ class TestCayleyKernel:
 class TestAffineActionModel:
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize("name", list(ORDERS))
-    def test_model_matches_loop(self, unitary_groups, name, corrupt):
+    def test_model_matches_loop(self, unitary_groups, name, corrupt, elements):
         group = unitary_groups[name]
         data, _ = random_inner_derivation(group, seed=len(name) + 1)
         if corrupt:
@@ -627,7 +627,7 @@ class TestAffineActionModel:
         sigmas, targets, isos = loop_affine_action(data, model.norming)
         assert np.array_equal(model.sigmas, sigmas)
         assert np.array_equal(model.targets, targets)
-        for got, (perm, maps, trans) in zip(model.group_spec.elements, isos, strict=True):
+        for got, (perm, maps, trans) in zip(elements(model.group_spec), isos, strict=True):
             assert np.array_equal(got.perm, perm)
             assert np.array_equal(got.maps, maps)
             assert np.array_equal(got.trans, trans)

@@ -57,12 +57,12 @@ def random_iso(rng, m, k) -> FiberPermIsometry:
     return FiberPermIsometry(perm, np.stack(maps), rng.standard_normal((m, k)))
 
 
-def element_index(group, iso: FiberPermIsometry) -> int:
-    """Index of the element of `group` equal to iso, compared as the closure
+def element_index(isos, iso: FiberPermIsometry) -> int:
+    """Index of the element among isos equal to iso, compared as the closure
     compares them: by the images of its probe cloud, within _CLOSURE_TOL."""
-    probes = _probe_cloud(group.m, group.k)
+    probes = _probe_cloud(iso.m, iso.k)
     sig = _signature(iso, probes)
-    for i, e in enumerate(group.elements):
+    for i, e in enumerate(isos):
         if np.allclose(_signature(e, probes), sig, atol=_CLOSURE_TOL, rtol=0.0):
             return i
     raise KeyError("isometry is not an element of the group")
@@ -77,14 +77,14 @@ class TestFiberPermIsometry:
     def test_identity_fixes_points(self, rng):
         e = FiberPermIsometry.identity(4, 3)
         x = SupPoint(rng.standard_normal((4, 3)))
-        assert sup_distance(e(x), x) == 0.0
+        assert sup_distance(apply(e, x), x) == 0.0
 
     def test_preserves_sup_distance(self, rng):
         for _ in range(20):
             iso = random_iso(rng, 5, 3)
             x = SupPoint(rng.standard_normal((5, 3)))
             y = SupPoint(rng.standard_normal((5, 3)))
-            assert sup_distance(iso(x), iso(y)) == pytest.approx(
+            assert sup_distance(apply(iso, x), apply(iso, y)) == pytest.approx(
                 sup_distance(x, y), abs=1e-12
             )
 
@@ -99,14 +99,14 @@ class TestFiberPermIsometry:
     def test_shape_mismatch_on_apply(self, rng):
         iso = random_iso(rng, 3, 2)
         with pytest.raises(SpaceMismatchError):
-            iso(SupPoint(np.zeros((2, 2))))
+            apply(iso, SupPoint(np.zeros((2, 2))))
 
     def test_overflowed_image_refused_without_warning(self):
         """The suite turns RuntimeWarning into an error, so an overflow
         warning from the sum would fail this test before the ValueError."""
         g = FiberPermIsometry(np.array([0]), np.ones((1, 1, 1)), np.array([[1e308]]))
         with pytest.raises(ValueError, match="finite"):
-            g(SupPoint.of([1e308]))
+            apply(g, SupPoint.of([1e308]))
 
 
 class TestComposeInvert:
@@ -114,13 +114,13 @@ class TestComposeInvert:
         for _ in range(20):
             a, b = random_iso(rng, 4, 2), random_iso(rng, 4, 2)
             x = SupPoint(rng.standard_normal((4, 2)))
-            assert sup_distance(compose(a, b)(x), a(b(x))) <= 1e-12
+            assert sup_distance(apply(compose(a, b), x), apply(a, apply(b, x))) <= 1e-12
 
     def test_compose_associative(self, rng):
         a, b, c = (random_iso(rng, 3, 2) for _ in range(3))
         x = SupPoint(rng.standard_normal((3, 2)))
-        lhs = compose(compose(a, b), c)(x)
-        rhs = compose(a, compose(b, c))(x)
+        lhs = apply(compose(compose(a, b), c), x)
+        rhs = apply(compose(a, compose(b, c)), x)
         assert sup_distance(lhs, rhs) <= 1e-12
 
 
@@ -146,40 +146,40 @@ class TestGroupClosure:
         )
         assert len(group_closure([g])) == 4
 
-    def test_elements_closed_under_products(self, rng):
+    def test_elements_closed_under_products(self, elements):
         g = FiberPermIsometry(
             np.array([1, 0, 2]),
             np.array([[[1.0]], [[-1.0]], [[-1.0]]]),
             np.zeros((3, 1)),
         )
-        group = group_closure([g])
-        for a in group.elements:
-            for b in group.elements:
-                assert element_index(group, compose(a, b)) is not None
+        isos = elements(group_closure([g]))
+        for a in isos:
+            for b in isos:
+                assert element_index(isos, compose(a, b)) is not None
 
-    def test_inverse_in_group(self):
+    def test_inverse_in_group(self, elements):
         """Every element has an inverse among the elements: some b with a b
         equal to the identity, element 0."""
         g = FiberPermIsometry(np.array([1, 2, 3, 0]), np.ones((4, 1, 1)), np.zeros((4, 1)))
-        group = group_closure([g])
-        for a in group.elements:
-            assert any(element_index(group, compose(a, b)) == 0 for b in group.elements)
+        isos = elements(group_closure([g]))
+        for a in isos:
+            assert any(element_index(isos, compose(a, b)) == 0 for b in isos)
 
     def test_infinite_order_raises(self):
         with pytest.raises(GroupNotClosedError):
             group_closure([rotation_by_one_radian()], cap=64)
 
-    def test_words_multiply_out(self):
+    def test_words_multiply_out(self, elements):
         g = FiberPermIsometry(
             np.array([1, 0]), np.array([[[-1.0]], [[1.0]]]), np.array([[0.25], [-0.5]])
         )
         group = group_closure([g])
         x = SupPoint(np.array([[0.3], [0.7]]))
-        for iso, word in zip(group.elements, group.words):
+        for iso, word in zip(elements(group), group.words, strict=True):
             built = FiberPermIsometry.identity(2, 1)
             for i in word:
                 built = compose(built, group.generators[i])
-            assert sup_distance(iso(x), built(x)) <= 1e-12
+            assert sup_distance(apply(iso, x), apply(built, x)) <= 1e-12
 
 
 class TestOrbit:
@@ -212,7 +212,7 @@ class TestBoxImage:
             img = box_image(iso, box)
             corner_images = []
             for corner in itertools.product(*zip(lo, hi)):
-                pt = iso(SupPoint(np.array(corner)[:, None]))
+                pt = apply(iso, SupPoint(np.array(corner)[:, None]))
                 corner_images.append([Fraction(float(v)) for v in pt.fibers[:, 0]])
             for i in range(m):
                 vals = [ci[i] for ci in corner_images]
@@ -258,21 +258,30 @@ def ref_box_image(iso: FiberPermIsometry, box: Box) -> Box:
     return Box(box.dim, tuple(lo_out), tuple(hi_out))
 
 
-def ref_orbit(group, x) -> PointCloud:
-    return PointCloud([g(x).fibers for g in group.elements])
+def apply(iso: FiberPermIsometry, x: SupPoint) -> SupPoint:
+    """iso(x), one element at a time: (iso x)_g = maps[g] @ x[perm[g]] + trans[g]."""
+    if x.m != iso.m or x.k != iso.k:
+        raise SpaceMismatchError("point shape does not match isometry")
+    with np.errstate(over="ignore"):  # SupPoint refuses an overflowed image
+        out = np.einsum("gij,gj->gi", iso.maps, x.fibers[iso.perm]) + iso.trans
+    return SupPoint(out)
 
 
-def ref_exact_orbit_diameter(group, x0):
+def ref_orbit(isos, x) -> PointCloud:
+    return PointCloud([apply(g, x).fibers for g in isos])
+
+
+def ref_exact_orbit_diameter(isos, x0):
     """The images sign * x0[perm] + trans in Fractions, and their spread."""
     images = [[Fraction(float(g.maps[i, 0, 0])) * Fraction(float(x0.fibers[g.perm[i], 0]))
-               + Fraction(float(g.trans[i, 0])) for i in range(group.m)]
-              for g in group.elements]
+               + Fraction(float(g.trans[i, 0])) for i in range(g.m)]
+              for g in isos]
     diam = max(max(col) - min(col) for col in zip(*images))
     return images, diam
 
 
-def ref_fixed_point_residual(group, x) -> float:
-    return max(sup_distance(g(x), x) for g in group.elements)
+def ref_fixed_point_residual(isos, x) -> float:
+    return max(sup_distance(apply(g, x), x) for g in isos)
 
 
 def witness_group(name: str):
@@ -290,13 +299,14 @@ def spread_points(rng, m, k, count=4):
     yield SupPoint(rng.integers(-40, 40, size=(m, k)) * 5e-324)
 
 
-def assert_stacked_forms_match(group, x):
-    got, want = orbit(group, x), ref_orbit(group, x)
+def assert_stacked_forms_match(group, isos, x):
+    """The stacked forms of group against its elements isos, one at a time."""
+    got, want = orbit(group, x), ref_orbit(isos, x)
     assert got.points.tobytes() == want.points.tobytes()
-    assert repr(fixed_point_residual(group, x)) == repr(ref_fixed_point_residual(group, x))
+    assert repr(fixed_point_residual(group, x)) == repr(ref_fixed_point_residual(isos, x))
     if group.k == 1:
         den, nums, diam = exact_orbit_diameter(group, x)
-        ref_images, ref_diam = ref_exact_orbit_diameter(group, x)
+        ref_images, ref_diam = ref_exact_orbit_diameter(isos, x)
         assert nums.shape == (len(group), group.m)
         assert [[Fraction(int(v), den) for v in row] for row in nums] == ref_images
         assert type(diam) is Fraction and diam.as_integer_ratio() == ref_diam.as_integer_ratio()
@@ -304,35 +314,39 @@ def assert_stacked_forms_match(group, x):
 
 class TestStackedFormsMatchPerElement:
     @pytest.mark.parametrize("seed", range(8))
-    def test_box_groups(self, seed):
+    def test_box_groups(self, seed, elements):
         group, x0 = random_box_group(seed, dim=2 + seed)
+        isos = elements(group)
         rng = np.random.default_rng(seed)
-        assert_stacked_forms_match(group, x0)
+        assert_stacked_forms_match(group, isos, x0)
         for x in spread_points(rng, group.m, 1):
-            assert_stacked_forms_match(group, x)
+            assert_stacked_forms_match(group, isos, x)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_fiber_groups(self, seed):
+    def test_fiber_groups(self, seed, elements):
         group, x0 = random_fiber_group(seed)
         assert group.k == 3
+        isos = elements(group)
         rng = np.random.default_rng(seed)
-        assert_stacked_forms_match(group, x0)
+        assert_stacked_forms_match(group, isos, x0)
         for x in spread_points(rng, group.m, 3):
-            assert_stacked_forms_match(group, x)
+            assert_stacked_forms_match(group, isos, x)
 
     @pytest.mark.parametrize("name", ["q8", "2T", "2I"])
-    def test_witness_groups(self, name):
+    def test_witness_groups(self, name, elements):
         group = witness_group(name)
         assert group.k == 4
+        isos = elements(group)
         rng = np.random.default_rng(len(group))
-        assert_stacked_forms_match(group, SupPoint(np.zeros((group.m, group.k))))
+        assert_stacked_forms_match(group, isos, SupPoint(np.zeros((group.m, group.k))))
         for x in spread_points(rng, group.m, 4, count=2):
-            assert_stacked_forms_match(group, x)
+            assert_stacked_forms_match(group, isos, x)
 
     def test_non_finite_images_are_refused(self):
-        """g(x) refuses an image that overflows; so do the stacked forms."""
+        """apply refuses an image that overflows; so do the stacked forms."""
         g = FiberPermIsometry(np.array([0]), np.ones((1, 1, 1)), np.array([[1e308]]))
-        group = GroupSpec((g,), (FiberPermIsometry.identity(1, 1), g), ((), (0,)))
+        group = GroupSpec((g,), np.array([[0], [0]]), np.ones((2, 1, 1, 1)),
+                          np.array([[[0.0]], [[1e308]]]), ((), (0,)))
         x = SupPoint.of([1e308])
         for fn in (orbit, fixed_point_residual, exact_orbit_diameter):
             with pytest.raises(ValueError, match="finite"):
@@ -347,13 +361,14 @@ class TestStackedFormsMatchPerElement:
 
 class TestBoxImageAgainstFractionForm:
     @pytest.mark.parametrize("seed", range(6))
-    def test_group_elements_on_shrinking_boxes(self, seed):
+    def test_group_elements_on_shrinking_boxes(self, seed, elements):
         group, x0 = random_box_group(seed)
+        isos = elements(group)
         rng = np.random.default_rng(seed)
         lo = x0.fibers[:, 0] - rng.uniform(0, 2, size=group.m)
         box = Box.bounds(lo, lo + rng.uniform(0, 2, size=group.m))
         for _ in range(12):
-            for g in group.elements:
+            for g in isos:
                 assert_same_box(box_image(g, box), ref_box_image(g, box))
             box = Box(box.dim, tuple(a / 3 for a in box.lo), tuple(b / 3 + Fraction(1, 2**70)
                                                                  for b in box.hi))
@@ -480,53 +495,55 @@ def rotation_generators(rng, m, k, order):
 
 class TestClosureMatchesEinsumForm:
     @staticmethod
-    def assert_same(generators, cap, order=None):
+    def assert_same(generators, cap, elements, order=None):
+        """Row i of the group's stacks is the reference closure's element i,
+        byte for byte, and so is its signature."""
         group = group_closure(generators, cap=cap)
-        elements, words = ref_closure(generators, cap)
+        refs, words = ref_closure(generators, cap)
         assert group.words == tuple(words)
         assert order is None or len(group) == order
         probes = ref_probe_cloud(group.m, group.k)
-        for got, want in zip(group.elements, elements, strict=True):
-            for arr, ref in zip((got.perm, got.maps, got.trans), want):
+        for i, (iso, want) in enumerate(zip(elements(group), refs, strict=True)):
+            for arr, ref in zip((group.perm[i], group.maps[i], group.trans[i]), want):
                 assert arr.dtype == ref.dtype and arr.shape == ref.shape
                 assert arr.tobytes() == ref.tobytes()
-            sig = _signature(got, _probe_cloud(group.m, group.k))
+            sig = _signature(iso, _probe_cloud(group.m, group.k))
             assert sig.tobytes() == ref_signature(want, probes).tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_box_generators(self, seed):
+    def test_box_generators(self, seed, elements):
         group, _ = random_box_group(seed, dim=3 + seed)
-        self.assert_same(group.generators, 49)
+        self.assert_same(group.generators, 49, elements)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_fiber_generators(self, seed):
+    def test_fiber_generators(self, seed, elements):
         group, _ = random_fiber_group(seed, fibers=2 + seed % 4, fiber_dim=1 + seed % 3)
-        self.assert_same(group.generators, 49)
+        self.assert_same(group.generators, 49, elements)
 
     @pytest.mark.parametrize("m, k, order", [(1, 2, 5), (3, 2, 5), (2, 3, 6), (4, 3, 7)])
-    def test_generic_rotation_generators(self, m, k, order, rng):
+    def test_generic_rotation_generators(self, m, k, order, rng, elements):
         gens = rotation_generators(rng, m, k, order)
         cycle = int(np.lcm(m, order))
-        self.assert_same(gens, 4 * cycle + 1, order=2 * cycle)
+        self.assert_same(gens, 4 * cycle + 1, elements, order=2 * cycle)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_box_generators_at_the_schema_cap(self, seed):
+    def test_box_generators_at_the_schema_cap(self, seed, elements):
         group, _ = random_box_group(seed, dim=64, max_order=512)
         assert _exact_table(group.generators, 513) is not None
-        self.assert_same(group.generators, 513)
+        self.assert_same(group.generators, 513, elements)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_fiber_generators_at_the_schema_cap(self, seed):
+    def test_fiber_generators_at_the_schema_cap(self, seed, elements):
         group, _ = random_fiber_group(seed, fibers=16, fiber_dim=8, max_order=512)
         assert _exact_table(group.generators, 513) is not None
-        self.assert_same(group.generators, 513)
+        self.assert_same(group.generators, 513, elements)
 
     @pytest.mark.parametrize("make", [
         lambda: random_box_group(1, dim=64, max_order=512)[0],
         lambda: random_fiber_group(2, fibers=16, fiber_dim=8, max_order=512)[0],
         lambda: random_box_group(4, dim=8, max_order=48)[0],
     ])
-    def test_cap_error_at_the_same_count(self, make):
+    def test_cap_error_at_the_same_count(self, make, elements):
         """One element short of the order, both rules raise; at the order
         neither does."""
         group = make()
@@ -535,7 +552,7 @@ class TestClosureMatchesEinsumForm:
             group_closure(gens, cap=order - 1)
         with pytest.raises(AssertionError):  # ref_closure's `n < cap`
             ref_closure(gens, order - 1)
-        self.assert_same(gens, order, order=order)
+        self.assert_same(gens, order, elements, order=order)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_element(self, cap, rng):
@@ -573,13 +590,10 @@ def float_rule_closure(generators, cap, monkeypatch):
 
 def assert_same_groups(got, want):
     assert got.words == want.words
-    for a, b in zip(got.elements, want.elements, strict=True):
-        for name in ("perm", "maps", "trans"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-            assert not x.flags.writeable
-    for x, y in zip(got._stacked, want._stacked, strict=True):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    for name in ("perm", "maps", "trans"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert not x.flags.writeable and not y.flags.writeable
 
 
 def swap_group(trans):
@@ -608,7 +622,7 @@ class TestExactModeSelection:
     }
 
     @pytest.mark.parametrize("case", FLOAT_CASES)
-    def test_float_rule_where_the_conditions_fail(self, case, rng, monkeypatch):
+    def test_float_rule_where_the_conditions_fail(self, case, rng, monkeypatch, elements):
         gens = self.FLOAT_CASES[case](rng)
         assert _exact_table(gens, 64) is None
         if case == "rotation_of_one_radian":
@@ -617,7 +631,7 @@ class TestExactModeSelection:
             return
         group = group_closure(gens, cap=64)
         assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
-        TestClosureMatchesEinsumForm.assert_same(gens, 64)
+        TestClosureMatchesEinsumForm.assert_same(gens, 64, elements)
 
     def test_swap_without_the_signed_zero_is_exact(self, monkeypatch):
         gens = [swap_group([[0.0], [0.0]])]
@@ -655,7 +669,7 @@ class TestExactModeSelection:
         monkeypatch.setattr(isometries, "compose", lambda a, b: products.append(1) or
                             compose(a, b))
         group = group_closure(gens, cap=64)
-        assert products and max(abs(e.trans).max() for e in group.elements) == 4.0
+        assert products and np.abs(group.trans).max() == 4.0
         assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
 
     @pytest.mark.parametrize("num_limit, checked", [(128, False), (127, True)])
@@ -720,6 +734,58 @@ class TestExactModeSelection:
                                   np.zeros((2, 2)))
         assert (fiber.exact.src.tolist(), fiber.exact.sign.tolist()) == ([3, 2, 0, 1],
                                                                          [-1, 1, 1, 1])
+
+
+def assert_read_only(group):
+    """Every array a group holds, its generators' included, refuses writes."""
+    arrays = [group.perm, group.maps, group.trans]
+    if group.exact is not None:
+        arrays += [group.exact.src, group.exact.sign, group.exact.nums]
+    arrays += [getattr(g, name) for g in group.generators for name in ("perm", "maps", "trans")]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+class TestGroupStacks:
+    """A group is its stacked arrays; where the exact closure made it, its
+    exact form holds the same elements."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("make", [random_box_group, random_fiber_group])
+    def test_exact_form_decodes_to_the_float_stacks(self, make, seed, elements):
+        group, _ = make(seed)
+        form, (n, m, k) = group.exact, group.trans.shape
+        assert form is not None
+        assert form.src.shape == form.sign.shape == form.nums.shape == (n, m * k)
+        assert (form.nums / form.den).reshape(n, m, k).tobytes() == group.trans.tobytes()
+        # entry q of the image is row q % k of fiber q // k, and reads coordinate
+        # src % k of fiber src // k with the sign: a one-hot row of the fiber map
+        maps = np.zeros((n, m, k, k))
+        for i, q in itertools.product(range(n), range(m * k)):
+            src = int(form.src[i, q])
+            assert src // k == group.perm[i, q // k]
+            maps[i, q // k, q % k, src % k] = form.sign[i, q]
+        assert maps.tobytes() == group.maps.tobytes()
+        for i, iso in enumerate(elements(group)):  # each element's own exact form agrees
+            own = iso.exact
+            assert own.src.tolist() == form.src[i].tolist()
+            assert own.sign.tolist() == form.sign[i].tolist()
+            assert [Fraction(int(v), own.den) for v in own.nums] == [
+                Fraction(int(v), form.den) for v in form.nums[i]]
+        assert_read_only(group)
+
+    def test_float_rule_stacks_are_read_only(self, rng):
+        gens = TestExactModeSelection.FLOAT_CASES["translation_0.1"](rng)
+        group = group_closure(gens, cap=64)
+        assert group.exact is None and len(group) == 3
+        assert_read_only(group)
+
+    def test_affine_action_stacks_are_read_only(self):
+        group = witness_group("q8")
+        assert group.exact is None
+        assert_read_only(group)
 
 
 def schema_shapes():

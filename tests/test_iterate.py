@@ -18,10 +18,10 @@ from supfix.iterate import (
 from supfix.spaces import SupPoint, sup_distance
 
 
-def exact_images(group, x0):
-    """g(x0) for every element, in Fractions: sign * x0[perm] + trans."""
+def exact_images(isos, x0):
+    """g(x0) for every element g of isos, in Fractions: sign * x0[perm] + trans."""
     return [[Fraction(float(g.maps[i, 0, 0])) * Fraction(float(x0.fibers[g.perm[i], 0]))
-             + Fraction(float(g.trans[i, 0])) for i in range(group.m)] for g in group.elements]
+             + Fraction(float(g.trans[i, 0])) for i in range(g.m)] for g in isos]
 
 
 class TestExactOrbitDiameter:
@@ -37,7 +37,7 @@ class TestExactOrbitDiameter:
             assert nums.dtype == np.int64 and np.array_equal(nums / den, pts.points[:, :, 0])
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_matches_pairwise_fractions(self, seed):
+    def test_matches_pairwise_fractions(self, seed, elements):
         """Per-coordinate spread equals the largest pairwise Fraction distance
         of the exact images, also off the grid, where float images round."""
         group, x0 = random_box_group(seed, dim=2 + seed % 7)
@@ -46,7 +46,7 @@ class TestExactOrbitDiameter:
             scale = 10.0 ** rng.integers(-12, 12, size=(group.m, 1))
             x0 = SupPoint(rng.standard_normal((group.m, 1)) * scale)
         den, nums, diam = exact_orbit_diameter(group, x0)
-        coords = exact_images(group, x0)
+        coords = exact_images(elements(group), x0)
         assert [[Fraction(int(v), den) for v in row] for row in nums] == coords
         want = max(
             max(abs(a - b) for a, b in zip(p, q)) for p in coords for q in coords
@@ -67,11 +67,12 @@ class TestIterateBox:
         assert fixed_point_residual(group, fp) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_iterates_stay_invariant(self, seed):
+    def test_iterates_stay_invariant(self, seed, elements):
         group, x0 = random_box_group(seed)
+        isos = elements(group)
         _, trace = iterate_box(group, x0)
         for box in trace.boxes:
-            for g in group.elements:
+            for g in isos:
                 assert box_image(g, box) == box
 
     def test_iterates_are_nested(self):
@@ -113,9 +114,11 @@ class TestIterateBox:
         good = FiberPermIsometry(
             np.array([1, 0]), np.array([[[1.0]], [[1.0]]]), np.array([[0.5], [0.0]])
         )
-        fake = GroupSpec(
+        fake = GroupSpec(  # the identity and good, stacked
             generators=(good,),
-            elements=(FiberPermIsometry.identity(2, 1), good),
+            perm=np.array([[0, 1], [1, 0]]),
+            maps=np.ones((2, 2, 1, 1)),
+            trans=np.array([[[0.0], [0.0]], [[0.5], [0.0]]]),
             words=((), (0,)),
         )
         with pytest.raises(InvarianceViolationError):

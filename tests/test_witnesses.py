@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
+from test_isometries import apply
 
 from supfix import unitary
 from supfix.cocycles import DerivationData, inner_derivation, translation_cocycle
@@ -47,31 +48,31 @@ def encode(m_mat):
 
 class TestAffineActionModel:
     @pytest.mark.parametrize("name", GROUP_NAMES)
-    def test_orbit_of_origin_matches_targets(self, named_groups, name):
+    def test_orbit_of_origin_matches_targets(self, named_groups, name, elements):
         """Applying element l to the origin must decode to E(delta(g_l)) g_l^H;
         this pins the realification and translation wiring."""
         group = named_groups[name]
         data, _ = random_inner_derivation(group, 3)
         model = build_affine_action(data)
         origin = model.origin()
-        for l, iso in enumerate(model.group_spec.elements):
-            decoded = model.decode(iso(origin))
+        for l, iso in enumerate(elements(model.group_spec)):
+            decoded = model.decode(apply(iso, origin))
             assert np.allclose(decoded, model.targets[l], atol=1e-12)
 
     @pytest.mark.parametrize("name", GROUP_NAMES)
-    def test_action_is_homomorphism(self, named_groups, name, rng):
+    def test_action_is_homomorphism(self, named_groups, name, rng, elements):
         group = named_groups[name]
         data, _ = random_inner_derivation(group, 4)
         model = build_affine_action(data)
-        isos = model.group_spec.elements
+        isos = elements(model.group_spec)
         x = encode(
             rng.standard_normal((model.size, model.d))
             + 1j * rng.standard_normal((model.size, model.d))
         )
         for i in range(len(group)):
             for j in range(len(group)):
-                lhs = compose(isos[i], isos[j])(x)
-                rhs = isos[group.cayley[i, j]](x)
+                lhs = apply(compose(isos[i], isos[j]), x)
+                rhs = apply(isos[group.cayley[i, j]], x)
                 assert sup_distance(lhs, rhs) <= 1e-10
 
     def test_encode_decode_round_trip(self, named_groups, rng):
@@ -185,8 +186,11 @@ class TestSolveWitness:
         assert rep.model_residual <= 1e-10 and rep.witness_residual <= 1e-10
         model = build_affine_action(data)
         spec = model.group_spec
-        index = {id(e): l for l, e in enumerate(spec.elements)}
-        assert [index[id(g)] for g in spec.generators] == group.right[0].tolist()
+        for g, l in zip(spec.generators, group.right[0].tolist(), strict=True):
+            for name in ("perm", "maps", "trans"):
+                arr, row = getattr(g, name), getattr(spec, name)[l]
+                assert arr.dtype == row.dtype and arr.shape == row.shape
+                assert arr.tobytes() == row.tobytes()
         sim = build_similarity(model, rep.t_model)
         assert sim.intertwine_residual <= 1e-9
         assert sim.left_inverse_residual <= 1e-9
