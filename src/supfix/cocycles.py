@@ -16,9 +16,12 @@ c(g h)(s) = c(g)(h s) + c(h)(s g).
 
 Both laws are checked as gathers over the Cayley table, and inverses come
 from `groups.inverse_indices`.  The matrix law is batched products over all
-pairs.  The scalar law takes its rows g in blocks of about _LAW_BLOCK_BYTES
-per temporary, with s as the leading axis of each term, so the worst defect
-over s is an elementwise max of contiguous (g, h) slabs.  A non-finite
+pairs.  The scalar law substitutes s = (g h)^{-1} v, which turns its three
+terms into reads of one twisted table T[x, v] = c[x, x^{-1} v]: T[g h, v],
+T[g, v] and T[h, g^{-1} v g].  It takes its rows g in blocks of about
+_LAW_BLOCK_BYTES per temporary, with v as the leading axis, so each block
+costs one element gather, one row gather and a broadcast add, and the worst
+defect over v is an elementwise max of contiguous (g, h) slabs.  A non-finite
 value never raises a warning in either check: it gives a NaN or inf defect,
 which fails it.  Matrix groups are closed by the kernel in `groups.py`,
 where duplicates are products within a fixed tolerance of a known element
@@ -103,14 +106,19 @@ class CayleyGroup:
     """Abstract finite group as labels plus a multiplication table.
 
     table[i, j] is the index of the product of elements i and j; index 0
-    is the identity.
+    is the identity.  Every row and every column must be a permutation of
+    the elements, so each element has one inverse on either side.  The
+    table is copied and kept read-only.  Associativity is a precondition
+    that is not checked, since that would cost O(n^3): the tables of
+    `cyclic` and `symmetric` and the Cayley table of a closed unitary
+    group satisfy it.
     """
 
     labels: tuple[str, ...]
     table: np.ndarray  # (n, n) int
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=int)
+        table = np.array(self.table, dtype=int)  # a copy: the caller's array stays writeable
         n = len(self.labels)
         if table.shape != (n, n):
             raise SpaceMismatchError("multiplication table shape mismatch")
@@ -118,6 +126,13 @@ class CayleyGroup:
             raise ValueError("index 0 must be the identity")
         if n and not (table.min() >= 0 and table.max() < n):
             raise ValueError("multiplication table entries must be element indices")
+        # Row i (column j) holds each element once iff the n^2 codes
+        # i n + table[i, j] (j n + table[i, j]) are all distinct.
+        offsets = n * np.arange(n)[:, None]
+        for t in (table, table.T):
+            if np.count_nonzero(np.bincount((t + offsets).ravel(), minlength=n * n)) < n * n:
+                raise ValueError("every row and column of the multiplication table must be "
+                                 "a permutation of the elements")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -155,38 +170,55 @@ def translation_cocycle(group: CayleyGroup, t: np.ndarray) -> np.ndarray:
     return t[group.table] - t[group.table.T]
 
 
+def _twisted_table(group: CayleyGroup, c: np.ndarray) -> np.ndarray:
+    """T[x, v] = c[x, x^{-1} v]: row x of c, its columns permuted by left division by x."""
+    return c[np.arange(len(group))[:, None], group.table[group.inverse]]
+
+
 def translation_law_worst_pair(group: CayleyGroup, c: np.ndarray) -> tuple[float, int, int]:
-    """Worst violation of c[g h, s] = c[g, h s] + c[h, s g], with the pair."""
+    """Worst violation of c[g h, s] = c[g, h s] + c[h, s g], with the pair.
+
+    The check substitutes s = (g h)^{-1} v and reads all three terms from
+    the twisted table T[x, v] = c[x, x^{-1} v]:
+
+        c[g h, s] = T[g h, v],   c[g, h s] = T[g, v],   c[h, s g] = T[h, g^{-1} v g].
+
+    For each pair (g, h), v -> s is a bijection of the group, so the worst
+    defect over v is the worst over s.  Each (g, h, v) takes the same three
+    floats as (g, h, s) through the same add, subtract and abs, so the
+    defects, the first worst pair and their NaN, inf, -0.0 and overflow
+    cases are those of the law as written.  The substitution holds for a
+    group table: `CayleyGroup` checks the identity and that every row and
+    column is a permutation, and associativity is its precondition.
+    """
     c = np.asarray(c, dtype=float)
     n = len(group)
     if c.shape != (n, n):
         raise SpaceMismatchError("cocycle table must be |G| x |G|")
     table = group.table
-    table_t = np.ascontiguousarray(table.T)
-    c_t = np.ascontiguousarray(c.T)
+    twisted_t = np.ascontiguousarray(_twisted_table(group, c).T)  # [v, x] = T[x, v]
+    conj_t = table[group.inverse, table]  # [v, g] = g^{-1} (v g)
     defects = np.empty((n, n))
-    # A block of rows g at a time, s leading: lhs[s, g, h] = c[g h, s],
-    # rhs[g, s, h] = c[g, h s] and rhs_t[s, g, h] = c[h, s g], so the worst
-    # over s is an elementwise max of contiguous (g, h) slabs.  The table
-    # holds checked element indices, so mode="clip" clips nothing; it only
-    # lets np.take write straight into the buffers.
-    # n >= 1, since index 0 is the identity.
+    # A block of rows g at a time, v leading: a[v, g, h] = T[g h, v] is the
+    # one element gather, b[v, g, h] = T[h, g^{-1} v g] a row gather, and
+    # T[g, v] is added along h, so the worst over v is an elementwise max
+    # of contiguous (g, h) slabs.  The indices are checked element indices,
+    # so mode="clip" clips nothing; it only lets np.take write straight
+    # into the buffers.  n >= 1, since index 0 is the identity.
     rows = max(1, min(n, _LAW_BLOCK_BYTES // (n * n * c.itemsize)))
-    lhs_buf, rhs_buf, rhs_t_buf = (np.empty(rows * n * n) for _ in range(3))
+    a_buf, b_buf = np.empty(rows * n * n), np.empty(rows * n * n)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN defect
         for g0 in range(0, n, rows):
             g1 = min(g0 + rows, n)
             size = (g1 - g0) * n * n
-            lhs = lhs_buf[:size].reshape(n, g1 - g0, n)
-            rhs = rhs_buf[:size].reshape(g1 - g0, n, n)
-            rhs_t = rhs_t_buf[:size].reshape(n, g1 - g0, n)
-            np.take(c_t, table[g0:g1], axis=1, out=lhs, mode="clip")
-            np.take(c[g0:g1], table_t, axis=1, out=rhs, mode="clip")
-            np.take(c_t, table[:, g0:g1], axis=0, out=rhs_t, mode="clip")
-            np.add(rhs.transpose(1, 0, 2), rhs_t, out=rhs_t)
-            np.subtract(lhs, rhs_t, out=lhs)
-            np.abs(lhs, out=lhs)
-            np.maximum.reduce(lhs, axis=0, out=defects[g0:g1])
+            a = a_buf[:size].reshape(n, g1 - g0, n)
+            b = b_buf[:size].reshape(n, g1 - g0, n)
+            np.take(twisted_t, table[g0:g1], axis=1, out=a, mode="clip")
+            np.take(twisted_t, conj_t[:, g0:g1], axis=0, out=b, mode="clip")
+            np.add(twisted_t[:, g0:g1, None], b, out=b)  # c[g, h s] + c[h, s g]
+            np.subtract(a, b, out=a)
+            np.abs(a, out=a)
+            np.maximum.reduce(a, axis=0, out=defects[g0:g1])
     return _worst_pair(defects)
 
 

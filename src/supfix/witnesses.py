@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import CayleyGroup, DerivationData, translation_cocycle_defect
+from .cocycles import CayleyGroup, DerivationData, _twisted_table, translation_cocycle_defect
 from .errors import SpaceMismatchError
 from .isometries import FiberPermIsometry, GroupSpec
 from .iterate import fixed_point_residual, orbit_center_fixed_point
@@ -321,8 +321,7 @@ def finite_group_algebra_witness(group: CayleyGroup, c: np.ndarray) -> GroupAlge
     n = len(group)
     if c.shape != (n, n):
         raise SpaceMismatchError("cocycle table must be |G| x |G|")
-    # row g: s -> c[g, g^{-1} s]
-    orbit_of_zero = c[np.arange(n)[:, None], group.table[group.inverse]]
+    orbit_of_zero = _twisted_table(group, c)  # row g: s -> c[g, g^{-1} s]
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN residual
         t = orbit_of_zero.mean(axis=0)
         t = t - t.mean()

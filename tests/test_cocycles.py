@@ -136,6 +136,22 @@ class TestCayleyGroup:
         with pytest.raises(ValueError):
             CayleyGroup(("a", "b"), np.array([[1, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("table", [
+        [[0, 1, 2], [1, 1, 1], [2, 1, 0]],  # a has no inverse
+        [[0, 1, 2], [1, 2, 0], [2, 1, 0]],  # every row a permutation, column 1 not
+    ])
+    def test_rows_and_columns_must_be_permutations(self, table):
+        with pytest.raises(ValueError, match="permutation of the elements"):
+            CayleyGroup(("e", "a", "b"), table)
+
+    def test_the_callers_table_is_copied_not_frozen(self):
+        table = np.array(CayleyGroup.cyclic(4).table)
+        group = CayleyGroup(("e", "a", "b", "c"), table)
+        assert group.table is not table
+        assert table.flags.writeable and not group.table.flags.writeable
+        table[1, 1] = 0
+        assert group.table[1, 1] == 2
+
 
 class TestTranslationCocycles:
     @pytest.mark.parametrize("name", ["cyclic:6", "symmetric:3"])

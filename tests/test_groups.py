@@ -583,6 +583,38 @@ class TestCayleyKernel:
                 want = row_translation_law_worst_pair(group, table)
             assert repr(got) == repr(want)
 
+    @staticmethod
+    def relabelled(group, seed):
+        """The same group with its elements renumbered by a random
+        permutation that keeps the identity at index 0."""
+        n = len(group)
+        perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+        table = np.empty((n, n), dtype=int)
+        table[perm[:, None], perm[None, :]] = perm[group.table]
+        labels = np.empty(n, dtype=object)
+        labels[perm] = group.labels
+        return CayleyGroup(tuple(labels), table)
+
+    # Cyclic tables have g^{-1} v g = v; these have not (c12 aside), so they
+    # check the conjugation and the inverse in the twisted table.
+    @pytest.mark.parametrize("name", [*ORDERS, "symmetric:4", "symmetric:5"])
+    def test_law_check_on_nonabelian_tables_matches_the_row_gather_form(
+            self, unitary_groups, name):
+        """Same worst float and same pair on the Cayley tables of the unitary
+        groups and on relabelled symmetric groups, on valid, corrupted,
+        non-finite and overflowing data."""
+        if name in ORDERS:
+            group = CayleyGroup(unitary_groups[name].labels, unitary_groups[name].cayley)
+        else:
+            group = self.relabelled(cayley_group(name), seed=len(name))
+        n = len(group)
+        c, _ = random_translation_cocycle(group, seed=n)
+        for table in [c, *self.nonfinite_tables(c, seed=n + 1)]:
+            got = translation_law_worst_pair(group, table)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = row_translation_law_worst_pair(group, table)
+            assert repr(got) == repr(want)
+
     def test_law_check_at_the_schema_cap_matches_the_row_gather_form(self):
         group = cayley_group("cyclic:512")
         c, _ = random_translation_cocycle(group, seed=512)
