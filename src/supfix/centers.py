@@ -12,6 +12,13 @@ Property (ii) follows from a Hilbert-space identity: if B(z, r) is the
 smallest ball enclosing a fiber of M and B(y, R) also encloses it, then
 |y - z|^2 <= R^2 - r^2.  `verify_urns_certificate` checks both properties
 numerically against sampled ball centers y.
+
+Radii and gaps are sup-distances over whole difference stacks, reduced
+by `spaces._fiber_norms` with one max over each stack's flattened fiber
+axes, so every value is the float `sup_distance` gives for its pair.
+Radii are taken in blocks of centers of about `spaces._BLOCK_ELEMENTS`
+differences, so the temporaries stay near half a megabyte whatever the
+sample count.
 """
 
 from __future__ import annotations
@@ -22,14 +29,11 @@ import numpy as np
 
 from .errors import EmptyDomainError, SpaceMismatchError
 from .seb import seb_center
-from .spaces import PointCloud, SupPoint, cloud_diameter
+from .spaces import _BLOCK_ELEMENTS, PointCloud, SupPoint, _fiber_norms, cloud_diameter
 # The reductions below compute sup_distance over whole arrays; the name stays
 # bound here because the perfbench tracer wraps and restores `centers.sup_distance`.
 from .spaces import sup_distance  # noqa: F401
 
-# Elements per block of the (centers, N, m, k) difference array, so the
-# temporaries stay near half a megabyte whatever the sample count.
-_BLOCK_ELEMENTS = 1 << 16
 # Slack added to the bound c * diam before radii and gaps are compared with it.
 _CERTIFICATE_TOL = 1e-10
 
@@ -58,20 +62,13 @@ def _in_space(cloud_pts: np.ndarray, points: np.ndarray) -> np.ndarray:
     return points
 
 
-def _sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d_sup(a, b) over the broadcast of two (..., m, k) arrays, reduced as
-    `sup_distance` reduces one pair, so every value equals its float."""
-    diff = a - b
-    return np.max(np.sqrt(np.sum(diff * diff, axis=-1)), axis=-1)
-
-
 def _radii(cloud_pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """center_radius of each of the (S, m, k) centers against the (N, m, k) cloud."""
     rows = max(1, _BLOCK_ELEMENTS // cloud_pts.size)
     out = np.empty(len(centers))
     for s in range(0, len(centers), rows):
-        block = centers[s:s + rows, np.newaxis]
-        out[s:s + rows] = _sup_distances(block, cloud_pts).max(axis=1)
+        norms = _fiber_norms(centers[s:s + rows, np.newaxis] - cloud_pts)  # (rows, N, m)
+        out[s:s + rows] = norms.reshape(len(norms), -1).max(axis=1)
     return out
 
 
@@ -116,8 +113,10 @@ def verify_urns_certificate(
 
     Samples whose ball of radius c * diam does not actually contain the
     cloud are counted as rejected rather than failing the certificate;
-    they do not witness anything.  All radii come from one array
-    reduction over (samples + 1, N, m, k) and all gaps from one more.
+    they do not witness anything.  The radii of z and of every sample
+    come from one blocked reduction of the (samples + 1, N, m, k)
+    differences, and the worst gap from one max over the fiber distances
+    of the (checked, m, k) differences y - z.
     """
     diam = cloud_diameter(cloud)
     bound = c * diam + _CERTIFICATE_TOL
@@ -125,14 +124,16 @@ def verify_urns_certificate(
     ys = _in_space(pts, y_samples.points)
     radii = _radii(pts, np.concatenate([_in_space(pts, z.fibers)[np.newaxis], ys]))
     radius = float(radii[0])
-    checked = ys[~(radii[1:] > bound)]
-    gaps = _sup_distances(z.fibers, checked)
+    diff = ys[~(radii[1:] > bound)]
+    checked = len(diff)
+    diff -= z.fibers
+    worst_gap = float(_fiber_norms(diff).max(initial=0.0))
     return CertificateReport(
-        ok=bool(radius <= bound and not np.any(gaps > bound)),
+        ok=bool(radius <= bound and not worst_gap > bound),
         constant=c,
         diameter=diam,
         radius=radius,
-        worst_center_gap=float(gaps.max(initial=0.0)),
-        checked_samples=len(checked),
-        rejected_samples=len(ys) - len(checked),
+        worst_center_gap=worst_gap,
+        checked_samples=checked,
+        rejected_samples=len(ys) - checked,
     )

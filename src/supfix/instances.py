@@ -23,7 +23,7 @@ from .centers import urns_center
 from .cocycles import CayleyGroup, DerivationData, inner_derivation, translation_cocycle
 from .errors import GroupNotClosedError, SamplingBudgetError
 from .isometries import FiberPermIsometry, GroupSpec, group_closure
-from .spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, cloud_diameter
+from .spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, _fiber_norms, cloud_diameter
 from .unitary import UnitaryGroup, unitary_closure
 
 GRID_STEP = 2.0 ** -16
@@ -31,6 +31,7 @@ GRID_RANGE = 2.0  # grid points live in [-GRID_RANGE, GRID_RANGE]
 MAX_DRAWS = 1000  # rejection-sampling draws before an order budget counts as unmet
 SAMPLE_MARGIN = 0.95  # share of the per-fiber slack a certificate sample may use
 CORRUPTION_SCALE = 1e-2  # size of the perturbation the corrupt_* helpers add
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def grid_point(rng: np.random.Generator, shape) -> np.ndarray:
@@ -54,9 +55,15 @@ def _signed_perm_order(perm: np.ndarray, signs: np.ndarray) -> int:
     return order
 
 
+def _random_signs(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k signs +-1.0: the values `rng.choice([-1.0, 1.0], size=k)` draws, from
+    the same stream words, without choice's per-call overhead."""
+    return _SIGNS[rng.integers(0, 2, size=k)]
+
+
 def _signed_perm_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
     perm = rng.permutation(k)
-    signs = rng.choice([-1.0, 1.0], size=k)
+    signs = _random_signs(rng, k)
     mat = np.zeros((k, k))
     mat[np.arange(k), perm] = signs
     return mat
@@ -89,7 +96,7 @@ def random_box_group(
     budget = max_order // 2 if add_flip else max_order
     for _ in range(MAX_DRAWS):
         perm = rng.permutation(dim)
-        signs = rng.choice([-1.0, 1.0], size=dim)
+        signs = _random_signs(rng, dim)
         if _signed_perm_order(perm, signs) <= budget:
             break
     else:
@@ -166,14 +173,14 @@ def certificate_samples(
     """
     pts = cloud.points
     bound = constant * cloud_diameter(cloud)
-    fiber_radii = np.linalg.norm(pts - z.fibers, axis=2).max(axis=0)  # (m,)
+    fiber_radii = _fiber_norms(pts - z.fibers).max(axis=0)  # (m,)
     slack = bound - fiber_radii
-    m = z.m
     dirs = np.empty((count,) + z.fibers.shape)
-    u = np.empty((count, m, 1))
+    u = np.empty((count, z.m, 1))
     for i in range(count):  # draw order per sample: directions, then step lengths
         rng.standard_normal(out=dirs[i])
-        u[i] = rng.uniform(0.0, SAMPLE_MARGIN, size=(m, 1))
+        rng.random(out=u[i])
+    u *= SAMPLE_MARGIN  # uniform(0, SAMPLE_MARGIN) is 0.0 + SAMPLE_MARGIN * random()
     norms = np.linalg.norm(dirs, axis=2, keepdims=True)
     norms[norms == 0.0] = 1.0
     return PointCloud(z.fibers + dirs / norms * (u * slack[:, None]))
@@ -183,6 +190,15 @@ def random_certificate_instance(
     seed: int, fibers: int = 4, fiber_dim: int = 3, points: int = 10, samples: int = 50,
     constant: float | None = None,
 ) -> tuple[PointCloud, SupPoint, float, PointCloud]:
+    """(cloud, z, constant, samples): a random cloud, its enclosing-ball
+    center z and certificate samples around z, all pinned by seed.
+
+    The cloud and the samples are drawn from two generators made with the
+    same seed, so the first sample's direction is the cloud's first point
+    normalized fiber by fiber (they agree to 1.1e-16 at seed 5 with 3 x 3
+    fibers and 10 points).  Drawing them from one stream would change
+    every sample, so it waits for a change that may move result bytes.
+    """
     if constant is None:
         constant = FIBER_URNS_CONSTANT
     rng = np.random.default_rng(seed)

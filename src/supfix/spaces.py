@@ -5,6 +5,10 @@ of n reals, distance = max coordinate difference) and l-infinity(Gamma, H)
 with a finite index set Gamma of size m and Euclidean fibers H = R^k
 (distance = max over Gamma of the Euclidean fiber distance).  Setting k = 1
 recovers the box space, so a single point type covers both.
+
+Every real sup-distance in the package, here and in `centers`, `iterate`
+and `instances`, reduces a difference stack through the one helper
+`_fiber_norms`, so equal rows give equal floats wherever they are taken.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from .errors import EmptyDomainError, SpaceMismatchError
 # Jung-type constant certifying uniform relative normal structure for
 # Euclidean fibers (the box space has 1/2).
 FIBER_URNS_CONSTANT = math.sqrt(3.0) / 2.0
+# Elements per block of a difference stack, so the temporaries of a diameter
+# or a radius stay near half a megabyte whatever the point and sample counts.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,14 +77,26 @@ def _checked_stack(stacked) -> np.ndarray:
     return arr
 
 
+def _fiber_norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of a float difference stack that
+    the caller gives up: diff is squared in place, summed over its
+    contiguous last axis and the sums square-rooted in place.  These are
+    the ufunc calls `np.sum(diff * diff, axis=-1)` and
+    `np.linalg.norm(diff, axis=-1)` make on real data, so each norm is the
+    same float for every k (numpy sums a row of fewer than 8 entries in
+    order, longer rows pairwise, and sees the same row either way)."""
+    np.multiply(diff, diff, out=diff)
+    norms = np.add.reduce(diff, axis=-1)
+    return np.sqrt(norms, out=norms)
+
+
 def sup_distance(x: SupPoint, y: SupPoint) -> float:
     """Sup-norm distance: max over Gamma of the Euclidean fiber distance."""
     if x.fibers.shape != y.fibers.shape:
         raise SpaceMismatchError(
             f"points live in different spaces: {x.fibers.shape} vs {y.fibers.shape}"
         )
-    diff = x.fibers - y.fibers
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
+    return float(_fiber_norms(x.fibers - y.fibers).max())
 
 
 @dataclass(frozen=True)
@@ -86,7 +105,9 @@ class PointCloud:
 
     The points are one read-only (N, m, k) array, a copy of the given
     stack checked once as a whole; an (N, m) stack holds box-space points.
-    The diameter is computed on first use and kept.
+    The diameter is computed on first use and kept: the largest fiber
+    distance over the distinct pairs i < j, gathered in blocks of about
+    `_BLOCK_ELEMENTS` differences, and 0.0 for a single point.
     """
 
     points: np.ndarray
@@ -100,10 +121,16 @@ class PointCloud:
     @cached_property
     def _diameter(self) -> float:
         pts = self.points
-        # (N, N, m) matrix of fiber distances, then sup over fibers, max over pairs.
-        diff = pts[:, np.newaxis, :, :] - pts[np.newaxis, :, :, :]
-        fiber_d = np.sqrt(np.sum(diff * diff, axis=3))
-        return float(np.max(np.max(fiber_d, axis=2)))
+        n, m, k = pts.shape
+        index = np.arange(n)
+        rows, cols = np.nonzero(index[:, np.newaxis] < index)  # the pairs i < j
+        step = max(1, _BLOCK_ELEMENTS // (m * k))
+        worst = 0.0
+        for s in range(0, len(rows), step):
+            diff = pts.take(rows[s:s + step], axis=0)
+            diff -= pts.take(cols[s:s + step], axis=0)
+            worst = max(worst, float(_fiber_norms(diff).max()))
+        return worst
 
 
 def cloud_diameter(cloud: PointCloud) -> float:

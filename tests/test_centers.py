@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from supfix import centers
 from supfix.boxes import bounding_box, box_center
 from supfix.centers import center_radius, urns_center, verify_urns_certificate
 from supfix.errors import EmptyDomainError, SpaceMismatchError
@@ -25,6 +26,18 @@ from supfix.spaces import (
 def no_samples(cloud: PointCloud) -> PointCloud:
     """A zero-sample cloud of the cloud's space."""
     return PointCloud(np.empty((0,) + cloud.points.shape[1:]))
+
+
+def ref_sup_distances(a, b):
+    """The old d_sup reduction over the broadcast of two (..., m, k) arrays:
+    two short-axis maxes, fibers then points."""
+    diff = a - b
+    return np.max(np.sqrt(np.sum(diff * diff, axis=-1)), axis=-1)
+
+
+def ref_radii(cloud_pts, zs):
+    """The old radii: one (S, N, m, k) array, max over fibers, then over points."""
+    return ref_sup_distances(zs[:, np.newaxis], cloud_pts).max(axis=1)
 
 
 class TestUrnsCenter:
@@ -165,6 +178,44 @@ class TestCertificate:
         for c in (1 / math.sqrt(2) + 1e-6, 0.8, FIBER_URNS_CONSTANT, 0.95):
             ys = certificate_samples(cloud, z, c, 10, rng)
             assert verify_urns_certificate(cloud, z, c, ys).ok
+
+
+class TestReductionBytes:
+    """Radii and gaps taken through `_fiber_norms` with one max over the
+    flattened (N m) axis have the bytes of the old two-max expressions."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_radii_bytes_in_any_block_size(self, awkward_clouds, monkeypatch, rng, k, block):
+        for name, pts in awkward_clouds(k).items():
+            if block is not None:  # one center per block, or a few
+                monkeypatch.setattr(centers, "_BLOCK_ELEMENTS", block * pts.size)
+            zs = np.concatenate([pts, pts[:2] + rng.standard_normal(pts[:2].shape)])
+            with np.errstate(over="ignore"):
+                want = ref_radii(pts, zs)
+                got = centers._radii(pts, zs)
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_certificate_report_bytes(self, awkward_clouds, rng, k):
+        """Radius, gap, counts and verdict against the old reductions, for
+        the stack as its own samples and for samples around its center."""
+        for name, pts in awkward_clouds(k).items():
+            cloud = PointCloud(pts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for z in (SupPoint(pts[0]), SupPoint(0.5 * pts[-1])):
+                    for ys in (pts, z.fibers + 0.3 * rng.standard_normal(pts.shape)):
+                        bound = FIBER_URNS_CONSTANT * cloud_diameter(cloud) + 1e-10
+                        radii = ref_radii(pts, np.concatenate([z.fibers[np.newaxis], ys]))
+                        checked = ys[~(radii[1:] > bound)]
+                        gaps = ref_sup_distances(z.fibers, checked)
+                        rep = verify_urns_certificate(cloud, z, FIBER_URNS_CONSTANT,
+                                                      PointCloud(ys))
+                        assert repr(rep.radius) == repr(float(radii[0])), name
+                        assert repr(rep.worst_center_gap) == repr(float(gaps.max(initial=0.0)))
+                        assert rep.checked_samples == len(checked)
+                        assert rep.rejected_samples == len(ys) - len(checked)
+                        assert rep.ok is bool(radii[0] <= bound and not np.any(gaps > bound))
 
 
 class TestCertificateSamples:

@@ -5,8 +5,11 @@ import pytest
 
 from supfix import instances
 from supfix.errors import SamplingBudgetError
+from supfix.centers import urns_center
 from supfix.instances import (
     GRID_STEP,
+    SAMPLE_MARGIN,
+    certificate_samples,
     cayley_group,
     corrupt_cocycle_table,
     corrupt_derivation,
@@ -16,7 +19,25 @@ from supfix.instances import (
     random_inner_derivation,
     unitary_group,
 )
-from supfix.spaces import cloud_diameter, sup_distance
+from supfix.spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, cloud_diameter, sup_distance
+
+
+def ref_certificate_samples(cloud, z, constant, count, rng):
+    """certificate_samples as it was before `_fiber_norms`: fiber radii by
+    np.linalg.norm and step lengths by rng.uniform, as a raw array."""
+    pts = cloud.points
+    bound = constant * cloud_diameter(cloud)
+    fiber_radii = np.linalg.norm(pts - z.fibers, axis=2).max(axis=0)
+    slack = bound - fiber_radii
+    m = z.m
+    dirs = np.empty((count,) + z.fibers.shape)
+    u = np.empty((count, m, 1))
+    for i in range(count):
+        rng.standard_normal(out=dirs[i])
+        u[i] = rng.uniform(0.0, SAMPLE_MARGIN, size=(m, 1))
+    norms = np.linalg.norm(dirs, axis=2, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return z.fibers + dirs / norms * (u * slack[:, None])
 
 
 def on_grid(arr: np.ndarray) -> bool:
@@ -74,6 +95,40 @@ class TestRandomFiberGroup:
         group, x0 = random_fiber_group(3, fibers=2, fiber_dim=2, max_order=16)
         assert len(group) <= 16
         assert group.m == 2 and group.k == 2
+
+
+class TestSameStreamDraws:
+    @pytest.mark.parametrize("k", [1, 3, 8, 16])
+    def test_sign_draws_equal_choice(self, k):
+        """The sign draw gives rng.choice's values and leaves the generator
+        where choice leaves it."""
+        for seed in range(300):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = instances._random_signs(ours, k)
+            want = theirs.choice([-1.0, 1.0], size=k)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_certificate_samples_bytes(self, awkward_clouds, k):
+        """Samples and generator state equal the old draws and reductions; on
+        coordinates near 1e308 both give non-finite samples, which the cloud
+        refuses."""
+        for name, pts in awkward_clouds(k).items():
+            cloud = PointCloud(pts)
+            zs = [SupPoint(pts[-1])] + ([] if name == "near_max" else [urns_center(cloud)])
+            for z in zs:
+                for count in (0, 1, 7):
+                    ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = ref_certificate_samples(cloud, z, FIBER_URNS_CONSTANT, count, theirs)
+                        if np.isfinite(want).all():
+                            got = certificate_samples(cloud, z, FIBER_URNS_CONSTANT, count, ours)
+                            assert got.points.tobytes() == want.tobytes(), name
+                        else:
+                            with pytest.raises(ValueError, match="finite"):
+                                certificate_samples(cloud, z, FIBER_URNS_CONSTANT, count, ours)
+                    assert ours.random() == theirs.random()
 
 
 class TestSamplingBudget:

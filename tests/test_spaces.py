@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from supfix import spaces
 from supfix.errors import EmptyDomainError, SpaceMismatchError
+from supfix.instances import random_cloud
 from supfix.spaces import PointCloud, SupPoint, cloud_diameter, sup_distance
 
 
@@ -13,6 +16,19 @@ def naive_sup_distance(a, b):
     for i in range(a.shape[0]):
         worst = max(worst, math.sqrt(sum((x - y) ** 2 for x, y in zip(a[i], b[i]))))
     return worst
+
+
+def ref_sup_distance(a, b):
+    """The expression sup_distance used before `_fiber_norms`."""
+    diff = a - b
+    return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
+
+
+def ref_diameter(pts):
+    """The expression the diameter used before `_fiber_norms`: every ordered
+    pair, the point with itself included, in one (N, N, m, k) array."""
+    diff = pts[:, np.newaxis, :, :] - pts[np.newaxis, :, :, :]
+    return float(np.max(np.max(np.sqrt(np.sum(diff * diff, axis=3)), axis=2)))
 
 
 class TestSupPoint:
@@ -117,6 +133,71 @@ class TestPointCloud:
         cloud = PointCloud(np.empty((0, 2, 1)))
         with pytest.raises(EmptyDomainError):
             cloud_diameter(cloud)
+
+
+class TestFiberNormBytes:
+    """Every value taken through `_fiber_norms` has the bytes of the
+    expression it replaced, for every fiber length up to the schema cap."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_fiber_norms_equal_sum_and_linalg_norm(self, awkward_clouds, k):
+        for name, pts in awkward_clouds(k).items():
+            with np.errstate(over="ignore"):
+                diff = pts[:, np.newaxis] - pts[np.newaxis]
+                want = np.sqrt(np.sum(diff * diff, axis=-1))
+                assert np.linalg.norm(diff, axis=-1).tobytes() == want.tobytes(), name
+                got = spaces._fiber_norms(diff)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_sup_distance_bytes(self, awkward_clouds, k):
+        for name, pts in awkward_clouds(k).items():
+            with np.errstate(over="ignore"):
+                for a in pts:
+                    for b in pts:
+                        want = ref_sup_distance(a, b)
+                        assert repr(sup_distance(SupPoint(a), SupPoint(b))) == repr(want), name
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("block", [None, 1, 5])
+    def test_diameter_bytes_in_any_block_size(self, awkward_clouds, monkeypatch, k, block):
+        if block is not None:  # blocks of one pair, and blocks that split rows
+            monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", block * 4 * k)
+        for name, pts in awkward_clouds(k).items():
+            with np.errstate(over="ignore"):
+                want = ref_diameter(pts)
+                got = cloud_diameter(PointCloud(pts))
+            assert repr(got) == repr(want), name
+
+    @pytest.mark.parametrize("block", [None, 1, 2, 3])
+    def test_every_pair_is_reached(self, rng, monkeypatch, block):
+        """Whichever pair is the unique farthest one, in whichever block of
+        pairs it falls, the diameter is its distance."""
+        if block is not None:
+            monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", block * 6)
+        base = 0.1 * rng.standard_normal((6, 3, 2))
+        for i in range(6):
+            for j in range(i + 1, 6):
+                pts = base.copy()
+                pts[i, 1] += 10.0
+                pts[j, 1] -= 10.0
+                want = ref_diameter(pts)
+                assert want == ref_sup_distance(pts[i], pts[j])
+                assert repr(cloud_diameter(PointCloud(pts))) == repr(want)
+
+    def test_cap_cloud_diameter_in_bounded_memory(self):
+        """The (200, 16, 8) cloud of the urns_certificate schema cap (seed 7):
+        the same float the (N, N, m, k) expression gave, with a peak of at
+        most 4 MB where that expression took about 87 MB."""
+        cloud = PointCloud(random_cloud(7, 16, 8, 200).points)  # diameter not yet taken
+        tracemalloc.start()
+        try:
+            got = cloud_diameter(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == "0x1.1a5ea02cf7345p+3"
+        assert peak <= 4 * 10**6
 
 
 class TestPointsFromStack:
