@@ -13,8 +13,8 @@ smallest ball enclosing a fiber of M and B(y, R) also encloses it, then
 |y - z|^2 <= R^2 - r^2.  `verify_urns_certificate` checks both properties
 numerically against sampled ball centers y.
 
-Radii and gaps are sup-distances over whole difference stacks, reduced
-by `spaces._fiber_norms` with one max over each stack's flattened fiber
+Radii and gaps are sup-distances over whole difference stacks, taken
+by `spaces._fiber_distances` with one max over each stack's flattened fiber
 axes, so every value is the float `sup_distance` gives for its pair.
 Radii are taken in blocks of centers of about `spaces._BLOCK_ELEMENTS`
 differences, so the temporaries stay near half a megabyte whatever the
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyDomainError, SpaceMismatchError
 from .seb import seb_center
-from .spaces import _BLOCK_ELEMENTS, PointCloud, SupPoint, _fiber_norms, cloud_diameter
+from .spaces import _BLOCK_ELEMENTS, PointCloud, SupPoint, _fiber_distances, cloud_diameter
 # The reductions below compute sup_distance over whole arrays; the name stays
 # bound here because the perfbench tracer wraps and restores `centers.sup_distance`.
 from .spaces import sup_distance  # noqa: F401
@@ -67,7 +67,7 @@ def _radii(cloud_pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     rows = max(1, _BLOCK_ELEMENTS // cloud_pts.size)
     out = np.empty(len(centers))
     for s in range(0, len(centers), rows):
-        norms = _fiber_norms(centers[s:s + rows, np.newaxis] - cloud_pts)  # (rows, N, m)
+        norms = _fiber_distances(centers[s:s + rows, np.newaxis], cloud_pts)  # (rows, N, m)
         out[s:s + rows] = norms.reshape(len(norms), -1).max(axis=1)
     return out
 
@@ -126,8 +126,7 @@ def verify_urns_certificate(
     radius = float(radii[0])
     diff = ys[~(radii[1:] > bound)]
     checked = len(diff)
-    diff -= z.fibers
-    worst_gap = float(_fiber_norms(diff).max(initial=0.0))
+    worst_gap = float(_fiber_distances(diff, z.fibers, out=diff).max(initial=0.0))
     return CertificateReport(
         ok=bool(radius <= bound and not worst_gap > bound),
         constant=c,

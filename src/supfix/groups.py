@@ -1,15 +1,15 @@
 """The finite-group kernel behind the isometry and unitary groups.
 
 `closure` is the package's one breadth-first closure.  Starting from the
-identity it takes the elements in order, multiplies each on the right by
-every generator in turn, and appends each product it has not seen.  It
-decides "seen" in one of two modes:
+identity it takes the elements in order and asks `products(a)` for the
+products of each element a by every generator, on the right, in
+generator order: one call per element, in element order.  It appends
+each product it has not seen, and decides "seen" in one of two modes:
 
 - Tolerance (a float `tol`): a product counts as seen when its signature
   lies within `tol` of a stored one in every entry (max |diff| <= tol),
   the first such one in index order.  The stored signatures fill one
-  preallocated (cap, L) array, so each check is a single array
-  comparison, made in place in scratch arrays allocated once per closure.
+  preallocated (cap, L) array, so each check is one array comparison.
 - Exact (`tol=None`): the signature is a hashable key (the element
   itself when `signature` is None), and a product counts as seen when
   its key equals a stored one, found by one dict lookup.  The caller
@@ -41,14 +41,14 @@ class Closure(NamedTuple):
 
 def closure(
     identity,
-    generators: Sequence,
-    multiply: Callable,
+    products: Callable,
     signature: Callable | None,
     cap: int,
     tol: float | None,
 ) -> Closure:
-    """Close `generators` under right multiplication, breadth first.
+    """Close under right multiplication by the generators, breadth first.
 
+    `products(a)` returns a * g for every generator g, in generator order.
     With `tol=None` the signatures are hashable keys compared for
     equality, and `signature=None` makes each element its own key;
     otherwise they are arrays compared within `tol`.
@@ -64,36 +64,27 @@ def closure(
         first = np.ravel(signature(identity))
         sigs = np.empty((cap, first.size), dtype=first.dtype)
         sigs[0] = first
-        # scratch for the duplicate scan, written in place for every product
-        diff = np.empty_like(sigs)
-        spread = np.empty(sigs.shape)
-        worst = np.empty(cap)
-        close = np.empty(cap, dtype=bool)
     elements = [identity]
     words: list[tuple[int, ...]] = [()]
     parents: list[tuple[int, int] | None] = [None]
-    right = np.empty((cap, len(generators)), dtype=int)
+    right = []
     i = 0
     while i < len(elements):
-        for gi, gen in enumerate(generators):
-            cand = multiply(elements[i], gen)
+        row = []
+        for gi, cand in enumerate(products(elements[i])):
             n = len(elements)
             if tol is None:
                 sig = cand if signature is None else signature(cand)
                 hit = seen.get(sig)
-                if hit is not None:
-                    right[i, gi] = hit
-                    continue
             else:
                 sig = signature(cand).ravel()
-                np.subtract(sigs[:n], sig, out=diff[:n])
-                np.abs(diff[:n], out=spread[:n])
-                np.maximum.reduce(spread[:n], axis=1, out=worst[:n])  # np.max's routine
-                hits = np.less_equal(worst[:n], tol, out=close[:n])
-                first_hit = int(hits.argmax())  # the first True in index order
-                if hits[first_hit]:
-                    right[i, gi] = first_hit
-                    continue
+                hits = np.abs(sigs[:n] - sig).max(axis=1) <= tol
+                hit = int(hits.argmax())  # the first True in index order
+                if not hits[hit]:
+                    hit = None
+            if hit is not None:
+                row.append(hit)
+                continue
             if n >= cap:
                 raise GroupNotClosedError(message)
             if tol is None:
@@ -103,9 +94,10 @@ def closure(
             elements.append(cand)
             words.append(words[i] + (gi,))
             parents.append((i, gi))
-            right[i, gi] = n
+            row.append(n)
+        right.append(row)
         i += 1
-    return Closure(elements, tuple(words), tuple(parents), right[: len(elements)].copy())
+    return Closure(elements, tuple(words), tuple(parents), np.array(right, dtype=int))
 
 
 def word_labels(words: Sequence[tuple[int, ...]]) -> tuple[str, ...]:

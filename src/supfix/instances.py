@@ -23,7 +23,7 @@ from .centers import urns_center
 from .cocycles import CayleyGroup, DerivationData, inner_derivation, translation_cocycle
 from .errors import GroupNotClosedError, SamplingBudgetError
 from .isometries import FiberPermIsometry, GroupSpec, group_closure
-from .spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, _fiber_norms, cloud_diameter
+from .spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, _fiber_distances, cloud_diameter
 from .unitary import UnitaryGroup, unitary_closure
 
 GRID_STEP = 2.0 ** -16
@@ -173,7 +173,7 @@ def certificate_samples(
     """
     pts = cloud.points
     bound = constant * cloud_diameter(cloud)
-    fiber_radii = _fiber_norms(pts - z.fibers).max(axis=0)  # (m,)
+    fiber_radii = _fiber_distances(pts, z.fibers).max(axis=0)  # (m,)
     slack = bound - fiber_radii
     dirs = np.empty((count,) + z.fibers.shape)
     u = np.empty((count, z.m, 1))

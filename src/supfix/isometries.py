@@ -28,10 +28,12 @@ tolerance rule gives:
 - the generators' common denominator is at most 2^33, so two distinct
   translations differ by at least 2^-33 > _CLOSURE_TOL in some entry,
   which the origin probe shows exactly;
-- every numerator of every element stays at most a limit below 2^53, so
-  the float products are exact (each entry is one +-1 times a float plus
-  a float, all on the grid of the denominator) and equal the integer
-  ones, with zero entries +0.0 as the products make them;
+- cap times the largest generator numerator is within a limit below
+  2^53.  A product the closure makes is a word of at most cap
+  generators, so every numerator of every product stays within that
+  limit; the float products are then exact (each entry is one +-1 times
+  a float plus a float, all on the grid of the denominator) and equal
+  the integer ones, with zero entries +0.0 as the products make them;
 - the probe cloud of (m, k) tells any two signed coordinates apart by a
   gap that survives the rounding of the signatures at that largest
   translation by more than _CLOSURE_TOL (`_translation_limit`, checked
@@ -42,9 +44,12 @@ signatures, and unequal ones have signatures more than _CLOSURE_TOL
 apart, so a dict lookup finds exactly the one stored element the
 tolerance scan would find.  Generators outside those conditions (other
 orthogonal maps, translations such as 0.1 whose denominator is 2^55, a
--0.0 translation, which the integers cannot hold) are closed by the
-float rule, and so is a closure whose numerators outgrow the limit
-midway.
+-0.0 translation, which the integers cannot hold, or a cap so large that
+words could outgrow the limit) are closed by the float rule.
+
+Products, signatures and the orthogonality test call np.einsum with its
+default optimize=False, which hands the operands straight to numpy's C
+einsum.
 """
 
 from __future__ import annotations
@@ -52,17 +57,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-try:  # the routine np.einsum calls when optimize is off: same floats, no wrapper
-    from numpy._core.multiarray import c_einsum
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum
-
 from .boxes import Box, _box_over, _rescaled, _scaled
-from .errors import GroupNotClosedError, SpaceMismatchError
+from .errors import SpaceMismatchError
 from .groups import closure
 from .spaces import PointCloud, SupPoint
 
@@ -80,7 +80,7 @@ def _orthogonal(maps: np.ndarray) -> bool:
     accepts and rejects the same Gram matrices (NaN and inf entries fail).
     """
     eye = np.eye(maps.shape[-1])
-    gram = c_einsum("gij,gil->gjl", maps, maps)
+    gram = np.einsum("gij,gil->gjl", maps, maps)
     return bool((np.abs(gram - eye) <= _ORTHO_TOL + 1e-5 * eye).all())
 
 
@@ -183,8 +183,8 @@ def compose(a: FiberPermIsometry, b: FiberPermIsometry) -> FiberPermIsometry:
         raise SpaceMismatchError("cannot compose isometries of different spaces")
     p = a.perm
     perm = b.perm.take(p)
-    maps = c_einsum("gij,gjl->gil", a.maps, b.maps.take(p, axis=0))
-    trans = c_einsum("gij,gj->gi", a.maps, b.trans.take(p, axis=0))
+    maps = np.einsum("gij,gjl->gil", a.maps, b.maps.take(p, axis=0))
+    trans = np.einsum("gij,gj->gi", a.maps, b.trans.take(p, axis=0))
     trans += a.trans
     return FiberPermIsometry._trusted(perm, maps, trans)
 
@@ -207,7 +207,7 @@ def _probe_cloud(m: int, k: int) -> np.ndarray:
 
 
 def _signature(iso: FiberPermIsometry, probes: np.ndarray) -> np.ndarray:
-    out = c_einsum("gij,pgj->pgi", iso.maps, probes.take(iso.perm, axis=1))
+    out = np.einsum("gij,pgj->pgi", iso.maps, probes.take(iso.perm, axis=1))
     out += iso.trans
     return out
 
@@ -242,20 +242,15 @@ def _translation_limit(m: int, k: int) -> float:
     return max((_probe_gap(m, k) - 3 * _CLOSURE_TOL) * 2.0**52 - probe_max, 0.0)
 
 
-def _exact_table(generators, cap: int) -> tuple[np.ndarray, int, int | None] | None:
-    """(table, den, limit) for closing the generators exactly, or None when
-    the conditions of the exact mode (module docstring) do not hold.
+def _exact_table(generators, cap: int) -> tuple[np.ndarray, int] | None:
+    """(table, den) for closing the generators exactly, or None when the
+    conditions of the exact mode (module docstring) do not hold.
 
     The generators' translations are numerators over den.  An element of
     the closure is coded by `off` = N + (+-(src + 1)) for each of its N
     signed coordinates, then its numerators.  Right multiplication by
     generator g maps a coordinate coded off to table[g, 0, off] and adds
     table[g, 1, off] to its numerator, so a product is one gather.
-    A product the closure makes is a word of at most cap generators, so
-    its numerators are at most cap times the generators' largest, which
-    must fit int64.  Where that bound is within the limit, limit is None
-    and no product needs checking; otherwise the products are checked
-    against it as they are made.
     """
     forms = [g.exact for g in generators]
     if any(f is None for f in forms):
@@ -268,10 +263,8 @@ def _exact_table(generators, cap: int) -> tuple[np.ndarray, int, int | None] | N
     m, k = generators[0].m, generators[0].k
     limit = min(_EXACT_NUM, int(_translation_limit(m, k) * den))
     largest = max(int(np.abs(f.nums).max()) * (den // f.den) for f in forms)
-    if largest > limit or (cap + 1) * largest >= 2**63:
+    if cap * largest > limit:
         return None
-    if cap * largest <= limit:
-        limit = None
     n = m * k
     pick, sgn = _code_columns(n)
     code = np.stack([f.sign * (f.src + 1) for f in forms])
@@ -279,7 +272,7 @@ def _exact_table(generators, cap: int) -> tuple[np.ndarray, int, int | None] | N
     table = np.empty((len(forms), 2, 2 * n + 1), dtype=np.int64)
     table[:, 0] = n + sgn * code.take(pick, axis=1)
     table[:, 1] = sgn * nums.take(pick, axis=1)
-    return table, den, limit
+    return table, den
 
 
 @lru_cache(maxsize=64)
@@ -297,53 +290,32 @@ def _identity_code(n: int) -> bytes:
     return np.concatenate([n + np.arange(1, n + 1), np.zeros(n, dtype=np.int64)]).tobytes()
 
 
-class _RowProducts:
-    """multiply(a, g) of the exact closure on coded elements (bytes).  The
-    closure asks for the products of one left factor by every generator in
-    turn, so they are made together, once per left factor, and checked
-    against the numerator limit unless it is None."""
+def _row_products(table: np.ndarray) -> Callable[[bytes], list[bytes]]:
+    """products(a) of the exact closure on coded elements (bytes): the
+    products of a by every generator, made together by one gather."""
+    n = (table.shape[2] - 1) // 2
+    size = 16 * n  # bytes per coded element
+    bounds = [(g * size, (g + 1) * size) for g in range(len(table))]
 
-    def __init__(self, table: np.ndarray, limit: int | None):
-        self.table = table
-        self.n = (table.shape[2] - 1) // 2
-        self.size = 16 * self.n  # bytes per coded element
-        self.left = self.rows = None
-        self.limit = limit
-        self.outgrown = False  # whether a product made so far passed the limit
+    def products(a: bytes) -> list[bytes]:
+        code = np.frombuffer(a, dtype=np.int64)
+        prod = table.take(code[:n], axis=2)
+        prod[:, 1] += code[n:]
+        rows = prod.tobytes()
+        return [rows[lo:hi] for lo, hi in bounds]
 
-    def __call__(self, a: bytes, g: int) -> bytes:
-        if a is not self.left:
-            code = np.frombuffer(a, dtype=np.int64)
-            prod = self.table.take(code[:self.n], axis=2)
-            prod[:, 1] += code[self.n:]
-            if self.limit is not None and not self.outgrown:
-                self.outgrown = int(np.abs(prod[:, 1]).max()) > self.limit
-            self.left, self.rows = a, prod.tobytes()
-        return self.rows[g * self.size:(g + 1) * self.size]
+    return products
 
 
 def _exact_closure(generators, cap: int) -> "GroupSpec | None":
-    """group_closure by the exact mode, or None where it does not apply.
-
-    Whether some product passed the numerator limit is read once the
-    closure ends, and also before a cap error counts: only within the
-    limit has the exact mode met the same products as the tolerance rule.
-    """
+    """group_closure by the exact mode, or None where it does not apply."""
     found = _exact_table(generators, cap)
     if found is None:
         return None
-    table, den, limit = found
+    table, den = found
     m, k = generators[0].m, generators[0].k
     n = m * k
-    products = _RowProducts(table, limit)
-    try:
-        closed = closure(_identity_code(n), range(len(generators)), products, None, cap, None)
-    except GroupNotClosedError:
-        if products.outgrown:
-            return None
-        raise
-    if products.outgrown:
-        return None
+    closed = closure(_identity_code(n), _row_products(table), None, cap, None)
     size = len(closed.elements)
     codes = np.frombuffer(b"".join(closed.elements), dtype=np.int64).reshape(size, 2, n)
     nums = codes[:, 1]
@@ -458,8 +430,7 @@ def group_closure(
     probes = _probe_cloud(m, k)
     found = closure(
         FiberPermIsometry.identity(m, k),
-        generators,
-        compose,
+        lambda a: [compose(a, g) for g in generators],
         lambda iso: _signature(iso, probes),
         cap,
         _CLOSURE_TOL,

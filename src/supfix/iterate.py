@@ -25,7 +25,7 @@ from .boxes import Box, ball_intersection, box_H, box_center
 from .centers import urns_center
 from .errors import InvarianceViolationError, SpaceMismatchError
 from .isometries import GroupSpec, box_image, orbit
-from .spaces import SupPoint, _fiber_norms
+from .spaces import SupPoint, _fiber_distances
 
 BOX_CONTRACTION = Fraction(1, 2)
 MAX_ITER = 200  # contraction steps before the descent stops unconverged
@@ -33,9 +33,8 @@ MAX_ITER = 200  # contraction steps before the descent stops unconverged
 
 def fixed_point_residual(group: GroupSpec, x: SupPoint) -> float:
     """max over all group elements g of d_sup(g x, x)."""
-    diff = group.images(x)
-    diff -= x.fibers
-    return float(_fiber_norms(diff).max())
+    images = group.images(x)
+    return float(_fiber_distances(images, x.fibers, out=images).max())
 
 
 def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[int, np.ndarray, Fraction]:

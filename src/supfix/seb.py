@@ -45,24 +45,8 @@ The sources are registered in `linecache` under `<supfix.seb kernel k=.
 s=.>`, so tracebacks, profiles and `inspect.getsource` show their lines.
 
 A point is inside the current ball when its squared distance from the
-center is at most limit = rad2 (1 + 1e-13).  The test runs in two stages.
-`math.dist` clears, in C, every point within sqrt(limit) (1 - 1e-9) of the
-center: it is within an ulp of the exact distance, and the explicit sum of
-squares within about (k + 1) ulps of it, so such a point passes the exact
-test too (for fewer than 10^6 coordinates, and for limits above the
-smallest normal float, where underflow cannot reach the margin).  Every
-other point takes the exact test, the written-out squared distance
-`<= limit`, so each point lands on the same side as with the exact test
-alone.  The pre-filter runs only on a range of more than
-_PREFILTER_ABOVE points: its set-up (a slice, `map`, `repeat`,
-`compress` and a `sqrt`) costs more than the exact tests it saves on a
-short range, and most loop passes have only a few points left (on the
-benchmark's certificate clouds, about half have at most 4).  Thresholds
-of 8 to 16 time alike on those clouds and on the witness groups' orbits,
-0 to 4 slower; with no pre-filter at all, longer clouds (200 points in
-R^5, 40 in R^10) take about 5% longer.  Since the pre-filter only ever
-clears points that the exact test passes, the threshold changes no
-decision, only the work.
+center, the written-out sum of squares, is at most limit = rad2 (1 + 1e-13).
+`welzl` takes that exact test on every point of the range in turn.
 
 A point outside the ball of points[:j] is pushed on the support and the
 ball of points[:j] is solved again with it; for j = 0 that ball is the
@@ -81,7 +65,6 @@ import math
 import sys
 import weakref
 from functools import lru_cache
-from itertools import compress, repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,10 +73,7 @@ from numpy.linalg import _umath_linalg
 from .errors import EmptyDomainError
 
 _SHUFFLE_SEED = 0x5EB
-_MIN_NORMAL = sys.float_info.min
 _CHUNK = 64  # terms per statement of a generated sum
-# Ranges of more points than this go through the math.dist pre-filter.
-_PREFILTER_ABOVE = 8
 
 
 def _raise_singular(err, flag):
@@ -152,13 +132,7 @@ def welzl(points, n, sup, center, rad2):
     i = 0
     while i < n:
         limit = rad2 * (1.0 + 1e-13)
-        if n - i > {prefilter} and limit >= _MIN_NORMAL:
-            cut = sqrt(limit) * (1.0 - 1e-9)
-            dists = map(dist, points[i:n], repeat(center))
-            candidates = compress(range(i, n), map(cut.__lt__, dists))
-        else:  # a short range, or an empty, point-sized or NaN ball: the exact test alone
-            candidates = range(i, n)
-        for j in candidates:
+        for j in range(i, n):
             {p} = points[j]
             {inside_test}
                 break
@@ -229,7 +203,7 @@ def _source(k: int, s: int) -> str:
         descend += ["if j:  # over no points, the next depth would return push's ball",
                     f"    center, rad2 = _kernel({k}, {s + 1}).welzl(points, j, sup, center, rad2)"]
     return _TEMPLATE.format(
-        s=s, c=_names("c", k), p=_names("p", k), prefilter=_PREFILTER_ABOVE,
+        s=s, c=_names("c", k), p=_names("p", k),
         descend="\n        ".join(descend),
         push_body="\n    ".join(_push_body(k, s)),
         inside_test="\n            ".join([*pre, f"if not {d2} <= limit:"]))
@@ -245,9 +219,8 @@ def _kernel(k: int, s: int) -> _Kernel:
     """The generated push and welzl of dimension k and support depth s."""
     source = _source(k, s)
     filename = f"<supfix.seb kernel k={k} s={s}>"
-    namespace = {"__name__": __name__, "_kernel": _kernel, "_MIN_NORMAL": _MIN_NORMAL,
-                 "compress": compress, "repeat": repeat, "dist": math.dist,
-                 "sqrt": math.sqrt, "inf": math.inf, "np": np, "_umath_linalg": _umath_linalg}
+    namespace = {"__name__": __name__, "_kernel": _kernel, "inf": math.inf, "np": np,
+                 "_umath_linalg": _umath_linalg}
     exec(compile(source, filename, "exec"), namespace)
     entry = (len(source), None, source.splitlines(True), filename)
     linecache.cache[filename] = entry

@@ -7,8 +7,11 @@ with a finite index set Gamma of size m and Euclidean fibers H = R^k
 recovers the box space, so a single point type covers both.
 
 Every real sup-distance in the package, here and in `centers`, `iterate`
-and `instances`, reduces a difference stack through the one helper
-`_fiber_norms`, so equal rows give equal floats wherever they are taken.
+and `instances`, is taken by the one helper `_fiber_distances`, so equal
+rows give equal floats wherever they are taken.  Points are finite, but
+a difference near 1e308 can overflow, and so can the square of any
+difference above about 1.3e154 (the square root of the largest float):
+such a distance reads inf, with no warning.
 """
 
 from __future__ import annotations
@@ -77,17 +80,20 @@ def _checked_stack(stacked) -> np.ndarray:
     return arr
 
 
-def _fiber_norms(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis of a float difference stack that
-    the caller gives up: diff is squared in place, summed over its
-    contiguous last axis and the sums square-rooted in place.  These are
-    the ufunc calls `np.sum(diff * diff, axis=-1)` and
-    `np.linalg.norm(diff, axis=-1)` make on real data, so each norm is the
-    same float for every k (numpy sums a row of fewer than 8 entries in
-    order, longer rows pairwise, and sees the same row either way)."""
-    np.multiply(diff, diff, out=diff)
-    norms = np.add.reduce(diff, axis=-1)
-    return np.sqrt(norms, out=norms)
+def _fiber_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norms over the last axis of the float stack a - b, which
+    is written to `out` (an array the caller gives up, a itself allowed)
+    or to a new array, squared in place, summed over its contiguous last
+    axis, and the sums square-rooted in place.  These are the ufunc calls
+    `np.sum(diff * diff, axis=-1)` and `np.linalg.norm(diff, axis=-1)`
+    make on real data, so each norm is the same float for every k (numpy
+    sums a row of fewer than 8 entries in order, longer rows pairwise, and
+    sees the same row either way).  An overflow gives inf, not a warning."""
+    with np.errstate(over="ignore"):
+        diff = np.subtract(a, b, out=out)
+        np.multiply(diff, diff, out=diff)
+        norms = np.add.reduce(diff, axis=-1)
+        return np.sqrt(norms, out=norms)
 
 
 def sup_distance(x: SupPoint, y: SupPoint) -> float:
@@ -96,7 +102,7 @@ def sup_distance(x: SupPoint, y: SupPoint) -> float:
         raise SpaceMismatchError(
             f"points live in different spaces: {x.fibers.shape} vs {y.fibers.shape}"
         )
-    return float(_fiber_norms(x.fibers - y.fibers).max())
+    return float(_fiber_distances(x.fibers, y.fibers).max())
 
 
 @dataclass(frozen=True)
@@ -128,8 +134,8 @@ class PointCloud:
         worst = 0.0
         for s in range(0, len(rows), step):
             diff = pts.take(rows[s:s + step], axis=0)
-            diff -= pts.take(cols[s:s + step], axis=0)
-            worst = max(worst, float(_fiber_norms(diff).max()))
+            norms = _fiber_distances(diff, pts.take(cols[s:s + step], axis=0), out=diff)
+            worst = max(worst, float(norms.max()))
         return worst
 
 

@@ -15,15 +15,16 @@ multiplications into model-space operations:
 so matrix identities can be checked or solved entirely inside the model.
 `realify_matrix` turns complex fibers, or a whole stack of them, into
 real ones of twice the dimension, which is what the generic isometry
-machinery consumes.  Vectors are matched to the norming set the way
-closure products are matched to known elements, within the norming
-set's `tol` (_MATCH_TOL unless set otherwise) in every entry, with all
-pairs compared in one array operation.
+machinery consumes.  The norming set is a read-only (size, d) array
+whose rows are the vectors.  Vectors are matched to it the way closure
+products are matched to known elements, within _MATCH_TOL in every
+entry, with all pairs compared in one array operation.
 
 Groups are closed by `groups.closure`, the same breadth-first kernel as
-the isometry groups, with the matrix itself as signature: a product
-within _MATCH_TOL of a known element in every entry (max |diff| <=
-_MATCH_TOL) is a duplicate.  The Cayley table is a gather from the
+the isometry groups, with the products `a @ g` of each element by every
+generator and the matrix itself as signature: a product within
+_MATCH_TOL of a known element in every entry (max |diff| <= _MATCH_TOL)
+is a duplicate.  The Cayley table is a gather from the
 closure's right-multiplication table.  A closed group's arrays are
 read-only, so one group can be shared: `unitary_closure` keeps the last
 _CLOSED_GROUPS groups it closed, keyed by the checked complex generator
@@ -123,32 +124,18 @@ def _closed_group(shape: tuple[int, ...], data: bytes, cap: int) -> UnitaryGroup
     gens = np.frombuffer(data, dtype=complex).reshape(shape).copy()
     for g in gens:
         _check_unitary(g)
-    found = closure(np.eye(gens.shape[1], dtype=complex), gens, np.matmul, np.ravel, cap,
-                    _MATCH_TOL)
+    found = closure(np.eye(gens.shape[1], dtype=complex), lambda a: [a @ g for g in gens],
+                    np.ravel, cap, _MATCH_TOL)
     elements = np.stack(found.elements)
     for arr in (gens, elements, found.right):
         arr.setflags(write=False)
     return UnitaryGroup(gens, elements, found.words, found.parents, found.right)
 
 
-@dataclass(frozen=True)
-class NormingSet:
-    """G-stable spanning set of unit vectors indexing the model fibers."""
-
-    vectors: np.ndarray  # (size, d) complex, rows are the norming vectors
-    tol: float = _MATCH_TOL
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
-
-def basis_orbit_norming_set(group: UnitaryGroup) -> NormingSet:
-    """Orbit of the standard basis under the group, deduplicated.
+def basis_orbit_norming_set(group: UnitaryGroup) -> np.ndarray:
+    """Orbit of the standard basis under the group, deduplicated: a
+    G-stable spanning set of unit vectors, the read-only rows of a
+    (size, d) complex array, indexing the model fibers.
 
     Seeding with the full basis guarantees the set spans C^d, and closing
     under every group element makes it exactly G-stable.  The candidates
@@ -165,20 +152,20 @@ def basis_orbit_norming_set(group: UnitaryGroup) -> NormingSet:
             dropped |= close[a]
     vectors = cands[kept]
     vectors.setflags(write=False)
-    return NormingSet(vectors)
+    return vectors
 
 
-def embed(norming: NormingSet, a: np.ndarray) -> np.ndarray:
+def embed(norming: np.ndarray, a: np.ndarray) -> np.ndarray:
     """E(a): row i is gamma_i^H a.  Shape (size, d)."""
-    return norming.vectors.conj() @ np.asarray(a, dtype=complex)
+    return norming.conj() @ np.asarray(a, dtype=complex)
 
 
-def tilde_permutation(norming: NormingSet, g: np.ndarray) -> np.ndarray:
+def tilde_permutation(norming: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sigma with gamma_{sigma(i)} = g^H gamma_i, so E(g a) = E(a)[sigma]."""
-    pulled = norming.vectors @ g.conj()  # row i is (g^H gamma_i)^T
-    diffs = np.abs(pulled[:, None] - norming.vectors[None]).max(axis=2)
+    pulled = norming @ g.conj()  # row i is (g^H gamma_i)^T
+    diffs = np.abs(pulled[:, None] - norming[None]).max(axis=2)
     sigma = np.argmin(diffs, axis=1)
-    if not np.all(diffs[np.arange(norming.size), sigma] <= norming.tol):
+    if not np.all(diffs[np.arange(len(norming)), sigma] <= _MATCH_TOL):
         raise SpaceMismatchError("norming set is not stable under the group")
     return sigma
 
@@ -201,14 +188,14 @@ class ModelFrame:
     Arrays are read-only: one frame serves every cocycle on its group.
     """
 
-    norming: NormingSet
+    norming: np.ndarray  # (size, d) complex, rows are the norming vectors
     sigmas: np.ndarray  # (|G|, size) tilde permutations, gamma_{sigma_l(i)} = g_l^H gamma_i
     maps: np.ndarray  # (|G|, size, 2d, 2d) realified g_l^*, the same map in every fiber
     j_mat: np.ndarray  # (size, d) complex, J = E(I)
     j_pinv: np.ndarray  # (d, size) complex, J^+
 
 
-def model_frame(group: UnitaryGroup, norming: NormingSet) -> ModelFrame:
+def model_frame(group: UnitaryGroup, norming: np.ndarray) -> ModelFrame:
     """Permutations and fiber maps of every element, checked as whole stacks.
 
     Raises SpaceMismatchError when the norming set is not stable under the
@@ -216,7 +203,7 @@ def model_frame(group: UnitaryGroup, norming: NormingSet) -> ModelFrame:
     would refuse an element (a sigma that is not a permutation, a fiber map
     that is not orthogonal).
     """
-    n, d, size = len(group), group.d, norming.size
+    n, d, size = len(group), group.d, len(norming)
     elements = group.elements
 
     # g = p s for the BFS parent p and generator s: g^H gamma_i = s^H gamma_{sigma_p(i)}
@@ -226,8 +213,8 @@ def model_frame(group: UnitaryGroup, norming: NormingSet) -> ModelFrame:
     for l in range(1, n):
         p, gi = group.parents[l]
         sigmas[l] = gen_sigmas[gi][sigmas[p]]
-    pulled = norming.vectors @ elements.conj()  # [l, i] is (g_l^H gamma_i)^T
-    if not np.all(np.abs(pulled - norming.vectors[sigmas]).max(axis=2) <= norming.tol):
+    pulled = norming @ elements.conj()  # [l, i] is (g_l^H gamma_i)^T
+    if not np.all(np.abs(pulled - norming[sigmas]).max(axis=2) <= _MATCH_TOL):
         raise SpaceMismatchError("norming set is not stable under the group")
 
     # kets transform by (g^{-1})^T, the same orthogonal map in every fiber

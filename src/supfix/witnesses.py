@@ -42,7 +42,7 @@ from .errors import SpaceMismatchError
 from .isometries import FiberPermIsometry, GroupSpec
 from .iterate import fixed_point_residual, orbit_center_fixed_point
 from .spaces import SupPoint
-from .unitary import ModelFrame, NormingSet, embed, model_frame
+from .unitary import ModelFrame, embed
 
 WITNESS_METHODS = ("orbit_center", "averaging", "least_squares")
 FLAG_TOL = 1e-6
@@ -64,7 +64,8 @@ class AffineActionModel:
     targets: np.ndarray  # (|G|, size, d) complex, E(delta(g)) g^H
 
     @property
-    def norming(self) -> NormingSet:
+    def norming(self) -> np.ndarray:
+        """(size, d) complex, rows are the norming vectors."""
         return self.frame.norming
 
     @property
@@ -74,7 +75,7 @@ class AffineActionModel:
 
     @property
     def size(self) -> int:
-        return self.norming.size
+        return len(self.norming)
 
     @property
     def d(self) -> int:
@@ -88,16 +89,10 @@ class AffineActionModel:
         return SupPoint(np.zeros((self.size, 2 * self.d)))
 
 
-def build_affine_action(
-    derivation: DerivationData, norming: NormingSet | None = None
-) -> AffineActionModel:
-    """The model of one cocycle: the group's frame plus this cocycle's targets.
-
-    Without a norming set the group's own frame is used; an explicit one
-    gets a frame of its own, built and checked in this call.
-    """
+def build_affine_action(derivation: DerivationData) -> AffineActionModel:
+    """The model of one cocycle: the group's frame plus this cocycle's targets."""
     group = derivation.group
-    frame = group.frame if norming is None else model_frame(group, norming)
+    frame = group.frame
     targets = embed(frame.norming, derivation.values) @ group.elements.conj().transpose(0, 2, 1)
     trans = np.concatenate([targets.real, targets.imag], axis=2)
     # generator i is the element e * g_i, which the closure recorded in right[0, i]

@@ -30,9 +30,11 @@ def no_samples(cloud: PointCloud) -> PointCloud:
 
 def ref_sup_distances(a, b):
     """The old d_sup reduction over the broadcast of two (..., m, k) arrays:
-    two short-axis maxes, fibers then points."""
-    diff = a - b
-    return np.max(np.sqrt(np.sum(diff * diff, axis=-1)), axis=-1)
+    two short-axis maxes, fibers then points, with overflow to inf
+    silenced as the package silences it."""
+    with np.errstate(over="ignore"):
+        diff = a - b
+        return np.max(np.sqrt(np.sum(diff * diff, axis=-1)), axis=-1)
 
 
 def ref_radii(cloud_pts, zs):
@@ -181,7 +183,7 @@ class TestCertificate:
 
 
 class TestReductionBytes:
-    """Radii and gaps taken through `_fiber_norms` with one max over the
+    """Radii and gaps taken through `_fiber_distances` with one max over the
     flattened (N m) axis have the bytes of the old two-max expressions."""
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -191,9 +193,8 @@ class TestReductionBytes:
             if block is not None:  # one center per block, or a few
                 monkeypatch.setattr(centers, "_BLOCK_ELEMENTS", block * pts.size)
             zs = np.concatenate([pts, pts[:2] + rng.standard_normal(pts[:2].shape)])
-            with np.errstate(over="ignore"):
-                want = ref_radii(pts, zs)
-                got = centers._radii(pts, zs)
+            want = ref_radii(pts, zs)
+            got = centers._radii(pts, zs)
             assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -202,20 +203,19 @@ class TestReductionBytes:
         the stack as its own samples and for samples around its center."""
         for name, pts in awkward_clouds(k).items():
             cloud = PointCloud(pts)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for z in (SupPoint(pts[0]), SupPoint(0.5 * pts[-1])):
-                    for ys in (pts, z.fibers + 0.3 * rng.standard_normal(pts.shape)):
-                        bound = FIBER_URNS_CONSTANT * cloud_diameter(cloud) + 1e-10
-                        radii = ref_radii(pts, np.concatenate([z.fibers[np.newaxis], ys]))
-                        checked = ys[~(radii[1:] > bound)]
-                        gaps = ref_sup_distances(z.fibers, checked)
-                        rep = verify_urns_certificate(cloud, z, FIBER_URNS_CONSTANT,
-                                                      PointCloud(ys))
-                        assert repr(rep.radius) == repr(float(radii[0])), name
-                        assert repr(rep.worst_center_gap) == repr(float(gaps.max(initial=0.0)))
-                        assert rep.checked_samples == len(checked)
-                        assert rep.rejected_samples == len(ys) - len(checked)
-                        assert rep.ok is bool(radii[0] <= bound and not np.any(gaps > bound))
+            for z in (SupPoint(pts[0]), SupPoint(0.5 * pts[-1])):
+                for ys in (pts, z.fibers + 0.3 * rng.standard_normal(pts.shape)):
+                    bound = FIBER_URNS_CONSTANT * cloud_diameter(cloud) + 1e-10
+                    radii = ref_radii(pts, np.concatenate([z.fibers[np.newaxis], ys]))
+                    checked = ys[~(radii[1:] > bound)]
+                    gaps = ref_sup_distances(z.fibers, checked)
+                    rep = verify_urns_certificate(cloud, z, FIBER_URNS_CONSTANT,
+                                                  PointCloud(ys))
+                    assert repr(rep.radius) == repr(float(radii[0])), name
+                    assert repr(rep.worst_center_gap) == repr(float(gaps.max(initial=0.0)))
+                    assert rep.checked_samples == len(checked)
+                    assert rep.rejected_samples == len(ys) - len(checked)
+                    assert rep.ok is bool(radii[0] <= bound and not np.any(gaps > bound))
 
 
 class TestCertificateSamples:

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from supfix import isometries, unitary
 from supfix.cocycles import (
     CayleyGroup,
     DerivationData,
@@ -41,9 +42,9 @@ from supfix.isometries import (
 )
 from supfix.unitary import (
     _MATCH_TOL,
-    NormingSet,
     basis_orbit_norming_set,
     embed,
+    model_frame,
     unitary_closure,
 )
 from supfix.witnesses import (
@@ -86,6 +87,11 @@ def loop_group_closure(generators, cap, tol=1e-10):
                 next_frontier.append(len(elements) - 1)
         frontier = next_frontier
     return elements, words
+
+
+def right_products(multiply, generators):
+    """The `products` of the closure kernel for a two-argument product."""
+    return lambda a: [multiply(a, g) for g in generators]
 
 
 def scan_closure(identity, generators, multiply, signature, cap, tol):
@@ -288,10 +294,10 @@ def loop_norming_set(group, tol=1e-9):
 
 def loop_tilde_permutation(norming, g):
     sigma = []
-    for v in norming.vectors @ g.conj():
-        diffs = np.abs(norming.vectors - v).max(axis=1)
+    for v in norming @ g.conj():
+        diffs = np.abs(norming - v).max(axis=1)
         idx = int(np.argmin(diffs))
-        if diffs[idx] > norming.tol:
+        if diffs[idx] > _MATCH_TOL:
             raise SpaceMismatchError("norming set is not stable under the group")
         sigma.append(idx)
     return np.array(sigma)
@@ -306,7 +312,7 @@ def loop_affine_action(data, norming):
         target = embed(norming, value) @ g.conj().T
         b = g.conj()
         fiber_map = np.block([[b.real, -b.imag], [b.imag, b.real]])
-        maps = np.broadcast_to(fiber_map, (norming.size,) + fiber_map.shape).copy()
+        maps = np.broadcast_to(fiber_map, (len(norming),) + fiber_map.shape).copy()
         trans = np.concatenate([target.real, target.imag], axis=1)
         sigmas.append(sigma)
         targets.append(target)
@@ -425,7 +431,7 @@ class TestClosureScan:
     def test_matches_fresh_comparison_on_a_torus(self, gens, tol):
         generators = [np.array([g, -2 * g]) for g in gens]
         identity = np.zeros(2)
-        got = closure(identity, generators, self.add_mod_seven, np.ravel, 64, tol)
+        got = closure(identity, right_products(self.add_mod_seven, generators), np.ravel, 64, tol)
         elements, words, parents, right = scan_closure(
             identity, generators, self.add_mod_seven, np.ravel, 64, tol)
         assert [e.tobytes() for e in got.elements] == [e.tobytes() for e in elements]
@@ -437,20 +443,22 @@ class TestClosureScan:
         """The identity alone outgrows a cap of 0, in either mode."""
         signature = (lambda x: x.tobytes()) if tol is None else np.ravel
         with pytest.raises(GroupNotClosedError, match="exceeded 0 elements"):
-            closure(np.zeros(2), [np.ones(2)], self.add_mod_seven, signature, 0, tol)
+            closure(np.zeros(2), right_products(self.add_mod_seven, [np.ones(2)]), signature,
+                    0, tol)
         if tol is None:  # elements as their own keys
             with pytest.raises(GroupNotClosedError, match="exceeded 0 elements"):
-                closure(0, [1], lambda a, b: (a + b) % 7, None, 0, None)
+                closure(0, lambda a: [(a + 1) % 7], None, 0, None)
 
     def test_key_mode_matches_the_scan_on_a_finite_group(self):
         """(Z/7)^2 under addition: equal keys, as tuples or as the elements
         themselves, decide as the scan does at a tolerance below 1."""
         gens = [(1, 3), (2, 5)]
         add = lambda a, b: ((a[0] + b[0]) % 7, (a[1] + b[1]) % 7)  # noqa: E731
-        scan = closure(np.zeros(2), [np.array(g, dtype=float) for g in gens],
-                       lambda a, b: np.mod(a + b, 7.0), np.ravel, 64, 0.5)
+        scan = closure(np.zeros(2), right_products(self.add_mod_seven,
+                                                   [np.array(g, dtype=float) for g in gens]),
+                       np.ravel, 64, 0.5)
         for signature in (None, tuple):
-            got = closure((0, 0), gens, add, signature, 64, None)
+            got = closure((0, 0), right_products(add, gens), signature, 64, None)
             assert [np.array(e, dtype=float).tobytes() for e in got.elements] == [
                 e.tobytes() for e in scan.elements]
             assert (got.words, got.parents) == (scan.words, scan.parents)
@@ -458,7 +466,8 @@ class TestClosureScan:
 
     def test_first_of_several_hits_decides(self):
         generators = [np.array([g, -2 * g]) for g in (0.7, 1.9, 4.3)]
-        got = closure(np.zeros(2), generators, self.add_mod_seven, np.ravel, 64, 1.1)
+        got = closure(np.zeros(2), right_products(self.add_mod_seven, generators), np.ravel, 64,
+                      1.1)
         stored = np.array(got.elements)
         several = 0
         for i, e in enumerate(got.elements):
@@ -468,6 +477,58 @@ class TestClosureScan:
                 assert got.right[i, gi] == close[0]
                 several += len(close) > 1
         assert several > 0
+
+
+class TestProductsContract:
+    """Every closure asks for the products of each element once, in element
+    order: the exact and float isometry closures and the unitary closure."""
+
+    @staticmethod
+    def recording(monkeypatch, module):
+        """Patch module.closure so that each run records the elements its
+        `products` is called with, and the Closure it returns."""
+        runs = []
+
+        def recorded(identity, products, signature, cap, tol):
+            asked = []
+
+            def counted(a):
+                asked.append(a)
+                return products(a)
+
+            found = closure(identity, counted, signature, cap, tol)
+            runs.append((asked, found))
+            return found
+
+        monkeypatch.setattr(module, "closure", recorded)
+        return runs
+
+    @staticmethod
+    def assert_once_in_order(runs):
+        (asked, found), = runs
+        assert len(found.elements) > 2
+        assert len(asked) == len(found.elements)
+        assert all(a is e for a, e in zip(asked, found.elements))
+
+    def test_exact_isometry_closure(self, monkeypatch):
+        generators = random_box_group(3, dim=6, max_order=48)[0].generators
+        runs = self.recording(monkeypatch, isometries)
+        assert group_closure(generators, cap=49).exact is not None
+        self.assert_once_in_order(runs)
+
+    def test_float_isometry_closure(self, monkeypatch):
+        # a translation of 0.1 is off every dyadic grid the exact mode takes
+        maps = np.array([1.0, -1.0, -1.0]).reshape(3, 1, 1)
+        p = np.array([[0.1], [0.2], [0.3]])
+        cycle = FiberPermIsometry(np.array([1, 2, 0]), maps, p - maps[:, :, 0] * p[[1, 2, 0]])
+        runs = self.recording(monkeypatch, isometries)
+        assert group_closure([cycle], cap=64).exact is None
+        self.assert_once_in_order(runs)
+
+    def test_unitary_closure(self, monkeypatch):
+        runs = self.recording(monkeypatch, unitary)
+        unitary_closure(EXTRA_GENERATORS["2T"], cap=25)  # a cap no other test closes 2T at
+        self.assert_once_in_order(runs)
 
 
 class TestUnitaryKernel:
@@ -509,7 +570,7 @@ class TestUnitaryKernel:
     def test_closure_stops_at_cap(self):
         rotation = np.array([[np.exp(1j), 0], [0, 1]])  # infinite order
         with pytest.raises(GroupNotClosedError, match="exceeded 5 elements"):
-            closure(np.eye(2, dtype=complex), [rotation], np.matmul, np.ravel, 5, 1e-9)
+            closure(np.eye(2, dtype=complex), lambda a: [a @ rotation], np.ravel, 5, 1e-9)
 
 
 class TestCayleyKernel:
@@ -655,7 +716,7 @@ class TestAffineActionModel:
         if corrupt:
             data = corrupt_derivation(data, seed=5)
         model = build_affine_action(data)
-        assert np.array_equal(model.norming.vectors, loop_norming_set(group))
+        assert np.array_equal(model.norming, loop_norming_set(group))
         sigmas, targets, isos = loop_affine_action(data, model.norming)
         assert np.array_equal(model.sigmas, sigmas)
         assert np.array_equal(model.targets, targets)
@@ -668,12 +729,10 @@ class TestAffineActionModel:
     @pytest.mark.parametrize("name", ["q8", "2T", "B3"])
     def test_norming_set_missing_a_vector_is_rejected(self, unitary_groups, name):
         group = unitary_groups[name]
-        data, _ = random_inner_derivation(group, seed=1)
         full = basis_orbit_norming_set(group)
-        for drop in (0, full.size - 1):
-            short = NormingSet(np.delete(full.vectors, drop, axis=0), full.tol)
+        for drop in (0, len(full) - 1):
             with pytest.raises(SpaceMismatchError, match="not stable"):
-                build_affine_action(data, short)
+                model_frame(group, np.delete(full, drop, axis=0))
 
     def test_least_squares_peak_memory_near_system_size(self, unitary_groups):
         """The system is assembled in place: no per-element blocks, no stacked copy."""

@@ -23,7 +23,7 @@ from supfix.spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, cloud_diame
 
 
 def ref_certificate_samples(cloud, z, constant, count, rng):
-    """certificate_samples as it was before `_fiber_norms`: fiber radii by
+    """certificate_samples as it was before `_fiber_distances`: fiber radii by
     np.linalg.norm and step lengths by rng.uniform, as a raw array."""
     pts = cloud.points
     bound = constant * cloud_diameter(cloud)

@@ -608,6 +608,15 @@ def conjugated(perm, signs, p):
     return FiberPermIsometry(np.array(perm), maps, p - maps[:, :, 0] * p[perm])
 
 
+def word_generators():
+    """About p = (2, 1, 0), the 3-cycle and the sign change of coordinate 2.
+    Both translate by at most 2, so a word of at most cap of them by at
+    most 2 cap; the sign change of coordinate 0, which they generate,
+    translates by 2 p_0 = 4.  The group has order 24."""
+    return [conjugated([1, 2, 0], [1, 1, 1], [2, 1, 0]),
+            conjugated([0, 1, 2], [1, 1, -1], [2, 1, 0])]
+
+
 class TestExactModeSelection:
     """The exact mode runs only where it gives the float rule's elements;
     elsewhere the float rule runs, byte for byte as before."""
@@ -657,50 +666,45 @@ class TestExactModeSelection:
         assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
 
     def test_products_beyond_the_limit_fall_back(self, monkeypatch):
-        """About p = (2, 1, 0), the 3-cycle and the sign change of coordinate
-        2 translate by at most 2, but the sign change of coordinate 0, which
-        they generate, translates by 2 p_0 = 4.  With the numerator limit at
-        2 the exact closure stops there and the float rule runs."""
-        gens = [conjugated([1, 2, 0], [1, 1, 1], [2, 1, 0]),
-                conjugated([0, 1, 2], [1, 1, -1], [2, 1, 0])]
-        monkeypatch.setattr(isometries, "_EXACT_NUM", 2)
-        assert _exact_table(gens, 64)[2] == 2
+        """At cap 64 words could reach numerators of 128.  With the numerator
+        limit at 127 the exact mode does not run: the float rule makes the
+        group, with every product a compose."""
+        gens = word_generators()
+        monkeypatch.setattr(isometries, "_EXACT_NUM", 127)
+        assert _exact_table(gens, 64) is None
         products = []
         monkeypatch.setattr(isometries, "compose", lambda a, b: products.append(1) or
                             compose(a, b))
         group = group_closure(gens, cap=64)
-        assert products and np.abs(group.trans).max() == 4.0
+        assert products and group.exact is None and np.abs(group.trans).max() == 4.0
         assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
 
-    @pytest.mark.parametrize("num_limit, checked", [(128, False), (127, True)])
-    def test_products_are_checked_only_where_words_can_pass_the_limit(
-            self, num_limit, checked, monkeypatch):
-        """The generators' largest numerator is 2, so words of at most 64
-        generators stay within 128."""
-        gens = [conjugated([1, 2, 0], [1, 1, 1], [2, 1, 0]),
-                conjugated([0, 1, 2], [1, 1, -1], [2, 1, 0])]
-        monkeypatch.setattr(isometries, "_EXACT_NUM", num_limit)
-        assert _exact_table(gens, 64)[2] == (num_limit if checked else None)
-
-    @pytest.mark.parametrize("num_limit, exact", [(4, True), (2, False)])
-    def test_checked_products_within_and_beyond_the_limit(self, num_limit, exact, monkeypatch):
-        """Numerators reach 4: at a limit of 4 the exact closure stands, also
-        for its cap error; at 2 the float rule decides both."""
-        gens = [conjugated([1, 2, 0], [1, 1, 1], [2, 1, 0]),
-                conjugated([0, 1, 2], [1, 1, -1], [2, 1, 0])]
+    @pytest.mark.parametrize("num_limit, exact_at", [(48, {23, 24}), (47, {23}), (45, set())])
+    def test_checked_products_within_and_beyond_the_limit(self, num_limit, exact_at,
+                                                          monkeypatch):
+        """The exact mode runs exactly where cap times the largest generator
+        numerator (2) is within the limit: one short of the order (cap 23,
+        where both rules raise the cap error) and at the order (cap 24).
+        Either way the group and the error are the float rule's."""
+        gens = word_generators()
         monkeypatch.setattr(isometries, "_EXACT_NUM", num_limit)
         want = float_rule_closure(gens, 64, monkeypatch)
-        order = len(want)
+        assert len(want) == 24
         products = []
         monkeypatch.setattr(isometries, "compose", lambda a, b: products.append(1) or
                             compose(a, b))
-        assert _exact_table(gens, order - 1)[2] == num_limit
-        with pytest.raises(GroupNotClosedError, match=f"exceeded {order - 1} elements"):
-            group_closure(gens, cap=order - 1)
-        assert bool(products) is not exact
-        products.clear()
-        assert_same_groups(group_closure(gens, cap=order), want)
-        assert bool(products) is not exact
+        for cap in (23, 24):
+            exact = cap in exact_at
+            assert (_exact_table(gens, cap) is not None) is exact
+            products.clear()
+            if cap == 23:
+                with pytest.raises(GroupNotClosedError, match="exceeded 23 elements"):
+                    group_closure(gens, cap=cap)
+            else:
+                group = group_closure(gens, cap=cap)
+                assert (group.exact is not None) is exact
+                assert_same_groups(group, want)
+            assert bool(products) is not exact
 
     @pytest.mark.parametrize("values", [
         [0.0, -0.0, 0.0], [0.5, -0.25, 3.0], [2.0**-33, 1.0, -2.0**19], [0.1, 0.2, 0.0],

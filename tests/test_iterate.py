@@ -141,17 +141,17 @@ class TestIterateBox:
 class TestResidualBytes:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_residual_bytes_match_old_expression(self, awkward_clouds, k):
-        """fixed_point_residual through `_fiber_norms` against the old
+        """fixed_point_residual through `_fiber_distances` against the old
         sum-of-squares expression, on points near 1e308 too, whose
-        distances to their images overflow to inf."""
+        distances to their images overflow to inf without a warning."""
         group, x0 = random_fiber_group(k, fibers=3, fiber_dim=k, max_order=16)
         points = [x0, orbit_center_fixed_point(group, x0)]
         points += [SupPoint(row[:3]) for pts in awkward_clouds(k).values() for row in pts[:2]]
         for x in points:
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore"):  # the reference expression warns
                 diff = group.images(x) - x.fibers
                 want = float(np.sqrt(np.sum(diff * diff, axis=2)).max())
-                assert repr(fixed_point_residual(group, x)) == repr(want)
+            assert repr(fixed_point_residual(group, x)) == repr(want)
 
 
 class TestOrbitCenterFixedPoint:

@@ -174,8 +174,6 @@ def exactness_clouds(case, rng):
 EXACTNESS_CASES = [1, 2, 3, 4, 5, 6, 7, 8, 24, "certify_k4", "certify_k5", "2T_quaternions",
                    "B3_orbit", "heptagon", "ulp_boundary", "subnormal", "signed_zero_grid",
                    "coplanar_3", "coplanar_5"]
-# No exactness cloud has more points than this.
-LARGEST_CLOUD = 50
 
 
 def assert_matches_reference(pts):
@@ -185,19 +183,6 @@ def assert_matches_reference(pts):
     with np.errstate(invalid="ignore"):
         want_c, want_r = recursive_welzl_reference(pts)
     assert c.tobytes() == want_c.tobytes() and r == want_r  # signed zeros too
-
-
-@pytest.fixture(params=["always", "never"])
-def prefilter_above(request, monkeypatch):
-    """Kernels generated with the math.dist pre-filter on every range, or
-    on none of the exactness clouds' ranges, where the package filters
-    ranges of more than _PREFILTER_ABOVE points.  Each must decide as
-    the exact test alone."""
-    value = {"always": 0, "never": LARGEST_CLOUD}[request.param]
-    monkeypatch.setattr(seb, "_PREFILTER_ABOVE", value)
-    _kernel.cache_clear()
-    yield value
-    _kernel.cache_clear()
 
 
 ULP_BOUNDARY_CLOUD = [
@@ -277,12 +262,6 @@ class TestSebProperties:
     @pytest.mark.parametrize("case", EXACTNESS_CASES)
     def test_loop_form_matches_recursive_reference_exactly(self, rng, case):
         for pts in exactness_clouds(case, rng):
-            assert_matches_reference(pts)
-
-    @pytest.mark.parametrize("case", EXACTNESS_CASES)
-    def test_prefilter_threshold_changes_no_float(self, rng, case, prefilter_above):
-        for pts in exactness_clouds(case, rng):
-            assert len(pts) <= LARGEST_CLOUD
             assert_matches_reference(pts)
 
     def test_deterministic_across_calls(self, rng):

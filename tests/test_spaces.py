@@ -19,16 +19,20 @@ def naive_sup_distance(a, b):
 
 
 def ref_sup_distance(a, b):
-    """The expression sup_distance used before `_fiber_norms`."""
-    diff = a - b
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
+    """The expression sup_distance used before `_fiber_distances`, with
+    overflow to inf silenced as the package silences it."""
+    with np.errstate(over="ignore"):
+        diff = a - b
+        return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
 
 
 def ref_diameter(pts):
-    """The expression the diameter used before `_fiber_norms`: every ordered
-    pair, the point with itself included, in one (N, N, m, k) array."""
-    diff = pts[:, np.newaxis, :, :] - pts[np.newaxis, :, :, :]
-    return float(np.max(np.max(np.sqrt(np.sum(diff * diff, axis=3)), axis=2)))
+    """The expression the diameter used before `_fiber_distances`: every
+    ordered pair, the point with itself included, in one (N, N, m, k)
+    array, with overflow to inf silenced."""
+    with np.errstate(over="ignore"):
+        diff = pts[:, np.newaxis, :, :] - pts[np.newaxis, :, :, :]
+        return float(np.max(np.max(np.sqrt(np.sum(diff * diff, axis=3)), axis=2)))
 
 
 class TestSupPoint:
@@ -136,27 +140,38 @@ class TestPointCloud:
 
 
 class TestFiberNormBytes:
-    """Every value taken through `_fiber_norms` has the bytes of the
-    expression it replaced, for every fiber length up to the schema cap."""
+    """Every value taken through `_fiber_distances` has the bytes of the
+    expression it replaced, for every fiber length up to the schema cap.
+    The package calls run under the suite's error filter for RuntimeWarning:
+    the near-max clouds overflow to inf without a warning."""
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_fiber_norms_equal_sum_and_linalg_norm(self, awkward_clouds, k):
         for name, pts in awkward_clouds(k).items():
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore"):  # the reference expressions warn
                 diff = pts[:, np.newaxis] - pts[np.newaxis]
                 want = np.sqrt(np.sum(diff * diff, axis=-1))
                 assert np.linalg.norm(diff, axis=-1).tobytes() == want.tobytes(), name
-                got = spaces._fiber_norms(diff)
+            got = spaces._fiber_distances(pts[:, np.newaxis], pts[np.newaxis])
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            diff = pts[:, np.newaxis] - np.zeros_like(pts)[np.newaxis]  # a stack given up
+            got = spaces._fiber_distances(diff, pts[np.newaxis], out=diff)
+            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_sup_distance_bytes(self, awkward_clouds, k):
         for name, pts in awkward_clouds(k).items():
-            with np.errstate(over="ignore"):
-                for a in pts:
-                    for b in pts:
-                        want = ref_sup_distance(a, b)
-                        assert repr(sup_distance(SupPoint(a), SupPoint(b))) == repr(want), name
+            for a in pts:
+                for b in pts:
+                    want = ref_sup_distance(a, b)
+                    assert repr(sup_distance(SupPoint(a), SupPoint(b))) == repr(want), name
+
+    def test_a_distance_whose_square_overflows_reads_inf(self):
+        """Above about 1.3e154 the square of a difference overflows, so the
+        distance reads inf, with no warning (the suite makes one an error)."""
+        x, y = SupPoint.of([1e160, 0.0]), SupPoint.of([0.0, 0.0])
+        assert sup_distance(x, y) == math.inf
+        assert cloud_diameter(PointCloud(np.stack([x.fibers, y.fibers]))) == math.inf
 
     @pytest.mark.parametrize("k", range(1, 9))
     @pytest.mark.parametrize("block", [None, 1, 5])
@@ -164,9 +179,8 @@ class TestFiberNormBytes:
         if block is not None:  # blocks of one pair, and blocks that split rows
             monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", block * 4 * k)
         for name, pts in awkward_clouds(k).items():
-            with np.errstate(over="ignore"):
-                want = ref_diameter(pts)
-                got = cloud_diameter(PointCloud(pts))
+            want = ref_diameter(pts)
+            got = cloud_diameter(PointCloud(pts))
             assert repr(got) == repr(want), name
 
     @pytest.mark.parametrize("block", [None, 1, 2, 3])

@@ -25,7 +25,7 @@ from supfix.instances import (
 from supfix.isometries import compose
 from supfix.iterate import fixed_point_residual
 from supfix.spaces import SupPoint, sup_distance
-from supfix.unitary import NormingSet, basis_orbit_norming_set, embed, unitary_closure
+from supfix.unitary import basis_orbit_norming_set, embed, model_frame, unitary_closure
 from supfix.witnesses import (
     WITNESS_METHODS,
     build_affine_action,
@@ -94,32 +94,30 @@ class TestAffineActionModel:
 
 
 class TestAffineActionChecks:
-    """build_affine_action checks the model once, as a stack; it must refuse
-    what the checking FiberPermIsometry constructor refuses."""
+    """The model frame is checked once, as a stack; it must refuse what the
+    checking FiberPermIsometry constructor refuses."""
 
-    def test_non_orthogonal_maps_refused(self, named_groups):
+    def test_non_orthogonal_maps_refused(self, named_groups, monkeypatch):
         group = named_groups["q8"]
-        data, _ = random_inner_derivation(group, 2)
+        vectors = basis_orbit_norming_set(group)
         scaled = dataclasses.replace(group, elements=1.001 * group.elements)
-        # a norming tolerance wide enough that the stability check lets the scaled group pass
-        loose = NormingSet(basis_orbit_norming_set(group).vectors, tol=1e-2)
+        # a match tolerance wide enough that the stability check lets the scaled group pass
+        monkeypatch.setattr(unitary, "_MATCH_TOL", 1e-2)
         with pytest.raises(ValueError, match="orthogonal"):
-            build_affine_action(DerivationData(scaled, data.values), loose)
-        build_affine_action(DerivationData(group, data.values), loose)
+            model_frame(scaled, vectors)
+        model_frame(group, vectors)
 
     def test_non_permutation_sigma_refused(self, named_groups):
         group = named_groups["s3"]
-        data, _ = random_inner_derivation(group, 2)
-        vectors = basis_orbit_norming_set(group).vectors
+        vectors = basis_orbit_norming_set(group)
         # a repeated norming vector is never matched, so no sigma reaches its index
-        repeated = NormingSet(np.concatenate([vectors, vectors[:1]]))
         with pytest.raises(ValueError, match="permutation"):
-            build_affine_action(data, repeated)
+            model_frame(group, np.concatenate([vectors, vectors[:1]]))
 
 
 class TestModelFrame:
-    """A group builds its default frame once and keeps it; an explicit
-    norming set always gets a frame of its own, checked in that call."""
+    """A group builds its frame once and keeps it; a frame over an explicit
+    norming set is a new one, checked in that call."""
 
     def test_default_frame_built_once_per_group(self, named_groups, monkeypatch):
         built = []
@@ -143,18 +141,17 @@ class TestModelFrame:
         data, _ = random_inner_derivation(group, 1)
         frame = build_affine_action(data).frame
         assert frame is group.frame
-        short = NormingSet(frame.norming.vectors[1:])
         with pytest.raises(SpaceMismatchError, match="not stable"):
-            build_affine_action(data, short)
+            model_frame(group, frame.norming[1:])
         assert group.frame is frame
-        own = build_affine_action(data, frame.norming).frame
+        own = model_frame(group, frame.norming)
         assert own is not frame
         assert np.array_equal(own.sigmas, frame.sigmas)
         assert np.array_equal(own.maps, frame.maps)
 
     def test_frame_arrays_are_read_only(self, named_groups):
         frame = named_groups["c12"].frame
-        for arr in (frame.norming.vectors, frame.sigmas, frame.maps, frame.j_mat, frame.j_pinv):
+        for arr in (frame.norming, frame.sigmas, frame.maps, frame.j_mat, frame.j_pinv):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
 
