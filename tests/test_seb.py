@@ -264,6 +264,16 @@ class TestSebProperties:
         for pts in exactness_clouds(case, rng):
             assert_matches_reference(pts)
 
+    @pytest.mark.parametrize("case", EXACTNESS_CASES)
+    def test_repeated_points_change_no_float(self, rng, case):
+        """Appending every point again, in reverse order, leaves the first
+        occurrences (of 0.0 and -0.0 too) as the distinct points, so the
+        visit order, every inside test and every float stay the same."""
+        for pts in exactness_clouds(case, rng):
+            c, r = seb_center(pts)
+            c2, r2 = seb_center(np.vstack([pts, pts[::-1]]))
+            assert c2.tobytes() == c.tobytes() and r2 == r
+
     def test_deterministic_across_calls(self, rng):
         pts = rng.standard_normal((10, 3))
         first = seb_center(pts)
