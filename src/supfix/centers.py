@@ -13,6 +13,24 @@ smallest ball enclosing a fiber of M and B(y, R) also encloses it, then
 |y - z|^2 <= R^2 - r^2.  `verify_urns_certificate` checks both properties
 numerically against sampled ball centers y.
 
+A fiber that is the negation of an earlier fiber is not solved again.
+If fiber g's points equal, point for point as floats, the negated points
+of an earlier fiber i, and center_i has no coordinate equal to zero, the
+center of fiber g is -center_i.  These are the bytes `seb_center` gives
+for fiber g, because it is odd: round-to-nearest commutes with negation
+(fl(-a - -b) = -fl(a - b), (-a)(-b) = ab, (-x) ** 2 = x ** 2), so on the
+negated points the spread, the dedup keys, the visit order, every inside
+test and every Gram system are the same, LAPACK returns the same lambda,
+and each center coordinate comes out negated.  Zeros are the exception:
+a coordinate summed to exactly zero is 0.0 on both sides, and one copied
+from an input point (a single distinct point) keeps the input's signed
+zero, so a partner center with a zero coordinate is never used.  Input
+zeros whose sign differs between fiber g and -fiber i change no other
+float, since every sum starts from 0.0.  A group that holds -I maps the
+orbit of the origin to fibers fiber(-w) = -fiber(w), so this skips
+about 40% of the enclosing balls of the 2T, 2O, 2I and B3 witness
+models.
+
 Radii and gaps are sup-distances over whole difference stacks, taken
 by `spaces._fiber_distances` with one max over each stack's flattened fiber
 axes, so every value is the float `sup_distance` gives for its pair.
@@ -41,14 +59,31 @@ _CERTIFICATE_TOL = 1e-10
 def urns_center(cloud: PointCloud) -> SupPoint:
     """Fiberwise smallest-enclosing-ball center of the cloud.
 
-    For k = 1 this reduces to the bounding-box midpoint.
+    For k = 1 this reduces to the bounding-box midpoint.  A fiber whose
+    points are, point for point, the negated points of an earlier fiber i
+    whose center has no zero coordinate takes -center_i instead of a
+    `seb_center` call.  These are the bytes `seb_center` gives for that
+    fiber, and a zero coordinate is where they could differ in sign (see
+    the module docstring).  Every other fiber is solved.
     """
     if len(cloud) == 0:
         raise EmptyDomainError("cannot center an empty cloud")
     pts = cloud.points  # (N, m, k)
-    fibers = np.empty((pts.shape[1], pts.shape[2]))
-    for g in range(pts.shape[1]):
-        fibers[g], _ = seb_center(pts[:, g, :])
+    # Each fiber as one contiguous (N, k) block with -0.0 read as 0.0, and
+    # its negation (0.0 - 0.0 is 0.0): the points are finite, so equal bytes
+    # mean equal floats.
+    keys = np.add(pts.transpose(1, 0, 2), 0.0, order="C")
+    mirror_keys = np.subtract(0.0, keys)
+    fibers = np.empty(pts.shape[1:])
+    mirrored = {}  # bytes of -fiber i -> i, for centered fibers i with no zero coordinate
+    for g in range(len(fibers)):
+        i = mirrored.get(keys[g].tobytes())
+        if i is None:
+            fibers[g], _ = seb_center(pts[:, g, :])
+        else:
+            np.negative(fibers[i], out=fibers[g])
+        if fibers[g].all():
+            mirrored[mirror_keys[g].tobytes()] = g
     return SupPoint(fibers)
 
 

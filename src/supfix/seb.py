@@ -56,6 +56,17 @@ circumball `push` returns, so no deeper call is made.  Every
 Points are visited in the order of a permutation from a fixed-seed
 generator, so results are deterministic for a given input and do not
 depend on the recursion limit.
+
+The kernel commutes with negation: on -P every difference, product and
+`** 2` of round-to-nearest arithmetic is the negation or the copy of the
+one on P, so the dedup, the visit order, every inside test and every
+Gram system are the same, and `seb_center(-P)` is -`seb_center(P)` with
+the same radius wherever the center has no zero coordinate (a zero
+coordinate is 0.0 on both sides, or a copied input zero).
+`centers.urns_center` relies on this to take a mirrored fiber's center
+from its partner, so an edit here must keep it; `tests/test_seb.py`
+checks it.  The squares stay `** 2`: `x * x` differs from it for some
+floats.
 """
 
 from __future__ import annotations

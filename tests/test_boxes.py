@@ -24,7 +24,7 @@ from supfix.boxes import (
     intersect,
 )
 from supfix.errors import EmptyDomainError, SpaceMismatchError
-from supfix.spaces import PointCloud, SupPoint
+from supfix.spaces import PointCloud
 
 HALF = Fraction(1, 2)
 

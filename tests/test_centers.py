@@ -8,12 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from test_isometries import witness_group
 
 from supfix import centers
 from supfix.boxes import bounding_box, box_center
 from supfix.centers import center_radius, urns_center, verify_urns_certificate
 from supfix.errors import EmptyDomainError, SpaceMismatchError
 from supfix.instances import certificate_samples, random_cloud
+from supfix.isometries import orbit
+from supfix.seb import seb_center
 from supfix.spaces import (
     FIBER_URNS_CONSTANT,
     PointCloud,
@@ -75,6 +78,98 @@ class TestUrnsCenter:
         z1 = urns_center(PointCloud(arr))
         z2 = urns_center(PointCloud(arr + shift))
         assert np.allclose(z1.fibers + shift, z2.fibers, atol=1e-9)
+
+
+def fibers_cloud(*fibers) -> PointCloud:
+    """The cloud whose fiber g holds the (N, k) points fibers[g]."""
+    return PointCloud(np.stack(fibers, axis=1))
+
+
+def solved_centers(cloud: PointCloud) -> np.ndarray:
+    """Each fiber's own seb_center center: the bytes urns_center must give."""
+    pts = cloud.points
+    return np.stack([seb_center(pts[:, g])[0] for g in range(pts.shape[1])])
+
+
+def mirrored_fibers(cloud: PointCloud, solved: np.ndarray) -> list[int]:
+    """The fibers g whose points equal, as floats, the negated points of an
+    earlier fiber whose center has no zero coordinate."""
+    pts = cloud.points
+    return [g for g in range(pts.shape[1])
+            if any(solved[i].all() and np.array_equal(pts[:, g], -pts[:, i]) for i in range(g))]
+
+
+@pytest.fixture()
+def seb_calls(monkeypatch):
+    """The point counts of the seb_center calls urns_center makes."""
+    calls = []
+    monkeypatch.setattr(centers, "seb_center", lambda points: calls.append(len(points)) or seb_center(points))
+    return calls
+
+
+class TestMirroredFibers:
+    """A fiber that is the negation of an earlier one takes the negated
+    center without a seb_center call, and every fiber keeps the bytes of
+    its own seb_center center."""
+
+    def derived_fibers(self, cloud, seb_calls) -> list[int]:
+        """The mirrored fibers, once urns_center is checked to give the
+        solved bytes with one seb_center call per other fiber."""
+        solved = solved_centers(cloud)
+        derived = mirrored_fibers(cloud, solved)
+        assert urns_center(cloud).fibers.tobytes() == solved.tobytes()
+        assert len(seb_calls) == cloud.points.shape[1] - len(derived)
+        return derived
+
+    @pytest.fixture()
+    def a(self, rng):
+        return rng.standard_normal((7, 3))
+
+    @pytest.mark.parametrize("order, derived", [((1, -1), [1]), ((-1, 1), [1]),
+                                                ((1, -1, 1), [1, 2]), ((1, 1, -1, -1), [2, 3])])
+    def test_mirror_pairs_and_chains(self, a, seb_calls, order, derived):
+        """Either order, and chains l = -g = i: a derived fiber is a partner too."""
+        assert self.derived_fibers(fibers_cloud(*(sign * a for sign in order)), seb_calls) == derived
+
+    def test_a_fiber_next_to_other_fibers(self, a, rng, seb_calls):
+        b = rng.standard_normal((7, 3))
+        assert self.derived_fibers(fibers_cloud(a, b, -b, a + 1.0, -a), seb_calls) == [2, 4]
+
+    def test_one_ulp_off_a_mirror_is_solved(self, a, seb_calls):
+        near = -a
+        near[3, 1] = np.nextafter(near[3, 1], np.inf)
+        assert self.derived_fibers(fibers_cloud(a, near), seb_calls) == []
+
+    def test_a_partner_center_with_a_zero_coordinate_is_solved(self, seb_calls):
+        """The center of a and of 0.0 - a is (0.0, 1.0, 2.0); -center
+        would carry -0.0."""
+        a = np.array([[-1.0, 1.0, 2.0], [1.0, 1.0, 2.0], [0.5, 0.5, 2.0], [-0.25, 1.5, 2.0]])
+        assert solved_centers(fibers_cloud(a))[0].tolist() == [0.0, 1.0, 2.0]
+        assert self.derived_fibers(fibers_cloud(a, 0.0 - a), seb_calls) == []
+
+    def test_a_single_point_with_a_zero_coordinate_is_solved(self, seb_calls):
+        """A single distinct point is its own center, signed zeros included."""
+        a = np.array([[0.0, 2.0, -3.0]] * 4)
+        assert self.derived_fibers(fibers_cloud(a, 0.0 - a), seb_calls) == []
+
+    @pytest.mark.parametrize("negate", [np.negative, lambda x: 0.0 - x], ids=["minus", "zero_minus"])
+    def test_mirrors_up_to_signed_zeros(self, a, rng, seb_calls, negate):
+        """Points with 0.0 and -0.0 coordinates; 0.0 - a matches -a only as
+        floats, not in bytes."""
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+        assert (-a).tobytes() != (0.0 - a).tobytes()
+        assert self.derived_fibers(fibers_cloud(a, negate(a)), seb_calls) == [1]
+
+    @pytest.mark.parametrize("name", ["q8", "2T", "2I"])
+    def test_witness_model_orbits(self, name, seb_calls):
+        """The orbit of the origin under a group that holds -I: fiber(-w) = -fiber(w)."""
+        group = witness_group(name)
+        assert self.derived_fibers(orbit(group, SupPoint(np.zeros((group.m, group.k)))), seb_calls)
+
+    def test_random_clouds_have_no_mirrors(self, seb_calls):
+        cloud = random_cloud(7, fibers=5, fiber_dim=3, points=12)
+        assert self.derived_fibers(cloud, seb_calls) == []
 
 
 class TestCertificate:

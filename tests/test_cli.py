@@ -5,8 +5,6 @@ import shutil
 import subprocess
 import sys
 
-import pytest
-
 from supfix.cli import main
 
 

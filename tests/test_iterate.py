@@ -8,7 +8,7 @@ import pytest
 
 from supfix.errors import InvarianceViolationError, SpaceMismatchError
 from supfix.instances import random_box_group, random_fiber_group
-from supfix.isometries import FiberPermIsometry, GroupSpec, box_image, group_closure, orbit
+from supfix.isometries import FiberPermIsometry, GroupSpec, box_image, orbit
 from supfix.iterate import (
     exact_orbit_diameter,
     fixed_point_residual,

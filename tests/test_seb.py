@@ -7,7 +7,9 @@ independent arithmetic.  Higher dimensions are covered by the optimality
 conditions: containment, the dimension-dependent radius-to-diameter
 bound, and the support points surrounding the center.  The recursive
 form of Welzl's algorithm, on numpy scalars, is kept as the reference the
-generated loop form must match float for float.
+generated loop form must match float for float.  `seb_center` is odd:
+the center of the negated points is the negated center wherever the
+center has no zero coordinate, which `urns_center` relies on.
 """
 
 import gc
@@ -25,11 +27,13 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 from scipy.optimize import nnls
+from test_groups import EXTRA_GENERATORS
 
 import supfix
 from supfix import seb
 from supfix.errors import EmptyDomainError
 from supfix.seb import _SHUFFLE_SEED, _kernel, _solve_errstate, _Support, seb_center
+from supfix.unitary import unitary_closure
 
 
 def brute_force_2d(points):
@@ -196,6 +200,31 @@ ULP_BOUNDARY_CLOUD = [
 ]
 
 
+def mirror_clouds():
+    """A derandomized set for the odd-symmetry test: normal clouds, dyadic
+    grids with duplicates, cospherical orbits of a generic vector of C^2
+    (as R^4) under 2T, 2O and 2I, each of these at scales 2**60 and
+    2**-60 too, and copies with 0.0 and -0.0 entries."""
+    rng = np.random.default_rng(0x0DD)
+    clouds = []
+    for k in (1, 2, 3, 4, 5, 8):
+        for n in (2, 3, 7, 20):
+            clouds.append(rng.standard_normal((n, k)))
+            clouds.append(rng.integers(-3, 4, size=(n, k)) * 0.5)
+    v = np.array([0.3 + 0.1j, -0.7 + 0.45j])
+    for name in ("2T", "2O", "2I"):
+        images = unitary_closure(EXTRA_GENERATORS[name]).elements @ v
+        orbit = np.concatenate([images.real, images.imag], axis=1)
+        clouds += [orbit, orbit + np.array([0.25, -1.0, 0.5, 0.125])]
+    clouds += [pts * 2.0**e for pts in clouds for e in (60, -60)]
+    for pts in clouds[:48]:
+        signed = pts.copy()
+        signed[rng.random(pts.shape) < 0.3] = 0.0
+        signed[rng.random(pts.shape) < 0.3] = -0.0
+        clouds.append(signed)
+    return clouds
+
+
 def center_in_hull_of_support(points, center, radius, tol=1e-7):
     """Optimality: the center is a convex combination of boundary points."""
     support = [p for p in points if abs(math.dist(p, center) - radius) <= tol * (1 + radius)]
@@ -273,6 +302,34 @@ class TestSebProperties:
             c, r = seb_center(pts)
             c2, r2 = seb_center(np.vstack([pts, pts[::-1]]))
             assert c2.tobytes() == c.tobytes() and r2 == r
+
+    @pytest.mark.parametrize("case", [*EXACTNESS_CASES, "mirror_clouds"])
+    def test_negated_points_give_the_negated_center(self, rng, case):
+        """seb_center(-P) is -seb_center(P) byte for byte, with the same
+        radius, whenever the center has no zero coordinate; so is the
+        center of 0.0 - P, which differs from -P only in signed zeros."""
+        clouds = mirror_clouds() if case == "mirror_clouds" else exactness_clouds(case, rng)
+        checked = 0
+        for pts in clouds:
+            c, r = seb_center(pts)
+            if not c.all():
+                continue
+            for mirror in (-pts, 0.0 - pts):
+                c2, r2 = seb_center(mirror)
+                assert c2.tobytes() == (-c).tobytes() and r2 == r
+            checked += 1
+        assert checked  # each case has clouds whose center has no zero coordinate
+
+    @pytest.mark.parametrize("pts", [[[-1.0, 1.0], [1.0, 1.0]], [[0.0, 2.0], [0.0, 2.0]]],
+                             ids=["zero_center_coordinate", "single_point_with_zero"])
+    def test_a_zero_center_coordinate_breaks_the_symmetry(self, pts):
+        """A center coordinate that is exactly zero is 0.0 on both sides, and
+        a single distinct point is its own center, zeros' signs included;
+        so against the mirror 0.0 - P, -c differs in a signed zero."""
+        pts = np.array(pts)
+        c, _ = seb_center(pts)
+        assert not c.all()
+        assert seb_center(0.0 - pts)[0].tobytes() != (-c).tobytes()
 
     def test_deterministic_across_calls(self, rng):
         pts = rng.standard_normal((10, 3))

@@ -1,4 +1,4 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package or test module imports is read somewhere in that module.
 
 An import counts as used when the module loads its name, names it in a
 string annotation, or lists it in `__all__`; an import line marked
@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "supfix"
-MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "supfix"
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -69,7 +70,8 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES,  # package modules by file name
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
