@@ -44,8 +44,8 @@ from .unitary import UnitaryGroup
 LAW_TOL = 1e-8
 
 # Bytes per temporary of the scalar law check, which sets its rows per block:
-# up to order 25 all rows go in one block, from order 91 one row per block.
-_LAW_BLOCK_BYTES = 128 * 1024
+# up to order 36 all rows go in one block, from order 157 one row per block.
+_LAW_BLOCK_BYTES = 384 * 1024
 
 
 def _worst_pair(defects: np.ndarray) -> tuple[float, int, int]:

@@ -10,13 +10,13 @@ each product it has not seen, and decides "seen" in one of two modes:
   lies within `tol` of a stored one in every entry (max |diff| <= tol),
   the first such one in index order.  The stored signatures fill one
   preallocated (cap, L) array, so each check is one array comparison.
+  Only `unitary.unitary_closure` uses this mode: its matrix products
+  equal a known element only up to rounding.
 - Exact (`tol=None`): the signature is a hashable key (the element
   itself when `signature` is None), and a product counts as seen when
-  its key equals a stored one, found by one dict lookup.  The caller
-  chooses this mode only where equal keys and the tolerance rule name
-  the same elements, so both modes visit the same products in the same
-  order and record the same words, parents and table, and raise
-  GroupNotClosedError at the same count.
+  its key equals a stored one, found by one dict lookup.
+  `isometries.group_closure` uses this mode, with integer-coded
+  elements as their own keys.
 
 The closure records the generator words, the BFS parents and the
 right-multiplication table; the Cayley table and the inverses are gathers

@@ -5,51 +5,31 @@ in each fiber, and translates:
 
     (phi x)_g = maps[g] @ x[perm[g]] + trans[g]
 
-This family is closed under composition, which is all the group
-machinery needs.  Finite groups are produced by the breadth-first
-closure of `groups.closure` over right multiplication by the generators.
-A closed group is its elements' arrays stacked along a leading axis
+A finite group is its elements' arrays stacked along a leading axis
 (`GroupSpec`); only its generators are single `FiberPermIsometry`
 objects.
-An element's signature is its image of a fixed probe cloud, so no
-canonical form of the matrix data is required; a product whose signature
-is within _CLOSURE_TOL of a known one in every entry (max |diff| <=
-_CLOSURE_TOL) is a duplicate.
 
-Exact mode.  When every fiber map is a signed permutation matrix, an
-isometry is a signed permutation of the flattened m*k coordinates plus a
-translation, and every float translation is a dyadic rational: its
-`exact` form holds the permutation, the signs, and the translation as
-integer numerators over one power of two.  `group_closure` closes such
-generators with integer products and exact keys (the closure kernel's
-dict mode) when three conditions make that give the elements the
-tolerance rule gives:
+When every fiber map is a signed permutation matrix, an isometry is a
+signed permutation of the flattened m*k coordinates plus a translation,
+and every finite float translation is a dyadic rational: its `exact` form
+holds the permutation, the signs, and the translation as integer
+numerators over one power of two.  A -0.0 translation has the numerator
+0, so it reads as +0.0.
 
-- the generators' common denominator is at most 2^33, so two distinct
-  translations differ by at least 2^-33 > _CLOSURE_TOL in some entry,
-  which the origin probe shows exactly;
-- cap times the largest generator numerator is within a limit below
-  2^53.  A product the closure makes is a word of at most cap
-  generators, so every numerator of every product stays within that
-  limit; the float products are then exact (each entry is one +-1 times
-  a float plus a float, all on the grid of the denominator) and equal
-  the integer ones, with zero entries +0.0 as the products make them;
-- the probe cloud of (m, k) tells any two signed coordinates apart by a
-  gap that survives the rounding of the signatures at that largest
-  translation by more than _CLOSURE_TOL (`_translation_limit`, checked
-  once per (m, k)).
+`group_closure` closes such generators, and only such generators, by the
+breadth-first closure of `groups.closure` in its key mode: a product is
+one integer gather and a duplicate is an equal integer key.  One bound
+keeps the integers in int64: cap times the largest generator numerator
+(over the generators' common denominator) is at most 2^63 - 1.  A product
+the closure makes is a word of at most cap generators, so no numerator of
+any element can overflow.  An element's floats are the correctly rounded
+values of its exact form; they equal it wherever every numerator is at
+most 2^53, as in every group a scenario draws.  Generators whose fiber
+maps are not signed permutations (rotations, say), non-finite
+translations and generators beyond the bound raise ValueError.
 
-Then equal exact forms have byte-equal floats and hence equal
-signatures, and unequal ones have signatures more than _CLOSURE_TOL
-apart, so a dict lookup finds exactly the one stored element the
-tolerance scan would find.  Generators outside those conditions (other
-orthogonal maps, translations such as 0.1 whose denominator is 2^55, a
--0.0 translation, which the integers cannot hold, or a cap so large that
-words could outgrow the limit) are closed by the float rule.
-
-Products, signatures and the orthogonality test call np.einsum with its
-default optimize=False, which hands the operands straight to numpy's C
-einsum.
+The orthogonality test calls np.einsum with its default optimize=False,
+which hands the operands straight to numpy's C einsum.
 """
 
 from __future__ import annotations
@@ -67,9 +47,7 @@ from .groups import closure
 from .spaces import PointCloud, SupPoint
 
 _ORTHO_TOL = 1e-8
-_CLOSURE_TOL = 1e-10
-_EXACT_DEN = 2**33  # largest translation denominator the exact closure takes
-_EXACT_NUM = 2**53 - 1  # largest |numerator| of an exact element
+_EXACT_NUM = 2**63 - 1  # largest |numerator| of a closed element: int64's
 _INT64_SAFE = 2**62  # exact orbit numerators below this stay int64
 
 
@@ -121,8 +99,8 @@ class FiberPermIsometry:
     def _trusted(cls, perm: np.ndarray, maps: np.ndarray, trans: np.ndarray) -> "FiberPermIsometry":
         """Wrap arrays that are valid by construction, skipping the checks.
 
-        For products of checked maps: the permutations compose to a
-        permutation and the orthogonal maps to orthogonal maps.
+        For a checked map given a new finite translation, as
+        `instances` conjugates its linear generators by a grid point.
         """
         for arr in (perm, maps, trans):
             arr.setflags(write=False)
@@ -159,11 +137,6 @@ class FiberPermIsometry:
             return None
         return ExactForm(src.ravel(), sign.ravel().astype(int), den, nums)
 
-    @classmethod
-    def identity(cls, m: int, k: int) -> "FiberPermIsometry":
-        return cls._trusted(np.arange(m), np.broadcast_to(np.eye(k), (m, k, k)).copy(),
-                            np.zeros((m, k)))
-
 
 def _dyadic(values: np.ndarray) -> tuple[int, np.ndarray | None]:
     """(den, nums) with values = nums / den and den the least power of two
@@ -177,74 +150,9 @@ def _dyadic(values: np.ndarray) -> tuple[int, np.ndarray | None]:
     return den, np.array(nums, dtype=object if big else np.int64)
 
 
-def compose(a: FiberPermIsometry, b: FiberPermIsometry) -> FiberPermIsometry:
-    """The isometry x -> a(b(x))."""
-    if a.trans.shape != b.trans.shape:
-        raise SpaceMismatchError("cannot compose isometries of different spaces")
-    p = a.perm
-    perm = b.perm.take(p)
-    maps = np.einsum("gij,gjl->gil", a.maps, b.maps.take(p, axis=0))
-    trans = np.einsum("gij,gj->gi", a.maps, b.trans.take(p, axis=0))
-    trans += a.trans
-    return FiberPermIsometry._trusted(perm, maps, trans)
-
-
-@lru_cache(maxsize=64)
-def _probe_cloud(m: int, k: int) -> np.ndarray:
-    """Fixed probe points whose images identify an isometry: the origin,
-    one-hot points, and one generic point to split symmetric cases.
-    Built once per (m, k) and shared, so read-only."""
-    probes = [np.zeros((m, k))]
-    one = np.zeros((m, k))
-    one[0, 0] = 1.0
-    probes.append(one)
-    if m > 1 or k > 1:
-        rng = np.random.default_rng(20240)
-        probes.append(rng.standard_normal((m, k)))
-    out = np.stack(probes)
-    out.setflags(write=False)
-    return out
-
-
-def _signature(iso: FiberPermIsometry, probes: np.ndarray) -> np.ndarray:
-    out = np.einsum("gij,pgj->pgi", iso.maps, probes.take(iso.perm, axis=1))
-    out += iso.trans
-    return out
-
-
-def _probe_gap(m: int, k: int) -> float:
-    """The least, over two different signed coordinates s x[a] and s' x[b]
-    (a != b or s != s'), of the largest difference of their values on the
-    probe cloud.  Two elements whose signed permutations differ take
-    different signed coordinates somewhere, so on some probe their exact
-    signatures differ there by at least this much."""
-    cols = _probe_cloud(m, k).reshape(-1, m * k)
-    signed = np.concatenate([cols, -cols], axis=1)  # (probes, 2 m k)
-    gaps = np.abs(signed[:, :, None] - signed[:, None, :]).max(axis=0)
-    np.fill_diagonal(gaps, np.inf)
-    return float(gaps.min())
-
-
-@lru_cache(maxsize=64)
-def _translation_limit(m: int, k: int) -> float:
-    """The largest |translation| at which the exact closure still decides as
-    the tolerance rule does for elements that differ only in their signed
-    permutation; 0.0 when the probe cloud cannot tell them apart.
-
-    A signature entry is the float sum of an exact probe value v and the
-    translation t, so it is within 2^-53 |v + t| of the real sum.  Two
-    elements with equal translations and probe values v1, v2 at least
-    `_probe_gap` apart thus have signatures at least
-    gap - 2^-52 (max |v| + max |t|) apart; keeping that above
-    3 _CLOSURE_TOL leaves room for the rounding of the scan's own
-    difference and of this bound."""
-    probe_max = float(np.abs(_probe_cloud(m, k)).max())
-    return max((_probe_gap(m, k) - 3 * _CLOSURE_TOL) * 2.0**52 - probe_max, 0.0)
-
-
-def _exact_table(generators, cap: int) -> tuple[np.ndarray, int] | None:
-    """(table, den) for closing the generators exactly, or None when the
-    conditions of the exact mode (module docstring) do not hold.
+def _exact_table(generators, cap: int) -> tuple[np.ndarray, int]:
+    """(table, den) for closing the generators exactly; ValueError for
+    generators that the exact closure cannot take (module docstring).
 
     The generators' translations are numerators over den.  An element of
     the closure is coded by `off` = N + (+-(src + 1)) for each of its N
@@ -253,22 +161,22 @@ def _exact_table(generators, cap: int) -> tuple[np.ndarray, int] | None:
     table[g, 1, off] to its numerator, so a product is one gather.
     """
     forms = [g.exact for g in generators]
-    if any(f is None for f in forms):
-        return None
-    if any(((g.trans == 0.0) & np.signbit(g.trans)).any() for g in generators):
-        return None
+    for i, (g, form) in enumerate(zip(generators, forms)):
+        if form is None:
+            reason = ("a translation is not finite" if not np.isfinite(g.trans).all()
+                      else "a fiber map is not a signed permutation matrix")
+            raise ValueError(f"generator {i} cannot be closed exactly: {reason}")
     den = math.lcm(*(f.den for f in forms))
-    if den > _EXACT_DEN:
-        return None
-    m, k = generators[0].m, generators[0].k
-    limit = min(_EXACT_NUM, int(_translation_limit(m, k) * den))
-    largest = max(int(np.abs(f.nums).max()) * (den // f.den) for f in forms)
-    if cap * largest > limit:
-        return None
-    n = m * k
+    rows = [[v * (den // f.den) for v in f.nums.tolist()] for f in forms]
+    largest = max(abs(v) for row in rows for v in row)
+    if max(cap, 1) * largest > _EXACT_NUM:
+        bits, power = largest.bit_length(), den.bit_length() - 1
+        raise ValueError(f"cap {cap} times the largest translation numerator "
+                         f"({bits} bits over 2^{power}) exceeds 2^63 - 1")
+    n = generators[0].m * generators[0].k
     pick, sgn = _code_columns(n)
     code = np.stack([f.sign * (f.src + 1) for f in forms])
-    nums = np.stack([f.nums.astype(np.int64) * (den // f.den) for f in forms])
+    nums = np.array(rows, dtype=np.int64)
     table = np.empty((len(forms), 2, 2 * n + 1), dtype=np.int64)
     table[:, 0] = n + sgn * code.take(pick, axis=1)
     table[:, 1] = sgn * nums.take(pick, axis=1)
@@ -307,32 +215,6 @@ def _row_products(table: np.ndarray) -> Callable[[bytes], list[bytes]]:
     return products
 
 
-def _exact_closure(generators, cap: int) -> "GroupSpec | None":
-    """group_closure by the exact mode, or None where it does not apply."""
-    found = _exact_table(generators, cap)
-    if found is None:
-        return None
-    table, den = found
-    m, k = generators[0].m, generators[0].k
-    n = m * k
-    closed = closure(_identity_code(n), _row_products(table), None, cap, None)
-    size = len(closed.elements)
-    codes = np.frombuffer(b"".join(closed.elements), dtype=np.int64).reshape(size, 2, n)
-    nums = codes[:, 1]
-    signed = codes[:, 0] - n
-    src, sign = np.abs(signed) - 1, np.sign(signed)
-    # the float arrays the tolerance closure would hold, all elements at once
-    perm = src[:, ::k] // k
-    maps = np.zeros((size, n, k))
-    maps[np.arange(size)[:, None], np.arange(n), src % k] = sign
-    maps = maps.reshape(size, m, k, k)
-    trans = (nums / den).reshape(size, m, k)
-    for arr in (src, sign):
-        arr.setflags(write=False)
-    return GroupSpec(tuple(generators), perm, maps, trans, closed.words,
-                     ExactForm(src, sign, den, nums))
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """A finite isometry group, as its elements' arrays stacked along a
@@ -341,7 +223,9 @@ class GroupSpec:
 
     words[i] is the tuple of generator indices whose left-to-right product
     equals element i; the identity has the empty word.  exact is the
-    elements' stacked exact form, where the exact closure made the group.
+    elements' stacked exact form.  Every group `group_closure` makes has
+    one; a group built directly from other maps, as `build_affine_action`
+    builds its own, has None.
     """
 
     generators: tuple[FiberPermIsometry, ...]
@@ -382,25 +266,21 @@ class GroupSpec:
         """(den, nums): the images g(x) of every element, in element order,
         as integer numerators over one denominator, flattened to (n, m k).
 
-        For a group the exact closure made, the images of x are taken in
-        integers, so they are exact for every point, not rounded; nums is
-        int64 where that holds every value, else Python ints.  For any
-        other group they are the float images, which are dyadic and hence
-        exact as they stand.
+        The images are taken in integers from the group's exact form, so
+        they are exact for every point, not rounded; nums is int64 where
+        that holds every value, else Python ints.  ValueError for a group
+        without an exact form.
         """
         form = self.exact
         if form is None:
-            flat = self.images(x).reshape(len(self), -1)
-            den, nums = _scaled(*flat.tolist())
-            return den, np.array(nums, dtype=object)
+            raise ValueError("the group has no exact form")
         if x.m != self.m or x.k != self.k:
             raise SpaceMismatchError("point shape does not match isometry")
         x_den, (x_nums,) = _scaled(x.fibers.ravel().tolist())
         den = math.lcm(form.den, x_den)
         fx, ft = den // x_den, den // form.den
-        dtype = np.int64
-        if max(map(abs, x_nums)) * fx + int(np.abs(form.nums).max()) * ft >= _INT64_SAFE:
-            dtype = object
+        top = max(map(abs, x_nums)) * fx + int(np.abs(form.nums).max()) * ft
+        dtype = np.int64 if max(top, ft) < _INT64_SAFE else object
         xs = np.array([v * fx for v in x_nums], dtype=dtype)
         return den, xs[form.src] * form.sign + form.nums.astype(dtype) * ft
 
@@ -409,14 +289,16 @@ def group_closure(
     generators: list[FiberPermIsometry] | tuple[FiberPermIsometry, ...],
     cap: int = 512,
 ) -> GroupSpec:
-    """Close the generators under composition, breadth first.
+    """Close the generators under composition, breadth first, exactly.
 
-    Signed-permutation generators on a fine enough dyadic grid are closed
-    in the exact mode, all others by the tolerance rule; where the exact
-    mode runs it gives the tolerance rule's elements, words and error
-    (module docstring).  Raises GroupNotClosedError when more than `cap`
-    distinct elements appear, so a typo in the generator data fails fast
-    instead of looping.
+    Products are integer gathers on the generators' exact forms, and a
+    duplicate is an equal integer key (module docstring).  Raises
+    ValueError, naming the reason, for a generator whose fiber maps are
+    not signed permutation matrices, for a non-finite translation, and
+    where cap times the largest generator numerator exceeds 2^63 - 1.
+    Raises GroupNotClosedError when more than `cap` distinct elements
+    appear, as for a group of infinite order, so a typo in the generator
+    data fails fast instead of looping.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -424,20 +306,25 @@ def group_closure(
     for g in generators:
         if g.m != m or g.k != k:
             raise SpaceMismatchError("generators act on different spaces")
-    exact = _exact_closure(generators, cap)
-    if exact is not None:
-        return exact
-    probes = _probe_cloud(m, k)
-    found = closure(
-        FiberPermIsometry.identity(m, k),
-        lambda a: [compose(a, g) for g in generators],
-        lambda iso: _signature(iso, probes),
-        cap,
-        _CLOSURE_TOL,
-    )
-    perm, maps, trans = (np.stack([getattr(e, name) for e in found.elements])
-                         for name in ("perm", "maps", "trans"))
-    return GroupSpec(tuple(generators), perm, maps, trans, found.words)
+    table, den = _exact_table(generators, cap)
+    n = m * k
+    closed = closure(_identity_code(n), _row_products(table), None, cap, None)
+    size = len(closed.elements)
+    codes = np.frombuffer(b"".join(closed.elements), dtype=np.int64).reshape(size, 2, n)
+    nums = codes[:, 1]
+    signed = codes[:, 0] - n
+    src, sign = np.abs(signed) - 1, np.sign(signed)
+    # the float arrays of all elements at once; trans is nums * 2^-log2(den)
+    # rounded once, so correctly rounded, and exact where |nums| <= 2^53
+    perm = src[:, ::k] // k
+    maps = np.zeros((size, n, k))
+    maps[np.arange(size)[:, None], np.arange(n), src % k] = sign
+    maps = maps.reshape(size, m, k, k)
+    trans = np.ldexp(nums, 1 - den.bit_length()).reshape(size, m, k)
+    for arr in (src, sign):
+        arr.setflags(write=False)
+    return GroupSpec(tuple(generators), perm, maps, trans, closed.words,
+                     ExactForm(src, sign, den, nums))
 
 
 def orbit(group: GroupSpec, x: SupPoint) -> PointCloud:

@@ -9,10 +9,11 @@ status, within a few seconds, and its result must serialize.
 Exit 3 means inconsistent input data.  The box generator builds only
 consistent groups and the descent starts from the exact orbit of its
 seed point, so a box scenario never ends in exit 3, whatever sample box
-it gives; a group whose translation is moved off its grid by one ulp
-still does.
+it gives; a group handed to the runner with one generator's translation
+moved off its grid by one ulp still does.
 """
 
+import dataclasses
 import math
 import time
 
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supfix import runner
+from supfix.errors import GroupNotClosedError
 from supfix.isometries import FiberPermIsometry, group_closure
 from supfix.runner import canonical_result_bytes, run_scenario
 
@@ -155,21 +157,39 @@ def coordinate_on_a_positive_cycle(g: FiberPermIsometry) -> int:
     raise LookupError("every cycle of g has sign product -1")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_subnormal_sample_point_with_zero_translations_is_solved(seed):
+    """A one-dimensional group whose translations are all 0 puts the exact
+    orbit of a subnormal point over 2^1074, against a group denominator of 1."""
+    group, _ = runner.random_box_group(seed, 1, 48)
+    assert not group.trans.any()
+    report, code = run_scenario({"kind": "box_fixed_point", "dim": 1, "seed": seed,
+                                 "sample_box": {"lo": [5e-324], "hi": [5e-324]}})
+    assert code == 0 and report["result"]["halving_exact"]
+
+
 # seeds whose first generator has a cycle of sign product +1
 @pytest.mark.parametrize("seed", [1000, 1002, 1003, 1006, 1007, 1008, 1009, 1010])
 def test_translation_one_ulp_off_the_grid_is_inconsistent(seed, monkeypatch):
-    """The moved generator no longer closes exactly; its denominator is
-    beyond 2^33, so its closure takes the float rule, which merges powers
-    an ulp apart, and the exact descent finds an iterate that is not
-    invariant."""
+    """The moved generator is a shift of infinite order, which the exact
+    closure refuses: it exceeds the cap, or, where the moved translation was
+    0 and is now 2^-1074, its numerators over 2^1074 exceed the int64
+    bound.  Handed to the runner as generator 0 of the parent group, whose
+    elements and exact form stay, it leaves an iterate of the exact descent
+    that is not invariant."""
     group, x0 = runner.random_box_group(seed, 8, 48)
     g = group.generators[0]
     q = coordinate_on_a_positive_cycle(g)
     trans = g.trans.copy()
     trans[q, 0] = np.nextafter(trans[q, 0], np.inf)
-    moved = group_closure([FiberPermIsometry(g.perm, g.maps, trans), *group.generators[1:]],
-                          cap=49)
-    assert moved.exact is None and moved.words == group.words  # the float rule closed it
+    gens = (FiberPermIsometry(g.perm, g.maps, trans), *group.generators[1:])
+    if g.trans[q, 0] == 0.0:
+        with pytest.raises(ValueError, match="exceeds 2\\^63 - 1"):
+            group_closure(gens, cap=49)
+    else:
+        with pytest.raises(GroupNotClosedError, match="exceeded 49 elements"):
+            group_closure(gens, cap=49)
+    moved = dataclasses.replace(group, generators=gens)
     monkeypatch.setattr(runner, "random_box_group", lambda *args: (moved, x0))
     report, code = run_scenario({"kind": "box_fixed_point", "seed": seed,
                                  "sample_box": decimal_sample_box(seed - 1000)})

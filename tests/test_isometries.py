@@ -1,7 +1,8 @@
 """Isometry algebra and group closure tests.
 
-Composition is checked pointwise against direct evaluation, which is the
-defining property and needs no knowledge of the internal data layout.
+Closures are checked against the tests' own reference forms: products
+composed by einsum, duplicates found by a tolerance scan of probe images,
+and exact forms composed in Fractions.
 """
 
 import itertools
@@ -12,31 +13,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_boxes import BOUND, PROPERTY_SETTINGS, assert_same_box, boxes
-from test_groups import EXTRA_GENERATORS
+from test_groups import (
+    EXTRA_GENERATORS,
+    compose,
+    ref_compose,
+    ref_identity,
+    ref_probe_cloud,
+    ref_signature,
+)
 
 from supfix import isometries
 from supfix.boxes import Box
 from supfix.errors import GroupNotClosedError, SpaceMismatchError
 from supfix.instances import (
     GRID_RANGE,
+    GRID_STEP,
+    _conjugate_by_translation,
     random_box_group,
     random_fiber_group,
     random_inner_derivation,
     unitary_group,
 )
 from supfix.isometries import (
-    _CLOSURE_TOL,
     _ORTHO_TOL,
     FiberPermIsometry,
     GroupSpec,
-    _exact_table,
     _orthogonal,
-    _probe_cloud,
-    _probe_gap,
-    _signature,
-    _translation_limit,
     box_image,
-    compose,
     group_closure,
     orbit,
 )
@@ -58,12 +61,11 @@ def random_iso(rng, m, k) -> FiberPermIsometry:
 
 
 def element_index(isos, iso: FiberPermIsometry) -> int:
-    """Index of the element among isos equal to iso, compared as the closure
-    compares them: by the images of its probe cloud, within _CLOSURE_TOL."""
-    probes = _probe_cloud(iso.m, iso.k)
-    sig = _signature(iso, probes)
+    """Index of the element among isos equal to iso: the same permutation,
+    fiber maps and translations."""
     for i, e in enumerate(isos):
-        if np.allclose(_signature(e, probes), sig, atol=_CLOSURE_TOL, rtol=0.0):
+        if all(np.array_equal(getattr(e, name), getattr(iso, name))
+               for name in ("perm", "maps", "trans")):
             return i
     raise KeyError("isometry is not an element of the group")
 
@@ -74,10 +76,12 @@ def rotation_by_one_radian() -> FiberPermIsometry:
 
 
 class TestFiberPermIsometry:
-    def test_identity_fixes_points(self, rng):
-        e = FiberPermIsometry.identity(4, 3)
+    def test_identity_fixes_points(self, rng, elements):
+        """Element 0 of a closure, the empty word, is the identity."""
+        group, _ = random_fiber_group(5, fibers=4, fiber_dim=3)
+        e = elements(group)[0]
         x = SupPoint(rng.standard_normal((4, 3)))
-        assert sup_distance(apply(e, x), x) == 0.0
+        assert group.words[0] == () and sup_distance(apply(e, x), x) == 0.0
 
     def test_preserves_sup_distance(self, rng):
         for _ in range(20):
@@ -107,21 +111,6 @@ class TestFiberPermIsometry:
         g = FiberPermIsometry(np.array([0]), np.ones((1, 1, 1)), np.array([[1e308]]))
         with pytest.raises(ValueError, match="finite"):
             apply(g, SupPoint.of([1e308]))
-
-
-class TestComposeInvert:
-    def test_compose_matches_pointwise(self, rng):
-        for _ in range(20):
-            a, b = random_iso(rng, 4, 2), random_iso(rng, 4, 2)
-            x = SupPoint(rng.standard_normal((4, 2)))
-            assert sup_distance(apply(compose(a, b), x), apply(a, apply(b, x))) <= 1e-12
-
-    def test_compose_associative(self, rng):
-        a, b, c = (random_iso(rng, 3, 2) for _ in range(3))
-        x = SupPoint(rng.standard_normal((3, 2)))
-        lhs = apply(compose(compose(a, b), c), x)
-        rhs = apply(compose(a, compose(b, c)), x)
-        assert sup_distance(lhs, rhs) <= 1e-12
 
 
 class TestGroupClosure:
@@ -166,8 +155,10 @@ class TestGroupClosure:
             assert any(element_index(isos, compose(a, b)) == 0 for b in isos)
 
     def test_infinite_order_raises(self):
-        with pytest.raises(GroupNotClosedError):
-            group_closure([rotation_by_one_radian()], cap=64)
+        """A swap whose translations do not cancel around its cycle: its
+        square is the shift by (0.75, 0.75), of infinite order."""
+        with pytest.raises(GroupNotClosedError, match="exceeded 64 elements"):
+            group_closure([swap_group([[0.5], [0.25]])], cap=64)
 
     def test_words_multiply_out(self, elements):
         g = FiberPermIsometry(
@@ -176,7 +167,7 @@ class TestGroupClosure:
         group = group_closure([g])
         x = SupPoint(np.array([[0.3], [0.7]]))
         for iso, word in zip(elements(group), group.words, strict=True):
-            built = FiberPermIsometry.identity(2, 1)
+            built = FiberPermIsometry(*ref_identity(2, 1))
             for i in word:
                 built = compose(built, group.generators[i])
             assert sup_distance(apply(iso, x), apply(built, x)) <= 1e-12
@@ -343,14 +334,18 @@ class TestStackedFormsMatchPerElement:
             assert_stacked_forms_match(group, isos, x)
 
     def test_non_finite_images_are_refused(self):
-        """apply refuses an image that overflows; so do the stacked forms."""
+        """apply refuses an image that overflows; so do the float stacked
+        forms.  The exact orbit needs the exact form, which this hand-built
+        group lacks."""
         g = FiberPermIsometry(np.array([0]), np.ones((1, 1, 1)), np.array([[1e308]]))
         group = GroupSpec((g,), np.array([[0], [0]]), np.ones((2, 1, 1, 1)),
                           np.array([[[0.0]], [[1e308]]]), ((), (0,)))
         x = SupPoint.of([1e308])
-        for fn in (orbit, fixed_point_residual, exact_orbit_diameter):
+        for fn in (orbit, fixed_point_residual):
             with pytest.raises(ValueError, match="finite"):
                 fn(group, x)
+        with pytest.raises(ValueError, match="no exact form"):
+            exact_orbit_diameter(group, x)
 
     def test_shape_mismatch(self):
         group, _ = random_box_group(3, dim=4)
@@ -390,73 +385,51 @@ class TestBoxImageAgainstFractionForm:
             box_image(near, Box.bounds([0, 0], [1, 1]))
 
 
-class TestTrustedProducts:
-    """compose and identity skip the constructor's checks; their output must
-    still be what the checking constructor makes of the same arrays."""
+class TestTrustedConstruction:
+    """FiberPermIsometry._trusted skips the constructor's checks; what it
+    makes must still be what the checking constructor makes of the same
+    arrays."""
 
     def test_public_constructor_still_checks(self, rng):
-        a, b = random_iso(rng, 4, 2), random_iso(rng, 4, 2)
-        ab = compose(a, b)
+        iso = random_iso(rng, 4, 2)
         with pytest.raises(ValueError, match="orthogonal"):
-            FiberPermIsometry(ab.perm, 2.0 * ab.maps, ab.trans)
+            FiberPermIsometry(iso.perm, 2.0 * iso.maps, iso.trans)
         with pytest.raises(ValueError, match="permutation"):
-            FiberPermIsometry(np.zeros(4, dtype=int), ab.maps, ab.trans)
+            FiberPermIsometry(np.zeros(4, dtype=int), iso.maps, iso.trans)
         with pytest.raises(SpaceMismatchError):
-            FiberPermIsometry(ab.perm, ab.maps[:, :1, :1], ab.trans)
-
-    def test_compose_across_spaces_raises(self, rng):
-        with pytest.raises(SpaceMismatchError):
-            compose(random_iso(rng, 4, 2), random_iso(rng, 3, 2))
-        with pytest.raises(SpaceMismatchError):
-            compose(random_iso(rng, 3, 1), random_iso(rng, 3, 2))
+            FiberPermIsometry(iso.perm, iso.maps[:, :1, :1], iso.trans)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_outputs_read_only_and_equal_to_checked(self, k, rng):
+        """The conjugates that `instances` builds through _trusted."""
         for _ in range(10):
-            a, b = random_iso(rng, 5, k), random_iso(rng, 5, k)
-            for out in (compose(a, b), compose(b, a), FiberPermIsometry.identity(5, k)):
-                checked = FiberPermIsometry(out.perm.copy(), out.maps.copy(), out.trans.copy())
-                for name in ("perm", "maps", "trans"):
-                    arr, ref = getattr(out, name), getattr(checked, name)
-                    assert not arr.flags.writeable
-                    assert arr.dtype == ref.dtype and arr.shape == ref.shape
-                    assert np.array_equal(arr, ref)
-                    with pytest.raises(ValueError):
-                        arr[...] = 0
+            lin = random_iso(rng, 5, k)
+            lin = FiberPermIsometry(lin.perm, lin.maps, np.zeros((5, k)))
+            out = _conjugate_by_translation(lin, rng.standard_normal((5, k)))
+            checked = FiberPermIsometry(out.perm.copy(), out.maps.copy(), out.trans.copy())
+            for name in ("perm", "maps", "trans"):
+                arr, ref = getattr(out, name), getattr(checked, name)
+                assert not arr.flags.writeable
+                assert arr.dtype == ref.dtype and arr.shape == ref.shape
+                assert np.array_equal(arr, ref)
+                with pytest.raises(ValueError):
+                    arr[...] = 0
 
 
-# -- the einsum forms the closure keeps ------------------------------------------
-# Products, signatures and the duplicate scan as they were before the closure
-# scanned in place, called c_einsum directly and cached its probe cloud.  The
-# closure must give the same elements byte for byte, in the same order.
-
-
-def ref_probe_cloud(m, k):
-    probes = [np.zeros((m, k))]
-    one = np.zeros((m, k))
-    one[0, 0] = 1.0
-    probes.append(one)
-    if m > 1 or k > 1:
-        probes.append(np.random.default_rng(20240).standard_normal((m, k)))
-    return np.stack(probes)
-
-
-def ref_compose(a, b):
-    perm, maps, trans = a
-    return (b[0][perm], np.einsum("gij,gjl->gil", maps, b[1][perm]),
-            np.einsum("gij,gj->gi", maps, b[2][perm]) + trans)
-
-
-def ref_signature(iso, probes):
-    perm, maps, trans = iso
-    return np.einsum("gij,pgj->pgi", maps, probes[:, perm, :]) + trans
+# -- the closure against the tests' own reference forms ---------------------------
+# ref_closure closes by einsum products and a tolerance scan of probe images
+# (test_groups.ref_compose, ref_signature, ref_probe_cloud), a rule that
+# shares nothing with the package's integer closure.  Where all its floats
+# are exact, as for every group a scenario draws, the exact closure must give
+# its elements byte for byte, in the same order.  fraction_elements composes
+# the generators' signed permutations and translations in Fractions.
 
 
 def ref_closure(generators, cap, tol=1e-10):
     m, k = generators[0].m, generators[0].k
     gens = [(g.perm, g.maps, g.trans) for g in generators]
     probes = ref_probe_cloud(m, k)
-    elements = [(np.arange(m), np.broadcast_to(np.eye(k), (m, k, k)).copy(), np.zeros((m, k)))]
+    elements = [ref_identity(m, k)]
     sigs = np.empty((cap, probes.size))
     sigs[0] = np.ravel(ref_signature(elements[0], probes))
     words = [()]
@@ -476,6 +449,25 @@ def ref_closure(generators, cap, tol=1e-10):
     return elements, words
 
 
+def fraction_elements(generators, words):
+    """(src, sign, translations as Fractions) of each word's product, read
+    left to right, composed from the generators' signed permutations and
+    float translations in exact arithmetic."""
+    gens = [(g.exact.src.tolist(), g.exact.sign.tolist(),
+             [Fraction(float(t)) for t in g.trans.ravel()]) for g in generators]
+    n = len(gens[0][0])
+    out = []
+    for word in words:
+        src, sign, trans = list(range(n)), [1] * n, [Fraction(0)] * n
+        for gi in word:  # a * b is x -> a(b(x))
+            b_src, b_sign, b_trans = gens[gi]
+            src, sign, trans = ([b_src[s] for s in src],
+                                [a * b_sign[s] for a, s in zip(sign, src)],
+                                [a * b_trans[s] + t for a, s, t in zip(sign, src, trans)])
+        out.append((src, sign, trans))
+    return out
+
+
 def rotation_generators(rng, m, k, order):
     """A fiber-cycling rotation by 2 pi / order and a reflection, both in one
     generic orthonormal frame and both fixing one generic point: a finite
@@ -493,50 +485,40 @@ def rotation_generators(rng, m, k, order):
     return gens
 
 
-class TestClosureMatchesEinsumForm:
-    @staticmethod
-    def assert_same(generators, cap, elements, order=None):
-        """Row i of the group's stacks is the reference closure's element i,
-        byte for byte, and so is its signature."""
-        group = group_closure(generators, cap=cap)
-        refs, words = ref_closure(generators, cap)
-        assert group.words == tuple(words)
-        assert order is None or len(group) == order
-        probes = ref_probe_cloud(group.m, group.k)
-        for i, (iso, want) in enumerate(zip(elements(group), refs, strict=True)):
-            for arr, ref in zip((group.perm[i], group.maps[i], group.trans[i]), want):
-                assert arr.dtype == ref.dtype and arr.shape == ref.shape
-                assert arr.tobytes() == ref.tobytes()
-            sig = _signature(iso, _probe_cloud(group.m, group.k))
-            assert sig.tobytes() == ref_signature(want, probes).tobytes()
+def assert_same_as_ref_closure(group, cap, elements, order=None):
+    """Row i of the group's stacks is ref_closure's element i, byte for byte,
+    with the same words; the stacks are read-only."""
+    refs, words = ref_closure(group.generators, cap)
+    assert group.words == tuple(words)
+    assert order is None or len(group) == order
+    for iso, want in zip(elements(group), refs, strict=True):
+        for arr, ref in zip((iso.perm, iso.maps, iso.trans), want):
+            assert arr.dtype == ref.dtype and arr.shape == ref.shape
+            assert arr.tobytes() == ref.tobytes()
+    for arr in (group.perm, group.maps, group.trans):
+        assert not arr.flags.writeable
 
+
+class TestClosureMatchesEinsumForm:
     @pytest.mark.parametrize("seed", range(6))
     def test_box_generators(self, seed, elements):
         group, _ = random_box_group(seed, dim=3 + seed)
-        self.assert_same(group.generators, 49, elements)
+        assert_same_as_ref_closure(group_closure(group.generators, cap=49), 49, elements)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fiber_generators(self, seed, elements):
         group, _ = random_fiber_group(seed, fibers=2 + seed % 4, fiber_dim=1 + seed % 3)
-        self.assert_same(group.generators, 49, elements)
-
-    @pytest.mark.parametrize("m, k, order", [(1, 2, 5), (3, 2, 5), (2, 3, 6), (4, 3, 7)])
-    def test_generic_rotation_generators(self, m, k, order, rng, elements):
-        gens = rotation_generators(rng, m, k, order)
-        cycle = int(np.lcm(m, order))
-        self.assert_same(gens, 4 * cycle + 1, elements, order=2 * cycle)
+        assert_same_as_ref_closure(group_closure(group.generators, cap=49), 49, elements)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_box_generators_at_the_schema_cap(self, seed, elements):
         group, _ = random_box_group(seed, dim=64, max_order=512)
-        assert _exact_table(group.generators, 513) is not None
-        self.assert_same(group.generators, 513, elements)
+        assert_same_as_ref_closure(group_closure(group.generators, cap=513), 513, elements)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fiber_generators_at_the_schema_cap(self, seed, elements):
         group, _ = random_fiber_group(seed, fibers=16, fiber_dim=8, max_order=512)
-        assert _exact_table(group.generators, 513) is not None
-        self.assert_same(group.generators, 513, elements)
+        assert_same_as_ref_closure(group_closure(group.generators, cap=513), 513, elements)
 
     @pytest.mark.parametrize("make", [
         lambda: random_box_group(1, dim=64, max_order=512)[0],
@@ -544,7 +526,7 @@ class TestClosureMatchesEinsumForm:
         lambda: random_box_group(4, dim=8, max_order=48)[0],
     ])
     def test_cap_error_at_the_same_count(self, make, elements):
-        """One element short of the order, both rules raise; at the order
+        """One element short of the order, both closures raise; at the order
         neither does."""
         group = make()
         gens, order = group.generators, len(group)
@@ -552,48 +534,14 @@ class TestClosureMatchesEinsumForm:
             group_closure(gens, cap=order - 1)
         with pytest.raises(AssertionError):  # ref_closure's `n < cap`
             ref_closure(gens, order - 1)
-        self.assert_same(gens, order, elements, order=order)
+        assert_same_as_ref_closure(group_closure(gens, cap=order), order, elements, order=order)
 
     @pytest.mark.parametrize("cap", [0, -1])
-    def test_cap_below_one_element(self, cap, rng):
-        """Exact and float closures alike: the identity alone outgrows it."""
-        box = random_box_group(1, dim=8)[0].generators
-        assert _exact_table(box, 1) is not None
-        for gens in (box, rotation_generators(rng, 2, 3, 5)):
+    def test_cap_below_one_element(self, cap):
+        """Box and fiber generators alike: the identity alone outgrows it."""
+        for group, _ in (random_box_group(1, dim=8), random_fiber_group(1)):
             with pytest.raises(GroupNotClosedError, match=f"exceeded {cap} elements"):
-                group_closure(gens, cap=cap)
-
-    def test_probe_cloud_is_built_once_and_read_only(self):
-        for m, k in ((1, 1), (8, 1), (5, 3)):
-            probes = _probe_cloud(m, k)
-            assert _probe_cloud(m, k) is probes
-            assert probes.tobytes() == ref_probe_cloud(m, k).tobytes()
-            assert not probes.flags.writeable
-
-    @pytest.mark.parametrize("m, k", [(1, 1), (4, 1), (3, 2)])
-    def test_identity_equals_the_checked_form(self, m, k):
-        e = FiberPermIsometry.identity(m, k)
-        checked = FiberPermIsometry(np.arange(m), np.broadcast_to(np.eye(k), (m, k, k)).copy(),
-                                    np.zeros((m, k)))
-        for name in ("perm", "maps", "trans"):
-            arr, ref = getattr(e, name), getattr(checked, name)
-            assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes()
-            assert not arr.flags.writeable
-
-
-def float_rule_closure(generators, cap, monkeypatch):
-    """group_closure with the exact mode switched off."""
-    with monkeypatch.context() as patch:
-        patch.setattr(isometries, "_exact_closure", lambda generators, cap: None)
-        return group_closure(generators, cap=cap)
-
-
-def assert_same_groups(got, want):
-    assert got.words == want.words
-    for name in ("perm", "maps", "trans"):
-        x, y = getattr(got, name), getattr(want, name)
-        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-        assert not x.flags.writeable and not y.flags.writeable
+                group_closure(group.generators, cap=cap)
 
 
 def swap_group(trans):
@@ -602,7 +550,8 @@ def swap_group(trans):
 
 
 def conjugated(perm, signs, p):
-    """x -> L(x - p) + p for the signed permutation L = (perm, signs)."""
+    """x -> L(x - p) + p for the signed permutation L = (perm, signs), with
+    the translation p - L p taken in floats."""
     maps = np.array(signs, dtype=float).reshape(-1, 1, 1)
     p = np.array(p, dtype=float).reshape(-1, 1)
     return FiberPermIsometry(np.array(perm), maps, p - maps[:, :, 0] * p[perm])
@@ -617,94 +566,127 @@ def word_generators():
             conjugated([0, 1, 2], [1, 1, -1], [2, 1, 0])]
 
 
-class TestExactModeSelection:
-    """The exact mode runs only where it gives the float rule's elements;
-    elsewhere the float rule runs, byte for byte as before."""
+class TestExactClosureContract:
+    """group_closure's one rule: generators whose fiber maps are signed
+    permutations and whose translations are finite close exactly, within
+    one bound on their numerators; any other generators raise ValueError."""
 
-    FLOAT_CASES = {
-        "translation_0.1": lambda rng: [conjugated([1, 2, 0], [1, -1, -1], [0.1, 0.2, 0.3])],
-        "denominator_2^34": lambda rng: [conjugated([1, 0, 2], [-1, 1, -1],
-                                                    [1 + 2.0**-34, 0.5, -0.25])],
-        "negative_zero": lambda rng: [swap_group([[-0.0], [0.0]])],
-        "rotation_maps": lambda rng: rotation_generators(rng, 3, 2, 5),
-        "rotation_of_one_radian": lambda rng: [rotation_by_one_radian()],
+    OFF_GRID = {
+        # translations cancel around the 4-cycle, but 0.1 + 0.3 is no float
+        "translation_0.1": lambda: [FiberPermIsometry(
+            np.array([1, 2, 3, 0]), np.ones((4, 1, 1)), np.array([[0.1], [0.3], [-0.1], [-0.3]]))],
+        "denominator_2^34": lambda: [conjugated([1, 0, 2], [-1, 1, -1],
+                                                [1 + 2.0**-34, 0.5, -0.25])],
     }
 
-    @pytest.mark.parametrize("case", FLOAT_CASES)
-    def test_float_rule_where_the_conditions_fail(self, case, rng, monkeypatch, elements):
-        gens = self.FLOAT_CASES[case](rng)
-        assert _exact_table(gens, 64) is None
-        if case == "rotation_of_one_radian":
-            with pytest.raises(GroupNotClosedError):
-                group_closure(gens, cap=64)
-            return
+    @pytest.mark.parametrize("case, order", [("translation_0.1", 4), ("denominator_2^34", 4)])
+    def test_off_grid_translations_close_exactly(self, case, order):
+        """Each element is the exact product of its word, and its floats are
+        the correctly rounded values of that product."""
+        gens = self.OFF_GRID[case]()
         group = group_closure(gens, cap=64)
-        assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
-        TestClosureMatchesEinsumForm.assert_same(gens, 64, elements)
+        assert len(group) == order
+        assert group.words == tuple(ref_closure(gens, 64)[1])
+        form, rounded = group.exact, 0
+        for i, (src, sign, trans) in enumerate(fraction_elements(gens, group.words)):
+            assert (form.src[i].tolist(), form.sign[i].tolist()) == (src, sign)
+            assert [Fraction(int(v), form.den) for v in form.nums[i]] == trans
+            assert group.trans[i].ravel().tolist() == [float(t) for t in trans]
+            rounded += sum(Fraction(float(t)) != t for t in trans)
+        assert bool(rounded) is (case == "translation_0.1")
 
-    def test_swap_without_the_signed_zero_is_exact(self, monkeypatch):
-        gens = [swap_group([[0.0], [0.0]])]
-        assert _exact_table(gens, 64) is not None
-        assert_same_groups(group_closure(gens), float_rule_closure(gens, 512, monkeypatch))
+    def test_float_translations_that_do_not_cancel_are_of_infinite_order(self):
+        """About p = (0.1, 0.2, 0.3) the float translation p_2 + p_0 rounds,
+        so the cycle's product is a shift by an ulp, which the tolerance of
+        ref_closure merges into a group of order 3."""
+        gens = [conjugated([1, 2, 0], [1, -1, -1], [0.1, 0.2, 0.3])]
+        assert len(ref_closure(gens, 64)[0]) == 3
+        with pytest.raises(GroupNotClosedError, match="exceeded 64 elements"):
+            group_closure(gens, cap=64)
+
+    def test_negative_zero_reads_as_positive_zero(self, elements):
+        group = group_closure([swap_group([[-0.0], [0.0]])])
+        want = group_closure([swap_group([[0.0], [0.0]])])
+        assert group.words == want.words and len(group) == 2
+        assert group.trans.tobytes() == want.trans.tobytes()
+        assert not np.signbit(group.trans).any()
+        assert group.exact.nums.tolist() == want.exact.nums.tolist()
+        assert_same_as_ref_closure(want, 512, elements)
+
+    @pytest.mark.parametrize("m, k, order", [(1, 2, 5), (3, 2, 5), (2, 3, 6), (4, 3, 7)])
+    def test_generic_rotation_generators_raise(self, m, k, order, rng):
+        gens = rotation_generators(rng, m, k, order)
+        with pytest.raises(ValueError, match="generator 0 .* not a signed permutation matrix"):
+            group_closure(gens, cap=4 * order * m + 1)
+
+    def test_rotation_of_one_radian_raises(self):
+        """A rotation of infinite order is refused for its map, before any
+        product is made."""
+        with pytest.raises(ValueError, match="not a signed permutation matrix"):
+            group_closure([rotation_by_one_radian()], cap=64)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_translation_raises(self, bad):
+        good = swap_group([[0.5], [-0.5]])
+        trans = np.array([[0.5], [bad]])
+        with pytest.raises(ValueError, match="generator 1 .* translation is not finite"):
+            group_closure([good, FiberPermIsometry._trusted(good.perm, good.maps, trans)])
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_exact_mode_matches_the_float_rule(self, seed, monkeypatch):
+    def test_exact_closure_matches_ref_closure(self, seed, elements):
         if seed % 2:
             group, _ = random_fiber_group(seed, 1 + seed % 5, 1 + seed % 4, 48)
         else:
             group, _ = random_box_group(seed, 1 + seed, 48)
-        assert _exact_table(group.generators, 49) is not None
-        assert_same_groups(group, float_rule_closure(group.generators, 49, monkeypatch))
+        assert_same_as_ref_closure(group, 49, elements)
 
-    def test_numerators_beyond_the_limit_fall_back(self, monkeypatch):
-        """A translation of 2^51 is exact, but at that size a signature rounds
-        to whole numbers, below the probes' gap; the float rule decides."""
-        gens = [conjugated([1, 2, 0], [1, 1, -1], [2.0**51, 0.0, 0.0])]
-        assert 2.0**51 > _translation_limit(3, 1)
-        assert _exact_table(gens, 64) is None
-        group = group_closure(gens, cap=64)
-        assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
+    @pytest.mark.parametrize("cap, fits", [(127, True), (128, False)])
+    def test_the_bound_is_int64(self, cap, fits):
+        """The generator translates by 2^56 (over 1), so cap 127 keeps every
+        numerator within 127 * 2^56 < 2^63 and cap 128 could reach 2^63."""
+        gens = [conjugated([1, 2, 0], [1, 1, -1], [2.0**56, 0.0, 0.0])]
+        if not fits:
+            with pytest.raises(ValueError, match="cap 128 times .* exceeds 2\\^63 - 1"):
+                group_closure(gens, cap=cap)
+            return
+        group = group_closure(gens, cap=cap)
+        assert len(group) == 6 and group.exact.nums.dtype == np.int64
+        for i, (_, _, trans) in enumerate(fraction_elements(gens, group.words)):
+            assert [Fraction(int(v), group.exact.den) for v in group.exact.nums[i]] == trans
 
-    def test_products_beyond_the_limit_fall_back(self, monkeypatch):
-        """At cap 64 words could reach numerators of 128.  With the numerator
-        limit at 127 the exact mode does not run: the float rule makes the
-        group, with every product a compose."""
+    def test_products_beyond_the_bound_raise(self, monkeypatch):
+        """With the bound at 127, cap 64 could make numerators of 128, so no
+        product is made; at cap 63 the group closes, with translations up
+        to 4."""
         gens = word_generators()
         monkeypatch.setattr(isometries, "_EXACT_NUM", 127)
-        assert _exact_table(gens, 64) is None
         products = []
-        monkeypatch.setattr(isometries, "compose", lambda a, b: products.append(1) or
-                            compose(a, b))
-        group = group_closure(gens, cap=64)
-        assert products and group.exact is None and np.abs(group.trans).max() == 4.0
-        assert_same_groups(group, float_rule_closure(gens, 64, monkeypatch))
+        row_products = isometries._row_products
+        monkeypatch.setattr(isometries, "_row_products", lambda table: products.append(1) or
+                            row_products(table))
+        with pytest.raises(ValueError, match=r"cap 64 times .* numerator \(2 bits over 2\^0\)"):
+            group_closure(gens, cap=64)
+        assert not products
+        group = group_closure(gens, cap=63)
+        assert len(group) == 24 and np.abs(group.trans).max() == 4.0
 
-    @pytest.mark.parametrize("num_limit, exact_at", [(48, {23, 24}), (47, {23}), (45, set())])
-    def test_checked_products_within_and_beyond_the_limit(self, num_limit, exact_at,
-                                                          monkeypatch):
-        """The exact mode runs exactly where cap times the largest generator
-        numerator (2) is within the limit: one short of the order (cap 23,
-        where both rules raise the cap error) and at the order (cap 24).
-        Either way the group and the error are the float rule's."""
+    @pytest.mark.parametrize("bound, closes_at", [(48, {23, 24}), (47, {23}), (45, set())])
+    def test_products_within_and_beyond_the_bound(self, bound, closes_at, monkeypatch, elements):
+        """The closure runs exactly where cap times the largest generator
+        numerator (2) is within the bound: one short of the order (cap 23,
+        where it raises the cap error) and at the order (cap 24).
+        Elsewhere it raises ValueError."""
         gens = word_generators()
-        monkeypatch.setattr(isometries, "_EXACT_NUM", num_limit)
-        want = float_rule_closure(gens, 64, monkeypatch)
-        assert len(want) == 24
-        products = []
-        monkeypatch.setattr(isometries, "compose", lambda a, b: products.append(1) or
-                            compose(a, b))
+        monkeypatch.setattr(isometries, "_EXACT_NUM", bound)
         for cap in (23, 24):
-            exact = cap in exact_at
-            assert (_exact_table(gens, cap) is not None) is exact
-            products.clear()
-            if cap == 23:
+            if cap not in closes_at:
+                with pytest.raises(ValueError, match=f"cap {cap} times"):
+                    group_closure(gens, cap=cap)
+            elif cap == 23:
                 with pytest.raises(GroupNotClosedError, match="exceeded 23 elements"):
                     group_closure(gens, cap=cap)
             else:
-                group = group_closure(gens, cap=cap)
-                assert (group.exact is not None) is exact
-                assert_same_groups(group, want)
-            assert bool(products) is not exact
+                assert_same_as_ref_closure(group_closure(gens, cap=cap), 64, elements, order=24)
 
     @pytest.mark.parametrize("values", [
         [0.0, -0.0, 0.0], [0.5, -0.25, 3.0], [2.0**-33, 1.0, -2.0**19], [0.1, 0.2, 0.0],
@@ -780,12 +762,6 @@ class TestGroupStacks:
                 Fraction(int(v), form.den) for v in form.nums[i]]
         assert_read_only(group)
 
-    def test_float_rule_stacks_are_read_only(self, rng):
-        gens = TestExactModeSelection.FLOAT_CASES["translation_0.1"](rng)
-        group = group_closure(gens, cap=64)
-        assert group.exact is None and len(group) == 3
-        assert_read_only(group)
-
     def test_affine_action_stacks_are_read_only(self):
         group = witness_group("q8")
         assert group.exact is None
@@ -793,40 +769,47 @@ class TestGroupStacks:
 
 
 def schema_shapes():
-    """Every (m, k) a box or fiber scenario can ask for."""
-    box = SCENARIO_SCHEMAS["box_fixed_point"]["properties"]["dim"]
+    """(m, k, cap): every shape a box or fiber scenario can ask for, with the
+    cap its group is closed at under the largest max_order."""
+    box = SCENARIO_SCHEMAS["box_fixed_point"]["properties"]
     fiber = SCENARIO_SCHEMAS["fiber_fixed_point"]["properties"]
-    shapes = {(m, 1) for m in range(box["minimum"], box["maximum"] + 1)}
-    shapes |= {(m, k) for m in range(fiber["fibers"]["minimum"], fiber["fibers"]["maximum"] + 1)
+    shapes = {(m, 1, box["max_order"]["maximum"] + 1)
+              for m in range(box["dim"]["minimum"], box["dim"]["maximum"] + 1)}
+    shapes |= {(m, k, fiber["max_order"]["maximum"] + 1)
+               for m in range(fiber["fibers"]["minimum"], fiber["fibers"]["maximum"] + 1)
                for k in range(fiber["fiber_dim"]["minimum"], fiber["fiber_dim"]["maximum"] + 1)}
     return sorted(shapes)
 
 
-class TestProbeGap:
-    @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (1, 3), (2, 2),
-                                      (1, 4)])
-    def test_gap_is_the_least_signature_difference(self, m, k):
-        """Over all pairs of signed permutations of the m k coordinates, the
-        smallest largest difference of their probe images is the gap."""
-        n = m * k
-        probes = _probe_cloud(m, k).reshape(-1, n)
-        images = np.stack([probes[:, list(perm)] * np.array(signs)
-                           for perm in itertools.permutations(range(n))
-                           for signs in itertools.product((1.0, -1.0), repeat=n)])
-        flat = images.reshape(len(images), -1)
-        least = min(np.abs(flat[i + 1:] - flat[i]).max(axis=1).min()
-                    for i in range(len(flat) - 1))
-        assert least == _probe_gap(m, k)
+class TestScenarioGeneratorsWithinTheBound:
+    """No scenario reaches group_closure's ValueError.  A generator that
+    random_box_group or random_fiber_group draws translates by p - L p for
+    a grid point p of [-GRID_RANGE, GRID_RANGE], so by at most 2 GRID_RANGE
+    on the grid of GRID_STEP.  Its numerators over 1 / GRID_STEP are then at
+    most 2 GRID_RANGE / GRID_STEP, and no larger over the generators' least
+    common denominator, which divides 1 / GRID_STEP."""
 
-    def test_every_schema_shape_separates_signed_permutations(self):
-        """The probes of every shape a scenario allows tell signed permutations
-        apart by far more than _CLOSURE_TOL, and at every translation the
-        generated groups use (at most 2 GRID_RANGE)."""
+    LARGEST = round(2 * GRID_RANGE / GRID_STEP)
+
+    def test_every_schema_shape_at_its_cap_is_within_the_bound(self):
         shapes = schema_shapes()
-        assert (64, 1) in shapes and (16, 8) in shapes
-        for m, k in shapes:
-            assert _probe_gap(m, k) > 1e5 * _CLOSURE_TOL, (m, k)
-            assert _translation_limit(m, k) > 1e6 * 2 * GRID_RANGE, (m, k)
+        assert (64, 1, 513) in shapes and (16, 8, 513) in shapes
+        for m, k, cap in shapes:
+            assert cap * self.LARGEST <= isometries._EXACT_NUM, (m, k, cap)
+            assert cap * self.LARGEST <= 2**53, (m, k, cap)  # so every element float is exact
+
+    @pytest.mark.parametrize("make, shape", [
+        (random_box_group, lambda seed: (1 + seed % 64,)),
+        (random_fiber_group, lambda seed: (1 + seed % 6, 1 + seed % 4)),
+    ], ids=["box", "fiber"])
+    def test_drawn_translations_are_on_the_grid_within_twice_its_range(self, make, shape):
+        for seed in range(40):
+            group, _ = make(seed, *shape(seed))
+            for g in group.generators:
+                steps = g.trans / GRID_STEP
+                assert np.array_equal(steps, np.round(steps))
+                assert np.abs(g.trans).max() <= 2 * GRID_RANGE
+                assert g.exact.den * GRID_STEP <= 1.0
 
 
 class TestOrthogonalityCheck:

@@ -8,7 +8,7 @@ import pytest
 
 from supfix.errors import InvarianceViolationError, SpaceMismatchError
 from supfix.instances import random_box_group, random_fiber_group
-from supfix.isometries import FiberPermIsometry, GroupSpec, box_image, orbit
+from supfix.isometries import ExactForm, FiberPermIsometry, GroupSpec, box_image, orbit
 from supfix.iterate import (
     exact_orbit_diameter,
     fixed_point_residual,
@@ -114,12 +114,14 @@ class TestIterateBox:
         good = FiberPermIsometry(
             np.array([1, 0]), np.array([[[1.0]], [[1.0]]]), np.array([[0.5], [0.0]])
         )
-        fake = GroupSpec(  # the identity and good, stacked
+        fake = GroupSpec(  # the identity and good, stacked, with their exact form
             generators=(good,),
             perm=np.array([[0, 1], [1, 0]]),
             maps=np.ones((2, 2, 1, 1)),
             trans=np.array([[[0.0], [0.0]], [[0.5], [0.0]]]),
             words=((), (0,)),
+            exact=ExactForm(np.array([[0, 1], [1, 0]]), np.ones((2, 2), dtype=int), 2,
+                            np.array([[0, 0], [1, 0]])),
         )
         with pytest.raises(InvarianceViolationError):
             iterate_box(fake, SupPoint.of([0.25, -0.75]))

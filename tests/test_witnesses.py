@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
+from test_groups import compose
 from test_isometries import apply
 
 from supfix import unitary
@@ -22,7 +23,6 @@ from supfix.instances import (
     random_inner_derivation,
     random_translation_cocycle,
 )
-from supfix.isometries import compose
 from supfix.iterate import fixed_point_residual
 from supfix.spaces import SupPoint, sup_distance
 from supfix.unitary import basis_orbit_norming_set, embed, model_frame, unitary_closure
