@@ -6,6 +6,7 @@ and exact forms composed in Fractions.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,73 @@ class TestGroupClosure:
             for i in word:
                 built = compose(built, group.generators[i])
             assert sup_distance(apply(iso, x), apply(built, x)) <= 1e-12
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (4, 1), (3, 2)])
+    def test_identity_equals_the_checked_form(self, m, k):
+        """Element 0, the empty word, holds the bytes of the checked identity,
+        and its exact form is the identity with zero numerators."""
+        group = group_closure(signed_fiber_generators(m, k), cap=signed_fiber_order(m, k))
+        checked = FiberPermIsometry(*ref_identity(m, k))
+        assert group.words[0] == ()
+        for arr, want in zip((group.perm[0], group.maps[0], group.trans[0]),
+                             (checked.perm, checked.maps, checked.trans)):
+            assert arr.dtype == want.dtype and arr.shape == want.shape
+            assert arr.tobytes() == want.tobytes()
+        form = group.exact
+        assert form.src[0].tolist() == list(range(m * k))
+        assert form.sign[0].tolist() == [1] * (m * k) and not form.nums[0].any()
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)])
+    def test_whole_signed_fiber_group_has_its_order(self, m, k):
+        """Every signed fiber permutation, conjugated by a grid point p:
+        closed at its order, the key mode neither merges two elements nor
+        keeps one twice, one element short it raises, and every element
+        fixes p exactly."""
+        order = signed_fiber_order(m, k)
+        p = 0.25 * np.arange(m * k, dtype=float).reshape(m, k) - 0.5
+        gens = [_conjugate_by_translation(g, p) for g in signed_fiber_generators(m, k)]
+        group = group_closure(gens, cap=order)
+        assert len(group) == order
+        assert len({(group.perm[i].tobytes(), group.maps[i].tobytes()) for i in range(order)}) == order
+        assert (group.images(SupPoint(p)) == p).all()
+        with pytest.raises(GroupNotClosedError, match=f"exceeded {order - 1} elements"):
+            group_closure(gens, cap=order - 1)
+
+    def test_generators_on_different_spaces_raise(self):
+        gens = [FiberPermIsometry(*ref_identity(2, 1)), FiberPermIsometry(*ref_identity(1, 2))]
+        with pytest.raises(SpaceMismatchError, match="different spaces"):
+            group_closure(gens)
+
+    def test_no_generators_raise(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            group_closure([])
+
+
+def signed_fiber_order(m, k) -> int:
+    return math.factorial(m) * (2**k * math.factorial(k)) ** m
+
+
+def signed_fiber_generators(m, k) -> list[FiberPermIsometry]:
+    """Linear generators of every isometry of (m, k) whose fiber maps are
+    signed permutation matrices, a group of order m! (2^k k!)^m: a sign
+    flip, a k-cycle and a transposition in fiber 0, and an m-cycle and a
+    transposition of the fibers."""
+    eye = np.broadcast_to(np.eye(k), (m, k, k))
+    zeros = np.zeros((m, k))
+
+    def in_fiber_0(a):
+        maps = eye.copy()
+        maps[0] = a
+        return FiberPermIsometry(np.arange(m), maps, zeros)
+
+    swap_k, swap_m = [1, 0, *range(2, k)], [1, 0, *range(2, m)]
+    gens = [in_fiber_0(np.diag([-1.0] + [1.0] * (k - 1)))]
+    if k > 1:
+        gens += [in_fiber_0(np.roll(np.eye(k), 1, axis=0)), in_fiber_0(np.eye(k)[swap_k])]
+    if m > 1:
+        gens += [FiberPermIsometry(np.roll(np.arange(m), 1), eye.copy(), zeros),
+                 FiberPermIsometry(np.array(swap_m), eye.copy(), zeros)]
+    return gens
 
 
 class TestOrbit:
