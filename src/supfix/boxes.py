@@ -15,6 +15,10 @@ compare the numerators exactly, and hand the result numerators to the next
 box; `Fraction` bounds are built only when a caller reads them.  This is
 the same exact arithmetic as on the Fractions themselves, for every
 rational input, without the cost of normalising each intermediate value.
+`box_H` makes A(M), its emptiness test and the ring in one pass over the
+coordinates, and `box_center` divides each lo + hi by 2 den as ints: int
+true division is correctly rounded, so it gives the float of the Fraction
+midpoint.
 
 The empty intersection is a distinguished marker value so that chained set
 algebra never raises mid-computation.
@@ -23,6 +27,7 @@ algebra never raises mid-computation.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -56,6 +61,12 @@ def _box_over(dim: int, lo: Sequence[int], hi: Sequence[int], den: int) -> "Box"
     built without the constructor's checks, in lowest terms."""
     if any(a > b for a, b in zip(lo, hi)):
         return Box.empty(dim)
+    return _reduced(dim, lo, hi, den)
+
+
+def _reduced(dim: int, lo: Sequence[int], hi: Sequence[int], den: int) -> "Box":
+    """The box with bounds lo[i] / den and hi[i] / den, known to satisfy
+    lo[i] <= hi[i], in lowest terms."""
     g = math.gcd(den, *lo, *hi)
     if g > 1:
         den, lo, hi = den // g, [a // g for a in lo], [b // g for b in hi]
@@ -157,7 +168,7 @@ class Box:
 
     def _width(self) -> int:
         """The sup-norm diameter times den."""
-        return max((b - a for a, b in zip(self._lo_num, self._hi_num)), default=0)
+        return max(map(operator.sub, self._hi_num, self._lo_num), default=0)
 
     def diameter(self) -> Fraction:
         """Sup-norm diameter, exact.  Zero for the empty marker."""
@@ -257,25 +268,37 @@ def box_H(M: Box, c: Scalar) -> Box:
     Any two points of the result are within c * diam(M) of each other (one of
     them lies in A(M), the other in every ball around A(M)), so the diameter
     shrinks by the factor c.  Exact over rational bounds.
+
+    One pass over the coordinates: with A(M)_i = [hi_i - r, lo_i + r], the
+    ring bounds are A.hi_i - r = lo_i and A.lo_i + r = hi_i, so the result is
+    [max(lo_i, hi_i - r), min(hi_i, lo_i + r)].  A(M) is empty exactly when
+    some width hi_i - lo_i exceeds 2r, that is when the largest does; a
+    nonempty A(M) gives a nonempty result.
     """
     if M.is_empty:
         return Box.empty(M.dim)
-    den, lo, hi, r = _contract(M, c)
-    a_lo = [b - r for b in hi]
-    a_hi = [a + r for a in lo]
-    if any(a > b for a, b in zip(a_lo, a_hi)):
+    p, q = _frac(c).as_integer_ratio()
+    width = M._width()
+    r = p * width  # c * diam(M) over den = M._den * q
+    if q * width > 2 * r:
         return Box.empty(M.dim)
-    # ring = [A.hi - r, A.lo + r], then intersected with A itself
-    lo = [max(b - r, a) for a, b in zip(a_lo, a_hi)]
-    hi = [min(a + r, b) for a, b in zip(a_lo, a_hi)]
-    return _box_over(M.dim, lo, hi, den)
+    lo_out, hi_out = [], []
+    for a, b in zip(M._lo_num, M._hi_num):
+        if q != 1:
+            a, b = a * q, b * q
+        x, y = b - r, a + r
+        lo_out.append(a if a >= x else x)
+        hi_out.append(b if b <= y else y)
+    return _reduced(M.dim, lo_out, hi_out, M._den * q)
 
 
 def box_center(M: Box) -> SupPoint:
     """Per-coordinate midpoint, the canonical relative center of a box."""
     if M.is_empty:
         raise EmptyDomainError("empty box has no center")
-    return SupPoint.of([float(x) for x in M.center_exact()])
+    # int / int is correctly rounded, as is float() of the Fraction (a + b) / den
+    den = 2 * M._den
+    return SupPoint.of([(a + b) / den for a, b in zip(M._lo_num, M._hi_num)])
 
 
 def bounding_box(cloud: PointCloud) -> Box:  # public: box vocabulary

@@ -6,16 +6,19 @@ grid vectors and differences of grid numbers are exact in double
 precision, so the generated affine maps compose without rounding and
 closures, orbits and invariance checks all hold exactly.  Group order is
 kept small by drawing signed permutations, whose order is read off the
-signed cycle structure, and rejecting draws that are too large; after
-MAX_DRAWS rejected draws the budget counts as unmet and
-SamplingBudgetError is raised, so no order budget can hang a caller.
+signed cycle structure (walked on Python lists), and rejecting draws that
+are too large; after MAX_DRAWS rejected draws the budget counts as unmet
+and SamplingBudgetError is raised, so no order budget can hang a caller.
 
 Everything is driven by numpy's default_rng, so a seed pins the instance.
+Box groups take their x -> -x generator from one checked, read-only
+isometry per dimension, which draws nothing from the stream.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,19 +43,28 @@ def grid_point(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _signed_perm_order(perm: np.ndarray, signs: np.ndarray) -> int:
+    """The order of x -> signs * x[perm]: the lcm over its cycles of the
+    cycle length, doubled for a cycle whose signs multiply to -1."""
+    perm, signs = perm.tolist(), signs.tolist()
     order = 1
-    seen = np.zeros(len(perm), dtype=bool)
+    seen = [False] * len(perm)
     for start in range(len(perm)):
         if seen[start]:
             continue
         length, sign, i = 0, 1, start
         while not seen[i]:
             seen[i] = True
-            sign *= int(signs[i])
+            sign *= signs[i]
             length += 1
             i = perm[i]
         order = math.lcm(order, length if sign > 0 else 2 * length)
     return order
+
+
+@lru_cache(maxsize=64)
+def _box_flip(dim: int) -> FiberPermIsometry:
+    """x -> -x on the dim-box, checked once per dim; its arrays are read-only."""
+    return FiberPermIsometry(np.arange(dim), -np.ones((dim, 1, 1)), np.zeros((dim, 1)))
 
 
 def _random_signs(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -104,9 +116,7 @@ def random_box_group(
     maps = signs.reshape(dim, 1, 1)
     lin_gens = [FiberPermIsometry(perm, maps, np.zeros((dim, 1)))]
     if add_flip:
-        lin_gens.append(
-            FiberPermIsometry(np.arange(dim), -np.ones((dim, 1, 1)), np.zeros((dim, 1)))
-        )
+        lin_gens.append(_box_flip(dim))
     p = grid_point(rng, (dim, 1))
     gens = [_conjugate_by_translation(g, p) for g in lin_gens]
     group = group_closure(gens, cap=max_order + 1)

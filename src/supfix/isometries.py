@@ -28,6 +28,10 @@ most 2^53, as in every group a scenario draws.  Generators whose fiber
 maps are not signed permutations (rotations, say), non-finite
 translations and generators beyond the bound raise ValueError.
 
+`box_image` reads an isometry's exact form as Python ints, made once per
+isometry, and returns the box itself when the box is invariant, so the
+descent's invariance checks build no box on the way to a fixed point.
+
 The orthogonality test calls np.einsum with its default optimize=False,
 which hands the operands straight to numpy's C einsum.
 """
@@ -41,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .boxes import Box, _box_over, _rescaled, _scaled
+from .boxes import Box, _reduced, _rescaled, _scaled
 from .errors import SpaceMismatchError
 from .groups import closure
 from .spaces import PointCloud, SupPoint
@@ -136,6 +140,15 @@ class FiberPermIsometry:
         if nums is None:
             return None
         return ExactForm(src.ravel(), sign.ravel().astype(int), den, nums)
+
+    @cached_property
+    def _box_rows(self) -> tuple[int, tuple[tuple[int, int, int], ...]] | None:
+        """(den, rows): the exact form as Python ints, row q the (sign, src,
+        num) of coordinate q, for `box_image`; None without an exact form."""
+        form = self.exact
+        if form is None:
+            return None
+        return form.den, tuple(zip(form.sign.tolist(), form.src.tolist(), form.nums.tolist()))
 
 
 def _dyadic(values: np.ndarray) -> tuple[int, np.ndarray | None]:
@@ -338,26 +351,36 @@ def box_image(iso: FiberPermIsometry, box: Box) -> Box:
     Fiber maps must be exactly +-1 (as floats); translations are floats and
     hence dyadic, so the image bounds are computed without rounding, as
     numerators over one common denominator with those of the isometry's
-    exact form.
+    exact form, read as Python ints (`_box_rows`, made once per isometry).
+    Each image bound is compared with the box's own as it is made.  The
+    result is `box` itself exactly when the image equals it, the empty box
+    included; a new box is built only when some bound differs.
     """
     if iso.k != 1:
         raise SpaceMismatchError("exact box images are defined for k=1")
     if box.is_empty:
-        return Box.empty(box.dim)
+        return box
     if iso.m != box.dim:
         raise SpaceMismatchError("box dimension does not match isometry")
-    form = iso.exact
+    form = iso._box_rows
     if form is None:
         raise ValueError("fiber map entries must be exactly +1 or -1, translations finite")
-    den = math.lcm(box._den, form.den)
-    lo, hi = _rescaled(box._lo_num, box._den, den), _rescaled(box._hi_num, box._den, den)
-    trans = _rescaled(form.nums.tolist(), form.den, den)
-    lo_out, hi_out = [], []
-    for s, p, t in zip(form.sign.tolist(), form.src.tolist(), trans):
+    t_den, rows = form
+    den = math.lcm(box._den, t_den)
+    ft = den // t_den
+    lo, hi = box._lo_num, box._hi_num
+    if den != box._den:
+        lo, hi = _rescaled(lo, box._den, den), _rescaled(hi, box._den, den)
+    # image bound i is [lo[p] + t, hi[p] + t], or [t - hi[p], t - lo[p]] for s = -1
+    for (s, p, t), a, b in zip(rows, lo, hi):
+        t *= ft
         if s > 0:
-            lo_out.append(lo[p] + t)
-            hi_out.append(hi[p] + t)
-        else:
-            lo_out.append(t - hi[p])
-            hi_out.append(t - lo[p])
-    return _box_over(box.dim, lo_out, hi_out, den)
+            if lo[p] + t != a or hi[p] + t != b:
+                break
+        elif t - hi[p] != a or t - lo[p] != b:
+            break
+    else:
+        return box  # an invariant box is its own image
+    lo_out = [lo[p] + t * ft if s > 0 else t * ft - hi[p] for s, p, t in rows]
+    hi_out = [hi[p] + t * ft if s > 0 else t * ft - lo[p] for s, p, t in rows]
+    return _reduced(box.dim, lo_out, hi_out, den)

@@ -490,6 +490,50 @@ class TestNumeratorBoxes:
         assert_same_box(rebuilt, a)
 
 
+def center_floats(m: Box) -> bytes:
+    """The bytes of float(c) for each Fraction midpoint c of m."""
+    return np.array([float(c) for c in m.center_exact()]).tobytes()
+
+
+ULP = 2.0 ** -52  # the float spacing in [1, 2)
+
+
+class TestCenterRounding:
+    """box_center divides ints; its floats must be the Fractions' rounding."""
+
+    @PROPERTY_SETTINGS
+    @given(boxes())
+    def test_floats_of_the_fraction_midpoints(self, m):
+        assert box_center(m).fibers[:, 0].tobytes() == center_floats(m)
+
+    @pytest.mark.parametrize("lo, hi, want", [
+        (1.0, 1.0 + ULP, 1.0),  # halfway: ties to the even neighbour below
+        (1.0 + ULP, 1.0 + 2 * ULP, 1.0 + 2 * ULP),  # and to the even one above
+        (-1.0 - ULP, -1.0, -1.0),
+        (0.0, SUBNORMAL, 0.0),  # 2^-1075 lies halfway between 0 and 2^-1074
+        (SUBNORMAL, 2 * SUBNORMAL, 2 * SUBNORMAL),
+        (-3 * SUBNORMAL, 2 * SUBNORMAL, -0.0),  # -2^-1075: ties to -0.0
+        (7 * SUBNORMAL, 10 * SUBNORMAL, 8 * SUBNORMAL),
+    ])
+    def test_ties_to_even(self, lo, hi, want):
+        m = Box.bounds([lo], [hi])
+        got = box_center(m).fibers[0, 0]
+        assert got.hex() == want.hex()
+        assert box_center(m).fibers[:, 0].tobytes() == center_floats(m)
+
+    def test_denominator_two_to_the_1100(self):
+        den = 2**1100
+        lo = [Fraction(-(2**1060) - 3, den), Fraction(1, den), Fraction(2**1100 - 1, den),
+              Fraction(-5, den)]
+        hi = [Fraction(2**1046 + 1, den), Fraction(2**30 + 1, den), Fraction(2**1100, den),
+              Fraction(-5, den)]
+        m = Box.bounds(lo, hi)
+        assert m._den == den
+        got = box_center(m).fibers[:, 0]
+        assert got.tobytes() == center_floats(m)
+        assert got[2] == 1.0 and got[3].hex() == "-0x0.0p+0" and 0.0 < got[1] < 2.0 ** -1022
+
+
 class TestNumeratorBoxEdges:
     def test_bounds_of_mixed_types_give_one_box(self):
         want = Box(2, (Fraction(1, 2), Fraction(-3)), (Fraction(3, 4), Fraction(5)))

@@ -1,5 +1,7 @@
 """Instance generator guarantees: grid exactness, order caps, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from supfix.instances import (
     random_inner_derivation,
     unitary_group,
 )
+from supfix.isometries import FiberPermIsometry, group_closure
 from supfix.spaces import FIBER_URNS_CONSTANT, PointCloud, SupPoint, cloud_diameter, sup_distance
 
 
@@ -78,6 +81,54 @@ class TestRandomBoxGroup:
         group, x0 = random_box_group(9)
         fp, _ = iterate_box(group, x0)
         assert fixed_point_residual(group, fp) <= 1e-9
+
+
+# sha256 over seeds 0-30 of random_box_group(seed, dim, max_order): perm,
+# maps, trans, the exact form's arrays and den, the words and the seed point,
+# as the commit before the Python-list order walk and the shared flip drew them
+BOX_GROUP_DIGESTS = {
+    (1, 48): "d256581bd642e1ae1d6ffc5fb454996dbbd9b6f5163267c89eb4c078ec3cfdcb",
+    (2, 48): "bef0dc889e1e9b8a320b47a388ecabf30347ea38c39f28de5973aa4bf88a9f21",
+    (8, 48): "32a363a6e6ea2bdf9d5c4c3cc6eed53983a2ed56927dbe4825e09e677063e253",
+    (16, 64): "83e580a59b984cc57f293359a06b84ab07aba2a193f8ca2c63ecb181022ad8dd",
+    (64, 512): "0ed29b8c75446c39a3c05a9f15bed099b825a95a707cb4809858bd8c381a64c6",
+}
+
+
+def box_group_digest(dim: int, max_order: int) -> str:
+    h = hashlib.sha256()
+    for seed in range(31):
+        group, x0 = random_box_group(seed, dim, max_order)
+        form = group.exact
+        for arr in (group.perm, group.maps, group.trans, form.src, form.sign, form.nums, x0.fibers):
+            h.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
+        h.update(repr((group.words, form.den)).encode())
+    return h.hexdigest()
+
+
+class TestBoxDrawHelpers:
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_signed_perm_order_is_the_closure_order(self, dim, rng):
+        for _ in range(20):
+            perm = rng.permutation(dim)
+            signs = instances._random_signs(rng, dim)
+            gen = FiberPermIsometry(perm, signs.reshape(dim, 1, 1), np.zeros((dim, 1)))
+            assert instances._signed_perm_order(perm, signs) == len(group_closure([gen], cap=1000))
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 16])
+    def test_box_flip_is_one_read_only_negation(self, dim):
+        flip = instances._box_flip(dim)
+        assert instances._box_flip(dim) is flip
+        assert instances._box_flip(dim + 1) is not flip
+        for arr in (flip.perm, flip.maps, flip.trans):
+            assert not arr.flags.writeable
+        x = np.arange(dim, dtype=float) - 0.5
+        assert flip.exact.sign.tolist() == [-1] * dim
+        assert np.array_equal(flip.maps[:, 0, 0] * x[flip.perm] + flip.trans[:, 0], -x)
+
+    @pytest.mark.parametrize("dim, max_order", sorted(BOX_GROUP_DIGESTS))
+    def test_random_box_group_bytes(self, dim, max_order):
+        assert box_group_digest(dim, max_order) == BOX_GROUP_DIGESTS[dim, max_order]
 
 
 class TestRandomFiberGroup:

@@ -946,6 +946,105 @@ def isometry_and_box(draw):
 @given(isometry_and_box())
 def test_box_image_matches_fraction_form(pair):
     iso, box = pair
+    assert_self_image_contract(iso, box)
     got = box_image(iso, box)
-    assert_same_box(got, ref_box_image(iso, box))
     assert (got == box) == (got.lo == box.lo and got.hi == box.hi)
+
+
+# -- the self-image contract ------------------------------------------------------
+# box_image returns the box itself exactly when the image equals it, and a new
+# box equal to the Fraction form otherwise.  Invariant boxes are orbit hulls
+# under isometries that fix a point, so they have finite order.
+
+
+def orbit_hull(iso: FiberPermIsometry, box: Box) -> Box:
+    """The smallest box holding every iterate of box under iso (of finite order)."""
+    lo, hi, image = list(box.lo), list(box.hi), ref_box_image(iso, box)
+    while image != box:
+        lo = [min(a, b) for a, b in zip(lo, image.lo)]
+        hi = [max(a, b) for a, b in zip(hi, image.hi)]
+        image = ref_box_image(iso, image)
+    return Box(box.dim, tuple(lo), tuple(hi))
+
+
+@st.composite
+def point_fixing_isometry_and_box(draw):
+    """x -> S(x - p) + p for a signed permutation S and a dyadic p, whose
+    translation p - S p is exact in floats, and a box of any kind of bounds."""
+    dim = draw(st.integers(1, 5))
+    perm = np.array(draw(st.permutations(range(dim))))
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=dim, max_size=dim)))
+    shift = draw(st.integers(-20, 20))
+    p = np.array([draw(st.integers(-2**20, 2**20)) * 2.0 ** shift for _ in range(dim)])
+    iso = FiberPermIsometry(perm, signs.reshape(dim, 1, 1), (p - signs * p[perm])[:, None])
+    return iso, draw(boxes(dim))
+
+
+def assert_self_image_contract(iso: FiberPermIsometry, box: Box):
+    got, want = box_image(iso, box), ref_box_image(iso, box)
+    assert_same_box(got, want)
+    assert (got is box) == (want == box)
+
+
+class TestSelfImage:
+    @PROPERTY_SETTINGS
+    @given(point_fixing_isometry_and_box())
+    def test_an_invariant_box_is_its_own_image(self, pair):
+        iso, box = pair
+        hull = orbit_hull(iso, box)
+        assert box_image(iso, hull) is hull
+        assert_self_image_contract(iso, hull)
+        assert_self_image_contract(iso, box)
+
+    def test_hand_cases(self):
+        third = Fraction(1, 3)
+        centered = Box.bounds([-third], [third])  # den 3; the translations have den 4
+
+        def line(sign, t):
+            return FiberPermIsometry(np.array([0]), np.array([[[sign]]]), np.array([[t]]))
+
+        identity, shift, mirror = line(1.0, 0.0), line(1.0, 0.75), line(-1.0, 0.75)
+        about = Box.bounds([Fraction(3, 8) - third], [Fraction(3, 8) + third])
+        for iso, box, own in ((identity, centered, True), (shift, centered, False),
+                              (line(-1.0, 0.0), centered, True), (mirror, centered, False),
+                              (mirror, about, True), (mirror, Box.point([Fraction(3, 8)]), True),
+                              (mirror, Box.point([Fraction(1, 5)]), False)):
+            assert (box_image(iso, box) is box) == own
+            assert_self_image_contract(iso, box)
+        # a swap, of either sign, with translations of two denominators
+        square = Box.bounds([-third, -third], [third, third])
+        for sign in (1.0, -1.0):
+            for trans, own in ((np.zeros((2, 1)), True), (np.array([[0.5], [2.0 ** -60]]), False)):
+                swap = FiberPermIsometry(np.array([1, 0]), np.full((2, 1, 1), sign), trans)
+                assert (box_image(swap, square) is square) == own
+                assert_self_image_contract(swap, square)
+        # images whose lower bounds all match the box's and whose upper bounds do not
+        tall = Box.bounds([0, 0], [1, 2])
+        for sign, trans in ((1.0, [[0.0], [0.0]]), (-1.0, [[2.0], [1.0]])):
+            swap = FiberPermIsometry(np.array([1, 0]), np.full((2, 1, 1), sign), np.array(trans))
+            assert box_image(swap, tall).lo == tall.lo
+            assert box_image(swap, tall) is not tall
+            assert_self_image_contract(swap, tall)
+
+    def test_the_empty_box_is_its_own_image(self):
+        iso = FiberPermIsometry(np.array([1, 0]), -np.ones((2, 1, 1)), np.array([[0.5], [0.25]]))
+        empty = Box.empty(2)
+        assert box_image(iso, empty) is empty
+        wrong_dim = Box.empty(3)  # an empty box is returned before the dimension check
+        assert box_image(iso, wrong_dim) is wrong_dim
+
+    def test_error_paths(self, rng):
+        box = Box.bounds([0, 0], [1, 1])
+        with pytest.raises(SpaceMismatchError, match="k=1"):
+            box_image(random_iso(rng, 2, 2), box)
+        with pytest.raises(SpaceMismatchError, match="k=1"):
+            box_image(random_iso(rng, 2, 2), Box.empty(2))
+        iso = FiberPermIsometry(np.array([2, 0, 1]), np.ones((3, 1, 1)), np.zeros((3, 1)))
+        with pytest.raises(SpaceMismatchError, match="dimension"):
+            box_image(iso, box)
+        for maps, trans in ((np.array([[[1.0]], [[-1.0 + 1e-12]]]), np.zeros((2, 1))),
+                            (np.ones((2, 1, 1)), np.array([[np.inf], [0.0]])),
+                            (np.ones((2, 1, 1)), np.array([[0.0], [np.nan]]))):
+            bad = FiberPermIsometry(np.array([1, 0]), maps, trans)
+            with pytest.raises(ValueError, match="exactly"):
+                box_image(bad, box)

@@ -1,15 +1,20 @@
 """Descent iteration tests: exact contraction, exact invariance, traces."""
 
 import csv
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_boxes import assert_same_box, ref_ball_intersection, ref_box_H
+from test_isometries import ref_box_image
 
-from supfix.errors import InvarianceViolationError, SpaceMismatchError
+from supfix import iterate
+from supfix.errors import InvarianceViolationError, SamplingBudgetError, SpaceMismatchError
 from supfix.instances import random_box_group, random_fiber_group
 from supfix.isometries import ExactForm, FiberPermIsometry, GroupSpec, box_image, orbit
 from supfix.iterate import (
+    MAX_ITER,
     exact_orbit_diameter,
     fixed_point_residual,
     iterate_box,
@@ -22,6 +27,23 @@ def exact_images(isos, x0):
     """g(x0) for every element g of isos, in Fractions: sign * x0[perm] + trans."""
     return [[Fraction(float(g.maps[i, 0, 0])) * Fraction(float(x0.fibers[g.perm[i], 0]))
              + Fraction(float(g.trans[i, 0])) for i in range(g.m)] for g in isos]
+
+
+def non_group() -> GroupSpec:
+    """The identity and a swap-and-shift, stacked with their exact form: the
+    swap-and-shift has infinite order, so the two do not close."""
+    good = FiberPermIsometry(
+        np.array([1, 0]), np.array([[[1.0]], [[1.0]]]), np.array([[0.5], [0.0]])
+    )
+    return GroupSpec(
+        generators=(good,),
+        perm=np.array([[0, 1], [1, 0]]),
+        maps=np.ones((2, 2, 1, 1)),
+        trans=np.array([[[0.0], [0.0]], [[0.5], [0.0]]]),
+        words=((), (0,)),
+        exact=ExactForm(np.array([[0, 1], [1, 0]]), np.ones((2, 2), dtype=int), 2,
+                        np.array([[0, 0], [1, 0]])),
+    )
 
 
 class TestExactOrbitDiameter:
@@ -111,20 +133,8 @@ class TestIterateBox:
     def test_non_group_data_raises_invariance_error(self):
         """A hand-built 'group' whose elements do not close must be caught by
         the exact invariance check, not silently iterated."""
-        good = FiberPermIsometry(
-            np.array([1, 0]), np.array([[[1.0]], [[1.0]]]), np.array([[0.5], [0.0]])
-        )
-        fake = GroupSpec(  # the identity and good, stacked, with their exact form
-            generators=(good,),
-            perm=np.array([[0, 1], [1, 0]]),
-            maps=np.ones((2, 2, 1, 1)),
-            trans=np.array([[[0.0], [0.0]], [[0.5], [0.0]]]),
-            words=((), (0,)),
-            exact=ExactForm(np.array([[0, 1], [1, 0]]), np.ones((2, 2), dtype=int), 2,
-                            np.array([[0, 0], [1, 0]])),
-        )
         with pytest.raises(InvarianceViolationError):
-            iterate_box(fake, SupPoint.of([0.25, -0.75]))
+            iterate_box(non_group(), SupPoint.of([0.25, -0.75]))
 
     def test_trace_csv_round_trip(self, tmp_path):
         group, x0 = random_box_group(5)
@@ -138,6 +148,107 @@ class TestIterateBox:
         for i, row in enumerate(rows[1:]):
             assert int(row[0]) == i
             assert float(row[1]) == float(trace.diameters_exact[i])
+
+
+def ref_descent(group: GroupSpec, x0: SupPoint, tol: float, isos):
+    """(boxes, diameters, terminated, center) of iterate_box, from the tests'
+    Fraction references: the orbit in Fractions, `ref_ball_intersection`,
+    `ref_box_image` under every generator, `ref_box_H` and the Fraction
+    midpoints of the last box, rounded by float()."""
+    coords = exact_images(isos, x0)
+    box = ref_ball_intersection(coords, max(max(col) - min(col) for col in zip(*coords)))
+    boxes = [box]
+    diams = [max(b - a for a, b in zip(box.lo, box.hi))]
+    terminated = "max_iter"
+    for _ in range(MAX_ITER):
+        assert all(ref_box_image(g, box) == box for g in group.generators)
+        if diams[-1] <= Fraction(tol):
+            terminated = "converged"
+            break
+        box = ref_box_H(box, Fraction(1, 2))
+        boxes.append(box)
+        diams.append(max(b - a for a, b in zip(box.lo, box.hi)))
+    center = [float((a + b) / 2) for a, b in zip(box.lo, box.hi)]
+    return boxes, diams, terminated, center
+
+
+TOLERANCES = (1e-300, 1e-30, 1e-10, 1e-3, 1.0)
+
+
+def box_groups(dim: int, max_order: int, count: int):
+    """(group, x0, seed) of the first count seeds whose random_box_group
+    meets its order budget (64 coordinates at max_order 48 miss some)."""
+    found = []
+    for seed in itertools.count():
+        try:
+            found.append((*random_box_group(seed, dim, max_order), seed))
+        except SamplingBudgetError:
+            continue
+        if len(found) == count:
+            return found
+
+
+class TestDescentAgainstReference:
+    """iterate_box gives the reference descent's boxes, Fraction diameters,
+    termination and center bytes, on grid seed points and on seed points
+    whose magnitudes span 1e-12 to 1e12: their orbits take the Python-int
+    path of `exact_images`, over denominators past 2^90."""
+
+    @pytest.mark.parametrize("max_order", [48, 512])
+    @pytest.mark.parametrize("dim", [1, 2, 8, 16, 64])
+    def test_same_descent(self, dim, max_order, elements):
+        python_ints = 0
+        for group, grid_x0, seed in box_groups(dim, max_order, 3):
+            rng = np.random.default_rng(seed)
+            scales = np.geomspace(1e-12, 1e12, dim) if dim > 1 else np.array([1e-12])
+            wide_x0 = SupPoint((rng.standard_normal(dim) * rng.permutation(scales))[:, None])
+            isos = elements(group)
+            for i, x0 in enumerate((grid_x0, wide_x0)):
+                tol = TOLERANCES[(2 * seed + i + dim) % len(TOLERANCES)]
+                den, nums, _ = exact_orbit_diameter(group, x0)
+                python_ints += nums.dtype == object and den >= 2**90
+                fp, trace = iterate_box(group, x0, tol=tol)
+                boxes, diams, terminated, center = ref_descent(group, x0, tol, isos)
+                assert trace.terminated == terminated
+                assert len(trace.boxes) == len(boxes)
+                for got, want in zip(trace.boxes, boxes):
+                    assert_same_box(got, want)
+                assert all(type(d) is Fraction for d in trace.diameters_exact)
+                assert trace.diameters_exact == tuple(diams)
+                assert fp.fibers[:, 0].tobytes() == np.array(center).tobytes()
+        assert python_ints > 0
+
+
+class TestEveryIterateIsChecked:
+    """iterate_box checks every iterate under every generator through
+    the public box_image, so a faster descent cannot drop a check unnoticed."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counted(g, box):
+            seen.append((g, box))
+            return box_image(g, box)
+
+        monkeypatch.setattr(iterate, "box_image", counted)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_converged_run(self, seed, calls):
+        group, x0 = random_box_group(seed, dim=2 + seed, max_order=48)
+        _, trace = iterate_box(group, x0)
+        assert trace.terminated == "converged"
+        steps = len(trace.boxes) - 1
+        assert len(calls) == (steps + 1) * len(group.generators)
+        want = [(g, box) for box in trace.boxes for g in group.generators]
+        assert all(g is h and box is b for (g, box), (h, b) in zip(calls, want))
+
+    def test_non_group_raises_at_the_first_check(self, calls):
+        group = non_group()
+        with pytest.raises(InvarianceViolationError, match="generator 0"):
+            iterate_box(group, SupPoint.of([0.25, -0.75]))
+        assert len(calls) == 1 and calls[0][0] is group.generators[0]
 
 
 class TestResidualBytes:
