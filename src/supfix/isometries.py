@@ -17,9 +17,9 @@ numerators over one power of two.  A -0.0 translation has the numerator
 0, so it reads as +0.0.
 
 `group_closure` closes such generators, and only such generators, by the
-breadth-first closure of `groups.closure` in its key mode: a product is
-one integer gather and a duplicate is an equal integer key.  One bound
-keeps the integers in int64: cap times the largest generator numerator
+breadth-first closure of `groups.closure`: a product is one integer
+gather and a duplicate is an equal integer key.  One bound keeps the
+integers in int64: cap times the largest generator numerator
 (over the generators' common denominator) is at most 2^63 - 1.  A product
 the closure makes is a word of at most cap generators, so no numerator of
 any element can overflow.  An element's floats are the correctly rounded
@@ -322,7 +322,7 @@ def group_closure(
             raise SpaceMismatchError("generators act on different spaces")
     table, den = _exact_table(generators, cap)
     n = m * k
-    closed = closure(_identity_code(n), _row_products(table), None, cap, None)
+    closed = closure(_identity_code(n), _row_products(table), cap)
     size = len(closed.elements)
     codes = np.frombuffer(b"".join(closed.elements), dtype=np.int64).reshape(size, 2, n)
     nums = codes[:, 1]

@@ -16,21 +16,23 @@ so matrix identities can be checked or solved entirely inside the model.
 `realify_matrix` turns complex fibers, or a whole stack of them, into
 real ones of twice the dimension, which is what the generic isometry
 machinery consumes.  The norming set is a read-only (size, d) array
-whose rows are the vectors.  Vectors are matched to it the way closure
-products are matched to known elements, within _MATCH_TOL in every
-entry, with all pairs compared in one array operation.
+whose rows are the vectors; vectors are matched within _MATCH_TOL in
+every entry (max |diff| <= _MATCH_TOL).
 
-Groups are closed by `groups.closure`, the same breadth-first kernel as
-the isometry groups, with the products `a @ g` of each element by every
-generator and the matrix itself as signature: a product within
-_MATCH_TOL of a known element in every entry (max |diff| <= _MATCH_TOL)
-is a duplicate.  The Cayley table is a gather from the
-closure's right-multiplication table.  A closed group's arrays are
-read-only, so one group can be shared: `unitary_closure` keeps the last
-_CLOSED_GROUPS groups it closed, keyed by the checked complex generator
-stack (shape and bytes) and the cap, and returns the kept object when the
-same generators and cap come again.  A failed closure is not kept, so
-it raises again on every call.
+A finite unitary group acts faithfully, by permutations, on the orbit of
+the standard basis, because that orbit spans.  The orbit is taken
+breadth first under the generators, each g v matched to the vectors
+found so far: the one tolerance decision of a closure.  `groups.closure`
+then closes the generators' orbit permutations with their bytes as keys,
+and each element is the matrix `a @ g` of its BFS parent a and generator
+g.  The Cayley table is a gather from the closure's right-multiplication
+table, and the basis-orbit norming set keeps one candidate g e_j per
+orbit index.  A closed group's arrays are read-only, so one group can be
+shared: `unitary_closure` keeps the last _CLOSED_GROUPS groups it
+closed, keyed by the checked complex generator stack (shape and bytes)
+and the cap, and returns the kept object when the same generators and
+cap come again.  A failed closure is not kept, so it raises again on
+every call.
 
 Everything about the model that depends on the group alone (the norming
 set, its permutations sigma_g, the realified fiber maps, J = E(I) and
@@ -50,11 +52,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SpaceMismatchError
-from .groups import cayley_table, closure, word_labels
+from .groups import cap_error, cayley_table, closure, word_labels
 from .isometries import _orthogonal
 
 _UNITARY_TOL = 1e-9
-# Entrywise distance within which two matrices, or two vectors, are the same.
+# Entrywise distance within which two vectors are the same.
 _MATCH_TOL = 1e-9
 # Closed groups `unitary_closure` keeps; a 2I group (order 120) with its
 # frame takes about 2.5 MB.
@@ -79,6 +81,7 @@ class UnitaryGroup:
     words: tuple[tuple[int, ...], ...]
     parents: tuple[tuple[int, int] | None, ...]  # (parent index, generator index)
     right: np.ndarray  # (n, n_gen): index of elements[i] @ generators[g]
+    orbit_perms: np.ndarray  # (n, size): elements[l] @ v_i = v_{orbit_perms[l, i]}, v_j = e_j, j < d
 
     @property
     def d(self) -> int:
@@ -124,12 +127,42 @@ def _closed_group(shape: tuple[int, ...], data: bytes, cap: int) -> UnitaryGroup
     gens = np.frombuffer(data, dtype=complex).reshape(shape).copy()
     for g in gens:
         _check_unitary(g)
-    found = closure(np.eye(gens.shape[1], dtype=complex), lambda a: [a @ g for g in gens],
-                    np.ravel, cap, _MATCH_TOL)
-    elements = np.stack(found.elements)
-    for arr in (gens, elements, found.right):
+    gen_perms = _basis_orbit(gens, cap)
+    found = closure(np.arange(gen_perms.shape[1]).tobytes(),
+                    lambda a: [np.frombuffer(a, dtype=int)[p].tobytes() for p in gen_perms], cap)
+    perms = np.frombuffer(b"".join(found.elements), dtype=int).reshape(len(found.elements), -1)
+    elements = [np.eye(gens.shape[1], dtype=complex)]
+    for p, gi in found.parents[1:]:
+        elements.append(elements[p] @ gens[gi])
+    elements = np.stack(elements)
+    for arr in (gens, elements, found.right, perms):
         arr.setflags(write=False)
-    return UnitaryGroup(gens, elements, found.words, found.parents, found.right)
+    return UnitaryGroup(gens, elements, found.words, found.parents, found.right, perms)
+
+
+def _basis_orbit(gens: np.ndarray, cap: int) -> np.ndarray:
+    """perms[g, i]: the index of gens[g] @ v_i in the orbit v of the standard
+    basis, breadth first from v_j = e_j, each product matched to the first
+    found vector within _MATCH_TOL in every entry.  Each of the d basis
+    vectors has an orbit of at most |G| points, so the limit of d cap vectors
+    refuses no group of order at most cap; a longer orbit raises
+    GroupNotClosedError.
+    """
+    d = gens.shape[1]
+    # the basis, then room for d cap vectors and a spare row; the closure refuses cap < 1
+    vectors = np.eye(d * max(cap, 1) + 1, d, dtype=complex)
+    perms, size = [], d
+    while len(perms) < size:
+        row = []
+        for v in gens @ vectors[len(perms)]:
+            vectors[size] = v  # in the spare row v matches itself, if no found vector
+            close = np.abs(vectors[: size + 1] - v).max(axis=1) <= _MATCH_TOL
+            row.append(int(close.argmax()))  # the first match
+            size += row[-1] == size
+            if size == len(vectors):  # more than d cap vectors
+                raise cap_error(cap)
+        perms.append(row)
+    return np.array(perms).T
 
 
 def basis_orbit_norming_set(group: UnitaryGroup) -> np.ndarray:
@@ -139,18 +172,12 @@ def basis_orbit_norming_set(group: UnitaryGroup) -> np.ndarray:
 
     Seeding with the full basis guarantees the set spans C^d, and closing
     under every group element makes it exactly G-stable.  The candidates
-    g e_j are taken basis index outer, element inner, and each is kept
-    unless it lies within _MATCH_TOL of a kept one (max |diff| <= _MATCH_TOL).
+    g_l e_j are taken basis index outer, element inner, and the first one
+    at each orbit index (orbit_perms[l, j]) is kept.
     """
+    _, first = np.unique(group.orbit_perms[:, : group.d].T, return_index=True)  # candidate j n + l
     cands = group.elements.transpose(2, 0, 1).reshape(-1, group.d)  # row j n + l: g_l e_j
-    close = np.abs(cands[:, None] - cands[None]).max(axis=2) <= _MATCH_TOL
-    dropped = np.zeros(len(cands), dtype=bool)
-    kept = []
-    for a in range(len(cands)):
-        if not dropped[a]:
-            kept.append(a)
-            dropped |= close[a]
-    vectors = cands[kept]
+    vectors = cands[np.sort(first)]
     vectors.setflags(write=False)
     return vectors
 

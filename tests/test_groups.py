@@ -129,32 +129,23 @@ def right_products(multiply, generators):
     return lambda a: [multiply(a, g) for g in generators]
 
 
-def scan_closure(identity, generators, multiply, signature, cap, tol):
-    """The closure kernel with its duplicate scan written as a fresh
-    comparison against every stored signature, first hit in index order."""
-    first = np.ravel(signature(identity))
-    sigs = np.empty((cap, first.size), dtype=first.dtype)
-    sigs[0] = first
-    elements, words, parents = [identity], [()], [None]
-    right = np.empty((cap, len(generators)), dtype=int)
+def scan_closure(identity, generators, multiply):
+    """(elements, words, parents, right): the closure with each product
+    looked up by a fresh scan of the stored elements for an equal one."""
+    elements, words, parents, right = [identity], [()], [None], []
     i = 0
     while i < len(elements):
+        row = []
         for gi, gen in enumerate(generators):
             cand = multiply(elements[i], gen)
-            sig = np.ravel(signature(cand))
-            n = len(elements)
-            hits = np.flatnonzero(np.abs(sigs[:n] - sig).max(axis=1) <= tol)
-            if hits.size:
-                right[i, gi] = hits[0]
-                continue
-            assert n < cap
-            sigs[n] = sig
-            elements.append(cand)
-            words.append(words[i] + (gi,))
-            parents.append((i, gi))
-            right[i, gi] = n
+            if cand not in elements:
+                elements.append(cand)
+                words.append(words[i] + (gi,))
+                parents.append((i, gi))
+            row.append(elements.index(cand))
+        right.append(row)
         i += 1
-    return elements, tuple(words), tuple(parents), right[: len(elements)]
+    return elements, tuple(words), tuple(parents), np.array(right)
 
 
 def loop_unitary_closure(gens, tol=1e-9):
@@ -345,6 +336,21 @@ def loop_norming_set(group, tol=1e-9):
     return np.stack(vectors)
 
 
+def pairwise_norming_set(group, tol=1e-9):
+    """The norming rule before the orbit permutations: every candidate
+    g_l e_j (basis index outer, element inner) compared with every other
+    within tol, and each kept unless it lies within tol of a kept one."""
+    cands = group.elements.transpose(2, 0, 1).reshape(-1, group.d)  # row j n + l: g_l e_j
+    close = np.abs(cands[:, None] - cands[None]).max(axis=2) <= tol
+    dropped = np.zeros(len(cands), dtype=bool)
+    kept = []
+    for a in range(len(cands)):
+        if not dropped[a]:
+            kept.append(a)
+            dropped |= close[a]
+    return cands[kept]
+
+
 def loop_tilde_permutation(norming, g):
     sigma = []
     for v in norming @ g.conj():
@@ -417,6 +423,17 @@ def unitary_groups():
     return groups
 
 
+def family_generators(name):
+    """diag(w, 1) for "cyclic:n", <diag(w, conj(w)), swap> for "dihedral:n",
+    with w = exp(2 pi i / n)."""
+    family, _, n = name.partition(":")
+    w = np.exp(2j * np.pi / int(n))
+    if family == "cyclic":
+        return [np.diag([w, 1])]
+    return [np.diag([w, np.conj(w)]), np.array([[0, 1], [1, 0]], dtype=complex)]
+
+
+FAMILIES = [f"{family}:{n}" for family in ("cyclic", "dihedral") for n in range(1, 41)]
 ALGEBRA_GROUPS = [f"cyclic:{n}" for n in range(1, 31)] + [f"symmetric:{n}" for n in range(1, 6)]
 KINDS = ("valid", "corrupt", "nan")
 
@@ -479,70 +496,53 @@ class TestIsometryClosure:
         self.assert_same(group, len(group), elements)
 
 
-class TestClosureScan:
-    """The in-place duplicate scan decides as a fresh comparison does, also
-    where a product lies within tol of several stored elements (only the
-    first counts) or exactly at tol from one."""
+class TestClosureKernel:
+    """Equal keys decide as a fresh scan for an equal stored element does,
+    with the elements themselves or their bytes as keys."""
 
     @staticmethod
     def add_mod_seven(a, b):
-        """Translation on the torus (R / 7Z)^2: products land between stored
-        elements, unlike in a finite group."""
-        return np.mod(a + b, 7.0)
+        return ((a[0] + b[0]) % 7, (a[1] + b[1]) % 7)
 
-    @pytest.mark.parametrize("gens, tol", [
-        ((1.3, 2.9), 0.8), ((0.7, 1.9, 4.3), 1.1), ((0.75, 0.5), 0.5), ((0.5,), 0.25),
-        ((1 / 3, 1.4142), 0.2),
-    ])
-    def test_matches_fresh_comparison_on_a_torus(self, gens, tol):
-        generators = [np.array([g, -2 * g]) for g in gens]
-        identity = np.zeros(2)
-        got = closure(identity, right_products(self.add_mod_seven, generators), np.ravel, 64, tol)
-        elements, words, parents, right = scan_closure(
-            identity, generators, self.add_mod_seven, np.ravel, 64, tol)
-        assert [e.tobytes() for e in got.elements] == [e.tobytes() for e in elements]
+    @staticmethod
+    def compose(a, b):
+        """Permutations as tuples: (a * b)[i] = a[b[i]]."""
+        return tuple(a[i] for i in b)
+
+    @pytest.mark.parametrize("gens", [[(1, 3), (2, 5)], [(0, 1)], [(0, 0)], [(3, 3), (4, 4)]])
+    def test_matches_the_scan_on_a_finite_abelian_group(self, gens):
+        """(Z/7)^2 under addition."""
+        got = closure((0, 0), right_products(self.add_mod_seven, gens), 64)
+        elements, words, parents, right = scan_closure((0, 0), gens, self.add_mod_seven)
+        assert got.elements == elements
         assert (got.words, got.parents) == (words, parents)
         assert np.array_equal(got.right, right)
 
-    @pytest.mark.parametrize("tol", [None, 0.5])
-    def test_cap_below_one_element(self, tol):
-        """The identity alone outgrows a cap of 0, in either mode."""
-        signature = (lambda x: x.tobytes()) if tol is None else np.ravel
-        with pytest.raises(GroupNotClosedError, match="exceeded 0 elements"):
-            closure(np.zeros(2), right_products(self.add_mod_seven, [np.ones(2)]), signature,
-                    0, tol)
-        if tol is None:  # elements as their own keys
-            with pytest.raises(GroupNotClosedError, match="exceeded 0 elements"):
-                closure(0, lambda a: [(a + 1) % 7], None, 0, None)
+    def test_bytes_keys_match_the_scan_on_a_permutation_group(self):
+        """S_4 from a 4-cycle and a transposition, as permutation tuples and
+        as the bytes of permutation arrays, the keys the unitary closure uses."""
+        gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
+        elements, words, parents, right = scan_closure((0, 1, 2, 3), gens, self.compose)
+        assert len(elements) == 24
+        arrays = [np.array(g) for g in gens]
+        got = closure(np.arange(4).tobytes(),
+                      lambda a: [np.frombuffer(a, dtype=int)[g].tobytes() for g in arrays], 24)
+        assert [tuple(np.frombuffer(e, dtype=int)) for e in got.elements] == elements
+        assert (got.words, got.parents) == (words, parents)
+        assert np.array_equal(got.right, right)
 
-    def test_key_mode_matches_the_scan_on_a_finite_group(self):
-        """(Z/7)^2 under addition: equal keys, as tuples or as the elements
-        themselves, decide as the scan does at a tolerance below 1."""
-        gens = [(1, 3), (2, 5)]
-        add = lambda a, b: ((a[0] + b[0]) % 7, (a[1] + b[1]) % 7)  # noqa: E731
-        scan = closure(np.zeros(2), right_products(self.add_mod_seven,
-                                                   [np.array(g, dtype=float) for g in gens]),
-                       np.ravel, 64, 0.5)
-        for signature in (None, tuple):
-            got = closure((0, 0), right_products(add, gens), signature, 64, None)
-            assert [np.array(e, dtype=float).tobytes() for e in got.elements] == [
-                e.tobytes() for e in scan.elements]
-            assert (got.words, got.parents) == (scan.words, scan.parents)
-            assert np.array_equal(got.right, scan.right)
+    @pytest.mark.parametrize("cap", [-1, 0])
+    def test_cap_below_one_element(self, cap):
+        """The identity alone outgrows a cap below 1."""
+        with pytest.raises(GroupNotClosedError, match=f"exceeded {cap} elements"):
+            closure(0, lambda a: [(a + 1) % 7], cap)
 
-    def test_first_of_several_hits_decides(self):
-        generators = [np.array([g, -2 * g]) for g in (0.7, 1.9, 4.3)]
-        got = closure(np.zeros(2), right_products(self.add_mod_seven, generators), np.ravel, 64,
-                      1.1)
-        stored = np.array(got.elements)
-        several = 0
-        for i, e in enumerate(got.elements):
-            for gi, g in enumerate(generators):
-                product = self.add_mod_seven(e, g)
-                close = np.flatnonzero(np.abs(stored - product).max(axis=1) <= 1.1)
-                assert got.right[i, gi] == close[0]
-                several += len(close) > 1
-        assert several > 0
+    def test_closure_stops_at_cap(self):
+        """Z/7 closes at cap 7 and stops at cap 6, as do products that never repeat."""
+        assert len(closure(0, lambda a: [(a + 1) % 7], 7).elements) == 7
+        for products in (lambda a: [(a + 1) % 7], lambda a: [a + 1]):
+            with pytest.raises(GroupNotClosedError, match="exceeded 6 elements"):
+                closure(0, products, 6)
 
 
 class TestProductsContract:
@@ -555,14 +555,14 @@ class TestProductsContract:
         `products` is called with, and the Closure it returns."""
         runs = []
 
-        def recorded(identity, products, signature, cap, tol):
+        def recorded(identity, products, cap):
             asked = []
 
             def counted(a):
                 asked.append(a)
                 return products(a)
 
-            found = closure(identity, counted, signature, cap, tol)
+            found = closure(identity, counted, cap)
             runs.append((asked, found))
             return found
 
@@ -589,14 +589,25 @@ class TestProductsContract:
 
 
 class TestUnitaryKernel:
-    @pytest.mark.parametrize("name", list(ORDERS))
+    @pytest.mark.parametrize("name", list(ORDERS) + FAMILIES)
     def test_closure_matches_loop(self, unitary_groups, name):
-        group = unitary_groups[name]
+        """Elements, words, parents, right table, Cayley table and norming
+        rows equal the matrix-by-matrix loop forms bit for bit."""
+        if name in ORDERS:
+            group = unitary_groups[name]
+            assert len(group) == ORDERS[name]
+        else:
+            group = unitary_closure(family_generators(name))
         elements, words, parents = loop_unitary_closure(group.generators)
-        assert len(group) == ORDERS[name]
         assert group.elements.tobytes() == elements.tobytes()
         assert group.words == tuple(words)
         assert group.parents == tuple(parents)
+        right = [[unitary_index(group, a @ g) for g in group.generators] for a in group.elements]
+        assert np.array_equal(group.right, right)
+        assert np.array_equal(group.cayley, loop_cayley(group))
+        norming = basis_orbit_norming_set(group)
+        assert norming.tobytes() == pairwise_norming_set(group).tobytes()
+        assert norming.tobytes() == loop_norming_set(group).tobytes()
 
     @pytest.mark.parametrize("name", list(ORDERS))
     def test_cayley_and_inverse_match_loop(self, unitary_groups, name):
@@ -624,10 +635,13 @@ class TestUnitaryKernel:
             loop_similarity_residuals(model, report.s_mat)
         )
 
-    def test_closure_stops_at_cap(self):
-        rotation = np.array([[np.exp(1j), 0], [0, 1]])  # infinite order
+    def test_rotation_stops_at_the_orbit_limit(self, monkeypatch):
+        """A rotation of infinite order outgrows the basis orbit's limit of
+        d cap vectors before the permutation closure runs."""
+        monkeypatch.setattr(unitary, "closure", None)  # never reached
+        rotation = np.array([[np.exp(1j), 0], [0, 1]])
         with pytest.raises(GroupNotClosedError, match="exceeded 5 elements"):
-            closure(np.eye(2, dtype=complex), lambda a: [a @ rotation], np.ravel, 5, 1e-9)
+            unitary_closure([rotation], cap=5)
 
 
 class TestCayleyKernel:

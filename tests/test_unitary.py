@@ -92,6 +92,31 @@ class TestClosure:
         with pytest.raises(GroupNotClosedError):
             unitary_closure([g], cap=100)
 
+    @pytest.mark.parametrize("name", sorted(_NAMED_GENERATORS))
+    def test_cap_is_the_largest_order_closed(self, name):
+        """The orbit limit, d cap vectors, refuses no group of order cap."""
+        order = len(unitary_group(name))
+        group = unitary_closure(_NAMED_GENERATORS[name], cap=order)
+        assert group.elements.tobytes() == unitary_group(name).elements.tobytes()
+        with pytest.raises(GroupNotClosedError, match=f"closure exceeded {order - 1} elements"):
+            unitary_closure(_NAMED_GENERATORS[name], cap=order - 1)
+
+    @pytest.mark.parametrize("gens", [
+        [np.array([[0, 1], [1, 0]])],  # the orbit is the basis: the closure refuses
+        _NAMED_GENERATORS["q8"],  # the orbit outgrows d cap vectors
+        [np.diag([np.exp(1j), 1])],
+    ])
+    def test_caps_zero_and_one(self, gens):
+        for cap in (0, 1):
+            with pytest.raises(GroupNotClosedError, match=f"closure exceeded {cap} elements"):
+                unitary_closure(gens, cap=cap)
+
+    def test_the_trivial_group_closes_at_cap_one(self):
+        with pytest.raises(GroupNotClosedError, match="closure exceeded 0 elements"):
+            unitary_closure([np.eye(2)], cap=0)
+        trivial = unitary_closure([np.eye(2)], cap=1)
+        assert len(trivial) == 1 and trivial.orbit_perms.tolist() == [[0, 1]]
+
     def test_words_reproduce_elements(self, named_groups):
         g = named_groups["q8"]
         for idx, word in enumerate(g.words):
