@@ -71,20 +71,22 @@ def urns_center(cloud: PointCloud) -> SupPoint:
     pts = cloud.points  # (N, m, k)
     # Each fiber as one contiguous (N, k) block with -0.0 read as 0.0, and
     # its negation (0.0 - 0.0 is 0.0): the points are finite, so equal bytes
-    # mean equal floats.
+    # mean equal floats.  Fiber g's key is bytes [g * size, (g + 1) * size).
     keys = np.add(pts.transpose(1, 0, 2), 0.0, order="C")
-    mirror_keys = np.subtract(0.0, keys)
-    fibers = np.empty(pts.shape[1:])
+    size = keys[0].nbytes
+    key_bytes, mirror_bytes = keys.tobytes(), np.subtract(0.0, keys).tobytes()
+    fibers = []  # the centers as lists of floats; -x is np.negative's float
     mirrored = {}  # bytes of -fiber i -> i, for centered fibers i with no zero coordinate
-    for g in range(len(fibers)):
-        i = mirrored.get(keys[g].tobytes())
+    for g in range(pts.shape[1]):
+        i = mirrored.get(key_bytes[g * size:(g + 1) * size])
         if i is None:
-            fibers[g], _ = seb_center(pts[:, g, :])
+            center = seb_center(pts[:, g, :])[0].tolist()
         else:
-            np.negative(fibers[i], out=fibers[g])
-        if fibers[g].all():
-            mirrored[mirror_keys[g].tobytes()] = g
-    return SupPoint(fibers)
+            center = [-x for x in fibers[i]]
+        fibers.append(center)
+        if all(center):
+            mirrored[mirror_bytes[g * size:(g + 1) * size]] = g
+    return SupPoint(np.array(fibers))
 
 
 def _in_space(cloud_pts: np.ndarray, points: np.ndarray) -> np.ndarray:

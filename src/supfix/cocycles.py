@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import CocycleInconsistencyError, SpaceMismatchError
 from .groups import inverse_indices
+from .spaces import _fold_columns
 from .unitary import UnitaryGroup
 
 # Largest law defect accepted as a cocycle, for the matrix and the scalar law.
@@ -89,8 +90,10 @@ def cocycle_defect(data: DerivationData) -> tuple[float, int, int]:
     elems, vals = data.group.elements, data.values
     with np.errstate(invalid="ignore", over="ignore"):  # an inf value is a NaN or inf defect
         expect = vals[:, None] @ elems[None] + elems[:, None] @ vals[None]
-        defects = np.abs(vals[data.group.cayley] - expect).max(axis=(2, 3))
-    return _worst_pair(defects)
+        dev = np.abs(vals[data.group.cayley] - expect)
+    # the max over the d x d entries as one ufunc call per entry, not one
+    # inner-loop call per element pair; max is exact and NaN propagates
+    return _worst_pair(_fold_columns(np.maximum, dev.reshape(*dev.shape[:2], -1)))
 
 
 def check_cocycle(data: DerivationData, tol: float = LAW_TOL) -> float:

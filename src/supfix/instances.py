@@ -189,7 +189,7 @@ def certificate_samples(
         rng.standard_normal(out=dirs[i])
         rng.random(out=u[i])
     u *= SAMPLE_MARGIN  # uniform(0, SAMPLE_MARGIN) is 0.0 + SAMPLE_MARGIN * random()
-    norms = np.linalg.norm(dirs, axis=2, keepdims=True)
+    norms = _fiber_distances(dirs, 0.0)[:, :, np.newaxis]  # the floats of np.linalg.norm
     norms[norms == 0.0] = 1.0
     return PointCloud(z.fibers + dirs / norms * (u * slack[:, None]))
 

@@ -21,8 +21,23 @@ LAPACK gufunc `np.linalg.solve` dispatches to for a 1-D right-hand side,
 under the same floating-point state `np.linalg.solve` sets (entered once
 per `seb_center` call).  The floats are those of `np.linalg.solve`; what
 is skipped is its per-call wrapper, which on these 2 x 2 to 5 x 5
-systems costs several times the solve itself.  An exactly singular Gram
-raises LinAlgError and takes the least-squares fallback.
+systems costs several times the solve itself.  solve1 is called without
+a signature: a float64 Gram and right-hand side resolve to its `dd->d`
+loop, the one `np.linalg.solve` names, without the signature keyword's
+per-call parsing.  An exactly singular Gram raises LinAlgError and takes
+the least-squares fallback.
+
+The rest of a call's set-up is kept small too.  Non-finite points and
+points too far apart are found from the coordinate extremes
+(`np.maximum.reduce`, `np.minimum.reduce`, NaN and inf propagating) and
+their differences as Python floats, which overflow to inf with no
+warning, so no error-state context is entered for the checks.  The
+support stack comes from a small per-size pool (`_POOLS`, depths up to
+`_POOLED_DEPTH`): a call pops one, or builds one if the pool is empty,
+and appends it when done, so concurrent calls never share a stack.  A
+reused stack holds an earlier call's rows and Gram entries, but a push
+at depth s reads only r_0, rows 0..s-2 and the Gram block of those rows,
+which the pushes of its own call's support chain wrote.
 
 Points are carried as tuples of Python floats; profiling showed float
 arithmetic beats small-ndarray arithmetic by a wide margin at these sizes.
@@ -76,6 +91,7 @@ import math
 import sys
 import weakref
 from functools import lru_cache
+from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -85,6 +101,7 @@ from .errors import EmptyDomainError
 
 _SHUFFLE_SEED = 0x5EB
 _CHUNK = 64  # terms per statement of a generated sum
+_POOLED_DEPTH = 16  # supports of at most this many rows are kept for reuse
 
 
 def _raise_singular(err, flag):
@@ -121,6 +138,11 @@ class _Support:
         self.rhs_mv = memoryview(self.rhs)
         self.grams = [self.gram[:s, :s] for s in range(d + 1)]
         self.rhss = [self.rhs[:s] for s in range(d + 1)]
+
+
+# _POOLS[d]: idle supports of d rows.  A call pops one (or builds one) and
+# appends it when done, so concurrent calls never share a support.
+_POOLS: list[list[_Support]] = [[] for _ in range(_POOLED_DEPTH + 1)]
 
 
 class _Kernel(NamedTuple):
@@ -192,7 +214,7 @@ def _push_body(k: int, s: int) -> list[str]:
     lines += [*pre, f"aa = {aa}", f"gram[{m}, {m}] = g = 2.0 * aa", f"sup.rhs_mv[{m}] = aa"]
     lam = _names("l", s)
     solve = ["try:  # the LAPACK gufunc np.linalg.solve calls; see _solve_errstate",
-             f"    {lam} = _umath_linalg.solve1(sup.grams[{s}], sup.rhss[{s}], signature=\"dd->d\").tolist()",
+             f"    {lam} = _umath_linalg.solve1(sup.grams[{s}], sup.rhss[{s}]).tolist()",
              "except np.linalg.LinAlgError:",
              f"    {lam} = np.linalg.lstsq(sup.grams[{s}], sup.rhss[{s}], rcond=None)[0].tolist()"]
     if s == 1:
@@ -255,11 +277,11 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
     if arr.size == 0:
         raise EmptyDomainError("smallest enclosing ball of no points")
     _, k = arr.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # the checks below judge it
-        spread = np.ptp(arr, axis=0).max()  # NaN or inf when a coordinate is, or on overflow
-    if not math.isfinite(spread) and not np.isfinite(arr).all():
+    # NaN and inf reach the coordinate extremes (see the module docstring)
+    hi, lo = np.maximum.reduce(arr).tolist(), np.minimum.reduce(arr).tolist()
+    if not all(map(math.isfinite, hi + lo)):
         raise ValueError("enclosing-ball points must be finite")
-    if spread > math.sqrt(sys.float_info.max / (4 * k)):
+    if max(map(sub, hi, lo)) > math.sqrt(sys.float_info.max / (4 * k)):
         raise OverflowError("points too far apart for their squared distances to stay finite")
     uniq = list(dict.fromkeys(map(tuple, arr.tolist())))
     if len(uniq) == 1:
@@ -267,8 +289,14 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
     shuffled = [uniq[i] for i in _visit_order(len(uniq))]
     # n distinct points are at most n supports; start from the empty ball,
     # which holds no point, not even its center
-    sup = _Support(min(k, len(uniq) - 1))
+    depth = min(k, len(uniq) - 1)
+    pool = _POOLS[depth] if depth < len(_POOLS) else []
+    try:
+        sup = pool.pop()
+    except IndexError:
+        sup = _Support(depth)
     with _solve_errstate():
         center, _ = _kernel(k, 0).welzl(shuffled, len(shuffled), sup, shuffled[0], -math.inf)
+    pool.append(sup)
     radius = max(math.dist(row, center) for row in uniq)
     return np.array(center), radius

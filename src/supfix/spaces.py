@@ -8,7 +8,12 @@ recovers the box space, so a single point type covers both.
 
 Every real sup-distance in the package, here and in `centers`, `iterate`
 and `instances`, is taken by the one helper `_fiber_distances`, so equal
-rows give equal floats wherever they are taken.  Points are finite, but
+rows give equal floats wherever they are taken.  It sums a fiber of
+k < 8 squares as k - 1 column adds, (s_0 + s_1) + s_2 + ..., the order
+numpy's reduce uses for rows that short, at one ufunc call per column:
+numpy's reduce over a short last axis pays one inner-loop call per row.
+A fiber of 8 or more squares goes through `np.add.reduce`, whose
+pairwise tree defines those floats.  Points are finite, but
 a difference near 1e308 can overflow, and so can the square of any
 difference above about 1.3e154 (the square root of the largest float):
 such a distance reads inf, with no warning.
@@ -31,6 +36,8 @@ FIBER_URNS_CONSTANT = math.sqrt(3.0) / 2.0
 # Elements per block of a difference stack, so the temporaries of a diameter
 # or a radius stay near half a megabyte whatever the point and sample counts.
 _BLOCK_ELEMENTS = 1 << 16
+# The shortest row np.add.reduce sums pairwise rather than in order.
+_PAIRWISE_FROM = 8
 
 
 @dataclass(frozen=True)
@@ -83,17 +90,31 @@ def _checked_stack(stacked) -> np.ndarray:
 def _fiber_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean norms over the last axis of the float stack a - b, which
     is written to `out` (an array the caller gives up, a itself allowed)
-    or to a new array, squared in place, summed over its contiguous last
-    axis, and the sums square-rooted in place.  These are the ufunc calls
-    `np.sum(diff * diff, axis=-1)` and `np.linalg.norm(diff, axis=-1)`
-    make on real data, so each norm is the same float for every k (numpy
-    sums a row of fewer than 8 entries in order, longer rows pairwise, and
-    sees the same row either way).  An overflow gives inf, not a warning."""
+    or to a new array, squared in place, summed over its last axis (see
+    the module docstring), and the sums square-rooted in place.  These
+    are the floats of `np.sum(diff * diff, axis=-1)` and
+    `np.linalg.norm(diff, axis=-1)` on real data, for every k.  An
+    overflow gives inf, not a warning."""
     with np.errstate(over="ignore"):
         diff = np.subtract(a, b, out=out)
-        np.multiply(diff, diff, out=diff)
-        norms = np.add.reduce(diff, axis=-1)
+        sq = np.multiply(diff, diff, out=diff)
+        if sq.shape[-1] < _PAIRWISE_FROM:
+            norms = _fold_columns(np.add, sq)
+        else:
+            norms = np.add.reduce(sq, axis=-1)
         return np.sqrt(norms, out=norms)
+
+
+def _fold_columns(ufunc: np.ufunc, arr: np.ndarray) -> np.ndarray:
+    """ufunc folded over the last axis of arr from the left,
+    f(f(a_0, a_1), a_2) ..., as one ufunc call per column; a single column
+    is returned as a view of arr."""
+    if arr.shape[-1] == 1:
+        return arr[..., 0]
+    out = ufunc(arr[..., 0], arr[..., 1])
+    for j in range(2, arr.shape[-1]):
+        ufunc(out, arr[..., j], out=out)
+    return out
 
 
 def sup_distance(x: SupPoint, y: SupPoint) -> float:

@@ -155,15 +155,16 @@ def _solve_least_squares(model: AffineActionModel) -> np.ndarray:
     group = model.derivation.group
     n, d, size = len(group), model.d, model.size
     # row-major vec: vec(T g) = (I (x) g^T) vec T, vec(P T) = (P (x) I) vec T;
-    # block l of the system is their difference, written in place
-    a_mat = np.zeros((n * size * d, size * d), dtype=complex)
-    blocks = a_mat.reshape(n, size, d, size, d)  # [l, i, a, j, b]
+    # block l of the system is their difference, written in place into the
+    # transpose, so the system is column-major and lstsq copies whole columns
+    a_t = np.zeros((size * d, n * size * d), dtype=complex)
+    blocks = a_t.reshape(size, d, n, size, d).transpose(2, 3, 4, 0, 1)  # [l, i, a, j, b]
     diag = np.arange(size)
     blocks[:, diag, :, diag, :] = group.elements.transpose(0, 2, 1)
     l_idx, i_idx, a_idx = np.ix_(np.arange(n), diag, np.arange(d))
     blocks[l_idx, i_idx, a_idx, model.frame.sigmas[:, :, None], a_idx] -= 1.0
     b_vec = model.embedded.reshape(-1)
-    sol, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    sol, *_ = np.linalg.lstsq(a_t.T, b_vec, rcond=None)
     return sol.reshape(size, d)
 
 

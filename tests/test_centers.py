@@ -281,7 +281,7 @@ class TestReductionBytes:
     """Radii and gaps taken through `_fiber_distances` with one max over the
     flattened (N m) axis have the bytes of the old two-max expressions."""
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", range(1, 13))  # past the 8-term pairwise sum
     @pytest.mark.parametrize("block", [None, 1, 7])
     def test_radii_bytes_in_any_block_size(self, awkward_clouds, monkeypatch, rng, k, block):
         for name, pts in awkward_clouds(k).items():
@@ -292,7 +292,7 @@ class TestReductionBytes:
             got = centers._radii(pts, zs)
             assert got.tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", range(1, 13))  # past the 8-term pairwise sum
     def test_certificate_report_bytes(self, awkward_clouds, rng, k):
         """Radius, gap, counts and verdict against the old reductions, for
         the stack as its own samples and for samples around its center."""

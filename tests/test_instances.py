@@ -177,7 +177,7 @@ class TestSameStreamDraws:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert ours.random() == theirs.random()
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", range(1, 13))  # past the 8-term pairwise sum
     def test_certificate_samples_bytes(self, awkward_clouds, k):
         """Samples and generator state equal the old draws and reductions; on
         coordinates near 1e308 both give non-finite samples, which the cloud

@@ -21,6 +21,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +489,69 @@ class TestSupportSolve:
             assert state == {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"}
             with pytest.raises(np.linalg.LinAlgError):
                 callback("invalid", 8)
+
+
+    def test_float64_grams_select_the_dd_loop(self, rng):
+        """The generated push calls solve1 without a signature: float64
+        Grams resolve to the dd->d loop, the one np.linalg.solve names."""
+        f8 = np.dtype(np.float64)
+        assert _umath_linalg.solve1.resolve_dtypes((f8, f8, None)) == (f8, f8, f8)
+        for s in range(2, 6):
+            _, sup = push_all(rng.standard_normal((s + 1, s)))
+            gram, rhs = sup.grams[s], sup.rhss[s]
+            got = _umath_linalg.solve1(gram, rhs)
+            want = _umath_linalg.solve1(gram, rhs, signature="dd->d")
+            assert got.dtype == f8 and got.tobytes() == want.tobytes()
+        assert "signature" not in seb._source(4, 3)
+
+
+def ball_bytes(pts):
+    center, radius = seb_center(pts)
+    return center.tobytes(), radius
+
+
+class TestSupportPool:
+    """seb_center takes its support from a per-size pool and puts it back;
+    a pooled support's stale rows and Gram entries are never read."""
+
+    def test_stale_rows_of_a_deeper_call_are_not_read(self, monkeypatch):
+        monkeypatch.setattr(seb, "_POOLS", [[] for _ in seb._POOLS])
+        pool = seb._POOLS[5]
+        # six points in R^5 whose first two visits are the diametral pair,
+        # so the ball is found at depth 2 and kept
+        order = seb._visit_order(6)
+        shallow = 0.1 * np.random.default_rng(2).standard_normal((6, 5))
+        shallow[order[0]] = [10.0, 0.0, 0.0, 0.0, 0.0]
+        shallow[order[1]] = [-10.0, 0.0, 0.0, 0.0, 0.0]
+        want = ball_bytes(shallow)
+        (sup,) = pool
+        assert sup.rows[0] is not None and sup.rows[1:] == [None] * 4
+        deep = np.random.default_rng(5).standard_normal((40, 5))
+        want_deep = ball_bytes(deep)
+        assert pool == [sup] and sup.rows[4] is not None  # it reached depth 5
+        assert ball_bytes(shallow) == want and pool == [sup]
+        # every entry a push reads it wrote first in the same call
+        sup.r0, sup.rows[:] = (math.nan,) * 5, [(math.nan,) * 5] * 5
+        sup.gram.fill(math.nan)
+        sup.rhs.fill(math.nan)
+        assert ball_bytes(shallow) == want and ball_bytes(deep) == want_deep
+        assert pool == [sup]
+
+    def test_threads_give_the_sequential_bytes(self):
+        rng = np.random.default_rng(200)
+        clouds = [rng.standard_normal((int(rng.integers(2, 30)), int(rng.integers(1, 7))))
+                  for _ in range(200)]
+        want = [ball_bytes(pts) for pts in clouds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                forward = pool.submit(lambda: [ball_bytes(pts) for pts in clouds])
+                backward = pool.submit(lambda: [ball_bytes(pts) for pts in clouds[::-1]])
+                got = forward.result(), backward.result()[::-1]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == (want, want)
 
 
 FRESH = """

@@ -139,13 +139,40 @@ class TestPointCloud:
             cloud_diameter(cloud)
 
 
+# Fiber lengths from 1 past numpy's first pairwise row (8) and the schema cap (8).
+FIBER_LENGTHS = range(1, 13)
+
+
+class SpyAdd:
+    """np.add for `spaces`, counting its reduce calls."""
+
+    def __init__(self):
+        self.reductions = 0
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
+
+    def reduce(self, *args, **kwargs):
+        self.reductions += 1
+        return np.add.reduce(*args, **kwargs)
+
+
+class NumpyWithSpyAdd:
+    def __init__(self, add):
+        self.add = add
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 class TestFiberNormBytes:
     """Every value taken through `_fiber_distances` has the bytes of the
-    expression it replaced, for every fiber length up to the schema cap.
-    The package calls run under the suite's error filter for RuntimeWarning:
-    the near-max clouds overflow to inf without a warning."""
+    expression it replaced, for every fiber length up to the schema cap
+    and past numpy's 8-term pairwise switch.  The package calls run under
+    the suite's error filter for RuntimeWarning: the near-max clouds
+    overflow to inf without a warning."""
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", FIBER_LENGTHS)
     def test_fiber_norms_equal_sum_and_linalg_norm(self, awkward_clouds, k):
         for name, pts in awkward_clouds(k).items():
             with np.errstate(over="ignore"):  # the reference expressions warn
@@ -158,7 +185,34 @@ class TestFiberNormBytes:
             got = spaces._fiber_distances(diff, pts[np.newaxis], out=diff)
             assert got.tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", FIBER_LENGTHS)
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_radius_stacks_equal_sum_and_linalg_norm(self, awkward_clouds, rng, k, rows):
+        """The (rows, N, m, k) stacks `centers._radii` passes: a block of
+        centers with a new axis against the whole cloud."""
+        for name, pts in awkward_clouds(k).items():
+            zs = np.concatenate([pts[::-1], rng.standard_normal(pts[:2].shape)])
+            for s in range(0, len(zs), rows):
+                with np.errstate(over="ignore"):
+                    diff = zs[s:s + rows, np.newaxis] - pts
+                    want = np.sqrt(np.sum(diff * diff, axis=-1))
+                    assert np.linalg.norm(diff, axis=-1).tobytes() == want.tobytes(), name
+                got = spaces._fiber_distances(zs[s:s + rows, np.newaxis], pts)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("k", FIBER_LENGTHS)
+    def test_short_fibers_are_summed_without_reduce(self, rng, monkeypatch, k):
+        """Fibers of fewer than 8 entries are summed as column adds, longer
+        ones by np.add.reduce, once per call."""
+        spy = SpyAdd()
+        monkeypatch.setattr(spaces, "np", NumpyWithSpyAdd(spy))
+        pts = rng.standard_normal((5, 3, k))
+        got = spaces._fiber_distances(pts[:, np.newaxis], pts)
+        assert spy.reductions == (0 if k < 8 else 1)
+        monkeypatch.undo()
+        assert got.tobytes() == spaces._fiber_distances(pts[:, np.newaxis], pts).tobytes()
+
+    @pytest.mark.parametrize("k", FIBER_LENGTHS)
     def test_sup_distance_bytes(self, awkward_clouds, k):
         for name, pts in awkward_clouds(k).items():
             for a in pts:
@@ -173,7 +227,7 @@ class TestFiberNormBytes:
         assert sup_distance(x, y) == math.inf
         assert cloud_diameter(PointCloud(np.stack([x.fibers, y.fibers]))) == math.inf
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", FIBER_LENGTHS)
     @pytest.mark.parametrize("block", [None, 1, 5])
     def test_diameter_bytes_in_any_block_size(self, awkward_clouds, monkeypatch, k, block):
         if block is not None:  # blocks of one pair, and blocks that split rows
