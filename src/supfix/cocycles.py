@@ -23,9 +23,9 @@ _LAW_BLOCK_BYTES per temporary, with v as the leading axis, so each block
 costs one element gather, one row gather and a broadcast add, and the worst
 defect over v is an elementwise max of contiguous (g, h) slabs.  A non-finite
 value never raises a warning in either check: it gives a NaN or inf defect,
-which fails it.  Matrix groups are closed by the kernel in `groups.py`,
-where duplicates are products within a fixed tolerance of a known element
-in every entry.
+which fails it.  Matrix groups are closed in `unitary`, as permutations
+of the standard basis orbit keyed by their bytes; the orbit vectors are
+the one place a closure matches floats within a tolerance.
 """
 
 from __future__ import annotations

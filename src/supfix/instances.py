@@ -18,6 +18,7 @@ read-only isometry per shape, which draws nothing from the stream.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
@@ -82,17 +83,34 @@ def _signed_perm_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
     return mat
 
 
-def _budget_unmet(budget: int) -> SamplingBudgetError:
-    return SamplingBudgetError(
-        f"no generator of order <= {budget} in {MAX_DRAWS} draws; max_order is too small"
-    )
-
-
 def _conjugate_by_translation(lin: FiberPermIsometry, p: np.ndarray) -> FiberPermIsometry:
     """x -> L(x - p) + p for a checked linear L; fixes p by construction.
     Only the translation is new, finite grid data, so nothing is rechecked."""
     trans = p - np.einsum("gij,gj->gi", lin.maps, p[lin.perm])
     return FiberPermIsometry._trusted(lin.perm, lin.maps, trans)
+
+
+def _draw_and_close(
+    seed: int, shape: tuple[int, int], max_order: int,
+    draw: Callable[[np.random.Generator, int], FiberPermIsometry | None],
+) -> tuple[GroupSpec, SupPoint]:
+    """The flip coin, the order budget, up to MAX_DRAWS draw(rng, budget)
+    calls for a linear generator (None rejects a draw), the x -> -x
+    generator, the grid conjugation point, the closure and the seed point."""
+    rng = np.random.default_rng(seed)
+    add_flip = bool(rng.random() < 0.5)
+    budget = max_order // 2 if add_flip else max_order
+    for _ in range(MAX_DRAWS):
+        cand = draw(rng, budget)
+        if cand is not None:
+            break
+    else:
+        raise SamplingBudgetError(
+            f"no generator of order <= {budget} in {MAX_DRAWS} draws; max_order is too small")
+    lin_gens = [cand, _flip(*shape)] if add_flip else [cand]
+    p = grid_point(rng, shape)
+    gens = [_conjugate_by_translation(g, p) for g in lin_gens]
+    return group_closure(gens, cap=max_order + 1), SupPoint(grid_point(rng, shape))
 
 
 def random_box_group(
@@ -104,54 +122,31 @@ def random_box_group(
     translation, so a common fixed point exists and all arithmetic in the
     descent is exact.
     """
-    rng = np.random.default_rng(seed)
-    add_flip = bool(rng.random() < 0.5)
-    budget = max_order // 2 if add_flip else max_order
-    for _ in range(MAX_DRAWS):
+    def draw(rng: np.random.Generator, budget: int) -> FiberPermIsometry | None:
         perm = rng.permutation(dim)
         signs = _random_signs(rng, dim)
         if _signed_perm_order(perm, signs) <= budget:
-            break
-    else:
-        raise _budget_unmet(budget)
-    maps = signs.reshape(dim, 1, 1)
-    lin_gens = [FiberPermIsometry(perm, maps, np.zeros((dim, 1)))]
-    if add_flip:
-        lin_gens.append(_flip(dim, 1))
-    p = grid_point(rng, (dim, 1))
-    gens = [_conjugate_by_translation(g, p) for g in lin_gens]
-    group = group_closure(gens, cap=max_order + 1)
-    x0 = SupPoint(grid_point(rng, (dim, 1)))
-    return group, x0
+            return FiberPermIsometry(perm, signs.reshape(dim, 1, 1), np.zeros((dim, 1)))
+        return None
+
+    return _draw_and_close(seed, (dim, 1), max_order, draw)
 
 
 def random_fiber_group(
     seed: int, fibers: int = 5, fiber_dim: int = 3, max_order: int = 48
 ) -> tuple[GroupSpec, SupPoint]:
     """Like random_box_group but with R^k fibers and signed-permutation fiber maps."""
-    rng = np.random.default_rng(seed)
-    add_flip = bool(rng.random() < 0.5)
-    budget = max_order // 2 if add_flip else max_order
-    for _ in range(MAX_DRAWS):
+    def draw(rng: np.random.Generator, budget: int) -> FiberPermIsometry | None:
         perm = rng.permutation(fibers)
         maps = np.stack([_signed_perm_matrix(rng, fiber_dim) for _ in range(fibers)])
         cand = FiberPermIsometry(perm, maps, np.zeros((fibers, fiber_dim)))
         try:
             closure = group_closure([cand], cap=budget + 1)
         except GroupNotClosedError:
-            continue
-        if len(closure) <= budget:
-            break
-    else:
-        raise _budget_unmet(budget)
-    lin_gens = [cand]
-    if add_flip:
-        lin_gens.append(_flip(fibers, fiber_dim))
-    p = grid_point(rng, (fibers, fiber_dim))
-    gens = [_conjugate_by_translation(g, p) for g in lin_gens]
-    group = group_closure(gens, cap=max_order + 1)
-    x0 = SupPoint(grid_point(rng, (fibers, fiber_dim)))
-    return group, x0
+            return None
+        return cand if len(closure) <= budget else None
+
+    return _draw_and_close(seed, (fibers, fiber_dim), max_order, draw)
 
 
 def random_cloud(

@@ -28,10 +28,14 @@ per-call parsing.  An exactly singular Gram raises LinAlgError and takes
 the least-squares fallback.
 
 The rest of a call's set-up is kept small too.  Non-finite points and
-points too far apart are found from the coordinate extremes
+the coordinate spread are found from the coordinate extremes
 (`np.maximum.reduce`, `np.minimum.reduce`, NaN and inf propagating) and
 their differences as Python floats, which overflow to inf with no
-warning, so no error-state context is entered for the checks.  The
+warning, so no error-state context is entered for the checks.  Outside
+a spread of [2^-100, 2^100], where squared differences would underflow
+or overflow, the kernel runs on the points times 2^-e (e from
+`math.frexp`) and the center is scaled back: a power of two scales
+every kernel operation exactly wherever nothing underflows.  The
 support stack comes from a small per-size pool (`_POOLS`, depths up to
 `_POOLED_DEPTH`): a call pops one, or builds one if the pool is empty,
 and appends it when done, so concurrent calls never share a stack.  A
@@ -88,7 +92,6 @@ from __future__ import annotations
 
 import linecache
 import math
-import sys
 import weakref
 from functools import lru_cache
 from operator import sub
@@ -102,6 +105,7 @@ from .errors import EmptyDomainError
 _SHUFFLE_SEED = 0x5EB
 _CHUNK = 64  # terms per statement of a generated sum
 _POOLED_DEPTH = 16  # supports of at most this many rows are kept for reuse
+_SPREAD_WINDOW = (2.0 ** -100, 2.0 ** 100)  # coordinate spreads solved unscaled
 
 
 def _raise_singular(err, flag):
@@ -267,9 +271,7 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
 
     The returned radius is recomputed as the exact (float) maximum distance
     from the center, so `all(dist(p, c) <= r)` holds without slack.
-    Non-finite coordinates raise ValueError.  Points so far apart that the
-    Gram entries 2 (r_i - r_0) . (r_j - r_0) could overflow a float raise
-    OverflowError.
+    Non-finite coordinates raise ValueError.
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
@@ -281,15 +283,18 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
     hi, lo = np.maximum.reduce(arr).tolist(), np.minimum.reduce(arr).tolist()
     if not all(map(math.isfinite, hi + lo)):
         raise ValueError("enclosing-ball points must be finite")
-    if max(map(sub, hi, lo)) > math.sqrt(sys.float_info.max / (4 * k)):
-        raise OverflowError("points too far apart for their squared distances to stay finite")
+    spread, e = max(map(sub, hi, lo)), 0
+    if spread and not _SPREAD_WINDOW[0] <= spread <= _SPREAD_WINDOW[1]:
+        top = math.frexp(max(map(abs, hi + lo)))[1]  # every |coordinate| < 2^top
+        e = max(math.frexp(spread)[1] if spread < math.inf else top, top - 1020)  # scaled < 2^1020
     uniq = list(dict.fromkeys(map(tuple, arr.tolist())))
     if len(uniq) == 1:
         return np.array(uniq[0]), 0.0
-    shuffled = [uniq[i] for i in _visit_order(len(uniq))]
+    pts = list(dict.fromkeys(map(tuple, np.ldexp(arr, -e).tolist()))) if e else uniq
+    shuffled = [pts[i] for i in _visit_order(len(pts))]
     # n distinct points are at most n supports; start from the empty ball,
     # which holds no point, not even its center
-    depth = min(k, len(uniq) - 1)
+    depth = min(k, len(pts) - 1)
     pool = _POOLS[depth] if depth < len(_POOLS) else []
     try:
         sup = pool.pop()
@@ -298,5 +303,7 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
     with _solve_errstate():
         center, _ = _kernel(k, 0).welzl(shuffled, len(shuffled), sup, shuffled[0], -math.inf)
     pool.append(sup)
+    if e:
+        center = np.ldexp(center, e).tolist()
     radius = max(math.dist(row, center) for row in uniq)
     return np.array(center), radius

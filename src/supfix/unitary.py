@@ -15,19 +15,18 @@ multiplications into model-space operations:
 so matrix identities can be checked or solved entirely inside the model.
 `realify_matrix` turns complex fibers, or a whole stack of them, into
 real ones of twice the dimension, which is what the generic isometry
-machinery consumes.  The norming set is a read-only (size, d) array
-whose rows are the vectors; vectors are matched within _MATCH_TOL in
-every entry (max |diff| <= _MATCH_TOL).
+machinery consumes.
 
 A finite unitary group acts faithfully, by permutations, on the orbit of
 the standard basis, because that orbit spans.  The orbit is taken
 breadth first under the generators, each g v matched to the vectors
-found so far: the one tolerance decision of a closure.  `groups.closure`
-then closes the generators' orbit permutations with their bytes as keys,
-and each element is the matrix `a @ g` of its BFS parent a and generator
-g.  The Cayley table is a gather from the closure's right-multiplication
-table, and the basis-orbit norming set keeps one candidate g e_j per
-orbit index.  A closed group's arrays are read-only, so one group can be
+found so far within _MATCH_TOL in every entry (max |diff| <= _MATCH_TOL):
+the one tolerance decision of a closure.  `groups.closure` then closes
+the generators' orbit permutations with their bytes as keys, and each
+element is the matrix `a @ g` of its BFS parent a and generator g.  The
+Cayley table is a gather from the closure's right-multiplication table,
+and the basis-orbit norming set keeps one candidate g e_j per orbit
+index.  A closed group's arrays are read-only, so one group can be
 shared: `unitary_closure` keeps the last _CLOSED_GROUPS groups it
 closed, keyed by the checked complex generator stack (shape and bytes)
 and the cap, and returns the kept object when the same generators and
@@ -36,8 +35,8 @@ every call.
 
 Everything about the model that depends on the group alone (the norming
 set, its permutations sigma_g, the realified fiber maps, J = E(I) and
-J^+) is one `ModelFrame`, checked once when it is built.  A group builds
-the frame over its basis-orbit norming set on first use and keeps it
+J^+) is one `ModelFrame`, its permutations read off the closure's orbit
+permutations.  A group builds the frame on first use and keeps it
 (`UnitaryGroup.frame`), so the frame lives exactly as long as the group,
 and a group `unitary_closure` keeps carries its Cayley table and frame
 from one derivation to the next.
@@ -104,7 +103,7 @@ class UnitaryGroup:
     @cached_property
     def frame(self) -> ModelFrame:
         """The model frame over the basis-orbit norming set, built on first use."""
-        return model_frame(self, basis_orbit_norming_set(self))
+        return model_frame(self)
 
 
 def unitary_closure(generators: Sequence[np.ndarray], cap: int = 256) -> UnitaryGroup:
@@ -165,6 +164,14 @@ def _basis_orbit(gens: np.ndarray, cap: int) -> np.ndarray:
     return np.array(perms).T
 
 
+def _norming_rows(group: UnitaryGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(candidate j n + l, orbit index) of each basis-orbit norming row."""
+    orbit = group.orbit_perms[:, : group.d].T.ravel()  # candidate j n + l: index of g_l e_j
+    _, first = np.unique(orbit, return_index=True)
+    first.sort()
+    return first, orbit[first]
+
+
 def basis_orbit_norming_set(group: UnitaryGroup) -> np.ndarray:
     """Orbit of the standard basis under the group, deduplicated: a
     G-stable spanning set of unit vectors, the read-only rows of a
@@ -175,9 +182,8 @@ def basis_orbit_norming_set(group: UnitaryGroup) -> np.ndarray:
     g_l e_j are taken basis index outer, element inner, and the first one
     at each orbit index (orbit_perms[l, j]) is kept.
     """
-    _, first = np.unique(group.orbit_perms[:, : group.d].T, return_index=True)  # candidate j n + l
     cands = group.elements.transpose(2, 0, 1).reshape(-1, group.d)  # row j n + l: g_l e_j
-    vectors = cands[np.sort(first)]
+    vectors = cands[_norming_rows(group)[0]]
     vectors.setflags(write=False)
     return vectors
 
@@ -222,35 +228,21 @@ class ModelFrame:
     j_pinv: np.ndarray  # (d, size) complex, J^+
 
 
-def model_frame(group: UnitaryGroup, norming: np.ndarray) -> ModelFrame:
-    """Permutations and fiber maps of every element, checked as whole stacks.
+def model_frame(group: UnitaryGroup) -> ModelFrame:
+    """The frame over the basis-orbit norming set.
 
-    Raises SpaceMismatchError when the norming set is not stable under the
-    group, and ValueError where the checking FiberPermIsometry constructor
-    would refuse an element (a sigma that is not a permutation, a fiber map
+    Norming row r sits at orbit index o[r], and g_l^H = g_l^{-1} permutes
+    the orbit by pi_l^{-1} for pi_l = orbit_perms[l], so sigma_l is
+    o^{-1} pi_l^{-1} o, one exact gather.  Raises ValueError where the
+    checking FiberPermIsometry constructor would refuse a fiber map (one
     that is not orthogonal).
     """
+    norming, orbit = basis_orbit_norming_set(group), _norming_rows(group)[1]
     n, d, size = len(group), group.d, len(norming)
-    elements = group.elements
-
-    # g = p s for the BFS parent p and generator s: g^H gamma_i = s^H gamma_{sigma_p(i)}
-    gen_sigmas = [tilde_permutation(norming, s) for s in group.generators]
-    sigmas = np.empty((n, size), dtype=int)
-    sigmas[0] = np.arange(size)
-    for l in range(1, n):
-        p, gi = group.parents[l]
-        sigmas[l] = gen_sigmas[gi][sigmas[p]]
-    pulled = norming @ elements.conj()  # [l, i] is (g_l^H gamma_i)^T
-    if not np.all(np.abs(pulled - norming[sigmas]).max(axis=2) <= _MATCH_TOL):
-        raise SpaceMismatchError("norming set is not stable under the group")
-
+    sigmas = np.argsort(orbit)[np.argsort(group.orbit_perms, axis=1)[:, orbit]]
     # kets transform by (g^{-1})^T, the same orthogonal map in every fiber
-    real_maps = realify_matrix(elements.conj())
-    # FiberPermIsometry's checks, once for the whole model: every fiber
-    # copies one of the n maps, and every row of sigmas is a permutation
-    if not (np.sort(sigmas, axis=1) == np.arange(size)).all():
-        raise ValueError("perm is not a permutation")
-    if not _orthogonal(real_maps):
+    real_maps = realify_matrix(group.elements.conj())
+    if not _orthogonal(real_maps):  # FiberPermIsometry's check, once for the whole model
         raise ValueError("fiber maps must be orthogonal")
     maps = np.broadcast_to(real_maps[:, None], (n, size, 2 * d, 2 * d)).copy()
     j_mat = embed(norming, np.eye(d))

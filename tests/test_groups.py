@@ -40,6 +40,7 @@ from supfix.unitary import (
     basis_orbit_norming_set,
     embed,
     model_frame,
+    tilde_permutation,
     unitary_closure,
 )
 from supfix.witnesses import (
@@ -434,6 +435,10 @@ def family_generators(name):
 
 
 FAMILIES = [f"{family}:{n}" for family in ("cyclic", "dihedral") for n in range(1, 41)]
+# sha256 over the model frames of ORDERS then FAMILIES: norming, maps, J and
+# J^+ with dtype and shape, as the commit before the frame permutations were
+# read off the closure made them
+FRAME_DIGEST = "248557df99e5b1d4d8b4e24dd721c2d6c1e517218c53436bb51225546a36a282"
 ALGEBRA_GROUPS = [f"cyclic:{n}" for n in range(1, 31)] + [f"symmetric:{n}" for n in range(1, 6)]
 KINDS = ("valid", "corrupt", "nan")
 
@@ -608,6 +613,28 @@ class TestUnitaryKernel:
         norming = basis_orbit_norming_set(group)
         assert norming.tobytes() == pairwise_norming_set(group).tobytes()
         assert norming.tobytes() == loop_norming_set(group).tobytes()
+
+    def test_frames_match_the_matched_permutations(self, unitary_groups):
+        """sigma_l, read off the closure, is `tilde_permutation` of element l,
+        and the frame arrays keep their bytes."""
+        h = hashlib.sha256()
+        for name in [*ORDERS, *FAMILIES]:
+            group = unitary_groups.get(name) or unitary_closure(family_generators(name))
+            frame = group.frame
+            matched = [tilde_permutation(frame.norming, g) for g in group.elements]
+            assert np.array_equal(frame.sigmas, matched), name
+            for arr in (frame.norming, frame.maps, frame.j_mat, frame.j_pinv):
+                h.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
+        assert h.hexdigest() == FRAME_DIGEST
+
+    def test_frame_calls_no_tilde_permutation(self, unitary_groups, monkeypatch):
+        """Building a frame matches no vectors: sigma is one gather."""
+        calls = []
+        monkeypatch.setattr(unitary, "tilde_permutation",
+                            lambda *args: calls.append(args) or tilde_permutation(*args))
+        for group in unitary_groups.values():
+            model_frame(group)
+        assert calls == []
 
     @pytest.mark.parametrize("name", list(ORDERS))
     def test_cayley_and_inverse_match_loop(self, unitary_groups, name):
@@ -825,14 +852,6 @@ class TestAffineActionModel:
                 h.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
             h.update(repr(spec.words).encode())
         assert h.hexdigest() == MODEL_GROUP_DIGESTS[name]
-
-    @pytest.mark.parametrize("name", ["q8", "2T", "B3"])
-    def test_norming_set_missing_a_vector_is_rejected(self, unitary_groups, name):
-        group = unitary_groups[name]
-        full = basis_orbit_norming_set(group)
-        for drop in (0, len(full) - 1):
-            with pytest.raises(SpaceMismatchError, match="not stable"):
-                model_frame(group, np.delete(full, drop, axis=0))
 
     def test_least_squares_peak_memory_near_system_size(self, unitary_groups):
         """The system is assembled in place: no per-element blocks, no stacked copy."""

@@ -65,13 +65,30 @@ def brute_force_2d(points):
     return best
 
 
+def scale_exponent(arr):
+    """e such that seb_center solves on the points times 2^-e: 0 while the
+    coordinate spread lies in the window [2^-100, 2^100], else the spread's binary
+    exponent (the largest |coordinate|'s when the spread overflows), but
+    at least that of the largest |coordinate| less 1020."""
+    with np.errstate(over="ignore"):
+        spread = float((arr.max(axis=0) - arr.min(axis=0)).max())
+    low, high = seb._SPREAD_WINDOW
+    if spread == 0.0 or low <= spread <= high:
+        return 0
+    top = math.frexp(float(np.abs(arr).max()))[1]
+    return max(math.frexp(spread)[1] if math.isfinite(spread) else top, top - 1020)
+
+
 def recursive_welzl_reference(points):
-    """seb_center as the recursion over points[:-1] computed it."""
+    """seb_center as the recursion over points[:-1] computed it, on the
+    points scaled by 2^-scale_exponent and with the center scaled back."""
     arr = np.asarray(points, dtype=float)
     k = arr.shape[1]
     uniq = list(dict.fromkeys(tuple(row) for row in arr))  # tuples of np.float64
     if len(uniq) == 1:
         return np.array(uniq[0]), 0.0
+    e = scale_exponent(arr)
+    scaled = list(dict.fromkeys(tuple(row) for row in np.ldexp(arr, -e)))
 
     def dist2(a, b):
         return sum((x - y) ** 2 for x, y in zip(a, b))
@@ -99,8 +116,9 @@ def recursive_welzl_reference(points):
             return center, rad2
         return welzl(pts[:-1], support + [p])
 
-    order = np.random.default_rng(_SHUFFLE_SEED).permutation(len(uniq))
-    center, _ = welzl([uniq[i] for i in order], [])
+    order = np.random.default_rng(_SHUFFLE_SEED).permutation(len(scaled))
+    center, _ = welzl([scaled[i] for i in order], [])
+    center = tuple(np.ldexp(center, e))
     return np.array(center), max(math.dist(tuple(row), center) for row in uniq)
 
 
@@ -114,14 +132,14 @@ def exactness_clouds(case, rng):
     cospherical: every point lies within rounding of the boundary, where
     the inside test cannot be settled by `math.dist` and must fall back to
     the exact squared distance.  ulp_boundary has one point on which the
-    two distances disagree.  subnormal clouds have squared radii below the
-    smallest normal float, so every point takes the exact test (and some
-    squares underflow to zero).  signed_zero_grid mixes 0.0 and -0.0,
-    which compare equal, so the first of two such points is the one kept.
-    coplanar_3 and coplanar_5 lie in a 2-plane of R^3 and R^5 on a dyadic
-    grid.  At scale 0.5e-162 their squares are subnormal and round coarsely
-    enough to push a fourth support point, whose singular Gram takes the
-    least-squares fallback.
+    two distances disagree.  subnormal clouds have spreads below 2^-100,
+    so both sides solve them scaled by a power of two.  signed_zero_grid
+    mixes 0.0 and -0.0, which compare equal, so the first of two such
+    points is the one kept.  coplanar_3 and coplanar_5 lie in a 2-plane of
+    R^3 and R^5 on a dyadic grid, some at scale 0.5e-162, which is scaled
+    too.  Unscaled, the squares at that scale are subnormal and round
+    coarsely enough to push a fourth support point, whose singular Gram
+    takes the least-squares fallback.
     """
     if isinstance(case, int):
         return [pts for n in (2, 3, 7, 15, 40) if n <= 15 or case <= 8
@@ -372,12 +390,46 @@ class TestSebProperties:
         with pytest.raises(ValueError, match="must be finite"):
             seb_center(pts)
 
-    @pytest.mark.parametrize("pts", [[[0.0], [1.2e154]], [[0.0, 0.0], [1.2e154, 0.0], [0.0, 1.2e154]],
-                                     [[0.0], [1e200]], [[-1e308], [1e308]]])
-    def test_points_too_far_apart_are_refused(self, pts):
-        """Their Gram entries overflow; they once gave a wrong or NaN center."""
-        with pytest.raises(OverflowError):
-            seb_center(pts)
+    @pytest.mark.parametrize("pts, center, radius", [
+        ([[0.0], [1.2e154]], [6e153], 6e153),
+        ([[0.0, 0.0], [1.2e154, 0.0], [0.0, 1.2e154]], [6e153, 6e153], math.hypot(6e153, 6e153)),
+        ([[0.0], [1e200]], [5e199], 5e199),
+        ([[-1e308], [1e308]], [0.0], 1e308),
+    ])
+    def test_points_far_apart_get_their_balls(self, pts, center, radius):
+        """Their Gram entries overflow unscaled; these were refused, and
+        before that gave a wrong or NaN center."""
+        c, r = seb_center(pts)
+        assert c.tolist() == center
+        assert r == radius
+
+    def test_large_coordinates_with_a_tiny_spread_stay_finite(self):
+        """Scaled by 2^-e for the spread alone, 1e300 would overflow and the
+        center would be NaN; e stops where every coordinate stays finite."""
+        pts = [[1e300, 0.0], [1e300, 1e-200]]
+        c, r = seb_center(pts)
+        assert all(map(math.isfinite, c)) and 0.0 < r <= 1e-200
+        assert max(math.dist(p, c) for p in pts) <= r
+
+    SKEW = [(2.0, 1.0), (-4.0, -2.0), (-1.0, -4.0), (1.0, -3.0)]
+
+    @pytest.mark.parametrize("s", [0.5e-162, 1e-200])
+    def test_tiny_points_get_the_scaled_ball(self, s):
+        """Unscaled, the squares underflow: at 0.5e-162 the center and
+        radius were infinite, at 1e-200 the ball was about twice too large."""
+        c1, r1 = seb_center(self.SKEW)
+        c, r = seb_center(np.array(self.SKEW) * s)
+        assert np.allclose(c, c1 * s, rtol=1e-14, atol=0.0)
+        assert r == pytest.approx(r1 * s, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [-1000, -600, -101, 101, 600, 1000])
+    def test_power_of_two_scales_are_exact(self, t):
+        """Outside the spread window the ball is the scale-1 ball times 2^t,
+        float for float."""
+        c1, r1 = seb_center(self.SKEW)
+        c, r = seb_center(np.ldexp(self.SKEW, t))
+        assert c.tobytes() == np.ldexp(c1, t).tobytes()
+        assert r == math.ldexp(r1, t)
 
 
 def push_all(points):
@@ -455,11 +507,20 @@ class TestSupportSolve:
 
     @pytest.mark.parametrize("case", ["coplanar_3", "coplanar_5"])
     def test_seb_center_takes_the_fallback_on_coplanar_clouds(self, rng, monkeypatch, case):
-        """The exactness clouds reach singular Grams of order 3 and more."""
+        """With the spread window opened wide, seb_center runs the kernel on
+        the exactness clouds unscaled; they reach singular Grams of order 3
+        and more, and the centers still match the reference's."""
+        monkeypatch.setattr(seb, "_SPREAD_WINDOW", (0.0, math.inf))
         calls = spy_on_lstsq(monkeypatch)
+        reached = []
         for pts in exactness_clouds(case, rng):
-            seb_center(pts)
-        assert max(calls) >= 3
+            calls.clear()
+            c, r = seb_center(pts)
+            reached += calls
+            with np.errstate(invalid="ignore"):  # see assert_matches_reference
+                want_c, want_r = recursive_welzl_reference(pts)
+            assert c.tobytes() == want_c.tobytes() and r == want_r
+        assert max(reached) >= 3
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
     def test_regular_grams_solve_as_np_linalg_solve(self, rng, k):

@@ -9,7 +9,13 @@ cases, before the first 2I case, to keep the check short.
 
 The digests were taken with one BLAS thread, and the thread count is
 fixed when numpy is first imported, so the check runs in a fresh
-interpreter.  `python tests/test_workload_fingerprints.py` prints the
+interpreter.  Last-ulp floats in `result` depend on the host's numeric
+kernels, so the file also records the environment its digests were taken
+on: the numpy version, the OpenBLAS core numpy's OpenBLAS picked (read
+through `scipy_openblas_get_corename64_` in `numpy.libs`, "unknown" where
+that symbol is missing) and numpy's highest dispatched SIMD target.  The
+comparison stays exact; a mismatch names both environments.
+`python tests/test_workload_fingerprints.py` prints the environment and
 digests of the current tree in the file's format.
 """
 
@@ -25,8 +31,24 @@ CASES = {"fixed_point": 60, "certify": 60, "witness": 60, "witness_scale": 40}
 SEEDS = (1, 2, 3)
 
 DIGESTS = """
-import hashlib, json, sys
+import ctypes, glob, hashlib, json, os, sys
+import numpy as np
 from workloads import execute, fingerprint, make_cases
+
+def openblas_core():
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+simd = np.show_config(mode="dicts")["SIMD Extensions"]
+environment = {"numpy": np.__version__, "openblas_core": openblas_core(),
+               "simd": (simd.get("found") or simd["baseline"])[-1]}
 cases, seeds = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 digests = {}
 for workload, count in cases.items():
@@ -35,11 +57,12 @@ for workload, count in cases.items():
         for case in make_cases(workload, seed, count):
             h.update(fingerprint(*execute(case)).encode())
         digests[f"{workload}:{seed}"] = h.hexdigest()
-print(json.dumps(digests))
+print(json.dumps({"environment": environment, "digests": digests}))
 """
 
 
-def workload_digests() -> dict[str, str]:
+def workload_digests() -> dict:
+    """{"environment": {...}, "digests": {"<workload>:<seed>": sha256}} of this tree."""
     path = [str(ROOT / "src"), str(ROOT / "perfbench")]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
@@ -53,7 +76,9 @@ def workload_digests() -> dict[str, str]:
 
 
 def test_workload_outputs_match_the_recorded_digests():
-    assert workload_digests() == json.loads(RECORDED.read_text())
+    recorded, run = json.loads(RECORDED.read_text()), workload_digests()
+    assert run["digests"] == recorded["digests"], (
+        f"digests recorded on {recorded['environment']}, run on {run['environment']}")
 
 
 if __name__ == "__main__":
