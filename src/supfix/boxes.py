@@ -18,7 +18,9 @@ rational input, without the cost of normalising each intermediate value.
 `box_H` makes A(M), its emptiness test and the ring in one pass over the
 coordinates, and `box_center` divides each lo + hi by 2 den as ints: int
 true division is correctly rounded, so it gives the float of the Fraction
-midpoint.
+midpoint.  Those floats are finite (a quotient too large for a float
+raises OverflowError instead), so the center is wrapped without the
+point constructor's copy and checks (`SupPoint._trusted`).
 
 The empty intersection is a distinguished marker value so that chained set
 algebra never raises mid-computation.
@@ -296,9 +298,13 @@ def box_center(M: Box) -> SupPoint:
     """Per-coordinate midpoint, the canonical relative center of a box."""
     if M.is_empty:
         raise EmptyDomainError("empty box has no center")
-    # int / int is correctly rounded, as is float() of the Fraction (a + b) / den
+    if M.dim == 0:
+        raise SpaceMismatchError("a box of no coordinates has no center point")
+    # int / int is correctly rounded, as is float() of the Fraction (a + b) / den,
+    # and finite: a quotient past the largest float raises OverflowError
     den = 2 * M._den
-    return SupPoint.of([(a + b) / den for a, b in zip(M._lo_num, M._hi_num)])
+    mid = np.array([(a + b) / den for a, b in zip(M._lo_num, M._hi_num)])
+    return SupPoint._trusted(mid.reshape(M.dim, 1))
 
 
 def bounding_box(cloud: PointCloud) -> Box:  # public: box vocabulary

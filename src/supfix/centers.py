@@ -86,7 +86,7 @@ def urns_center(cloud: PointCloud) -> SupPoint:
         fibers.append(center)
         if all(center):
             mirrored[mirror_bytes[g * size:(g + 1) * size]] = g
-    return SupPoint(np.array(fibers))
+    return SupPoint._trusted(np.array(fibers))  # new (m, k) floats of finite balls
 
 
 def _in_space(cloud_pts: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -12,7 +12,11 @@ and SamplingBudgetError is raised, so no order budget can hang a caller.
 
 Everything is driven by numpy's default_rng, so a seed pins the instance.
 Box and fiber groups take their x -> -x generator from one checked,
-read-only isometry per shape, which draws nothing from the stream.
+read-only isometry per shape, which draws nothing from the stream.  The
+drawn candidates, their grid conjugates and the grid seed point are new
+arrays that are valid by construction (a permutation from
+`rng.permutation`, signed-permutation fiber maps, finite grid numbers),
+so they are wrapped by the unchecking `_trusted` constructors.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def _draw_and_close(
     lin_gens = [cand, _flip(*shape)] if add_flip else [cand]
     p = grid_point(rng, shape)
     gens = [_conjugate_by_translation(g, p) for g in lin_gens]
-    return group_closure(gens, cap=max_order + 1), SupPoint(grid_point(rng, shape))
+    return group_closure(gens, cap=max_order + 1), SupPoint._trusted(grid_point(rng, shape))
 
 
 def random_box_group(
@@ -126,7 +130,7 @@ def random_box_group(
         perm = rng.permutation(dim)
         signs = _random_signs(rng, dim)
         if _signed_perm_order(perm, signs) <= budget:
-            return FiberPermIsometry(perm, signs.reshape(dim, 1, 1), np.zeros((dim, 1)))
+            return FiberPermIsometry._trusted(perm, signs.reshape(dim, 1, 1), np.zeros((dim, 1)))
         return None
 
     return _draw_and_close(seed, (dim, 1), max_order, draw)
@@ -139,7 +143,7 @@ def random_fiber_group(
     def draw(rng: np.random.Generator, budget: int) -> FiberPermIsometry | None:
         perm = rng.permutation(fibers)
         maps = np.stack([_signed_perm_matrix(rng, fiber_dim) for _ in range(fibers)])
-        cand = FiberPermIsometry(perm, maps, np.zeros((fibers, fiber_dim)))
+        cand = FiberPermIsometry._trusted(perm, maps, np.zeros((fibers, fiber_dim)))
         try:
             closure = group_closure([cand], cap=budget + 1)
         except GroupNotClosedError:

@@ -48,7 +48,7 @@ import numpy as np
 from .boxes import Box, _reduced, _rescaled, _scaled
 from .errors import SpaceMismatchError
 from .groups import closure
-from .spaces import PointCloud, SupPoint
+from .spaces import PointCloud, SupPoint, _wrap
 
 _ORTHO_TOL = 1e-8
 _EXACT_NUM = 2**63 - 1  # largest |numerator| of a closed element: int64's
@@ -103,14 +103,13 @@ class FiberPermIsometry:
     def _trusted(cls, perm: np.ndarray, maps: np.ndarray, trans: np.ndarray) -> "FiberPermIsometry":
         """Wrap arrays that are valid by construction, skipping the checks.
 
-        For a checked map given a new finite translation, as
-        `instances` conjugates its linear generators by a grid point.
+        For a checked map given a new finite translation, as `instances`
+        conjugates its linear generators by a grid point, and for the
+        signed-permutation candidates `instances` draws: a permutation
+        from `rng.permutation`, signed-permutation fiber maps and a zero
+        translation, all new arrays.
         """
-        for arr in (perm, maps, trans):
-            arr.setflags(write=False)
-        iso = object.__new__(cls)
-        iso.__dict__.update(perm=perm, maps=maps, trans=trans)  # frozen: no __setattr__
-        return iso
+        return _wrap(cls, perm=perm, maps=maps, trans=trans)
 
     @property
     def m(self) -> int:
@@ -343,7 +342,7 @@ def group_closure(
 
 def orbit(group: GroupSpec, x: SupPoint) -> PointCloud:
     """The images of x under every group element, in element order."""
-    return PointCloud(group.images(x))
+    return PointCloud._trusted(group.images(x))  # images are new, checked finite
 
 
 def box_image(iso: FiberPermIsometry, box: Box) -> Box:

@@ -6,8 +6,17 @@ the orbit of a seed point (taken in integers, so exact for any float
 seed point), then repeatedly apply the contraction step
 `box_H` at constant 1/2.  Every iterate is a dyadic box, checked exactly
 for invariance under every generator, and its diameter at least halves
-per step (the runner's `halving_exact` states that from the trace's
-exact diameters), so the boxes shrink onto a single common fixed point.
+per step (`IterationTrace.halving_exact` states that exactly), so the
+boxes shrink onto a single common fixed point.
+
+The descent's bookkeeping stays in the boxes' integers: a diameter is
+width / den, the tolerance test width * tol_den <= tol_num * den, the
+halving test 2 w_b d_a <= w_a d_b, and a reported diameter the int
+quotient width / den, which is correctly rounded and so the float of the
+Fraction.  The trace builds `Fraction` diameters only when they are read.
+The fixed point is the last box's center, wrapped without the point
+constructor's checks (`boxes.box_center`): its floats are new and finite
+by construction.
 
 For general fibers the orbit-center route applies: the fiberwise
 smallest-enclosing-ball center of an orbit is equivariant, hence fixed by
@@ -19,6 +28,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -57,14 +67,36 @@ def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[int, np.ndarra
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """The sequence of invariant boxes produced by the descent."""
+    """The sequence of invariant boxes produced by the descent.
+
+    widths[i] is (width, den) of box i, whose sup-diameter is width / den,
+    so every statement about the diameters is decided on those integers;
+    the Fractions are built only when first read.
+    """
 
     boxes: tuple[Box, ...]
-    diameters_exact: tuple[Fraction, ...]
+    widths: tuple[tuple[int, int], ...]
     terminated: str  # "converged" or "max_iter"
 
     def __len__(self) -> int:
         return len(self.boxes)
+
+    @cached_property
+    def diameters_exact(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, d) for w, d in self.widths)
+
+    def diameter(self, step: int) -> float:
+        """Box `step`'s diameter as a float: int true division is correctly
+        rounded, so this is float(diameters_exact[step])."""
+        w, d = self.widths[step]
+        return w / d
+
+    @property
+    def halving_exact(self) -> bool:
+        """Whether every diameter is at most half the one before, exactly:
+        w_b / d_b <= (w_a / d_a) / 2 is 2 w_b d_a <= w_a d_b."""
+        widths = self.widths
+        return all(2 * wb * da <= wa * db for (wa, da), (wb, db) in zip(widths, widths[1:]))
 
     def write_csv(self, path) -> None:
         dim = self.boxes[0].dim
@@ -86,7 +118,8 @@ def iterate_box(
     not an exact isometry group and raises InvarianceViolationError rather
     than returning a bogus point.  The descent ends "converged" at the first
     of the first MAX_ITER iterates with diameter at most tol, else
-    "max_iter" after MAX_ITER contraction steps.
+    "max_iter" after MAX_ITER contraction steps.  tol is read as a float,
+    and the test diameter <= tol is taken exactly on the box's integers.
     """
     if group.k != 1:
         raise SpaceMismatchError("box descent requires k=1 fibers")
@@ -95,9 +128,8 @@ def iterate_box(
     if box.is_empty:
         raise InvarianceViolationError("initial ball intersection is empty")
 
-    boxes = [box]
-    diams = [box.diameter()]
-    tol_exact = Fraction(tol)
+    boxes, widths = [box], [(box._width(), box._den)]
+    tol_num, tol_den = float(tol).as_integer_ratio()
     while True:
         for gi, g in enumerate(group.generators):
             if box_image(g, box) != box:
@@ -105,17 +137,17 @@ def iterate_box(
         if len(boxes) > MAX_ITER:
             reason = "max_iter"
             break
-        if diams[-1] <= tol_exact:
+        width, den = widths[-1]
+        if width * tol_den <= tol_num * den:  # diameter <= tol
             reason = "converged"
             break
         box = box_H(box, BOX_CONTRACTION)
         if box.is_empty:
             raise InvarianceViolationError("contraction step emptied the iterate")
         boxes.append(box)
-        diams.append(box.diameter())
+        widths.append((box._width(), box._den))
 
-    trace = IterationTrace(tuple(boxes), tuple(diams), reason)
-    return box_center(boxes[-1]), trace
+    return box_center(box), IterationTrace(tuple(boxes), tuple(widths), reason)
 
 
 def orbit_center_fixed_point(group: GroupSpec, x0: SupPoint) -> SupPoint:

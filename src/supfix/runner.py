@@ -86,13 +86,12 @@ def _run_box(params: dict, trace_dir, name: str) -> tuple[dict, bool]:
         hi = np.array(params["sample_box"]["hi"])
         x0 = SupPoint(((lo + hi) / 2.0)[:, None])
     fixed_point, trace = iterate_box(group, x0, tol=params["tol"])
-    diams = trace.diameters_exact
     result = {
         "group_order": len(group),
         "iterations": len(trace) - 1,
-        "initial_diameter": float(diams[0]),
-        "final_diameter": float(diams[-1]),
-        "halving_exact": all(b <= a / 2 for a, b in zip(diams, diams[1:])),
+        "initial_diameter": trace.diameter(0),
+        "final_diameter": trace.diameter(-1),
+        "halving_exact": trace.halving_exact,
         "residual": fixed_point_residual(group, fixed_point),
         "fixed_point": fixed_point.fibers[:, 0].tolist(),
         "terminated": trace.terminated,

@@ -35,7 +35,18 @@ warning, so no error-state context is entered for the checks.  Outside
 a spread of [2^-100, 2^100], where squared differences would underflow
 or overflow, the kernel runs on the points times 2^-e (e from
 `math.frexp`) and the center is scaled back: a power of two scales
-every kernel operation exactly wherever nothing underflows.  The
+every kernel operation exactly wherever nothing underflows.  Where
+2^-e would carry a coordinate past 2^1020 (the spread is below 2^-1020
+times the largest |coordinate|, which needs a coordinate above 2^920),
+the points are first translated by the first point q, so no translated
+coordinate exceeds the spread, and the center comes back as
+ldexp(c, e) + q.  Only such inputs are translated, so every other input
+keeps its floats.  On an axis whose coordinates lie within a factor 2 of
+q's, every difference x - q is exact (Sterbenz); elsewhere it rounds
+once, by at most half an ulp of |x - q| <= spread, as the final + q
+does.  Before the translation e was clamped instead, which left the
+scaled squares of such a spread to underflow: the ball of (1e300, 0)
+and (1e300, 1e-200) had radius 1e-200, twice the optimum.  The
 support stack comes from a small per-size pool (`_POOLS`, depths up to
 `_POOLED_DEPTH`): a call pops one, or builds one if the pool is empty,
 and appends it when done, so concurrent calls never share a stack.  A
@@ -283,14 +294,20 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
     hi, lo = np.maximum.reduce(arr).tolist(), np.minimum.reduce(arr).tolist()
     if not all(map(math.isfinite, hi + lo)):
         raise ValueError("enclosing-ball points must be finite")
-    spread, e = max(map(sub, hi, lo)), 0
+    spread, e, shift = max(map(sub, hi, lo)), 0, None
     if spread and not _SPREAD_WINDOW[0] <= spread <= _SPREAD_WINDOW[1]:
         top = math.frexp(max(map(abs, hi + lo)))[1]  # every |coordinate| < 2^top
-        e = max(math.frexp(spread)[1] if spread < math.inf else top, top - 1020)  # scaled < 2^1020
+        e = math.frexp(spread)[1] if spread < math.inf else top
+        if e < top - 1020:  # 2^-e would overflow a coordinate: translate first
+            shift = arr[0]
     uniq = list(dict.fromkeys(map(tuple, arr.tolist())))
     if len(uniq) == 1:
         return np.array(uniq[0]), 0.0
-    pts = list(dict.fromkeys(map(tuple, np.ldexp(arr, -e).tolist()))) if e else uniq
+    if e:
+        moved = arr if shift is None else arr - shift
+        pts = list(dict.fromkeys(map(tuple, np.ldexp(moved, -e).tolist())))
+    else:
+        pts = uniq
     shuffled = [pts[i] for i in _visit_order(len(pts))]
     # n distinct points are at most n supports; start from the empty ball,
     # which holds no point, not even its center
@@ -304,6 +321,7 @@ def seb_center(points: Sequence[Sequence[float]] | np.ndarray) -> tuple[np.ndarr
         center, _ = _kernel(k, 0).welzl(shuffled, len(shuffled), sup, shuffled[0], -math.inf)
     pool.append(sup)
     if e:
-        center = np.ldexp(center, e).tolist()
+        center = np.ldexp(center, e)
+        center = (center if shift is None else center + shift).tolist()
     radius = max(math.dist(row, center) for row in uniq)
     return np.array(center), radius

@@ -17,6 +17,18 @@ pairwise tree defines those floats.  Points are finite, but
 a difference near 1e308 can overflow, and so can the square of any
 difference above about 1.3e154 (the square root of the largest float):
 such a distance reads inf, with no warning.
+
+`SupPoint(...)` and `PointCloud(...)` copy and check what they are given
+(`_checked_stack`: shape, finiteness, one contiguous float array).  The
+package also builds points whose arrays are right by construction, on
+every case: a drawn grid point, a box center, an enclosing-ball center,
+an orbit whose images `GroupSpec.images` has just checked, the zero point
+of a witness model.  Those are wrapped by the private `_trusted`
+classmethods, which only mark the array read-only: each caller hands over
+a fresh, finite, C-contiguous float64 array of the right rank that
+nothing else holds, which is what the copy and the checks would have
+made.  Every value a caller outside the package builds goes through the
+checking constructors.
 """
 
 from __future__ import annotations
@@ -24,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -63,9 +74,20 @@ class SupPoint:
         return self.fibers.shape[1]
 
     @classmethod
-    def of(cls, coords: Sequence[float]) -> "SupPoint":
-        """Box-space point from a plain coordinate sequence."""
-        return cls(np.asarray(coords, dtype=float)[:, np.newaxis])
+    def _trusted(cls, fibers: np.ndarray) -> "SupPoint":
+        """Wrap an (m, k) array that is valid by construction, skipping
+        the copy and the checks (see the module docstring)."""
+        return _wrap(cls, fibers=fibers)
+
+
+def _wrap(cls, **arrays: np.ndarray):
+    """An instance of the frozen dataclass cls holding the given arrays,
+    made read-only and taken as they are, without __post_init__."""
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update(arrays)  # frozen: no __setattr__
+    return obj
 
 
 def _checked_stack(stacked) -> np.ndarray:
@@ -141,6 +163,12 @@ class PointCloud:
 
     def __post_init__(self):
         object.__setattr__(self, "points", _checked_stack(self.points))
+
+    @classmethod
+    def _trusted(cls, points: np.ndarray) -> "PointCloud":
+        """Wrap an (N, m, k) array that is valid by construction, skipping
+        the copy and the checks (see the module docstring)."""
+        return _wrap(cls, points=points)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -96,7 +96,7 @@ class AffineActionModel:
         return x.fibers[:, :d] + 1j * x.fibers[:, d:]
 
     def origin(self) -> SupPoint:
-        return SupPoint(np.zeros((self.size, 2 * self.d)))
+        return SupPoint._trusted(np.zeros((self.size, 2 * self.d)))
 
 
 def build_affine_action(derivation: DerivationData) -> AffineActionModel:
@@ -251,6 +251,12 @@ def _homomorphism_residual(us: np.ndarray, cayley: np.ndarray) -> float:
     return float(worst.max())
 
 
+def _spectral_norm(x: np.ndarray) -> float:
+    """The largest singular value: the float np.linalg.norm(x, 2) returns,
+    without its moveaxis and amax over the same singular values."""
+    return float(np.linalg.svd(x, compute_uv=False)[0])
+
+
 def build_similarity(model: AffineActionModel, t_mat: np.ndarray) -> SimilarityReport:
     group = model.derivation.group
     size, d, n = model.size, model.d, len(group)
@@ -281,8 +287,8 @@ def build_similarity(model: AffineActionModel, t_mat: np.ndarray) -> SimilarityR
         intertwine_residual=inter,
         left_inverse_residual=left_res,
         homomorphism_residual=_homomorphism_residual(us, group.cayley),
-        s_norm=float(np.linalg.norm(s_mat, 2)),
-        s_left_inv_norm=float(np.linalg.norm(s_left_inv, 2)),
+        s_norm=_spectral_norm(s_mat),
+        s_left_inv_norm=_spectral_norm(s_left_inv),
     )
 
 

@@ -200,6 +200,18 @@ class TestCentersAndBounding:
     def test_box_center_is_midpoint(self):
         c = box_center(Box.bounds([0.0, -2.0], [1.0, 0.0]))
         assert c.fibers[:, 0].tolist() == [0.5, -1.0]
+        assert c.fibers.shape == (2, 1) and not c.fibers.flags.writeable
+
+    def test_a_box_of_no_coordinates_has_no_center_point(self):
+        """As SupPoint refuses a point of no fibers."""
+        with pytest.raises(SpaceMismatchError):
+            box_center(Box.bounds([], []))
+
+    def test_a_center_past_the_largest_float_raises(self):
+        """Its midpoint has no float, so no non-finite point is wrapped."""
+        huge = Fraction(2) ** 1100
+        with pytest.raises(OverflowError):
+            box_center(Box.bounds([huge], [huge]))
 
     def test_bounding_box_of_cloud(self, rng):
         arr = rng.standard_normal((6, 3, 1))

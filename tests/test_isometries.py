@@ -111,7 +111,7 @@ class TestFiberPermIsometry:
         warning from the sum would fail this test before the ValueError."""
         g = FiberPermIsometry(np.array([0]), np.ones((1, 1, 1)), np.array([[1e308]]))
         with pytest.raises(ValueError, match="finite"):
-            apply(g, SupPoint.of([1e308]))
+            apply(g, SupPoint(np.array([1e308])[:, None]))
 
 
 class TestGroupClosure:
@@ -252,7 +252,7 @@ class TestOrbit:
     def test_orbit_of_fixed_point_is_constant(self):
         flip = FiberPermIsometry(np.arange(2), -np.ones((2, 1, 1)), np.zeros((2, 1)))
         group = group_closure([flip])
-        assert cloud_diameter(orbit(group, SupPoint.of([0.0, 0.0]))) == 0.0
+        assert cloud_diameter(orbit(group, SupPoint(np.array([0.0, 0.0])[:, None]))) == 0.0
 
 
 class TestBoxImage:
@@ -408,7 +408,7 @@ class TestStackedFormsMatchPerElement:
         g = FiberPermIsometry(np.array([0]), np.ones((1, 1, 1)), np.array([[1e308]]))
         group = GroupSpec((g,), np.array([[0], [0]]), np.ones((2, 1, 1, 1)),
                           np.array([[[0.0]], [[1e308]]]), ((), (0,)))
-        x = SupPoint.of([1e308])
+        x = SupPoint(np.array([1e308])[:, None])
         for fn in (orbit, fixed_point_residual):
             with pytest.raises(ValueError, match="finite"):
                 fn(group, x)
@@ -419,7 +419,7 @@ class TestStackedFormsMatchPerElement:
         group, _ = random_box_group(3, dim=4)
         for fn in (orbit, fixed_point_residual, exact_orbit_diameter):
             with pytest.raises(SpaceMismatchError):
-                fn(group, SupPoint.of([0.0, 1.0]))
+                fn(group, SupPoint(np.array([0.0, 1.0])[:, None]))
 
 
 class TestBoxImageAgainstFractionForm:

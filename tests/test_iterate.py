@@ -134,7 +134,7 @@ class TestIterateBox:
         """A hand-built 'group' whose elements do not close must be caught by
         the exact invariance check, not silently iterated."""
         with pytest.raises(InvarianceViolationError):
-            iterate_box(non_group(), SupPoint.of([0.25, -0.75]))
+            iterate_box(non_group(), SupPoint(np.array([0.25, -0.75])[:, None]))
 
     def test_trace_csv_round_trip(self, tmp_path):
         group, x0 = random_box_group(5)
@@ -276,7 +276,7 @@ class TestEveryIterateIsChecked:
     def test_non_group_raises_at_the_first_check(self, calls):
         group = non_group()
         with pytest.raises(InvarianceViolationError, match="generator 0"):
-            iterate_box(group, SupPoint.of([0.25, -0.75]))
+            iterate_box(group, SupPoint(np.array([0.25, -0.75])[:, None]))
         assert len(calls) == 1 and calls[0][0] is group.generators[0]
 
 

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 from scipy.optimize import nnls
 from test_groups import EXTRA_GENERATORS
@@ -66,29 +68,33 @@ def brute_force_2d(points):
 
 
 def scale_exponent(arr):
-    """e such that seb_center solves on the points times 2^-e: 0 while the
-    coordinate spread lies in the window [2^-100, 2^100], else the spread's binary
-    exponent (the largest |coordinate|'s when the spread overflows), but
-    at least that of the largest |coordinate| less 1020."""
+    """(e, shift) such that seb_center solves on (points - shift) times
+    2^-e: e is 0 while the coordinate spread lies in the window
+    [2^-100, 2^100], else the spread's binary exponent (the largest
+    |coordinate|'s when the spread overflows); shift is the first point
+    where e is below that of the largest |coordinate| less 1020, else None."""
     with np.errstate(over="ignore"):
         spread = float((arr.max(axis=0) - arr.min(axis=0)).max())
     low, high = seb._SPREAD_WINDOW
     if spread == 0.0 or low <= spread <= high:
-        return 0
+        return 0, None
     top = math.frexp(float(np.abs(arr).max()))[1]
-    return max(math.frexp(spread)[1] if math.isfinite(spread) else top, top - 1020)
+    e = math.frexp(spread)[1] if math.isfinite(spread) else top
+    return e, (arr[0] if e < top - 1020 else None)
 
 
 def recursive_welzl_reference(points):
     """seb_center as the recursion over points[:-1] computed it, on the
-    points scaled by 2^-scale_exponent and with the center scaled back."""
+    points translated and scaled by scale_exponent, with the center
+    scaled and translated back."""
     arr = np.asarray(points, dtype=float)
     k = arr.shape[1]
     uniq = list(dict.fromkeys(tuple(row) for row in arr))  # tuples of np.float64
     if len(uniq) == 1:
         return np.array(uniq[0]), 0.0
-    e = scale_exponent(arr)
-    scaled = list(dict.fromkeys(tuple(row) for row in np.ldexp(arr, -e)))
+    e, shift = scale_exponent(arr)
+    moved = arr if shift is None else arr - shift
+    scaled = list(dict.fromkeys(tuple(row) for row in np.ldexp(moved, -e)))
 
     def dist2(a, b):
         return sum((x - y) ** 2 for x, y in zip(a, b))
@@ -118,7 +124,8 @@ def recursive_welzl_reference(points):
 
     order = np.random.default_rng(_SHUFFLE_SEED).permutation(len(scaled))
     center, _ = welzl([scaled[i] for i in order], [])
-    center = tuple(np.ldexp(center, e))
+    center = np.ldexp(center, e)
+    center = tuple(center if shift is None else center + shift)
     return np.array(center), max(math.dist(tuple(row), center) for row in uniq)
 
 
@@ -405,7 +412,8 @@ class TestSebProperties:
 
     def test_large_coordinates_with_a_tiny_spread_stay_finite(self):
         """Scaled by 2^-e for the spread alone, 1e300 would overflow and the
-        center would be NaN; e stops where every coordinate stays finite."""
+        center would be NaN; the points are translated before they are
+        scaled, so every coordinate stays finite."""
         pts = [[1e300, 0.0], [1e300, 1e-200]]
         c, r = seb_center(pts)
         assert all(map(math.isfinite, c)) and 0.0 < r <= 1e-200
@@ -430,6 +438,39 @@ class TestSebProperties:
         c, r = seb_center(np.ldexp(self.SKEW, t))
         assert c.tobytes() == np.ldexp(c1, t).tobytes()
         assert r == math.ldexp(r1, t)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.integers(-1000, 1000), st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(st.integers(-64, 64), min_size=k, max_size=k), min_size=1, max_size=9)))
+    def test_every_power_of_two_scale_is_exact(self, t, cloud):
+        """Clouds on the grid of multiples of 1/8 in [-8, 8]: the ball of the
+        cloud times 2^t is the scale-1 ball times 2^t, float for float, for
+        every t from -1000 to 1000."""
+        pts = np.ldexp(np.array(cloud, dtype=float), -3)
+        c1, r1 = seb_center(pts)
+        c, r = seb_center(np.ldexp(pts, t))
+        assert c.tobytes() == np.ldexp(c1, t).tobytes()
+        assert r == math.ldexp(r1, t)
+
+    def test_huge_coordinates_with_a_tiny_spread_get_the_optimal_ball(self):
+        """Where 2^-e for the spread would overflow 1e300, the points are
+        translated by the first point before they are scaled: the ball of
+        (1e300, 0) and (1e300, 1e-200) is the optimum, radius 5e-201 (a
+        clamped scale gave 1e-200)."""
+        c, r = seb_center([[1e300, 0.0], [1e300, 1e-200]])
+        assert c.tolist() == [1e300, 5e-201] and r == 5e-201
+
+    @pytest.mark.parametrize("s", [2.0 ** -700, 1e-200, 2.0 ** -1000])
+    def test_a_tiny_cloud_far_out_gets_the_translated_ball(self, s):
+        """The skew cloud times s, at 1e300 on a third axis, gets the
+        scale-1 ball times s beside 1e300, and the recursive reference's
+        floats, which translate and scale the same way."""
+        pts = np.array([(1e300, x * s, y * s) for x, y in self.SKEW])
+        c1, r1 = seb_center(self.SKEW)
+        c, r = seb_center(pts)
+        assert c[0] == 1e300 and np.allclose(c[1:], c1 * s, rtol=1e-14, atol=0.0)
+        assert r == pytest.approx(r1 * s, rel=1e-14)
+        assert_matches_reference(pts)
 
 
 def push_all(points):

@@ -37,7 +37,7 @@ def ref_diameter(pts):
 
 class TestSupPoint:
     def test_of_coords_promotes_to_column(self):
-        p = SupPoint.of([1.0, -2.0, 3.0])
+        p = SupPoint(np.array([1.0, -2.0, 3.0]))  # an (m,) array is a box-space point
         assert p.m == 3 and p.k == 1
         assert p.fibers.shape == (3, 1)
 
@@ -46,7 +46,7 @@ class TestSupPoint:
             SupPoint(np.array([[np.nan]]))
 
     def test_fibers_read_only(self):
-        p = SupPoint.of([1.0])
+        p = SupPoint(np.array([1.0])[:, None])
         with pytest.raises(ValueError):
             p.fibers[0, 0] = 2.0
 
@@ -84,7 +84,7 @@ class TestSupDistance:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(SpaceMismatchError):
-            sup_distance(SupPoint.of([1.0]), SupPoint(np.zeros((1, 2))))
+            sup_distance(SupPoint(np.array([1.0])[:, None]), SupPoint(np.zeros((1, 2))))
 
 
 class TestPointCloud:
@@ -102,7 +102,7 @@ class TestPointCloud:
 
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(SpaceMismatchError):
-            PointCloud([SupPoint.of([1.0]).fibers, np.zeros((2, 1))])
+            PointCloud([SupPoint(np.array([1.0])[:, None]).fibers, np.zeros((2, 1))])
 
     def test_diameter_matches_pairwise_loop(self, rng):
         for _ in range(20):
@@ -116,7 +116,7 @@ class TestPointCloud:
             assert cloud_diameter(cloud) == pytest.approx(want, abs=1e-12)
 
     def test_single_point_diameter_zero(self):
-        assert cloud_diameter(PointCloud([SupPoint.of([1.0, 2.0]).fibers])) == 0.0
+        assert cloud_diameter(PointCloud([SupPoint(np.array([1.0, 2.0])[:, None]).fibers])) == 0.0
 
     @pytest.mark.parametrize("build", ["from_array", "from_iter"])
     def test_stack_and_diameter_are_kept(self, rng, build):
@@ -223,7 +223,7 @@ class TestFiberNormBytes:
     def test_a_distance_whose_square_overflows_reads_inf(self):
         """Above about 1.3e154 the square of a difference overflows, so the
         distance reads inf, with no warning (the suite makes one an error)."""
-        x, y = SupPoint.of([1e160, 0.0]), SupPoint.of([0.0, 0.0])
+        x, y = SupPoint(np.array([[1e160], [0.0]])), SupPoint(np.zeros((2, 1)))
         assert sup_distance(x, y) == math.inf
         assert cloud_diameter(PointCloud(np.stack([x.fibers, y.fibers]))) == math.inf
 

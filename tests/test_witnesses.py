@@ -260,6 +260,20 @@ class TestSimilarity:
         assert sim.homomorphism_residual <= 1e-9
         assert sim.s_norm >= 1.0 and sim.s_left_inv_norm > 0.0
 
+    @pytest.mark.parametrize("name", GROUP_NAMES)
+    def test_norms_are_the_floats_of_the_2_norm(self, named_groups, name):
+        """s_norm and s_left_inv_norm are the floats np.linalg.norm(x, 2)
+        gives, for the least-squares solution and for an arbitrary T."""
+        rng = np.random.default_rng(len(name))
+        for seed in range(10):
+            data, _ = random_inner_derivation(named_groups[name], seed)
+            model = build_affine_action(data)
+            arbitrary = rng.standard_normal((model.size, model.d))
+            for t in (solve_witness(data, method="least_squares").t_model, arbitrary):
+                sim = build_similarity(model, t)
+                assert sim.s_norm == float(np.linalg.norm(sim.s_mat, 2))
+                assert sim.s_left_inv_norm == float(np.linalg.norm(sim.s_left_inv, 2))
+
     def test_block_shapes(self, named_groups):
         group = named_groups["s3"]
         data, _ = random_inner_derivation(group, 1)
