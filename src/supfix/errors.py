@@ -55,7 +55,7 @@ class CocycleInconsistencyError(SupfixError):
 
 class InvarianceViolationError(SupfixError):
     """A box of the exact descent (`iterate_box`) is empty or not invariant
-    under a generator; an unstable norming set is a SpaceMismatchError."""
+    under a generator."""
 
 
 class ScenarioFormatError(SupfixError):

@@ -10,9 +10,11 @@ appended.  `isometries.group_closure` closes integer-coded isometries,
 `unitary.unitary_closure` the permutations its matrices make of the
 basis orbit, both as bytes.
 
-The closure records the generator words, the BFS parents and the
-right-multiplication table; the Cayley table and the inverses are gathers
-from those, with no further element comparisons.
+The closure records the BFS parents and the right-multiplication table:
+element j is elements[p] * generators[g] for parents[j] = (p, g), so an
+element's generator word is its parent's word followed by g.  The Cayley
+table and the inverses are gathers from those, with no further element
+comparisons.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import GroupNotClosedError
 
 class Closure(NamedTuple):
     elements: list
-    words: tuple[tuple[int, ...], ...]  # generator indices, multiplied left to right
     parents: tuple[tuple[int, int] | None, ...]  # (parent index, generator index)
     right: np.ndarray  # (n, n_gen): index of elements[i] * generators[g]
 
@@ -47,7 +48,6 @@ def closure(identity, products: Callable, cap: int) -> Closure:
         raise cap_error(cap)
     seen = {identity: 0}
     elements = [identity]
-    words: list[tuple[int, ...]] = [()]
     parents: list[tuple[int, int] | None] = [None]
     right = []
     for i, a in enumerate(elements):  # elements grows as the loop runs
@@ -60,16 +60,10 @@ def closure(identity, products: Callable, cap: int) -> Closure:
                     raise cap_error(cap)
                 seen[cand] = hit
                 elements.append(cand)
-                words.append(words[i] + (gi,))
                 parents.append((i, gi))
             row.append(hit)
         right.append(row)
-    return Closure(elements, tuple(words), tuple(parents), np.array(right, dtype=int))
-
-
-def word_labels(words: Sequence[tuple[int, ...]]) -> tuple[str, ...]:
-    """'e' for the identity, else the generator word as 'g0*g1*...'."""
-    return tuple("e" if not w else "*".join(f"g{i}" for i in w) for w in words)
+    return Closure(elements, tuple(parents), np.array(right, dtype=int))
 
 
 def cayley_table(parents: Sequence[tuple[int, int] | None], right: np.ndarray) -> np.ndarray:

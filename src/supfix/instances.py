@@ -79,14 +79,6 @@ def _random_signs(rng: np.random.Generator, k: int) -> np.ndarray:
     return _SIGNS[rng.integers(0, 2, size=k)]
 
 
-def _signed_perm_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
-    perm = rng.permutation(k)
-    signs = _random_signs(rng, k)
-    mat = np.zeros((k, k))
-    mat[np.arange(k), perm] = signs
-    return mat
-
-
 def _conjugate_by_translation(lin: FiberPermIsometry, p: np.ndarray) -> FiberPermIsometry:
     """x -> L(x - p) + p for a checked linear L; fixes p by construction.
     Only the translation is new, finite grid data, so nothing is rechecked."""
@@ -139,10 +131,16 @@ def random_box_group(
 def random_fiber_group(
     seed: int, fibers: int = 5, fiber_dim: int = 3, max_order: int = 48
 ) -> tuple[GroupSpec, SupPoint]:
-    """Like random_box_group but with R^k fibers and signed-permutation fiber maps."""
+    """Like random_box_group but with R^k fibers and signed-permutation fiber
+    maps, each drawn as its column permutation, then its row signs."""
+    rows = np.arange(fiber_dim)
+
     def draw(rng: np.random.Generator, budget: int) -> FiberPermIsometry | None:
         perm = rng.permutation(fibers)
-        maps = np.stack([_signed_perm_matrix(rng, fiber_dim) for _ in range(fibers)])
+        maps = np.zeros((fibers, fiber_dim, fiber_dim))
+        for fiber_map in maps:
+            cols = rng.permutation(fiber_dim)  # drawn before the signs
+            fiber_map[rows, cols] = _random_signs(rng, fiber_dim)
         cand = FiberPermIsometry._trusted(perm, maps, np.zeros((fibers, fiber_dim)))
         try:
             closure = group_closure([cand], cap=budget + 1)

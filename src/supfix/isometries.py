@@ -5,10 +5,6 @@ in each fiber, and translates:
 
     (phi x)_g = maps[g] @ x[perm[g]] + trans[g]
 
-A finite group is its elements' arrays stacked along a leading axis
-(`GroupSpec`); only the generators of a closed group are single
-`FiberPermIsometry` objects.
-
 When every fiber map is a signed permutation matrix, an isometry is a
 signed permutation of the flattened m*k coordinates plus a translation,
 and every finite float translation is a dyadic rational: its `exact` form
@@ -22,11 +18,16 @@ gather and a duplicate is an equal integer key.  One bound keeps the
 integers in int64: cap times the largest generator numerator
 (over the generators' common denominator) is at most 2^63 - 1.  A product
 the closure makes is a word of at most cap generators, so no numerator of
-any element can overflow.  An element's floats are the correctly rounded
-values of its exact form; they equal it wherever every numerator is at
-most 2^53, as in every group a scenario draws.  Generators whose fiber
-maps are not signed permutations (rotations, say), non-finite
-translations and generators beyond the bound raise ValueError.
+any element can overflow.  Generators whose fiber maps are not signed
+permutations (rotations, say), non-finite translations and generators
+beyond the bound raise ValueError.
+
+A closed group (`GroupSpec`) is its generators, the stacked exact form of
+its elements and their float translations, the correctly rounded values
+of the numerators; they are exact wherever every numerator is at most
+2^53, as in every group a scenario draws.  No per-element isometry
+object, float permutation or fiber-map stack is kept: the images of a
+point are one signed gather plus the translations.
 
 `box_image` reads an isometry's exact form as Python ints, made once per
 isometry, and returns the box itself when the box is invariant, so the
@@ -229,51 +230,44 @@ def _row_products(table: np.ndarray) -> Callable[[bytes], list[bytes]]:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite isometry group, as its elements' arrays stacked along a
-    leading axis: element i maps x to maps[i] @ x[perm[i]] + trans[i],
-    fiber by fiber.  The arrays are made read-only here.
-
-    words[i] is the tuple of generator indices whose left-to-right product
-    equals element i; the identity has the empty word.  exact is the
-    elements' stacked exact form.  Every group `group_closure` makes has
-    one.  A group built directly from other maps, as the affine-action
-    model of a cocycle builds its own, has no generator objects (words
-    then index the generators of the group it was built from) and None.
+    """A finite isometry group that `group_closure` closed exactly: its
+    generators, its elements' stacked exact form and their float
+    translations, the form's numerators over den correctly rounded.
+    Element i maps x to sign[i] * x[src[i]] + trans[i] on the flattened
+    m k coordinates, so the images of a point are one signed gather.
     """
 
     generators: tuple[FiberPermIsometry, ...]
-    perm: np.ndarray  # (n, m)
-    maps: np.ndarray  # (n, m, k, k)
-    trans: np.ndarray  # (n, m, k)
-    words: tuple[tuple[int, ...], ...]
-    exact: ExactForm | None = None
-
-    def __post_init__(self):
-        for arr in (self.perm, self.maps, self.trans):
-            arr.setflags(write=False)
+    trans: np.ndarray  # (n, m, k), read-only
+    exact: ExactForm  # src, sign, nums of shape (n, m k), read-only
 
     @property
     def m(self) -> int:
-        return self.perm.shape[1]
+        return self.trans.shape[1]
 
     @property
     def k(self) -> int:
         return self.trans.shape[2]
 
     def __len__(self) -> int:
-        return len(self.perm)
+        return len(self.trans)
 
     def images(self, x: SupPoint) -> np.ndarray:
         """The images g(x) of every element g, in element order, as one
-        (n, m, k) array; entry for entry the same floats as applying each
-        element on its own with np.einsum."""
+        (n, m, k) array, by one signed gather and the translations.
+
+        They are the floats of applying each element on its own with
+        np.einsum over its signed-permutation fiber maps, signed zeros
+        included: an einsum output is one exact +-x term plus signed
+        zeros, and a zero translation is +0.0, so the translation add
+        gives both forms the same sign of zero.
+        """
         if x.m != self.m or x.k != self.k:
             raise SpaceMismatchError("point shape does not match isometry")
+        form = self.exact
         with np.errstate(over="ignore"):  # an overflow is refused below
-            out = np.einsum("ngij,ngj->ngi", self.maps, x.fibers[self.perm]) + self.trans
-        if not np.isfinite(out).all():
-            raise ValueError("fiber coordinates must be finite")
-        return out
+            out = (x.fibers.ravel()[form.src] * form.sign).reshape(self.trans.shape) + self.trans
+        return _finite(out)
 
     def exact_images(self, x: SupPoint) -> tuple[int, np.ndarray]:
         """(den, nums): the images g(x) of every element, in element order,
@@ -281,12 +275,9 @@ class GroupSpec:
 
         The images are taken in integers from the group's exact form, so
         they are exact for every point, not rounded; nums is int64 where
-        that holds every value, else Python ints.  ValueError for a group
-        without an exact form.
+        that holds every value, else Python ints.
         """
         form = self.exact
-        if form is None:
-            raise ValueError("the group has no exact form")
         if x.m != self.m or x.k != self.k:
             raise SpaceMismatchError("point shape does not match isometry")
         x_den, (x_nums,) = _scaled(x.fibers.ravel().tolist())
@@ -327,21 +318,24 @@ def group_closure(
     nums = codes[:, 1]
     signed = codes[:, 0] - n
     src, sign = np.abs(signed) - 1, np.sign(signed)
-    # the float arrays of all elements at once; trans is nums * 2^-log2(den)
-    # rounded once, so correctly rounded, and exact where |nums| <= 2^53
-    perm = src[:, ::k] // k
-    maps = np.zeros((size, n, k))
-    maps[np.arange(size)[:, None], np.arange(n), src % k] = sign
-    maps = maps.reshape(size, m, k, k)
+    # trans is nums * 2^-log2(den) rounded once, so correctly rounded, exact
+    # where |nums| <= 2^53, and +0.0 (never -0.0) where nums is 0
     trans = np.ldexp(nums, 1 - den.bit_length()).reshape(size, m, k)
-    for arr in (src, sign):
+    for arr in (src, sign, trans):
         arr.setflags(write=False)
-    return GroupSpec(tuple(generators), perm, maps, trans, closed.words,
-                     ExactForm(src, sign, den, nums))
+    return GroupSpec(tuple(generators), trans, ExactForm(src, sign, den, nums))
+
+
+def _finite(images: np.ndarray) -> np.ndarray:
+    """The images, refused with ValueError where a coordinate overflowed."""
+    if not np.isfinite(images).all():
+        raise ValueError("fiber coordinates must be finite")
+    return images
 
 
 def orbit(group: GroupSpec, x: SupPoint) -> PointCloud:
-    """The images of x under every group element, in element order."""
+    """The images of x under every group element, in element order; any
+    group with `images`, as the witness model, will do."""
     return PointCloud._trusted(group.images(x))  # images are new, checked finite
 
 

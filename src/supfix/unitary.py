@@ -23,7 +23,8 @@ breadth first under the generators, each g v matched to the vectors
 found so far within _MATCH_TOL in every entry (max |diff| <= _MATCH_TOL):
 the one tolerance decision of a closure.  `groups.closure` then closes
 the generators' orbit permutations with their bytes as keys, and each
-element is the matrix `a @ g` of its BFS parent a and generator g.  The
+element is the matrix `a @ g` of its BFS parent a and generator g; an
+element's label, its generator word, is read off the same parents.  The
 Cayley table is a gather from the closure's right-multiplication table,
 and the basis-orbit norming set keeps one candidate g e_j per orbit
 index.  A closed group's arrays are read-only, so one group can be
@@ -34,8 +35,9 @@ cap come again.  A failed closure is not kept, so it raises again on
 every call.
 
 Everything about the model that depends on the group alone (the norming
-set, its permutations sigma_g, the realified fiber maps, J = E(I) and
-J^+) is one `ModelFrame`, its permutations read off the closure's orbit
+set, its permutations sigma_g, the realified fiber map of each element,
+which acts the same in every fiber, J = E(I) and J^+) is one
+`ModelFrame`, its permutations read off the closure's orbit
 permutations.  A group builds the frame on first use and keeps it
 (`UnitaryGroup.frame`), so the frame lives exactly as long as the group,
 and a group `unitary_closure` keeps carries its Cayley table and frame
@@ -51,14 +53,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SpaceMismatchError
-from .groups import cap_error, cayley_table, closure, word_labels
+from .groups import cap_error, cayley_table, closure
 from .isometries import _orthogonal
 
 _UNITARY_TOL = 1e-9
 # Entrywise distance within which two vectors are the same.
 _MATCH_TOL = 1e-9
 # Closed groups `unitary_closure` keeps; a 2I group (order 120) with its
-# frame takes about 2.5 MB.
+# Cayley table and frame takes about 0.4 MB.
 _CLOSED_GROUPS = 8
 
 
@@ -73,11 +75,10 @@ def _check_unitary(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitaryGroup:
-    """Closed finite list of unitaries with generator words and parent links."""
+    """Closed finite list of unitaries with parent links."""
 
     generators: np.ndarray  # (n_gen, d, d)
     elements: np.ndarray  # (n, d, d), identity first
-    words: tuple[tuple[int, ...], ...]
     parents: tuple[tuple[int, int] | None, ...]  # (parent index, generator index)
     right: np.ndarray  # (n, n_gen): index of elements[i] @ generators[g]
     orbit_perms: np.ndarray  # (n, size): elements[l] @ v_i = v_{orbit_perms[l, i]}, v_j = e_j, j < d
@@ -91,7 +92,13 @@ class UnitaryGroup:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return word_labels(self.words)
+        """'e' for the identity, else the generator word 'g0*g1*...' whose
+        left-to-right product is the element, read off the BFS parents:
+        element j is elements[p] @ generators[g] for parents[j] = (p, g)."""
+        labels = ["e"]
+        for p, g in self.parents[1:]:
+            labels.append(f"g{g}" if p == 0 else f"{labels[p]}*g{g}")
+        return tuple(labels)
 
     @cached_property
     def cayley(self) -> np.ndarray:
@@ -136,7 +143,7 @@ def _closed_group(shape: tuple[int, ...], data: bytes, cap: int) -> UnitaryGroup
     elements = np.stack(elements)
     for arr in (gens, elements, found.right, perms):
         arr.setflags(write=False)
-    return UnitaryGroup(gens, elements, found.words, found.parents, found.right, perms)
+    return UnitaryGroup(gens, elements, found.parents, found.right, perms)
 
 
 def _basis_orbit(gens: np.ndarray, cap: int) -> np.ndarray:
@@ -223,7 +230,7 @@ class ModelFrame:
 
     norming: np.ndarray  # (size, d) complex, rows are the norming vectors
     sigmas: np.ndarray  # (|G|, size) tilde permutations, gamma_{sigma_l(i)} = g_l^H gamma_i
-    maps: np.ndarray  # (|G|, size, 2d, 2d) realified g_l^*, the same map in every fiber
+    maps: np.ndarray  # (|G|, 2d, 2d) realified g_l^*, the map of every fiber of element l
     j_mat: np.ndarray  # (size, d) complex, J = E(I)
     j_pinv: np.ndarray  # (d, size) complex, J^+
 
@@ -238,14 +245,12 @@ def model_frame(group: UnitaryGroup) -> ModelFrame:
     that is not orthogonal).
     """
     norming, orbit = basis_orbit_norming_set(group), _norming_rows(group)[1]
-    n, d, size = len(group), group.d, len(norming)
     sigmas = np.argsort(orbit)[np.argsort(group.orbit_perms, axis=1)[:, orbit]]
     # kets transform by (g^{-1})^T, the same orthogonal map in every fiber
-    real_maps = realify_matrix(group.elements.conj())
-    if not _orthogonal(real_maps):  # FiberPermIsometry's check, once for the whole model
+    maps = realify_matrix(group.elements.conj())
+    if not _orthogonal(maps):  # FiberPermIsometry's check, once for the whole model
         raise ValueError("fiber maps must be orthogonal")
-    maps = np.broadcast_to(real_maps[:, None], (n, size, 2 * d, 2 * d)).copy()
-    j_mat = embed(norming, np.eye(d))
+    j_mat = embed(norming, np.eye(group.d))
     j_pinv = np.linalg.pinv(j_mat)
     for arr in (sigmas, maps, j_mat, j_pinv):
         arr.setflags(write=False)

@@ -26,9 +26,11 @@ The group-only part of the model (norming set, permutations, fiber maps,
 J and J^+) is the group's `ModelFrame`, built and checked once per group.
 A model built for one cocycle adds E(delta(g)) for every g, embedded once,
 and the targets made from it; the model residual and the least-squares
-right-hand side read the same array.  Its isometry group, the frame's
-arrays stacked with the targets as translations, is built only when the
-orbit_center route asks for it, and has no generator objects.
+right-hand side read the same array.  The model applies its own isometry
+group (`AffineActionModel.images`, all that `orbit` and the fixed-point
+residual read), for the orbit_center route only: one einsum of the
+frame's (|G|, 2d, 2d) maps over the permuted fibers, the same floats as
+with a copy of each map per fiber, plus the targets as translations.
 The model residual and the similarity residuals are stacked array
 expressions over all elements at once (the homomorphism residual in row
 blocks of about a megabyte), with the same floats as one element at a time.
@@ -39,7 +41,6 @@ The witness and group-algebra residuals compare the data with the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .cocycles import (
     translation_law_worst_pair,
 )
 from .errors import SpaceMismatchError
-from .isometries import GroupSpec
+from .isometries import _finite
 from .iterate import fixed_point_residual, orbit_center_fixed_point
 from .spaces import SupPoint
 from .unitary import ModelFrame, embed
@@ -76,13 +77,6 @@ class AffineActionModel:
     embedded: np.ndarray  # (|G|, size, d) complex, E(delta(g))
     targets: np.ndarray  # (|G|, size, d) complex, E(delta(g)) g^H
 
-    @cached_property
-    def group_spec(self) -> GroupSpec:
-        """The elements' isometries stacked; read by the orbit_center route only."""
-        trans = np.concatenate([self.targets.real, self.targets.imag], axis=2)
-        return GroupSpec((), self.frame.sigmas, self.frame.maps, trans,
-                         self.derivation.group.words)
-
     @property
     def size(self) -> int:
         return len(self.frame.norming)
@@ -97,6 +91,17 @@ class AffineActionModel:
 
     def origin(self) -> SupPoint:
         return SupPoint._trusted(np.zeros((self.size, 2 * self.d)))
+
+    def images(self, x: SupPoint) -> np.ndarray:
+        """The images of x under every element l, as one (|G|, size, 2d)
+        array: fiber i of image l is the realified g_l^* applied to fiber
+        sigma_l(i) of x, plus fiber i of the realified target."""
+        if x.fibers.shape != (self.size, 2 * self.d):
+            raise SpaceMismatchError("point shape does not match the model")
+        trans = np.concatenate([self.targets.real, self.targets.imag], axis=2)
+        with np.errstate(over="ignore"):  # an overflow is refused by _finite
+            out = np.einsum("lij,lgj->lgi", self.frame.maps, x.fibers[self.frame.sigmas]) + trans
+        return _finite(out)
 
 
 def build_affine_action(derivation: DerivationData) -> AffineActionModel:
@@ -192,8 +197,8 @@ def solve_witness(derivation: DerivationData, method: str = "least_squares") -> 
         elif method == "averaging":
             t_mat = _solve_averaging(model)
         elif np.isfinite(model.targets).all():
-            z = orbit_center_fixed_point(model.group_spec, model.origin())
-            fp_res = fixed_point_residual(model.group_spec, z)
+            z = orbit_center_fixed_point(model, model.origin())
+            fp_res = fixed_point_residual(model, z)
             t_mat = model.decode(z)
         else:  # non-finite data: the orbit leaves the space, so it has no center
             t_mat = np.full((model.size, model.d), np.nan, dtype=complex)

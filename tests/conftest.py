@@ -16,17 +16,45 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def group_stacks(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(perm, maps, trans): a group's elements as stacked float arrays, of
+    shapes (n, m), (n, m, k, k) and (n, m, k), rebuilt from what the group
+    keeps, as the package stacked them before it kept only those.
+
+    A closed GroupSpec gives its exact form: fiber q // k of element i reads
+    fiber src // k, and row q % k of its map is +-1 in column src % k.  An
+    affine-action model gives its frame: the permutations sigma_l, frame
+    map l in every fiber, and the realified targets.
+    """
+    if hasattr(group, "frame"):
+        frame = group.frame
+        n, size = frame.sigmas.shape
+        maps = np.broadcast_to(frame.maps[:, None], (n, size) + frame.maps.shape[1:]).copy()
+        trans = np.concatenate([group.targets.real, group.targets.imag], axis=2)
+        return frame.sigmas, maps, trans
+    form, (n, m, k) = group.exact, group.trans.shape
+    maps = np.zeros((n, m * k, k))
+    maps[np.arange(n)[:, None], np.arange(m * k), form.src % k] = form.sign
+    return form.src[:, ::k] // k, maps.reshape(n, m, k, k), group.trans
+
+
+@pytest.fixture(scope="session")
+def stacks():
+    """The function `group_stacks`.  A fixture because tests/ and
+    perfbench/tests/ each have a module named conftest, so neither can be
+    imported by name."""
+    return group_stacks
+
+
 @pytest.fixture(scope="session")
 def elements():
-    """elements(group): every element of a GroupSpec, in element order, with
-    element i built from row i of its stacks by the checking
-    FiberPermIsometry constructor, so a test that reads the elements also
-    re-checks each one.  A fixture because tests/ and perfbench/tests/
-    each have a module named conftest, so neither can be imported by name."""
+    """elements(group): every element of a GroupSpec or an affine-action
+    model, in element order, with element i built from row i of its
+    `group_stacks` by the checking FiberPermIsometry constructor, so a test
+    that reads the elements also re-checks each one."""
 
     def build(group) -> list[FiberPermIsometry]:
-        return [FiberPermIsometry(group.perm[i], group.maps[i], group.trans[i])
-                for i in range(len(group))]
+        return [FiberPermIsometry(*row) for row in zip(*group_stacks(group))]
 
     return build
 

@@ -164,8 +164,8 @@ class TestMirroredFibers:
     @pytest.mark.parametrize("name", ["q8", "2T", "2I"])
     def test_witness_model_orbits(self, name, seb_calls):
         """The orbit of the origin under a group that holds -I: fiber(-w) = -fiber(w)."""
-        group = witness_group(name)
-        assert self.derived_fibers(orbit(group, SupPoint(np.zeros((group.m, group.k)))), seb_calls)
+        model = witness_group(name)
+        assert self.derived_fibers(orbit(model, model.origin()), seb_calls)
 
     def test_random_clouds_have_no_mirrors(self, seb_calls):
         cloud = random_cloud(7, fibers=5, fiber_dim=3, points=12)

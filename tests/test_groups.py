@@ -4,8 +4,9 @@ Each `loop_*` function below is the straightforward loop that the array
 form in the package replaced.  They scan the known elements or the
 element pairs one at a time, so they are slow but obviously right; the
 package must agree with them bit for bit: the same elements in the same
-order, the same words, tables and inverses, the same law defects and
-worst pairs, and the same affine-action model and least-squares solution.
+order, the same words (read off the closure's BFS parents), tables and
+inverses, the same law defects and worst pairs, and the same
+affine-action model and least-squares solution.
 """
 
 import hashlib
@@ -125,15 +126,44 @@ def loop_group_closure(generators, cap, tol=1e-10):
     return elements, words
 
 
+def words_of(parents):
+    """The generator word of each element, read off the BFS parents:
+    element j is elements[p] * generators[g] for parents[j] = (p, g)."""
+    words = [()]
+    for p, g in parents[1:]:
+        words.append(words[p] + (g,))
+    return tuple(words)
+
+
+def word_label(word) -> str:
+    """'e' for the empty word, else 'g0*g1*...'."""
+    return "*".join(f"g{i}" for i in word) or "e"
+
+
+def record_words(monkeypatch) -> list:
+    """A list that receives, for every closure `group_closure` completes
+    from now on, the words read off the kernel's parents, in call order."""
+    made = []
+    kernel = isometries.closure
+
+    def recording(identity, products, cap):
+        found = kernel(identity, products, cap)
+        made.append(words_of(found.parents))
+        return found
+
+    monkeypatch.setattr(isometries, "closure", recording)
+    return made
+
+
 def right_products(multiply, generators):
     """The `products` of the closure kernel for a two-argument product."""
     return lambda a: [multiply(a, g) for g in generators]
 
 
 def scan_closure(identity, generators, multiply):
-    """(elements, words, parents, right): the closure with each product
-    looked up by a fresh scan of the stored elements for an equal one."""
-    elements, words, parents, right = [identity], [()], [None], []
+    """(elements, parents, right): the closure with each product looked up
+    by a fresh scan of the stored elements for an equal one."""
+    elements, parents, right = [identity], [None], []
     i = 0
     while i < len(elements):
         row = []
@@ -141,12 +171,11 @@ def scan_closure(identity, generators, multiply):
             cand = multiply(elements[i], gen)
             if cand not in elements:
                 elements.append(cand)
-                words.append(words[i] + (gi,))
                 parents.append((i, gi))
             row.append(elements.index(cand))
         right.append(row)
         i += 1
-    return elements, tuple(words), tuple(parents), np.array(right)
+    return elements, tuple(parents), np.array(right)
 
 
 def loop_unitary_closure(gens, tol=1e-9):
@@ -460,45 +489,52 @@ def kind_derivation(group, kind):
 
 class TestIsometryClosure:
     @staticmethod
-    def assert_same(group, cap, elements):
-        refs, words = loop_group_closure(group.generators, cap)
-        assert group.words == tuple(words)
+    def assert_same(group, cap, elements, words):
+        """The group's elements are the loop closure's, byte for byte, and the
+        words of its last closure (`record_words`) are the loop's words."""
+        refs, ref_words = loop_group_closure(group.generators, cap)
+        assert words[-1] == tuple(ref_words)
         for got, want in zip(elements(group), refs, strict=True):
             for name, ref in zip(("perm", "maps", "trans"), want):
                 assert getattr(got, name).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_box_groups(self, seed, elements):
+    def test_box_groups(self, seed, elements, monkeypatch):
         dim, max_order = 2 + seed % 9, (12, 24, 48)[seed % 3]
+        words = record_words(monkeypatch)
         group, _ = random_box_group(seed, dim, max_order)
-        self.assert_same(group, max_order + 1, elements)
+        self.assert_same(group, max_order + 1, elements, words)
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_fiber_groups(self, seed, elements):
+    def test_fiber_groups(self, seed, elements, monkeypatch):
         fibers, fiber_dim, max_order = 1 + seed % 6, 1 + seed % 4, (12, 24, 48)[seed % 3]
+        words = record_words(monkeypatch)
         group, _ = random_fiber_group(seed, fibers, fiber_dim, max_order)
-        self.assert_same(group, max_order + 1, elements)
+        self.assert_same(group, max_order + 1, elements, words)
 
 
-    def test_box_group_at_the_schema_cap(self, elements):
+    def test_box_group_at_the_schema_cap(self, elements, monkeypatch):
+        words = record_words(monkeypatch)
         group, _ = random_box_group(2, dim=64, max_order=512)
         assert len(group) > 200
-        self.assert_same(group, 513, elements)
+        self.assert_same(group, 513, elements, words)
 
-    def test_fiber_group_at_the_schema_cap(self, elements):
+    def test_fiber_group_at_the_schema_cap(self, elements, monkeypatch):
+        words = record_words(monkeypatch)
         group, _ = random_fiber_group(2, fibers=16, fiber_dim=8, max_order=512)
         assert len(group) > 100
-        self.assert_same(group, 513, elements)
+        self.assert_same(group, 513, elements, words)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_cap_error_where_the_loop_overflows(self, seed, elements):
+    def test_cap_error_where_the_loop_overflows(self, seed, elements, monkeypatch):
+        words = record_words(monkeypatch)
         group, _ = random_fiber_group(seed, fibers=4, fiber_dim=3, max_order=48)
         cap = len(group) - 1
         with pytest.raises(AssertionError):  # the loop's `len(elements) < cap`
             loop_group_closure(group.generators, cap)
         with pytest.raises(GroupNotClosedError):
             group_closure(group.generators, cap=cap)
-        self.assert_same(group, len(group), elements)
+        self.assert_same(group, len(group), elements, words)
 
 
 class TestClosureKernel:
@@ -518,22 +554,22 @@ class TestClosureKernel:
     def test_matches_the_scan_on_a_finite_abelian_group(self, gens):
         """(Z/7)^2 under addition."""
         got = closure((0, 0), right_products(self.add_mod_seven, gens), 64)
-        elements, words, parents, right = scan_closure((0, 0), gens, self.add_mod_seven)
+        elements, parents, right = scan_closure((0, 0), gens, self.add_mod_seven)
         assert got.elements == elements
-        assert (got.words, got.parents) == (words, parents)
+        assert got.parents == parents
         assert np.array_equal(got.right, right)
 
     def test_bytes_keys_match_the_scan_on_a_permutation_group(self):
         """S_4 from a 4-cycle and a transposition, as permutation tuples and
         as the bytes of permutation arrays, the keys the unitary closure uses."""
         gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
-        elements, words, parents, right = scan_closure((0, 1, 2, 3), gens, self.compose)
+        elements, parents, right = scan_closure((0, 1, 2, 3), gens, self.compose)
         assert len(elements) == 24
         arrays = [np.array(g) for g in gens]
         got = closure(np.arange(4).tobytes(),
                       lambda a: [np.frombuffer(a, dtype=int)[g].tobytes() for g in arrays], 24)
         assert [tuple(np.frombuffer(e, dtype=int)) for e in got.elements] == elements
-        assert (got.words, got.parents) == (words, parents)
+        assert got.parents == parents
         assert np.array_equal(got.right, right)
 
     @pytest.mark.parametrize("cap", [-1, 0])
@@ -596,16 +632,15 @@ class TestProductsContract:
 class TestUnitaryKernel:
     @pytest.mark.parametrize("name", list(ORDERS) + FAMILIES)
     def test_closure_matches_loop(self, unitary_groups, name):
-        """Elements, words, parents, right table, Cayley table and norming
+        """Elements, parents, right table, Cayley table and norming
         rows equal the matrix-by-matrix loop forms bit for bit."""
         if name in ORDERS:
             group = unitary_groups[name]
             assert len(group) == ORDERS[name]
         else:
             group = unitary_closure(family_generators(name))
-        elements, words, parents = loop_unitary_closure(group.generators)
+        elements, _, parents = loop_unitary_closure(group.generators)
         assert group.elements.tobytes() == elements.tobytes()
-        assert group.words == tuple(words)
         assert group.parents == tuple(parents)
         right = [[unitary_index(group, a @ g) for g in group.generators] for a in group.elements]
         assert np.array_equal(group.right, right)
@@ -613,6 +648,19 @@ class TestUnitaryKernel:
         norming = basis_orbit_norming_set(group)
         assert norming.tobytes() == pairwise_norming_set(group).tobytes()
         assert norming.tobytes() == loop_norming_set(group).tobytes()
+
+    @pytest.mark.parametrize("name", list(ORDERS))
+    def test_labels_read_off_parents(self, unitary_groups, name):
+        """The labels are those of the loop closure's BFS words, and each
+        label's generator product is its element within _MATCH_TOL."""
+        group = unitary_groups[name]
+        _, words, _ = loop_unitary_closure(group.generators)
+        assert group.labels == tuple(map(word_label, words))
+        for label, element in zip(group.labels, group.elements, strict=True):
+            product = np.eye(group.d, dtype=complex)
+            for g in label.split("*") if label != "e" else ():
+                product = product @ group.generators[int(g[1:])]
+            assert np.abs(product - element).max() <= _MATCH_TOL
 
     def test_frames_match_the_matched_permutations(self, unitary_groups):
         """sigma_l, read off the closure, is `tilde_permutation` of element l,
@@ -623,7 +671,10 @@ class TestUnitaryKernel:
             frame = group.frame
             matched = [tilde_permutation(frame.norming, g) for g in group.elements]
             assert np.array_equal(frame.sigmas, matched), name
-            for arr in (frame.norming, frame.maps, frame.j_mat, frame.j_pinv):
+            # the digest's maps are the per-fiber copies the frame kept before
+            maps = np.broadcast_to(frame.maps[:, None], (len(group), len(frame.norming),
+                                                         *frame.maps.shape[1:]))
+            for arr in (frame.norming, maps, frame.j_mat, frame.j_pinv):
                 h.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
         assert h.hexdigest() == FRAME_DIGEST
 
@@ -805,9 +856,9 @@ class TestCayleyKernel:
         assert group.labels == ("012", "021", "102", "120", "201", "210")
 
 
-# sha256 of build_affine_action(kind_derivation(group, kind)).group_spec over
-# KINDS: perm, maps and trans with dtype and shape, then repr(words), as the
-# commit before the model group was built on demand made them
+# sha256 of the model group of build_affine_action(kind_derivation(group,
+# kind)) over KINDS: perm, maps and trans with dtype and shape, then
+# repr(words), as the commit before the model group was built on demand made them
 MODEL_GROUP_DIGESTS = {
     "q8": "4550f319ccdbf2ec88ade81375a7f92bc9d0a16a23a8df1b6c9b1fb0ead40a54",
     "s3": "ce3bbcb28017f67faab4536afc82a714719546b9994dc0922d8a51460b666028",
@@ -832,25 +883,26 @@ class TestAffineActionModel:
         sigmas, targets, isos = loop_affine_action(data, model.frame.norming)
         assert np.array_equal(model.frame.sigmas, sigmas)
         assert np.array_equal(model.targets, targets)
-        for got, (perm, maps, trans) in zip(elements(model.group_spec), isos, strict=True):
+        for got, (perm, maps, trans) in zip(elements(model), isos, strict=True):
             assert np.array_equal(got.perm, perm)
             assert np.array_equal(got.maps, maps)
             assert np.array_equal(got.trans, trans)
         assert np.array_equal(_solve_least_squares(model), loop_least_squares(model))
 
     @pytest.mark.parametrize("name", list(ORDERS))
-    def test_model_group_bytes(self, unitary_groups, name):
-        """The model's isometry group, built on demand with no generator
-        objects, has the perm, maps, trans and words it had when the model
-        built it eagerly (digests over valid, corrupted and NaN data)."""
+    def test_model_group_bytes(self, unitary_groups, name, stacks):
+        """The model's isometry group, rebuilt from its frame and targets
+        (`group_stacks`), has the perm, maps and trans, and the unitary
+        group's parents the words, that the model's stacked group had when
+        the model built it eagerly (digests over valid, corrupted and NaN
+        data)."""
         h = hashlib.sha256()
         for kind in KINDS:
             model = build_affine_action(kind_derivation(unitary_groups[name], kind))
-            spec = model.group_spec
-            assert spec is model.group_spec and spec.generators == () and spec.exact is None
-            for arr in (spec.perm, spec.maps, spec.trans):
+            assert model.frame.maps.shape == (len(model.frame.sigmas), 2 * model.d, 2 * model.d)
+            for arr in stacks(model):
                 h.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
-            h.update(repr(spec.words).encode())
+            h.update(repr(words_of(model.derivation.group.parents)).encode())
         assert h.hexdigest() == MODEL_GROUP_DIGESTS[name]
 
     def test_least_squares_peak_memory_near_system_size(self, unitary_groups):

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from test_groups import record_words
 
 from supfix import instances
 from supfix.errors import SamplingBudgetError
@@ -64,8 +65,8 @@ class TestRandomBoxGroup:
         g2, x2 = random_box_group(7)
         assert sup_distance(x1, x2) == 0.0
         assert len(g1) == len(g2)
-        assert np.array_equal(g1.perm, g2.perm)
-        assert np.array_equal(g1.maps, g2.maps)
+        assert np.array_equal(g1.exact.src, g2.exact.src)
+        assert np.array_equal(g1.exact.sign, g2.exact.sign)
         assert np.array_equal(g1.trans, g2.trans)
 
     def test_seeds_differ(self):
@@ -85,7 +86,8 @@ class TestRandomBoxGroup:
 
 # sha256 over seeds 0-30 of random_box_group(seed, dim, max_order): perm,
 # maps, trans, the exact form's arrays and den, the words and the seed point,
-# as the commit before the Python-list order walk and the shared flip drew them
+# as the commit before the Python-list order walk and the shared flip drew
+# them; perm, maps and words are now rebuilt in the tests (`group_digest`)
 BOX_GROUP_DIGESTS = {
     (1, 48): "d256581bd642e1ae1d6ffc5fb454996dbbd9b6f5163267c89eb4c078ec3cfdcb",
     (2, 48): "bef0dc889e1e9b8a320b47a388ecabf30347ea38c39f28de5973aa4bf88a9f21",
@@ -106,14 +108,18 @@ FIBER_GROUP_DIGESTS = {
 }
 
 
-def group_digest(draw, *args) -> str:
+def group_digest(monkeypatch, stacks, draw, *args) -> str:
+    """The digest, with perm and maps rebuilt from the exact form
+    (`group_stacks`) and the words read off the parents of the last closure
+    each draw makes (`record_words`)."""
+    words = record_words(monkeypatch)
     h = hashlib.sha256()
     for seed in range(31):
         group, x0 = draw(seed, *args)
         form = group.exact
-        for arr in (group.perm, group.maps, group.trans, form.src, form.sign, form.nums, x0.fibers):
+        for arr in (*stacks(group), form.src, form.sign, form.nums, x0.fibers):
             h.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
-        h.update(repr((group.words, form.den)).encode())
+        h.update(repr((words[-1], form.den)).encode())
     return h.hexdigest()
 
 
@@ -140,8 +146,9 @@ class TestBoxDrawHelpers:
         assert np.array_equal(image, -x)
 
     @pytest.mark.parametrize("dim, max_order", sorted(BOX_GROUP_DIGESTS))
-    def test_random_box_group_bytes(self, dim, max_order):
-        assert group_digest(random_box_group, dim, max_order) == BOX_GROUP_DIGESTS[dim, max_order]
+    def test_random_box_group_bytes(self, dim, max_order, monkeypatch, stacks):
+        digest = group_digest(monkeypatch, stacks, random_box_group, dim, max_order)
+        assert digest == BOX_GROUP_DIGESTS[dim, max_order]
 
 
 class TestRandomFiberGroup:
@@ -161,8 +168,9 @@ class TestRandomFiberGroup:
         assert group.m == 2 and group.k == 2
 
     @pytest.mark.parametrize("shape", sorted(FIBER_GROUP_DIGESTS))
-    def test_random_fiber_group_bytes(self, shape):
-        assert group_digest(random_fiber_group, *shape) == FIBER_GROUP_DIGESTS[shape]
+    def test_random_fiber_group_bytes(self, shape, monkeypatch, stacks):
+        assert group_digest(monkeypatch, stacks, random_fiber_group, *shape) == \
+            FIBER_GROUP_DIGESTS[shape]
 
 
 class TestSameStreamDraws:

@@ -17,6 +17,7 @@ from test_boxes import BOUND, PROPERTY_SETTINGS, assert_same_box, boxes
 from test_groups import (
     EXTRA_GENERATORS,
     compose,
+    record_words,
     ref_compose,
     ref_identity,
     ref_probe_cloud,
@@ -37,14 +38,15 @@ from supfix.instances import (
 )
 from supfix.isometries import (
     _ORTHO_TOL,
+    ExactForm,
     FiberPermIsometry,
     GroupSpec,
+    _dyadic,
     _orthogonal,
     box_image,
     group_closure,
     orbit,
 )
-from supfix.groups import word_labels
 from supfix.iterate import exact_orbit_diameter, fixed_point_residual
 from supfix.scenarios import SCENARIO_SCHEMAS
 from supfix.spaces import PointCloud, SupPoint, cloud_diameter, sup_distance
@@ -82,7 +84,7 @@ class TestFiberPermIsometry:
         group, _ = random_fiber_group(5, fibers=4, fiber_dim=3)
         e = elements(group)[0]
         x = SupPoint(rng.standard_normal((4, 3)))
-        assert group.words[0] == () and sup_distance(apply(e, x), x) == 0.0
+        assert sup_distance(apply(e, x), x) == 0.0
 
     def test_preserves_sup_distance(self, rng):
         for _ in range(20):
@@ -120,8 +122,7 @@ class TestGroupClosure:
         g = FiberPermIsometry(np.array([1, 2, 0]), np.ones((3, 1, 1)), np.zeros((3, 1)))
         group = group_closure([g])
         assert len(group) == 3
-        assert group.words[0] == ()
-        assert "e" in word_labels(group.words)
+        assert group.exact.src[0].tolist() == [0, 1, 2]  # element 0 is the identity
 
     def test_adding_global_flip_doubles(self):
         g = FiberPermIsometry(np.array([1, 2, 0]), np.ones((3, 1, 1)), np.zeros((3, 1)))
@@ -161,26 +162,27 @@ class TestGroupClosure:
         with pytest.raises(GroupNotClosedError, match="exceeded 64 elements"):
             group_closure([swap_group([[0.5], [0.25]])], cap=64)
 
-    def test_words_multiply_out(self, elements):
+    def test_words_multiply_out(self, elements, monkeypatch):
+        """The word read off each element's BFS parents multiplies out to it."""
         g = FiberPermIsometry(
             np.array([1, 0]), np.array([[[-1.0]], [[1.0]]]), np.array([[0.25], [-0.5]])
         )
+        words = record_words(monkeypatch)
         group = group_closure([g])
         x = SupPoint(np.array([[0.3], [0.7]]))
-        for iso, word in zip(elements(group), group.words, strict=True):
+        for iso, word in zip(elements(group), words[-1], strict=True):
             built = FiberPermIsometry(*ref_identity(2, 1))
             for i in word:
                 built = compose(built, group.generators[i])
             assert sup_distance(apply(iso, x), apply(built, x)) <= 1e-12
 
     @pytest.mark.parametrize("m, k", [(1, 1), (4, 1), (3, 2)])
-    def test_identity_equals_the_checked_form(self, m, k):
+    def test_identity_equals_the_checked_form(self, m, k, stacks):
         """Element 0, the empty word, holds the bytes of the checked identity,
         and its exact form is the identity with zero numerators."""
         group = group_closure(signed_fiber_generators(m, k), cap=signed_fiber_order(m, k))
         checked = FiberPermIsometry(*ref_identity(m, k))
-        assert group.words[0] == ()
-        for arr, want in zip((group.perm[0], group.maps[0], group.trans[0]),
+        for arr, want in zip((stack[0] for stack in stacks(group)),
                              (checked.perm, checked.maps, checked.trans)):
             assert arr.dtype == want.dtype and arr.shape == want.shape
             assert arr.tobytes() == want.tobytes()
@@ -199,7 +201,8 @@ class TestGroupClosure:
         gens = [_conjugate_by_translation(g, p) for g in signed_fiber_generators(m, k)]
         group = group_closure(gens, cap=order)
         assert len(group) == order
-        assert len({(group.perm[i].tobytes(), group.maps[i].tobytes()) for i in range(order)}) == order
+        form = group.exact
+        assert len({(form.src[i].tobytes(), form.sign[i].tobytes()) for i in range(order)}) == order
         assert (group.images(SupPoint(p)) == p).all()
         with pytest.raises(GroupNotClosedError, match=f"exceeded {order - 1} elements"):
             group_closure(gens, cap=order - 1)
@@ -344,10 +347,12 @@ def ref_fixed_point_residual(isos, x) -> float:
 
 
 def witness_group(name: str):
-    """The realified affine-action group of a random inner derivation (k = 4)."""
-    group = unitary_group(name) if name == "q8" else unitary_closure(EXTRA_GENERATORS[name])
+    """The affine-action model of a random inner derivation, whose group acts
+    on realified fibers (k = 2d)."""
+    group = (unitary_closure(EXTRA_GENERATORS[name]) if name in EXTRA_GENERATORS
+             else unitary_group(name))
     data, _ = random_inner_derivation(group, 11)
-    return build_affine_action(data).group_spec
+    return build_affine_action(data)
 
 
 def spread_points(rng, m, k, count=4):
@@ -363,10 +368,10 @@ def assert_stacked_forms_match(group, isos, x):
     got, want = orbit(group, x), ref_orbit(isos, x)
     assert got.points.tobytes() == want.points.tobytes()
     assert repr(fixed_point_residual(group, x)) == repr(ref_fixed_point_residual(isos, x))
-    if group.k == 1:
+    if x.k == 1:
         den, nums, diam = exact_orbit_diameter(group, x)
         ref_images, ref_diam = ref_exact_orbit_diameter(isos, x)
-        assert nums.shape == (len(group), group.m)
+        assert nums.shape == (len(isos), x.m)
         assert [[Fraction(int(v), den) for v in row] for row in nums] == ref_images
         assert type(diam) is Fraction and diam.as_integer_ratio() == ref_diam.as_integer_ratio()
 
@@ -391,35 +396,42 @@ class TestStackedFormsMatchPerElement:
         for x in spread_points(rng, group.m, 3):
             assert_stacked_forms_match(group, isos, x)
 
-    @pytest.mark.parametrize("name", ["q8", "2T", "2I"])
+    @pytest.mark.parametrize("name", ["q8", "s3", "c12", "2T", "2O", "2I", "B3"])
     def test_witness_groups(self, name, elements):
-        group = witness_group(name)
-        assert group.k == 4
-        isos = elements(group)
-        rng = np.random.default_rng(len(group))
-        assert_stacked_forms_match(group, isos, SupPoint(np.zeros((group.m, group.k))))
-        for x in spread_points(rng, group.m, 4, count=2):
-            assert_stacked_forms_match(group, isos, x)
+        """The model applies its (|G|, 2d, 2d) frame maps with the floats of
+        each element's per-fiber maps applied on its own."""
+        model = witness_group(name)
+        m, k = model.size, 2 * model.d
+        isos = elements(model)
+        rng = np.random.default_rng(len(isos))
+        assert_stacked_forms_match(model, isos, SupPoint(np.zeros((m, k))))
+        for x in spread_points(rng, m, k, count=2):
+            assert_stacked_forms_match(model, isos, x)
 
     def test_non_finite_images_are_refused(self):
         """apply refuses an image that overflows; so do the float stacked
-        forms.  The exact orbit needs the exact form, which this hand-built
-        group lacks."""
+        forms.  The exact orbit is taken in integers, so it holds the image
+        2e308 that no float does (the two elements are a stack, not a group)."""
         g = FiberPermIsometry(np.array([0]), np.ones((1, 1, 1)), np.array([[1e308]]))
-        group = GroupSpec((g,), np.array([[0], [0]]), np.ones((2, 1, 1, 1)),
-                          np.array([[[0.0]], [[1e308]]]), ((), (0,)))
+        den, nums = _dyadic(np.array([0.0, 1e308]))
+        group = GroupSpec((g,), np.array([[[0.0]], [[1e308]]]),
+                          ExactForm(np.zeros((2, 1), dtype=int), np.ones((2, 1), dtype=int),
+                                    den, nums.reshape(2, 1)))
         x = SupPoint(np.array([1e308])[:, None])
         for fn in (orbit, fixed_point_residual):
             with pytest.raises(ValueError, match="finite"):
                 fn(group, x)
-        with pytest.raises(ValueError, match="no exact form"):
-            exact_orbit_diameter(group, x)
+        assert exact_orbit_diameter(group, x)[2] == Fraction(1e308)
 
     def test_shape_mismatch(self):
         group, _ = random_box_group(3, dim=4)
         for fn in (orbit, fixed_point_residual, exact_orbit_diameter):
             with pytest.raises(SpaceMismatchError):
                 fn(group, SupPoint(np.array([0.0, 1.0])[:, None]))
+        model = witness_group("q8")
+        for fn in (orbit, fixed_point_residual):
+            with pytest.raises(SpaceMismatchError):
+                fn(model, SupPoint(np.zeros((model.size, 2 * model.d + 1))))
 
 
 class TestBoxImageAgainstFractionForm:
@@ -554,16 +566,16 @@ def rotation_generators(rng, m, k, order):
 
 
 def assert_same_as_ref_closure(group, cap, elements, order=None):
-    """Row i of the group's stacks is ref_closure's element i, byte for byte,
-    with the same words; the stacks are read-only."""
-    refs, words = ref_closure(group.generators, cap)
-    assert group.words == tuple(words)
+    """Element i of the group, its float arrays rebuilt from the exact form
+    (`group_stacks`), is ref_closure's element i, byte for byte; the
+    group's arrays are read-only."""
+    refs, _ = ref_closure(group.generators, cap)
     assert order is None or len(group) == order
     for iso, want in zip(elements(group), refs, strict=True):
         for arr, ref in zip((iso.perm, iso.maps, iso.trans), want):
             assert arr.dtype == ref.dtype and arr.shape == ref.shape
             assert arr.tobytes() == ref.tobytes()
-    for arr in (group.perm, group.maps, group.trans):
+    for arr in (group.trans, group.exact.src, group.exact.sign, group.exact.nums):
         assert not arr.flags.writeable
 
 
@@ -648,15 +660,17 @@ class TestExactClosureContract:
     }
 
     @pytest.mark.parametrize("case, order", [("translation_0.1", 4), ("denominator_2^34", 4)])
-    def test_off_grid_translations_close_exactly(self, case, order):
-        """Each element is the exact product of its word, and its floats are
-        the correctly rounded values of that product."""
+    def test_off_grid_translations_close_exactly(self, case, order, monkeypatch):
+        """Each element is the exact product of its word, read off its BFS
+        parents, and its floats are the correctly rounded values of that
+        product."""
         gens = self.OFF_GRID[case]()
+        words = record_words(monkeypatch)
         group = group_closure(gens, cap=64)
         assert len(group) == order
-        assert group.words == tuple(ref_closure(gens, 64)[1])
+        assert words[-1] == tuple(ref_closure(gens, 64)[1])
         form, rounded = group.exact, 0
-        for i, (src, sign, trans) in enumerate(fraction_elements(gens, group.words)):
+        for i, (src, sign, trans) in enumerate(fraction_elements(gens, words[-1])):
             assert (form.src[i].tolist(), form.sign[i].tolist()) == (src, sign)
             assert [Fraction(int(v), form.den) for v in form.nums[i]] == trans
             assert group.trans[i].ravel().tolist() == [float(t) for t in trans]
@@ -675,7 +689,7 @@ class TestExactClosureContract:
     def test_negative_zero_reads_as_positive_zero(self, elements):
         group = group_closure([swap_group([[-0.0], [0.0]])])
         want = group_closure([swap_group([[0.0], [0.0]])])
-        assert group.words == want.words and len(group) == 2
+        assert len(group) == len(want) == 2
         assert group.trans.tobytes() == want.trans.tobytes()
         assert not np.signbit(group.trans).any()
         assert group.exact.nums.tolist() == want.exact.nums.tolist()
@@ -709,7 +723,7 @@ class TestExactClosureContract:
         assert_same_as_ref_closure(group, 49, elements)
 
     @pytest.mark.parametrize("cap, fits", [(127, True), (128, False)])
-    def test_the_bound_is_int64(self, cap, fits):
+    def test_the_bound_is_int64(self, cap, fits, monkeypatch):
         """The generator translates by 2^56 (over 1), so cap 127 keeps every
         numerator within 127 * 2^56 < 2^63 and cap 128 could reach 2^63."""
         gens = [conjugated([1, 2, 0], [1, 1, -1], [2.0**56, 0.0, 0.0])]
@@ -717,9 +731,10 @@ class TestExactClosureContract:
             with pytest.raises(ValueError, match="cap 128 times .* exceeds 2\\^63 - 1"):
                 group_closure(gens, cap=cap)
             return
+        words = record_words(monkeypatch)
         group = group_closure(gens, cap=cap)
         assert len(group) == 6 and group.exact.nums.dtype == np.int64
-        for i, (_, _, trans) in enumerate(fraction_elements(gens, group.words)):
+        for i, (_, _, trans) in enumerate(fraction_elements(gens, words[-1])):
             assert [Fraction(int(v), group.exact.den) for v in group.exact.nums[i]] == trans
 
     def test_products_beyond_the_bound_raise(self, monkeypatch):
@@ -792,9 +807,7 @@ class TestExactClosureContract:
 
 def assert_read_only(group):
     """Every array a group holds, its generators' included, refuses writes."""
-    arrays = [group.perm, group.maps, group.trans]
-    if group.exact is not None:
-        arrays += [group.exact.src, group.exact.sign, group.exact.nums]
+    arrays = [group.trans, group.exact.src, group.exact.sign, group.exact.nums]
     arrays += [getattr(g, name) for g in group.generators for name in ("perm", "maps", "trans")]
     for arr in arrays:
         assert not arr.flags.writeable
@@ -803,25 +816,28 @@ def assert_read_only(group):
 
 
 class TestGroupStacks:
-    """A group is its stacked arrays; where the exact closure made it, its
-    exact form holds the same elements."""
+    """A group is its generators, its stacked exact form and its float
+    translations; the exact form holds every element."""
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("make", [random_box_group, random_fiber_group])
-    def test_exact_form_decodes_to_the_float_stacks(self, make, seed, elements):
+    def test_exact_form_decodes_to_the_float_stacks(self, make, seed, elements, stacks):
+        """The form's numerators round to the translations, and decoded one
+        entry at a time they give the float stacks the tests rebuild
+        (`group_stacks`)."""
         group, _ = make(seed)
         form, (n, m, k) = group.exact, group.trans.shape
-        assert form is not None
         assert form.src.shape == form.sign.shape == form.nums.shape == (n, m * k)
+        perm, float_maps, _ = stacks(group)
         assert (form.nums / form.den).reshape(n, m, k).tobytes() == group.trans.tobytes()
         # entry q of the image is row q % k of fiber q // k, and reads coordinate
         # src % k of fiber src // k with the sign: a one-hot row of the fiber map
         maps = np.zeros((n, m, k, k))
         for i, q in itertools.product(range(n), range(m * k)):
             src = int(form.src[i, q])
-            assert src // k == group.perm[i, q // k]
+            assert src // k == perm[i, q // k]
             maps[i, q // k, q % k, src % k] = form.sign[i, q]
-        assert maps.tobytes() == group.maps.tobytes()
+        assert maps.tobytes() == float_maps.tobytes()
         for i, iso in enumerate(elements(group)):  # each element's own exact form agrees
             own = iso.exact
             assert own.src.tolist() == form.src[i].tolist()
@@ -831,9 +847,61 @@ class TestGroupStacks:
         assert_read_only(group)
 
     def test_affine_action_stacks_are_read_only(self):
-        group = witness_group("q8")
-        assert group.exact is None
-        assert_read_only(group)
+        """The model applies its frame: one read-only (2d, 2d) map per element."""
+        model = witness_group("q8")
+        frame = model.frame
+        assert frame.maps.shape == (len(frame.sigmas), 2 * model.d, 2 * model.d)
+        for arr in (frame.sigmas, frame.maps):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+def signed_zero_groups():
+    """Box and fiber groups, each with elements of zero translation: the
+    linear signed-permutation groups, those conjugated by a grid point, and
+    drawn groups."""
+    for m, k in ((3, 1), (2, 2), (1, 3)):
+        linear = signed_fiber_generators(m, k)
+        p = 0.25 * np.arange(m * k, dtype=float).reshape(m, k) - 0.5
+        yield group_closure(linear, cap=signed_fiber_order(m, k))
+        yield group_closure([_conjugate_by_translation(g, p) for g in linear],
+                            cap=signed_fiber_order(m, k))
+    for seed in range(4):
+        yield random_box_group(seed, dim=5)[0]
+        yield random_fiber_group(seed, fibers=3, fiber_dim=2)[0]
+
+
+def signed_zero_points(rng, m, k):
+    """Points whose coordinates mix -0.0, +0.0 and grid values."""
+    for _ in range(3):
+        x = rng.integers(-4, 5, size=(m, k)) * 0.25
+        x[rng.random((m, k)) < 0.5] = -0.0
+        x[rng.random((m, k)) < 0.25] = 0.0
+        yield SupPoint(x)
+    yield SupPoint(np.full((m, k), -0.0))
+    yield SupPoint(np.zeros((m, k)))
+
+
+class TestSignedZeroImages:
+    """GroupSpec.images, one signed gather plus the translations, gives the
+    bytes of each element's einsum over its float fiber maps, rebuilt from
+    the exact form, signed zeros included."""
+
+    def test_gather_matches_the_per_element_einsum(self, elements, rng):
+        skipped_differs = 0
+        for group in signed_zero_groups():
+            isos, zero = elements(group), group.trans == 0.0
+            assert zero.any() and not np.signbit(group.trans[zero]).any()
+            for x in signed_zero_points(rng, group.m, group.k):
+                got = group.images(x)
+                want = np.stack([apply(iso, x).fibers for iso in isos])
+                assert got.tobytes() == want.tobytes()
+                # skipping the add where the translation is 0 leaves -0.0 images
+                form = group.exact
+                gathered = (x.fibers.ravel()[form.src] * form.sign).reshape(got.shape)
+                skipped = np.where(zero, gathered, gathered + group.trans)
+                skipped_differs += skipped.tobytes() != want.tobytes()
+        assert skipped_differs > 0
 
 
 def schema_shapes():

@@ -37,10 +37,7 @@ def non_group() -> GroupSpec:
     )
     return GroupSpec(
         generators=(good,),
-        perm=np.array([[0, 1], [1, 0]]),
-        maps=np.ones((2, 2, 1, 1)),
         trans=np.array([[[0.0], [0.0]], [[0.5], [0.0]]]),
-        words=((), (0,)),
         exact=ExactForm(np.array([[0, 1], [1, 0]]), np.ones((2, 2), dtype=int), 2,
                         np.array([[0, 0], [1, 0]])),
     )

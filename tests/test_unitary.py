@@ -117,13 +117,14 @@ class TestClosure:
         trivial = unitary_closure([np.eye(2)], cap=1)
         assert len(trivial) == 1 and trivial.orbit_perms.tolist() == [[0, 1]]
 
-    def test_words_reproduce_elements(self, named_groups):
+    def test_parents_reproduce_elements(self, named_groups):
+        """Element j is its BFS parent times its generator, as the closure
+        made it; the identity, element 0, has no parent."""
         g = named_groups["q8"]
-        for idx, word in enumerate(g.words):
-            acc = np.eye(g.d, dtype=complex)
-            for wi in word:
-                acc = acc @ g.generators[wi]
-            assert np.allclose(acc, g.elements[idx], atol=1e-12)
+        assert g.parents[0] is None and np.array_equal(g.elements[0], np.eye(g.d))
+        for idx, (parent, gi) in enumerate(g.parents[1:], start=1):
+            assert parent < idx
+            assert np.array_equal(g.elements[parent] @ g.generators[gi], g.elements[idx])
 
 
 def cyclic_generator(n):

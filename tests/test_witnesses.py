@@ -55,7 +55,7 @@ class TestAffineActionModel:
         data, _ = random_inner_derivation(group, 3)
         model = build_affine_action(data)
         origin = model.origin()
-        for l, iso in enumerate(elements(model.group_spec)):
+        for l, iso in enumerate(elements(model)):
             decoded = model.decode(apply(iso, origin))
             assert np.allclose(decoded, model.targets[l], atol=1e-12)
 
@@ -64,7 +64,7 @@ class TestAffineActionModel:
         group = named_groups[name]
         data, _ = random_inner_derivation(group, 4)
         model = build_affine_action(data)
-        isos = elements(model.group_spec)
+        isos = elements(model)
         x = encode(
             rng.standard_normal((model.size, model.d))
             + 1j * rng.standard_normal((model.size, model.d))
@@ -90,7 +90,7 @@ class TestAffineActionModel:
         model = build_affine_action(data)
         rep = solve_witness(data, method="least_squares")
         point = encode(rep.t_model)
-        assert fixed_point_residual(model.group_spec, point) <= 1e-10
+        assert fixed_point_residual(model, point) <= 1e-10
 
 
 class TestAffineActionChecks:
