@@ -17,6 +17,13 @@ drawn candidates, their grid conjugates and the grid seed point are new
 arrays that are valid by construction (a permutation from
 `rng.permutation`, signed-permutation fiber maps, finite grid numbers),
 so they are wrapped by the unchecking `_trusted` constructors.
+
+The named groups live here and nowhere else: `_NAMED_GENERATORS` holds
+the generators of the matrix groups, and `_CAYLEY_FAMILIES` the
+"family:N" families of abstract groups with their largest N.  The
+scenario schemas read both, and `_cayley_size` is the one parser of a
+"family:N" name: ASCII decimal digits, 1 <= N <= the bound, else
+ValueError before any table is built.
 """
 
 from __future__ import annotations
@@ -253,17 +260,30 @@ def corrupt_derivation(data: DerivationData, seed: int) -> DerivationData:
     return DerivationData(data.group, values)
 
 
+# The "family:N" group names: each family's `CayleyGroup` constructor and
+# its largest N (a cyclic:512 table is 2 MB, symmetric:5 has order 120).
+_CAYLEY_FAMILIES = {"cyclic": 512, "symmetric": 5}
+
+
+def _cayley_size(name: str) -> int:
+    """N of a "family:N" group name, written in ASCII decimal digits with
+    1 <= N <= the family's bound; anything else raises ValueError."""
+    family, _, digits = name.partition(":")
+    bound = _CAYLEY_FAMILIES.get(family)
+    if bound is None:
+        raise ValueError(f"unknown group family {family!r}")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"group {name!r} must be {family}:N with N in decimal digits")
+    digits = digits.lstrip("0") or "0"  # length check first: int() refuses huge strings
+    if len(digits) > len(str(bound)) or not 1 <= int(digits) <= bound:
+        raise ValueError(f"group {name!r} is out of range; {family}:N needs 1 <= N <= {bound}")
+    return int(digits)
+
+
 def cayley_group(name: str) -> CayleyGroup:
-    """'cyclic:n' or 'symmetric:n' (n small)."""
-    kind, _, arg = name.partition(":")
-    n = int(arg)
-    if kind == "cyclic":
-        return CayleyGroup.cyclic(n)
-    if kind == "symmetric":
-        if n > 5:
-            raise ValueError("symmetric groups beyond n=5 are not sensible here")
-        return CayleyGroup.symmetric(n)
-    raise ValueError(f"unknown group family {kind!r}")
+    """The abstract group named "cyclic:N" or "symmetric:N" (`_cayley_size`)."""
+    n = _cayley_size(name)
+    return getattr(CayleyGroup, name.partition(":")[0])(n)
 
 
 def random_translation_cocycle(group: CayleyGroup, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,10 +11,14 @@ optional field's value when absent is its JSON Schema "default"
 annotation, which validation does not apply; `validate_scenario` fills
 the defaults in after validation.  The handful of semantic rules a
 schema cannot express (finite numbers, bound ordering, length
-agreement, group names and sizes) are checked here as well.  All
-violations raise ScenarioFormatError, which the runner maps to exit code
-4.  Integers written as floats (8.0, which JSON Schema counts as an
-integer) become ints.
+agreement) are checked here as well.  The schemas restate no names:
+the matrix groups, the witness methods and the group-algebra families
+are read from `instances` and `witnesses`, and a "family:N" group name
+is checked by the package's own parser (`instances._cayley_size`, which
+`cayley_group` calls too), so a name is refused here exactly when the
+builder would refuse it.  All violations raise ScenarioFormatError,
+which the runner maps to exit code 4.  Integers written as floats (8.0,
+which JSON Schema counts as an integer) become ints.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import re
 from functools import cache
 
 from .errors import ScenarioFormatError
+from .instances import _CAYLEY_FAMILIES, _NAMED_GENERATORS, _cayley_size
+from .witnesses import WITNESS_METHODS
 
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2**32 - 1}
 
@@ -70,11 +76,8 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "properties": {
             "kind": {"const": "matrix_derivation"},
             "seed": _SEED,
-            "group": {"enum": ["q8", "s3", "c12"]},
-            "method": {
-                "enum": ["orbit_center", "averaging", "least_squares"],
-                "default": "least_squares",
-            },
+            "group": {"enum": list(_NAMED_GENERATORS)},
+            "method": {"enum": list(WITNESS_METHODS), "default": "least_squares"},
             "corrupt": {"type": "boolean", "default": False},
             "check_cocycle": {"type": "boolean", "default": True},
             "similarity": {"type": "boolean", "default": True},
@@ -87,7 +90,7 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "properties": {
             "kind": {"const": "group_algebra_derivation"},
             "seed": _SEED,
-            "group": {"type": "string", "pattern": "^(cyclic|symmetric):[0-9]+$"},
+            "group": {"type": "string", "pattern": f"^({'|'.join(_CAYLEY_FAMILIES)}):[0-9]+$"},
             "corrupt": {"type": "boolean", "default": False},
             "check_cocycle": {"type": "boolean", "default": True},
         },
@@ -107,9 +110,6 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         },
     },
 }
-
-# Largest N accepted in a group_algebra_derivation "family:N" group name.
-_GROUP_SIZE_BOUNDS = {"cyclic": 512, "symmetric": 5}
 
 
 def validate_scenario(obj) -> dict:
@@ -135,17 +135,10 @@ def validate_scenario(obj) -> dict:
         elif not _finite(value):
             raise ScenarioFormatError(f"{key} must hold finite numbers, got {value!r}")
     if kind == "group_algebra_derivation":
-        family, _, digits = merged["group"].partition(":")
-        if not (digits.isascii() and digits.isdigit()):  # the pattern's $ admits a final newline
-            raise ScenarioFormatError(
-                f"group {merged['group']!r} must be {family}:N with N in decimal digits"
-            )
-        bound = _GROUP_SIZE_BOUNDS[family]
-        digits = digits.lstrip("0") or "0"  # length check first: int() refuses huge strings
-        if len(digits) > len(str(bound)) or not 1 <= int(digits) <= bound:
-            raise ScenarioFormatError(
-                f"group {merged['group']!r} is out of range; {family}:N needs 1 <= N <= {bound}"
-            )
+        try:  # the pattern's $ admits a final newline, which the parser refuses
+            _cayley_size(merged["group"])
+        except ValueError as exc:
+            raise ScenarioFormatError(str(exc)) from None
     if kind == "box_fixed_point" and "sample_box" in merged:
         box = merged["sample_box"]
         lo, hi = box["lo"], box["hi"]

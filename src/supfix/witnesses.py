@@ -28,9 +28,12 @@ A model built for one cocycle adds E(delta(g)) for every g, embedded once,
 and the targets made from it; the model residual and the least-squares
 right-hand side read the same array.  The model applies its own isometry
 group (`AffineActionModel.images`, all that `orbit` and the fixed-point
-residual read), for the orbit_center route only: one einsum of the
-frame's (|G|, 2d, 2d) maps over the permuted fibers, the same floats as
-with a copy of each map per fiber, plus the targets as translations.
+residual read), for the orbit_center route only: per fiber, one
+matrix-vector product of the frame's (|G|, 2d, 2d) maps with the
+permuted fibers, the same floats as an einsum over a copy of each map
+per fiber, plus the realified targets as translations (`trans`, made on
+the route's first call and kept; the other routes never read it).  The
+method names, `WITNESS_METHODS`, are also the scenario schema's enum.
 The model residual and the similarity residuals are stacked array
 expressions over all elements at once (the homomorphism residual in row
 blocks of about a megabyte), with the same floats as one element at a time.
@@ -41,6 +44,7 @@ The witness and group-algebra residuals compare the data with the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,15 +96,23 @@ class AffineActionModel:
     def origin(self) -> SupPoint:
         return SupPoint._trusted(np.zeros((self.size, 2 * self.d)))
 
+    @cached_property
+    def trans(self) -> np.ndarray:
+        """(|G|, size, 2d) read-only realified targets, the translations of
+        `images`, made on first use: only the orbit_center route reads them."""
+        trans = np.concatenate([self.targets.real, self.targets.imag], axis=2)
+        trans.setflags(write=False)
+        return trans
+
     def images(self, x: SupPoint) -> np.ndarray:
         """The images of x under every element l, as one (|G|, size, 2d)
         array: fiber i of image l is the realified g_l^* applied to fiber
         sigma_l(i) of x, plus fiber i of the realified target."""
         if x.fibers.shape != (self.size, 2 * self.d):
             raise SpaceMismatchError("point shape does not match the model")
-        trans = np.concatenate([self.targets.real, self.targets.imag], axis=2)
+        xs = x.fibers[self.frame.sigmas]
         with np.errstate(over="ignore"):  # an overflow is refused by _finite
-            out = np.einsum("lij,lgj->lgi", self.frame.maps, x.fibers[self.frame.sigmas]) + trans
+            out = (self.frame.maps[:, None] @ xs[..., None])[..., 0] + self.trans
         return _finite(out)
 
 
@@ -173,10 +185,6 @@ def _solve_least_squares(model: AffineActionModel) -> np.ndarray:
     return sol.reshape(size, d)
 
 
-def _solve_averaging(model: AffineActionModel) -> np.ndarray:
-    return model.targets.mean(axis=0)
-
-
 def solve_witness(derivation: DerivationData, method: str = "least_squares") -> WitnessReport:
     """Produce a witness candidate and its honest residuals.
 
@@ -195,7 +203,7 @@ def solve_witness(derivation: DerivationData, method: str = "least_squares") -> 
         if method == "least_squares":
             t_mat = _solve_least_squares(model)
         elif method == "averaging":
-            t_mat = _solve_averaging(model)
+            t_mat = model.targets.mean(axis=0)  # the orbit's barycenter in closed form
         elif np.isfinite(model.targets).all():
             z = orbit_center_fixed_point(model, model.origin())
             fp_res = fixed_point_residual(model, z)

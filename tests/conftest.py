@@ -30,8 +30,7 @@ def group_stacks(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         frame = group.frame
         n, size = frame.sigmas.shape
         maps = np.broadcast_to(frame.maps[:, None], (n, size) + frame.maps.shape[1:]).copy()
-        trans = np.concatenate([group.targets.real, group.targets.imag], axis=2)
-        return frame.sigmas, maps, trans
+        return frame.sigmas, maps, group.trans
     form, (n, m, k) = group.exact, group.trans.shape
     maps = np.zeros((n, m * k, k))
     maps[np.arange(n)[:, None], np.arange(m * k), form.src % k] = form.sign

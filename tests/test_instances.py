@@ -9,6 +9,7 @@ from test_groups import record_words
 from supfix import instances
 from supfix.errors import SamplingBudgetError
 from supfix.centers import urns_center
+from supfix.cocycles import CayleyGroup
 from supfix.instances import (
     GRID_STEP,
     SAMPLE_MARGIN,
@@ -253,13 +254,21 @@ class TestCloudsAndNamedGroups:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
 
-    def test_cayley_group_parsing(self):
+    def test_cayley_group_parsing(self, monkeypatch):
         assert len(cayley_group("cyclic:9")) == 9
         assert len(cayley_group("symmetric:4")) == 24
-        with pytest.raises(ValueError):
-            cayley_group("dihedral:4")
-        with pytest.raises(ValueError):
-            cayley_group("symmetric:9")
+        assert len(cayley_group("cyclic:007")) == 7
+
+        def no_table(n):
+            raise AssertionError(f"a table of size {n!r} was built")
+
+        monkeypatch.setattr(CayleyGroup, "cyclic", no_table)
+        monkeypatch.setattr(CayleyGroup, "symmetric", no_table)
+        refused = ["dihedral:4", "symmetric:9", "cyclic:0", "cyclic:-3", "symmetric:0",
+                   "cyclic:513", "cyclic:+5", "cyclic: 5", "cyclic:5_0", "symmetric:\u0665"]
+        for name in refused:
+            with pytest.raises(ValueError):
+                cayley_group(name)
 
 
 class TestCorruptors:

@@ -197,15 +197,17 @@ def test_a_keyword_outside_the_compiled_set_raises(path, planted, message):
 
 
 def test_names_the_schema_shares_with_the_package_agree():
-    """The schema restates names that the package defines; where they drift
-    apart, a schema-valid scenario ends in a traceback, not an exit code."""
+    """The schema reads the names and bounds that the package defines; were
+    they to drift apart, a schema-valid scenario would end in a traceback,
+    not an exit code."""
     matrix = SCENARIO_SCHEMAS["matrix_derivation"]["properties"]
     assert sorted(matrix["group"]["enum"]) == sorted(instances._NAMED_GENERATORS)
     assert tuple(matrix["method"]["enum"]) == witnesses.WITNESS_METHODS
-    bound = scenarios._GROUP_SIZE_BOUNDS["symmetric"]
-    assert len(instances.cayley_group(f"symmetric:{bound}")) == math.factorial(bound)
-    with pytest.raises(ValueError, match="symmetric"):
-        instances.cayley_group(f"symmetric:{bound + 1}")
+    for family, order in (("cyclic", int), ("symmetric", math.factorial)):
+        bound = instances._CAYLEY_FAMILIES[family]
+        assert len(instances.cayley_group(f"{family}:{bound}")) == order(bound)
+        with pytest.raises(ValueError, match=family):
+            instances.cayley_group(f"{family}:{bound + 1}")
 
 
 FRESH = """
