@@ -8,19 +8,24 @@ halving) is closed over the dyadics.  This makes contraction statements
 like diam(H(M)) <= c * diam(M) provable equalities of the represented
 sets, not approximations, which downstream iteration tests rely on.
 
-A box keeps its bounds as Python ints over one common denominator, reduced
-once when the box is made.  The operators put those and the constants of
-one call over a common denominator (the lcm of theirs), add, subtract and
-compare the numerators exactly, and hand the result numerators to the next
-box; `Fraction` bounds are built only when a caller reads them.  This is
-the same exact arithmetic as on the Fractions themselves, for every
+A box keeps its bounds as Python ints over one common denominator, in
+lowest terms.  It is made one of two ways: by the checked constructor
+`Box(dim, lo, hi)`, which `Box.bounds`, `Box.point` and `Box.empty` call,
+or by `_reduced`, which puts result numerators in lowest terms and wraps
+them unchecked.  The operators put a box's ints and the constants of one
+call over a common denominator (the lcm of theirs), add, subtract and
+compare the numerators exactly, and hand the result numerators to
+`_reduced` (through `_box_over` where the result may be empty); `Fraction`
+bounds are built each time a caller reads them, which no descent does.
+This is the same exact arithmetic as on the Fractions themselves, for every
 rational input, without the cost of normalising each intermediate value.
 `box_H` makes A(M), its emptiness test and the ring in one pass over the
-coordinates, and `box_center` divides each lo + hi by 2 den as ints: int
-true division is correctly rounded, so it gives the float of the Fraction
-midpoint.  Those floats are finite (a quotient too large for a float
-raises OverflowError instead), so the center is wrapped without the
-point constructor's copy and checks (`SupPoint._trusted`).
+coordinates, scaling M's numerators by q for the constant c = p / q, and
+`box_center` divides each lo + hi by 2 den as ints: int true division is
+correctly rounded, so it gives the float of the Fraction midpoint.  Those
+floats are finite (a quotient too large for a float raises OverflowError
+instead), so the center is wrapped without the point constructor's copy
+and checks (`SupPoint._trusted`).
 
 The empty intersection is a distinguished marker value so that chained set
 algebra never raises mid-computation.
@@ -68,11 +73,14 @@ def _box_over(dim: int, lo: Sequence[int], hi: Sequence[int], den: int) -> "Box"
 
 def _reduced(dim: int, lo: Sequence[int], hi: Sequence[int], den: int) -> "Box":
     """The box with bounds lo[i] / den and hi[i] / den, known to satisfy
-    lo[i] <= hi[i], in lowest terms."""
+    lo[i] <= hi[i], put in lowest terms and made without the constructor's
+    checks: the one unchecked way a box is made."""
     g = math.gcd(den, *lo, *hi)
     if g > 1:
         den, lo, hi = den // g, [a // g for a in lo], [b // g for b in hi]
-    return Box._over(dim, den, tuple(lo), tuple(hi))
+    box = object.__new__(Box)
+    box._dim, box._den, box._lo_num, box._hi_num = dim, den, tuple(lo), tuple(hi)
+    return box
 
 
 class Box:
@@ -84,17 +92,17 @@ class Box:
     denominator: bound i is lo_num[i] / den and hi_num[i] / den, with den
     the lcm of the bounds' lowest-terms denominators.  The operators below
     work on those integers; the `Fraction` bounds `lo` and `hi` are built
-    the first time they are read.  Two boxes are equal exactly when they
+    each time they are read.  Two boxes are equal exactly when they
     are the same set, which in lowest terms is equality of the integers.
     """
 
-    __slots__ = ("_dim", "_den", "_lo_num", "_hi_num", "_bounds")
+    __slots__ = ("_dim", "_den", "_lo_num", "_hi_num")
 
     def __init__(self, dim: int, lo: Sequence[Scalar] | None, hi: Sequence[Scalar] | None):
         if (lo is None) != (hi is None):
             raise ValueError("lo and hi must both be set or both be None")
+        self._dim, self._den, self._lo_num, self._hi_num = dim, 1, None, None
         if lo is None:
-            self._set(dim, 1, None, None)
             return
         lo_f, hi_f = tuple(_frac(x) for x in lo), tuple(_frac(x) for x in hi)
         if len(lo_f) != dim or len(hi_f) != dim:
@@ -103,31 +111,17 @@ class Box:
             if a > b:
                 raise ValueError(f"inverted interval [{a}, {b}]; use Box.empty for empty sets")
         den, (lo_num, hi_num) = _scaled(lo_f, hi_f)  # lcm of lowest terms: already reduced
-        self._set(dim, den, tuple(lo_num), tuple(hi_num))
-
-    def _set(self, dim, den, lo_num, hi_num) -> None:
-        self._dim, self._den, self._lo_num, self._hi_num = dim, den, lo_num, hi_num
-        self._bounds = None
-
-    @classmethod
-    def _over(cls, dim: int, den: int, lo_num: tuple[int, ...], hi_num: tuple[int, ...]) -> "Box":
-        """Wrap numerators that are valid and in lowest terms, skipping the checks."""
-        box = object.__new__(cls)
-        box._set(dim, den, lo_num, hi_num)
-        return box
+        self._den, self._lo_num, self._hi_num = den, tuple(lo_num), tuple(hi_num)
 
     @classmethod
     def bounds(cls, lo: Sequence[Scalar], hi: Sequence[Scalar]) -> "Box":
-        lo_t = tuple(_frac(x) for x in lo)
-        hi_t = tuple(_frac(x) for x in hi)
-        if len(lo_t) != len(hi_t):
+        if len(lo) != len(hi):
             raise SpaceMismatchError("lo and hi have different lengths")
-        return cls(len(lo_t), lo_t, hi_t)
+        return cls(len(lo), lo, hi)
 
     @classmethod
     def point(cls, p: Sequence[Scalar]) -> "Box":  # public: box vocabulary
-        t = tuple(_frac(x) for x in p)
-        return cls(len(t), t, t)
+        return cls(len(p), p, p)
 
     @classmethod
     def empty(cls, dim: int) -> "Box":
@@ -139,18 +133,11 @@ class Box:
 
     @property
     def lo(self) -> tuple[Fraction, ...] | None:
-        return None if self._lo_num is None else self._fractions()[0]
+        return None if self._lo_num is None else tuple(Fraction(a, self._den) for a in self._lo_num)
 
     @property
     def hi(self) -> tuple[Fraction, ...] | None:
-        return None if self._hi_num is None else self._fractions()[1]
-
-    def _fractions(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        if self._bounds is None:
-            den = self._den
-            self._bounds = (tuple(Fraction(a, den) for a in self._lo_num),
-                            tuple(Fraction(b, den) for b in self._hi_num))
-        return self._bounds
+        return None if self._hi_num is None else tuple(Fraction(b, self._den) for b in self._hi_num)
 
     @property
     def is_empty(self) -> bool:
@@ -242,25 +229,19 @@ def ball_intersection(centers: Sequence[Sequence[Scalar]], radius: Scalar,
     return _box_over(pts.shape[1], [t * f - r for t in top], [b * f + r for b in bottom], full)
 
 
-def _contract(M: Box, c: Scalar) -> tuple[int, list[int], list[int], int]:
-    """(den, lo, hi, r): M's bounds and r = c * diam(M) as numerators over one
-    denominator.  With D the lcm of M's denominators and c = p / q, den is
-    D * q: the diameter is delta / D for an integer delta, so r = p * delta / den."""
-    p, q = _frac(c).as_integer_ratio()
-    den = M._den * q
-    lo, hi = _rescaled(M._lo_num, M._den, den), _rescaled(M._hi_num, M._den, den)
-    return den, lo, hi, p * M._width()
-
-
 def box_A(M: Box, c: Scalar) -> Box:  # public: box vocabulary
     """Intersection of the balls B(x, c * diam M) over all x in M.
 
     Per coordinate the farthest x sits at an endpoint, so the result is
-    exactly [hi_i - r, lo_i + r] with r = c * diam(M), possibly empty.
+    exactly [hi_i - r, lo_i + r] with r = c * diam(M), possibly empty.  With
+    c = p / q the bounds are numerators over M's denominator times q, and
+    r = p * width over it.
     """
     if M.is_empty:
         return Box.empty(M.dim)
-    den, lo, hi, r = _contract(M, c)
+    p, q = _frac(c).as_integer_ratio()
+    den, r = M._den * q, p * M._width()
+    lo, hi = _rescaled(M._lo_num, M._den, den), _rescaled(M._hi_num, M._den, den)
     return _box_over(M.dim, [b - r for b in hi], [a + r for a in lo], den)
 
 
@@ -286,8 +267,7 @@ def box_H(M: Box, c: Scalar) -> Box:
         return Box.empty(M.dim)
     lo_out, hi_out = [], []
     for a, b in zip(M._lo_num, M._hi_num):
-        if q != 1:
-            a, b = a * q, b * q
+        a, b = a * q, b * q
         x, y = b - r, a + r
         lo_out.append(a if a >= x else x)
         hi_out.append(b if b <= y else y)

@@ -123,11 +123,13 @@ class CayleyGroup:
     def __post_init__(self):
         table = np.array(self.table, dtype=int)  # a copy: the caller's array stays writeable
         n = len(self.labels)
+        if n == 0:
+            raise ValueError("need at least one element")
         if table.shape != (n, n):
             raise SpaceMismatchError("multiplication table shape mismatch")
         if not (np.all(table[0] == np.arange(n)) and np.all(table[:, 0] == np.arange(n))):
             raise ValueError("index 0 must be the identity")
-        if n and not (table.min() >= 0 and table.max() < n):
+        if not (table.min() >= 0 and table.max() < n):
             raise ValueError("multiplication table entries must be element indices")
         # Row i (column j) holds each element once iff the n^2 codes
         # i n + table[i, j] (j n + table[i, j]) are all distinct.

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -333,9 +333,16 @@ def _finite(images: np.ndarray) -> np.ndarray:
     return images
 
 
-def orbit(group: GroupSpec, x: SupPoint) -> PointCloud:
-    """The images of x under every group element, in element order; any
-    group with `images`, as the witness model, will do."""
+class HasImages(Protocol):
+    """A group as `orbit` and the fixed-point residual read it: a closed
+    `GroupSpec`, or the witness model, which shares only this method."""
+
+    def images(self, x: SupPoint) -> np.ndarray:
+        """The images g(x) of every element g, in element order, as one array."""
+
+
+def orbit(group: HasImages, x: SupPoint) -> PointCloud:
+    """The images of x under every group element, in element order."""
     return PointCloud._trusted(group.images(x))  # images are new, checked finite
 
 

@@ -13,7 +13,8 @@ The descent's bookkeeping stays in the boxes' integers: a diameter is
 width / den, the tolerance test width * tol_den <= tol_num * den, the
 halving test 2 w_b d_a <= w_a d_b, and a reported diameter the int
 quotient width / den, which is correctly rounded and so the float of the
-Fraction.  The trace builds `Fraction` diameters only when they are read.
+Fraction.  The trace reads its `Fraction` diameters off its boxes
+(`Box.diameter`), and only when they are read.
 The fixed point is the last box's center, wrapped without the point
 constructor's checks (`boxes.box_center`): its floats are new and finite
 by construction.
@@ -35,14 +36,14 @@ import numpy as np
 from .boxes import Box, ball_intersection, box_H, box_center
 from .centers import urns_center
 from .errors import InvarianceViolationError, SpaceMismatchError
-from .isometries import GroupSpec, box_image, orbit
+from .isometries import GroupSpec, HasImages, box_image, orbit
 from .spaces import SupPoint, _fiber_distances
 
 BOX_CONTRACTION = Fraction(1, 2)
 MAX_ITER = 200  # contraction steps before the descent stops unconverged
 
 
-def fixed_point_residual(group: GroupSpec, x: SupPoint) -> float:
+def fixed_point_residual(group: HasImages, x: SupPoint) -> float:
     """max over all group elements g of d_sup(g x, x)."""
     images = group.images(x)
     return float(_fiber_distances(images, x.fibers, out=images).max())
@@ -71,7 +72,8 @@ class IterationTrace:
 
     widths[i] is (width, den) of box i, whose sup-diameter is width / den,
     so every statement about the diameters is decided on those integers;
-    the Fractions are built only when first read.
+    the exact diameters are read off the boxes (`Box.diameter`) when first
+    read.
     """
 
     boxes: tuple[Box, ...]
@@ -83,7 +85,7 @@ class IterationTrace:
 
     @cached_property
     def diameters_exact(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(w, d) for w, d in self.widths)
+        return tuple(box.diameter() for box in self.boxes)
 
     def diameter(self, step: int) -> float:
         """Box `step`'s diameter as a float: int true division is correctly
@@ -150,7 +152,7 @@ def iterate_box(
     return box_center(box), IterationTrace(tuple(boxes), tuple(widths), reason)
 
 
-def orbit_center_fixed_point(group: GroupSpec, x0: SupPoint) -> SupPoint:
+def orbit_center_fixed_point(group: HasImages, x0: SupPoint) -> SupPoint:
     """Fixed point as the relative center of the orbit of x0.
 
     The smallest enclosing ball of each fiber is unique and isometry

@@ -135,6 +135,10 @@ class TestCayleyGroup:
         with pytest.raises(ValueError):
             CayleyGroup(("a", "b"), np.array([[1, 0], [0, 1]]))
 
+    def test_a_group_with_no_elements_is_refused(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            CayleyGroup((), np.zeros((0, 0), dtype=int))
+
     @pytest.mark.parametrize("table", [
         [[0, 1, 2], [1, 1, 1], [2, 1, 0]],  # a has no inverse
         [[0, 1, 2], [1, 2, 0], [2, 1, 0]],  # every row a permutation, column 1 not

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
-from test_groups import compose
+from test_groups import EXTRA_GENERATORS, compose
 from test_isometries import apply
 
 from supfix import unitary
@@ -225,6 +225,51 @@ class TestSolveWitness:
         rep = solve_witness(data)
         encoded = json.dumps(rep.as_dict(), sort_keys=True)
         assert "witness_residual" in encoded
+
+
+def closed_form_least_squares(model) -> np.ndarray:
+    """T_ls = 1/2 (I - P)(mean_g F_g - mean_g L_g^-1 F_g), the minimum-norm
+    least-squares solution of T - L_g T = F_g over all g.
+
+    L_g(T) = T[sigma_g] g^H is unitary in the Frobenius norm and the L_g form
+    a group, so P = mean_g L_g is the orthogonal projection onto the kernel
+    of the system and the normal equations read 2 (I - P) T = mean_g
+    (I - L_g^-1) F_g.  F_g = model.targets[g] and L_g^-1(T) = T[sigma_g^-1] g.
+    Built from the frame's permutations and the group's matrices only: no
+    linear solve, no fixed point.
+    """
+    g_mats, sigmas, f = model.derivation.group.elements, model.frame.sigmas, model.targets
+    rows = np.arange(len(sigmas))[:, None]
+    rhs = f.mean(axis=0) - (f[rows, np.argsort(sigmas, axis=1)] @ g_mats).mean(axis=0)
+    p_rhs = (rhs[sigmas] @ g_mats.conj().transpose(0, 2, 1)).mean(axis=0)
+    return 0.5 * (rhs - p_rhs)
+
+
+CLOSED_FORM_CASES = [(name, seed) for name in ("q8", "s3", "c12", "2T", "2O", "B3")
+                     for seed in (1, 2, 3)] + [("2I", 1)]
+
+
+@pytest.fixture(scope="module")
+def witness_groups(named_groups):
+    groups = dict(named_groups)
+    groups.update({name: unitary_closure(gens) for name, gens in EXTRA_GENERATORS.items()})
+    return groups
+
+
+class TestLeastSquaresClosedForm:
+    """The least-squares route against its closed form, on valid data, where
+    it is the averaging route's answer too, and on corrupted data, where the
+    two routes differ."""
+
+    @pytest.mark.parametrize("corrupted", [False, True], ids=["valid", "corrupted"])
+    @pytest.mark.parametrize("name, seed", CLOSED_FORM_CASES)
+    def test_route_matches_the_closed_form(self, witness_groups, name, seed, corrupted):
+        data, _ = random_inner_derivation(witness_groups[name], seed)
+        if corrupted:
+            data = corrupt_derivation(data, seed + 100)
+        want = closed_form_least_squares(build_affine_action(data))
+        got = solve_witness(data, "least_squares").t_model
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestRecovery:
