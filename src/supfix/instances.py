@@ -5,9 +5,12 @@ Box and fiber group data is drawn on the dyadic grid of multiples of
 grid vectors and differences of grid numbers are exact in double
 precision, so the generated affine maps compose without rounding and
 closures, orbits and invariance checks all hold exactly.  Group order is
-kept small by drawing signed permutations, whose order is read off the
-signed cycle structure (walked on Python lists), and rejecting draws that
-are too large; after MAX_DRAWS rejected draws the budget counts as unmet
+kept small by rejecting drawn candidates whose order exceeds the budget.
+A box candidate's order is read off its signed cycle structure (walked
+on Python lists).  A fiber candidate is kept exactly when its closure at
+cap=budget completes, since `group_closure` raises GroupNotClosedError
+once the order exceeds its cap, so a rejected candidate's closure stops
+at the budget.  After MAX_DRAWS rejected draws the budget counts as unmet
 and SamplingBudgetError is raised, so no order budget can hang a caller.
 
 Everything is driven by numpy's default_rng, so a seed pins the instance.
@@ -139,7 +142,8 @@ def random_fiber_group(
     seed: int, fibers: int = 5, fiber_dim: int = 3, max_order: int = 48
 ) -> tuple[GroupSpec, SupPoint]:
     """Like random_box_group but with R^k fibers and signed-permutation fiber
-    maps, each drawn as its column permutation, then its row signs."""
+    maps, each drawn as its column permutation, then its row signs.  A
+    candidate is kept when its closure at cap=budget completes."""
     rows = np.arange(fiber_dim)
 
     def draw(rng: np.random.Generator, budget: int) -> FiberPermIsometry | None:
@@ -150,10 +154,10 @@ def random_fiber_group(
             fiber_map[rows, cols] = _random_signs(rng, fiber_dim)
         cand = FiberPermIsometry._trusted(perm, maps, np.zeros((fibers, fiber_dim)))
         try:
-            closure = group_closure([cand], cap=budget + 1)
+            group_closure([cand], cap=budget)
         except GroupNotClosedError:
             return None
-        return cand if len(closure) <= budget else None
+        return cand
 
     return _draw_and_close(seed, (fibers, fiber_dim), max_order, draw)
 

@@ -12,6 +12,15 @@ Exit code contract:
         max_order cannot be met by the instance generator, or a group
         closure outgrew its element cap
 
+Both derivation kinds check their law through the public checks,
+`check_cocycle` for matrix data and `check_translation_cocycle` for a
+group-algebra table, at LAW_TOL, or at tol = inf for a scenario with
+"check_cocycle": false.  Either way the worst defect is measured and
+reported; an unchecked case goes on to the witness, which flags data
+that fail the law.  tol = inf refuses only a NaN defect, and a
+schema-valid scenario draws none: its values are standard-normal draws
+plus a finite corruption.
+
 The "result" block of a report is a pure function of the scenario, so
 rerunning a scenario must reproduce it byte for byte once serialized with
 sorted keys; timing and timestamps live under "meta" only.
@@ -28,12 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .centers import verify_urns_certificate
-from .cocycles import (
-    LAW_TOL,
-    check_cocycle,
-    check_translation_cocycle,
-    translation_law_worst_pair,
-)
+from .cocycles import LAW_TOL, check_cocycle, check_translation_cocycle
 from .errors import (
     CocycleInconsistencyError,
     EmptyDomainError,
@@ -140,10 +144,7 @@ def _run_group_algebra(params: dict, trace_dir, name: str) -> tuple[dict, bool]:
     c, _ = random_translation_cocycle(group, params["seed"])
     if params["corrupt"]:
         c = corrupt_cocycle_table(c, params["seed"] + 1)
-    if params["check_cocycle"]:
-        defect = check_translation_cocycle(group, c)
-    else:  # unchecked data, NaN included, goes on to the witness, which flags it
-        defect = translation_law_worst_pair(group, c)[0]
+    defect = check_translation_cocycle(group, c, LAW_TOL if params["check_cocycle"] else math.inf)
     report = finite_group_algebra_witness(group, c)
     result = {
         "group": params["group"],

@@ -7,7 +7,7 @@ import pytest
 from test_groups import record_words
 
 from supfix import instances
-from supfix.errors import SamplingBudgetError
+from supfix.errors import GroupNotClosedError, SamplingBudgetError
 from supfix.centers import urns_center
 from supfix.cocycles import CayleyGroup
 from supfix.instances import (
@@ -172,6 +172,67 @@ class TestRandomFiberGroup:
     def test_random_fiber_group_bytes(self, shape, monkeypatch, stacks):
         assert group_digest(monkeypatch, stacks, random_fiber_group, *shape) == \
             FIBER_GROUP_DIGESTS[shape]
+
+
+def fiber_cycle(length: int, negate: bool = False) -> FiberPermIsometry:
+    """A linear isometry of length + 1 fibers of R^2 that cycles the first
+    `length` fibers; with `negate` one fiber map is -I, so the order doubles."""
+    m = length + 1
+    perm = np.arange(m)
+    perm[:length] = np.roll(perm[:length], 1)
+    maps = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
+    if negate:
+        maps[0] = -maps[0]
+    return FiberPermIsometry(perm, maps, np.zeros((m, 2)))
+
+
+def of_order(n: int) -> list[FiberPermIsometry]:
+    """One-generator candidates of order n: a fiber n-cycle and, for even n,
+    an n/2-cycle with one -I map."""
+    return [fiber_cycle(n)] + ([fiber_cycle(n // 2, negate=True)] if n % 2 == 0 else [])
+
+
+class TestCandidateBudget:
+    """A fiber candidate is accepted exactly when its closure at cap=budget
+    completes, since the closure raises once the order exceeds its cap."""
+
+    @pytest.mark.parametrize("budget", range(1, 9))
+    def test_order_budget_is_accepted_and_one_more_refused(self, budget):
+        for cand in of_order(budget):
+            assert len(group_closure([cand], cap=budget)) == budget
+        for cand in of_order(budget + 1):
+            with pytest.raises(GroupNotClosedError, match=f"exceeded {budget} elements"):
+                group_closure([cand], cap=budget)
+
+    @pytest.mark.parametrize("length", range(4))
+    def test_budget_zero_refuses_every_candidate(self, length):
+        for cand in (fiber_cycle(length), fiber_cycle(length, negate=True)):
+            with pytest.raises(GroupNotClosedError):
+                group_closure([cand], cap=0)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_random_fiber_group_closes_candidates_at_the_budget(self, seed, monkeypatch):
+        """Every candidate closure has cap=budget and completes exactly when
+        the candidate's signed-cycle order is within it; only the last one
+        completes, and the generators' closure has cap=max_order + 1."""
+        calls = []
+        closure = instances.group_closure
+
+        def recording(gens, cap):
+            calls.append([gens, cap, False])
+            group = closure(gens, cap=cap)
+            calls[-1][2] = True
+            return group
+
+        monkeypatch.setattr(instances, "group_closure", recording)
+        random_fiber_group(seed, 5, 3, 12)
+        *candidates, (_, final_cap, _) = calls
+        assert final_cap == 13
+        assert len(candidates) >= 1 and {cap for _, cap, _ in candidates} <= {6, 12}
+        assert [done for *_, done in candidates] == [False] * (len(candidates) - 1) + [True]
+        for (cand,), cap, done in candidates:
+            form = cand.exact
+            assert done == (instances._signed_perm_order(form.src, form.sign) <= cap)
 
 
 class TestSameStreamDraws:

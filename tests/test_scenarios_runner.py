@@ -1,14 +1,18 @@
 """Scenario validation and runner behavior, including the exit-code contract."""
 
+import ast
 import json
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from supfix import runner
+from supfix.cocycles import translation_law_worst_pair
 from supfix.errors import (
+    CocycleInconsistencyError,
     EmptyDomainError,
     GroupNotClosedError,
     ScenarioFormatError,
@@ -28,6 +32,7 @@ from supfix.scenarios import (
     validate_scenario,
     validate_suite,
 )
+from supfix.instances import cayley_group, corrupt_cocycle_table, random_translation_cocycle
 
 OUT_OF_RANGE_GROUPS = ["symmetric:9", "cyclic:0", "cyclic:513", "symmetric:0", "cyclic:" + "9" * 5000]
 
@@ -290,6 +295,8 @@ class TestRunnerExitCodes:
 
     @pytest.mark.parametrize("check", [True, False])
     def test_group_algebra_nan_table_is_not_accepted(self, check, monkeypatch):
+        """An unchecked case checks the law at tol = inf, which a NaN defect
+        still fails; no schema-valid scenario draws such a table."""
         def with_nan(group, seed):
             c = np.zeros((len(group), len(group)))
             c[2, 3] = np.nan
@@ -299,7 +306,9 @@ class TestRunnerExitCodes:
         scenario = {"kind": "group_algebra_derivation", "seed": 1, "group": "cyclic:6",
                     "check_cocycle": check}
         report, code = run_scenario(scenario)
-        assert code == (EXIT_INCONSISTENT if check else EXIT_FLAGGED)
+        assert code == EXIT_INCONSISTENT
+        assert report["result"]["error"]["type"] == "CocycleInconsistencyError"
+        assert report["result"]["error"]["message"].endswith("defect nan")
 
     @pytest.mark.parametrize(
         "layer, scenario, error, code, status",
@@ -417,3 +426,42 @@ class TestSuite:
     def test_bad_suite_is_format_error(self):
         report, code = run_suite({"bogus": 1})
         assert code == EXIT_FORMAT
+
+
+class TestGroupAlgebraLawCheck:
+    """The runner checks every group-algebra table through the public
+    `check_translation_cocycle`; an unchecked case passes tol = inf."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("name", ["cyclic:6", "symmetric:3", "symmetric:4"])
+    def test_corrupt_case_reports_the_worst_law_defect(self, name, seed):
+        group = cayley_group(name)
+        c = corrupt_cocycle_table(random_translation_cocycle(group, seed)[0], seed + 1)
+        defect, g, h = translation_law_worst_pair(group, c)
+        scenario = {"kind": "group_algebra_derivation", "seed": seed, "group": name,
+                    "corrupt": True}
+
+        report, code = run_scenario({**scenario, "check_cocycle": False})
+        assert code == EXIT_FLAGGED
+        assert repr(report["result"]["law_defect"]) == repr(defect)
+
+        report, code = run_scenario(scenario)
+        assert code == EXIT_INCONSISTENT
+        error = CocycleInconsistencyError(group.labels[g], group.labels[h], defect)
+        assert report["result"]["error"] == {"type": "CocycleInconsistencyError",
+                                             "message": str(error)}
+
+    def test_runner_imports_only_the_public_law_checks(self):
+        """A runner that reaches for a raw law kernel fails here."""
+        source = Path(runner.__file__).read_text()
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if module.rpartition(".")[2] == "cocycles":
+                    imported.update(alias.name for alias in node.names)
+                else:
+                    assert "cocycles" not in {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                assert not any("cocycles" in alias.name for alias in node.names)
+        assert imported == {"LAW_TOL", "check_cocycle", "check_translation_cocycle"}

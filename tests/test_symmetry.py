@@ -7,6 +7,13 @@ the images under h of the boxes it made from x0 on G, with the same exact
 diameters, and its fixed point is h applied to the first run's.  No
 solver meets this relation by accident, and it shares no code with the
 descent's own checks.
+
+The fiber route's center is a float enclosing-ball center of the orbit,
+fiber by fiber.  A linear h (a fiber permutation with signed
+permutations inside the fibers) only moves and negates floats, so the
+conjugate run's center is h z byte for byte.  With a grid translation
+added to h, h z rounds and the conjugate run solves shifted
+coordinates, so there the two agree within 1e-12.
 """
 
 from fractions import Fraction
@@ -17,12 +24,14 @@ from test_groups import compose
 from test_isometries import apply
 
 from supfix.boxes import box_center
-from supfix.instances import grid_point, random_box_group
+from supfix.instances import grid_point, random_box_group, random_fiber_group
 from supfix.isometries import FiberPermIsometry, box_image, group_closure
-from supfix.iterate import iterate_box
+from supfix.iterate import iterate_box, orbit_center_fixed_point
 
 DIMS = (4, 8, 16, 32)
 MAX_ORDER = 64
+FIBER_SHAPES = ((5, 3), (8, 4), (4, 2))
+FIBER_MAX_ORDER = 48
 
 
 def random_box_isometry(rng: np.random.Generator, dim: int) -> FiberPermIsometry:
@@ -33,10 +42,10 @@ def random_box_isometry(rng: np.random.Generator, dim: int) -> FiberPermIsometry
 
 
 def inverse(h: FiberPermIsometry) -> FiberPermIsometry:
-    """h^-1: coordinate perm[i] of x is sign[i] * (y_i - t_i), exact on the grid."""
+    """h^-1: fiber perm[g] of x is maps[g]^T (y_g - t_g), exact on the grid."""
     perm = np.argsort(h.perm)
-    signs = h.maps[perm]
-    return FiberPermIsometry(perm, signs, -signs[:, :, 0] * h.trans[perm])
+    maps = h.maps.transpose(0, 2, 1)[perm]
+    return FiberPermIsometry(perm, maps, -np.einsum("gij,gj->gi", maps, h.trans[perm]))
 
 
 def exact_apply(h: FiberPermIsometry, point) -> tuple[Fraction, ...]:
@@ -65,3 +74,34 @@ def test_box_descent_commutes_with_isometries(seed):
         assert apply(h, box_center(box)).fibers.tobytes() == box_center(h_box).fibers.tobytes()
     assert exact_apply(h, trace.boxes[-1].center_exact()) == h_trace.boxes[-1].center_exact()
     assert apply(h, z).fibers.tobytes() == hz.fibers.tobytes()
+
+
+def random_fiber_isometry(rng: np.random.Generator, m: int, k: int,
+                          translate: bool) -> FiberPermIsometry:
+    """A random fiber permutation with a signed permutation inside each
+    fiber, plus a grid translation when `translate`."""
+    maps = np.zeros((m, k, k))
+    for fiber_map in maps:
+        fiber_map[np.arange(k), rng.permutation(k)] = rng.choice([-1.0, 1.0], size=k)
+    trans = grid_point(rng, (m, k)) if translate else np.zeros((m, k))
+    return FiberPermIsometry(rng.permutation(m), maps, trans)
+
+
+@pytest.mark.parametrize("seed", range(1, 31))
+@pytest.mark.parametrize("shape", FIBER_SHAPES)
+def test_fiber_center_commutes_with_isometries(shape, seed):
+    group, x0 = random_fiber_group(seed, *shape, FIBER_MAX_ORDER)
+    z = orbit_center_fixed_point(group, x0)
+    rng = np.random.default_rng(1000 + seed)
+    for translate in (False, True):
+        h = random_fiber_isometry(rng, *shape, translate)
+        h_inv = inverse(h)
+        conjugate = group_closure([compose(h, compose(g, h_inv)) for g in group.generators],
+                                  cap=FIBER_MAX_ORDER + 1)
+        assert len(conjugate) == len(group)
+        hz = orbit_center_fixed_point(conjugate, apply(h, x0)).fibers
+        want = apply(h, z).fibers
+        if translate:
+            assert np.abs(hz - want).max() <= 1e-12
+        else:
+            assert hz.tobytes() == want.tobytes()
