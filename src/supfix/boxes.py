@@ -2,11 +2,11 @@
 
 Closed balls in l-infinity^n are axis-aligned boxes, and intersections of
 boxes are boxes, so admissible sets (ball intersections) have an exact
-finite representation.  Bounds are kept as `fractions.Fraction`: every
-float is a dyadic rational, and the whole calculus below (max, min, +, -,
-halving) is closed over the dyadics.  This makes contraction statements
-like diam(H(M)) <= c * diam(M) provable equalities of the represented
-sets, not approximations, which downstream iteration tests rely on.
+finite representation.  Bounds are exact rationals: every float is a
+dyadic rational, and the whole calculus below (max, min, +, -, halving) is
+closed over the dyadics.  This makes contraction statements like
+diam(H(M)) <= c * diam(M) provable equalities of the represented sets, not
+approximations, which downstream iteration tests rely on.
 
 A box keeps its bounds as Python ints over one common denominator, in
 lowest terms.  It is made one of two ways: by the checked constructor
@@ -199,34 +199,22 @@ def intersect(a: Box, b: Box) -> Box:  # public: box vocabulary
     return _box_over(a.dim, lo, hi, den)
 
 
-def ball_intersection(centers: Sequence[Sequence[Scalar]], radius: Scalar,
-                      den: int | None = None) -> Box:
-    """The box equal to the intersection of sup-norm balls B(c, r) over the centers.
+def ball_intersection(nums: Sequence[Sequence[int]], radius: int, den: int) -> Box:
+    """The box equal to the intersection of sup-norm balls B(c, r) over the
+    centers c = nums / den, with r = radius / den.
 
-    Per coordinate the intersection is [max c_i - r, min c_i + r]; the
-    column extremes are taken on the given values (exact for floats), so
-    only they are converted.  With `den`, the centers are integer
-    numerators (ints or an integer array) of the points centers / den.
+    nums is an (N, dim) array of integers (an integer dtype, or Python ints
+    where int64 cannot hold them).  Per coordinate the intersection is
+    [max c_i - r, min c_i + r], so the bounds are the column extremes, taken
+    as Python ints, minus and plus the radius numerator.
     """
-    if len(centers) == 0:
+    if len(nums) == 0:
         raise EmptyDomainError("need at least one ball center")
-    pts = np.asarray(centers)
+    pts = np.asarray(nums)
     if pts.ndim != 2:
         raise SpaceMismatchError("ball centers must form an (N, dim) array")
-    if den is None:  # values: take the extremes, then their numerators
-        if pts.dtype == object:  # Fractions or big ints: lift every entry, which also checks it
-            pts = np.vectorize(_frac, otypes=[object])(pts)
-        top, bottom = pts.max(axis=0), pts.min(axis=0)
-        # a non-finite float is the extreme of its column, so checking the extremes checks all
-        if pts.dtype != object and not (np.isfinite(top).all() and np.isfinite(bottom).all()):
-            raise ValueError("box bounds must be finite")
-        den, (top, bottom) = _scaled(top.tolist(), bottom.tolist())
-    else:  # integer columns: the extremes are numerators already
-        top, bottom = pts.max(axis=0).tolist(), pts.min(axis=0).tolist()
-    r_num, r_den = _frac(radius).as_integer_ratio()
-    full = math.lcm(den, r_den)
-    f, r = full // den, r_num * (full // r_den)
-    return _box_over(pts.shape[1], [t * f - r for t in top], [b * f + r for b in bottom], full)
+    top, bottom = pts.max(axis=0).tolist(), pts.min(axis=0).tolist()
+    return _box_over(pts.shape[1], [t - radius for t in top], [b + radius for b in bottom], den)
 
 
 def box_A(M: Box, c: Scalar) -> Box:  # public: box vocabulary

@@ -41,11 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        raw = json.loads(args.path.read_text())
+        raw = json.loads(args.path.read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"supfix: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         print(f"supfix: {args.path} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 

@@ -102,7 +102,9 @@ def _draw_and_close(
 ) -> tuple[GroupSpec, SupPoint]:
     """The flip coin, the order budget, up to MAX_DRAWS draw(rng, budget)
     calls for a linear generator (None rejects a draw), the x -> -x
-    generator, the grid conjugation point, the closure and the seed point."""
+    generator, the grid conjugation point, the closure and the seed point.
+    The group's order is at most the budget, doubled by -I where the budget
+    is max_order // 2, so the closure's cap is max_order."""
     rng = np.random.default_rng(seed)
     add_flip = bool(rng.random() < 0.5)
     budget = max_order // 2 if add_flip else max_order
@@ -116,7 +118,7 @@ def _draw_and_close(
     lin_gens = [cand, _flip(*shape)] if add_flip else [cand]
     p = grid_point(rng, shape)
     gens = [_conjugate_by_translation(g, p) for g in lin_gens]
-    return group_closure(gens, cap=max_order + 1), SupPoint._trusted(grid_point(rng, shape))
+    return group_closure(gens, cap=max_order), SupPoint._trusted(grid_point(rng, shape))
 
 
 def random_box_group(

@@ -18,7 +18,8 @@ gather and a duplicate is an equal integer key.  One bound keeps the
 integers in int64: cap times the largest generator numerator
 (over the generators' common denominator) is at most 2^63 - 1.  A product
 the closure makes is a word of at most cap generators, so no numerator of
-any element can overflow.  Generators whose fiber maps are not signed
+any element can overflow; the same bound picks int64 for the exact
+images of a point.  Generators whose fiber maps are not signed
 permutations (rotations, say), non-finite translations and generators
 beyond the bound raise ValueError.
 
@@ -52,8 +53,7 @@ from .groups import closure
 from .spaces import PointCloud, SupPoint, _wrap
 
 _ORTHO_TOL = 1e-8
-_EXACT_NUM = 2**63 - 1  # largest |numerator| of a closed element: int64's
-_INT64_SAFE = 2**62  # exact orbit numerators below this stay int64
+_EXACT_NUM = 2**63 - 1  # largest |numerator| int64 holds: the one int64 bound
 
 
 def _orthogonal(maps: np.ndarray) -> bool:
@@ -159,7 +159,7 @@ def _dyadic(values: np.ndarray) -> tuple[int, np.ndarray | None]:
         den, (nums,) = _scaled(values.tolist())
     except (OverflowError, ValueError):  # an infinite or NaN value
         return 1, None
-    big = max(map(abs, nums), default=0) >= 2**63
+    big = max(map(abs, nums), default=0) > _EXACT_NUM
     return den, np.array(nums, dtype=object if big else np.int64)
 
 
@@ -275,7 +275,8 @@ class GroupSpec:
 
         The images are taken in integers from the group's exact form, so
         they are exact for every point, not rounded; nums is int64 where
-        that holds every value, else Python ints.
+        every |numerator| is at most _EXACT_NUM, the closure's bound, else
+        Python ints.
         """
         form = self.exact
         if x.m != self.m or x.k != self.k:
@@ -284,7 +285,7 @@ class GroupSpec:
         den = math.lcm(form.den, x_den)
         fx, ft = den // x_den, den // form.den
         top = max(map(abs, x_nums)) * fx + int(np.abs(form.nums).max()) * ft
-        dtype = np.int64 if max(top, ft) < _INT64_SAFE else object
+        dtype = np.int64 if max(top, ft) <= _EXACT_NUM else object
         xs = np.array([v * fx for v in x_nums], dtype=dtype)
         return den, xs[form.src] * form.sign + form.nums.astype(dtype) * ft
 

@@ -2,12 +2,12 @@
 
 For a k = 1 (box) group the construction is fully exact: start from
 A_0, the intersection of the balls of exact orbit-diameter radius around
-the orbit of a seed point (taken in integers, so exact for any float
-seed point), then repeatedly apply the contraction step
-`box_H` at constant 1/2.  Every iterate is a dyadic box, checked exactly
-for invariance under every generator, and its diameter at least halves
-per step (`IterationTrace.halving_exact` states that exactly), so the
-boxes shrink onto a single common fixed point.
+the orbit of a seed point (all integer numerators over one denominator,
+so exact for any float seed point), then repeatedly apply the contraction
+step `box_H` at constant 1/2.  Every iterate is a dyadic box, checked
+exactly for invariance under every generator, and its diameter at least
+halves per step (`IterationTrace.halving_exact` states that exactly), so
+the boxes shrink onto a single common fixed point.
 
 The descent's bookkeeping stays in the boxes' integers: a diameter is
 width / den, the tolerance test width * tol_den <= tol_num * den, the
@@ -27,6 +27,7 @@ the whole group up to solver noise.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,21 +50,21 @@ def fixed_point_residual(group: HasImages, x: SupPoint) -> float:
     return float(_fiber_distances(images, x.fibers, out=images).max())
 
 
-def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[int, np.ndarray, Fraction]:
-    """(den, nums, diameter): the orbit of x0, exactly, and its sup-diameter
-    (k = 1 only).
+def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[int, np.ndarray, int]:
+    """(den, nums, spread): the orbit of x0, exactly, and its sup-diameter
+    spread / den (k = 1 only).
 
     Row i of nums holds the numerators over den of g_i(x0), the element
     applied in exact arithmetic (`GroupSpec.exact_images`), so the orbit is
     the group's true orbit also for a point off the data grid, whose float
     images round.  The sup-diameter is the largest per-coordinate spread,
-    max - min, taken on those integers.
+    max - min, taken in Python ints on the column extremes.
     """
     if group.k != 1:
         raise SpaceMismatchError("exact orbit diameters are defined for k=1")
     den, nums = group.exact_images(x0)
-    spread = (nums.max(axis=0) - nums.min(axis=0)).max()
-    return den, nums, Fraction(int(spread), den)
+    top, bottom = nums.max(axis=0).tolist(), nums.min(axis=0).tolist()
+    return den, nums, max(map(operator.sub, top, bottom))
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,8 @@ def iterate_box(
     """
     if group.k != 1:
         raise SpaceMismatchError("box descent requires k=1 fibers")
-    den, nums, delta = exact_orbit_diameter(group, x0)
-    box = ball_intersection(nums, delta, den=den)
+    den, nums, spread = exact_orbit_diameter(group, x0)
+    box = ball_intersection(nums, spread, den)
     if box.is_empty:
         raise InvarianceViolationError("initial ball intersection is empty")
 

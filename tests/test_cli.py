@@ -54,6 +54,22 @@ class TestMainInProcess:
         assert main(["run", str(p)]) == 4
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b'\xff\xfe{"kind": "box_fixed_point"}')
+        for command in ("run", "suite"):
+            assert main([command, str(p)]) == 4
+            err = capsys.readouterr().err
+            assert "not valid JSON" in err and len(err.splitlines()) == 1
+
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000)
+        for command in ("run", "suite"):
+            assert main([command, str(p)]) == 4
+            err = capsys.readouterr().err
+            assert "not valid JSON" in err and len(err.splitlines()) == 1
+
     def test_suite_command(self, tmp_path, capsys):
         suite = write_json(
             tmp_path / "suite.json",

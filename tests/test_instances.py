@@ -214,7 +214,7 @@ class TestCandidateBudget:
     def test_random_fiber_group_closes_candidates_at_the_budget(self, seed, monkeypatch):
         """Every candidate closure has cap=budget and completes exactly when
         the candidate's signed-cycle order is within it; only the last one
-        completes, and the generators' closure has cap=max_order + 1."""
+        completes, and the generators' closure has cap=max_order."""
         calls = []
         closure = instances.group_closure
 
@@ -227,7 +227,7 @@ class TestCandidateBudget:
         monkeypatch.setattr(instances, "group_closure", recording)
         random_fiber_group(seed, 5, 3, 12)
         *candidates, (_, final_cap, _) = calls
-        assert final_cap == 13
+        assert final_cap == 12
         assert len(candidates) >= 1 and {cap for _, cap, _ in candidates} <= {6, 12}
         assert [done for *_, done in candidates] == [False] * (len(candidates) - 1) + [True]
         for (cand,), cap, done in candidates:

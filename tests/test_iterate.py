@@ -12,7 +12,14 @@ from test_isometries import ref_box_image
 from supfix import iterate
 from supfix.errors import InvarianceViolationError, SamplingBudgetError, SpaceMismatchError
 from supfix.instances import random_box_group, random_fiber_group
-from supfix.isometries import ExactForm, FiberPermIsometry, GroupSpec, box_image, orbit
+from supfix.isometries import (
+    ExactForm,
+    FiberPermIsometry,
+    GroupSpec,
+    box_image,
+    group_closure,
+    orbit,
+)
 from supfix.iterate import (
     MAX_ITER,
     exact_orbit_diameter,
@@ -20,6 +27,7 @@ from supfix.iterate import (
     iterate_box,
     orbit_center_fixed_point,
 )
+from supfix.runner import run_scenario
 from supfix.spaces import SupPoint, sup_distance
 
 
@@ -47,12 +55,13 @@ class TestExactOrbitDiameter:
     def test_matches_float_on_grid_data(self):
         for seed in range(10):
             group, x0 = random_box_group(seed)
-            den, nums, diam = exact_orbit_diameter(group, x0)
+            den, nums, spread = exact_orbit_diameter(group, x0)
             pts = orbit(group, x0)
             float_diam = max(
                 sup_distance(SupPoint(a), SupPoint(b)) for a in pts.points for b in pts.points
             )
-            assert float(diam) == float_diam  # grid data keeps floats exact
+            assert type(spread) is int
+            assert spread / den == float_diam  # grid data keeps floats exact
             assert nums.dtype == np.int64 and np.array_equal(nums / den, pts.points[:, :, 0])
 
     @pytest.mark.parametrize("seed", range(20))
@@ -64,14 +73,52 @@ class TestExactOrbitDiameter:
             rng = np.random.default_rng(seed)
             scale = 10.0 ** rng.integers(-12, 12, size=(group.m, 1))
             x0 = SupPoint(rng.standard_normal((group.m, 1)) * scale)
-        den, nums, diam = exact_orbit_diameter(group, x0)
+        den, nums, spread = exact_orbit_diameter(group, x0)
         coords = exact_images(elements(group), x0)
         assert [[Fraction(int(v), den) for v in row] for row in nums] == coords
         want = max(
             max(abs(a - b) for a, b in zip(p, q)) for p in coords for q in coords
         )
-        assert isinstance(diam, Fraction) and diam == want
+        assert type(spread) is int and Fraction(spread, den) == want
         assert len(nums) == len(group)
+
+    @pytest.mark.parametrize("a, dtype", [(1.5 * 2**62, np.int64), (2.0**63, object)])
+    def test_int64_edge(self, a, dtype):
+        """Numerators up to the closure's int64 bound stay int64, and the
+        spread past it is still exact: the orbit of (a, a) under a
+        swap-and-negate is (a, a) and (-a, -a), of spread 2a over den 1."""
+        swap_negate = FiberPermIsometry(np.array([1, 0]), -np.ones((2, 1, 1)), np.zeros((2, 1)))
+        group = group_closure([swap_negate])
+        x0 = SupPoint(np.array([[a], [a]]))
+        den, nums, spread = exact_orbit_diameter(group, x0)
+        assert nums.dtype == dtype and den == 1 and spread == 2 * int(a)
+        fp, trace = iterate_box(group, x0)
+        assert trace.terminated == "converged" and trace.diameters_exact[0] == 2 * int(a)
+        assert fp.fibers.tolist() == [[0.0], [0.0]]
+
+
+class TestNoFractionOnBoxCases:
+    def test_box_cases_build_no_fraction(self, monkeypatch):
+        """The way from a box scenario to its report, A_0 included, stays in
+        integers: not one Fraction is built."""
+        built = []
+        new = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        scenarios = [{"kind": "box_fixed_point", "seed": seed, "dim": 1 + seed % 9,
+                      "max_order": (2, 48, 512)[seed % 3], "tol": (1e-300, 1e-10, 1e-3)[seed % 3]}
+                     for seed in range(20)]
+        subnormal = {"lo": [5e-324, -1.5, 1e-310], "hi": [1e-320, 1.25, 3e-310]}
+        scenarios.append({"kind": "box_fixed_point", "seed": 4, "dim": 3,  # Python-int orbit
+                          "sample_box": subnormal})
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+        codes = [run_scenario(raw)[1] for raw in scenarios]
+        monkeypatch.undo()
+        assert codes == [0] * len(scenarios)
+        assert built == []
 
 
 class TestIterateBox:
