@@ -199,22 +199,18 @@ def intersect(a: Box, b: Box) -> Box:  # public: box vocabulary
     return _box_over(a.dim, lo, hi, den)
 
 
-def ball_intersection(nums: Sequence[Sequence[int]], radius: int, den: int) -> Box:
-    """The box equal to the intersection of sup-norm balls B(c, r) over the
-    centers c = nums / den, with r = radius / den.
+def ball_intersection(top: Sequence[int], bottom: Sequence[int], radius: int, den: int) -> Box:
+    """The box equal to the intersection of sup-norm balls B(c, r), with
+    r = radius / den, over centers c whose largest coordinate i is
+    top[i] / den and whose smallest is bottom[i] / den.
 
-    nums is an (N, dim) array of integers (an integer dtype, or Python ints
-    where int64 cannot hold them).  Per coordinate the intersection is
-    [max c_i - r, min c_i + r], so the bounds are the column extremes, taken
-    as Python ints, minus and plus the radius numerator.
+    Per coordinate the intersection is [max c_i - r, min c_i + r], so it
+    depends on the centers through their column extremes alone, given as
+    Python ints (`iterate.exact_orbit_diameter` makes them).
     """
-    if len(nums) == 0:
-        raise EmptyDomainError("need at least one ball center")
-    pts = np.asarray(nums)
-    if pts.ndim != 2:
-        raise SpaceMismatchError("ball centers must form an (N, dim) array")
-    top, bottom = pts.max(axis=0).tolist(), pts.min(axis=0).tolist()
-    return _box_over(pts.shape[1], [t - radius for t in top], [b + radius for b in bottom], den)
+    if len(top) != len(bottom):
+        raise SpaceMismatchError("column maxima and minima differ in length")
+    return _box_over(len(top), [t - radius for t in top], [b + radius for b in bottom], den)
 
 
 def box_A(M: Box, c: Scalar) -> Box:  # public: box vocabulary

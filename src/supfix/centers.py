@@ -34,9 +34,9 @@ models.
 Radii and gaps are sup-distances over whole difference stacks, taken
 by `spaces._fiber_distances` with one max over each stack's flattened fiber
 axes, so every value is the float `sup_distance` gives for its pair.
-Radii are taken in blocks of centers of about `spaces._BLOCK_ELEMENTS`
-differences, so the temporaries stay near half a megabyte whatever the
-sample count.
+Radii are taken in blocks of centers whose differences fill about
+`spaces._BLOCK_BYTES`, the package's one block budget, whatever the sample
+count.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import EmptyDomainError, SpaceMismatchError
 from .seb import seb_center
-from .spaces import _BLOCK_ELEMENTS, PointCloud, SupPoint, _fiber_distances, cloud_diameter
+from .spaces import _BLOCK_BYTES, PointCloud, SupPoint, _fiber_distances, cloud_diameter
 # The reductions below compute sup_distance over whole arrays; the name stays
 # bound here because the perfbench tracer wraps and restores `centers.sup_distance`.
 from .spaces import sup_distance  # noqa: F401
@@ -101,7 +101,7 @@ def _in_space(cloud_pts: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _radii(cloud_pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """center_radius of each of the (S, m, k) centers against the (N, m, k) cloud."""
-    rows = max(1, _BLOCK_ELEMENTS // cloud_pts.size)
+    rows = max(1, _BLOCK_BYTES // cloud_pts.nbytes)
     out = np.empty(len(centers))
     for s in range(0, len(centers), rows):
         norms = _fiber_distances(centers[s:s + rows, np.newaxis], cloud_pts)  # (rows, N, m)

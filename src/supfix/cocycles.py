@@ -19,7 +19,7 @@ from `groups.inverse_indices`.  The matrix law is batched products over all
 pairs.  The scalar law substitutes s = (g h)^{-1} v, which turns its three
 terms into reads of one twisted table T[x, v] = c[x, x^{-1} v]: T[g h, v],
 T[g, v] and T[h, g^{-1} v g].  It takes its rows g in blocks of about
-_LAW_BLOCK_BYTES per temporary, with v as the leading axis, so each block
+`spaces._BLOCK_BYTES` per temporary, with v as the leading axis, so each block
 costs one element gather, one row gather and a broadcast add, and the worst
 defect over v is an elementwise max of contiguous (g, h) slabs.  A non-finite
 value never raises a warning in either check: it gives a NaN or inf defect,
@@ -38,15 +38,11 @@ import numpy as np
 
 from .errors import CocycleInconsistencyError, SpaceMismatchError
 from .groups import inverse_indices
-from .spaces import _fold_columns
+from .spaces import _BLOCK_BYTES, _fold_columns
 from .unitary import UnitaryGroup
 
 # Largest law defect accepted as a cocycle, for the matrix and the scalar law.
 LAW_TOL = 1e-8
-
-# Bytes per temporary of the scalar law check, which sets its rows per block:
-# up to order 36 all rows go in one block, from order 157 one row per block.
-_LAW_BLOCK_BYTES = 384 * 1024
 
 
 def _worst_pair(defects: np.ndarray) -> tuple[float, int, int]:
@@ -209,8 +205,9 @@ def translation_law_worst_pair(group: CayleyGroup, c: np.ndarray) -> tuple[float
     # T[g, v] is added along h, so the worst over v is an elementwise max
     # of contiguous (g, h) slabs.  The indices are checked element indices,
     # so mode="clip" clips nothing; it only lets np.take write straight
-    # into the buffers.  n >= 1, since index 0 is the identity.
-    rows = max(1, min(n, _LAW_BLOCK_BYTES // (n * n * c.itemsize)))
+    # into the buffers.  n >= 1, since index 0 is the identity.  Up to order
+    # 36 all rows go in one block, from order 157 one row per block.
+    rows = max(1, min(n, _BLOCK_BYTES // (n * n * c.itemsize)))
     a_buf, b_buf = np.empty(rows * n * n), np.empty(rows * n * n)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN defect
         for g0 in range(0, n, rows):

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .boxes import Box, ball_intersection, box_H, box_center
 from .centers import urns_center
 from .errors import InvarianceViolationError, SpaceMismatchError
@@ -50,21 +48,21 @@ def fixed_point_residual(group: HasImages, x: SupPoint) -> float:
     return float(_fiber_distances(images, x.fibers, out=images).max())
 
 
-def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[int, np.ndarray, int]:
-    """(den, nums, spread): the orbit of x0, exactly, and its sup-diameter
-    spread / den (k = 1 only).
+def exact_orbit_diameter(group: GroupSpec, x0: SupPoint) -> tuple[int, list[int], list[int], int]:
+    """(den, top, bottom, spread): the column extremes of the orbit of x0,
+    exactly, and its sup-diameter spread / den (k = 1 only).
 
-    Row i of nums holds the numerators over den of g_i(x0), the element
-    applied in exact arithmetic (`GroupSpec.exact_images`), so the orbit is
-    the group's true orbit also for a point off the data grid, whose float
-    images round.  The sup-diameter is the largest per-coordinate spread,
-    max - min, taken in Python ints on the column extremes.
+    top[i] / den and bottom[i] / den are the largest and smallest coordinate
+    i over the images g(x0), taken in exact arithmetic
+    (`GroupSpec.exact_images`), so the orbit is the group's true orbit also
+    for a point off the data grid, whose float images round.  The extremes
+    are Python ints, and the sup-diameter is the largest max - min of them.
     """
     if group.k != 1:
         raise SpaceMismatchError("exact orbit diameters are defined for k=1")
     den, nums = group.exact_images(x0)
     top, bottom = nums.max(axis=0).tolist(), nums.min(axis=0).tolist()
-    return den, nums, max(map(operator.sub, top, bottom))
+    return den, top, bottom, max(map(operator.sub, top, bottom))
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,8 @@ def iterate_box(
     """
     if group.k != 1:
         raise SpaceMismatchError("box descent requires k=1 fibers")
-    den, nums, spread = exact_orbit_diameter(group, x0)
-    box = ball_intersection(nums, spread, den)
+    den, top, bottom, spread = exact_orbit_diameter(group, x0)
+    box = ball_intersection(top, bottom, spread, den)
     if box.is_empty:
         raise InvarianceViolationError("initial ball intersection is empty")
 

@@ -44,9 +44,10 @@ from .errors import EmptyDomainError, SpaceMismatchError
 # Jung-type constant certifying uniform relative normal structure for
 # Euclidean fibers (the box space has 1/2).
 FIBER_URNS_CONSTANT = math.sqrt(3.0) / 2.0
-# Elements per block of a difference stack, so the temporaries of a diameter
-# or a radius stay near half a megabyte whatever the point and sample counts.
-_BLOCK_ELEMENTS = 1 << 16
+# Bytes per temporary of every blocked all-pairs reduction: the diameter
+# here, the radii of `centers`, the translation law of `cocycles` and the
+# homomorphism residual of `witnesses`.
+_BLOCK_BYTES = 384 * 1024
 # The shortest row np.add.reduce sums pairwise rather than in order.
 _PAIRWISE_FROM = 8
 
@@ -155,8 +156,8 @@ class PointCloud:
     The points are one read-only (N, m, k) array, a copy of the given
     stack checked once as a whole; an (N, m) stack holds box-space points.
     The diameter is computed on first use and kept: the largest fiber
-    distance over the distinct pairs i < j, gathered in blocks of about
-    `_BLOCK_ELEMENTS` differences, and 0.0 for a single point.
+    distance over the distinct pairs i < j, gathered in blocks of pairs
+    whose differences fill about `_BLOCK_BYTES`, and 0.0 for a single point.
     """
 
     points: np.ndarray
@@ -179,7 +180,7 @@ class PointCloud:
         n, m, k = pts.shape
         index = np.arange(n)
         rows, cols = np.nonzero(index[:, np.newaxis] < index)  # the pairs i < j
-        step = max(1, _BLOCK_ELEMENTS // (m * k))
+        step = max(1, _BLOCK_BYTES // (m * k * pts.itemsize))
         worst = 0.0
         for s in range(0, len(rows), step):
             diff = pts.take(rows[s:s + step], axis=0)

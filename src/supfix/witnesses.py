@@ -36,7 +36,8 @@ the route's first call and kept; the other routes never read it).  The
 method names, `WITNESS_METHODS`, are also the scenario schema's enum.
 The model residual and the similarity residuals are stacked array
 expressions over all elements at once (the homomorphism residual in row
-blocks of about a megabyte), with the same floats as one element at a time.
+blocks of about `spaces._BLOCK_BYTES`), with the same floats as one element
+at a time.
 The witness and group-algebra residuals compare the data with the
 `cocycles` formulas (`inner_derivation`, `translation_cocycle`) of the witness.
 """
@@ -59,13 +60,11 @@ from .cocycles import (
 from .errors import SpaceMismatchError
 from .isometries import _finite
 from .iterate import fixed_point_residual, orbit_center_fixed_point
-from .spaces import SupPoint
+from .spaces import _BLOCK_BYTES, SupPoint
 from .unitary import ModelFrame, embed
 
 WITNESS_METHODS = ("orbit_center", "averaging", "least_squares")
 FLAG_TOL = 1e-6
-# Bytes per row block of the (rows, |G|, 2d, 2d) homomorphism temporaries.
-_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)

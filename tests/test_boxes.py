@@ -110,20 +110,25 @@ class TestBallIntersection:
         for _ in range(10):
             nums = rng.integers(-64, 65, size=(4, 2))
             r = int(rng.integers(51, 129))
-            got = ball_intersection(nums, r, 64)
+            got = ball_intersection(*extremes(nums), r, 64)
             centers, radius = nums / 64, r / 64
             for y in grid_points([-3.2, -3.2], [3.2, 3.2], 17):
                 inside = all(max(abs(y[0] - c[0]), abs(y[1] - c[1])) <= radius for c in centers)
                 assert got.contains(y, tol=1e-12) == inside
 
     def test_empty_when_radius_too_small(self):
-        assert ball_intersection([[0], [10]], 1, 1).is_empty
-        assert ball_intersection(np.array([[0], [10]]), 4, 4).is_empty
-        assert ball_intersection(np.array([[0], [10]]), 5, 4) == Box.point([Fraction(5, 4)])
+        """Centers 0 and 10 over den 1 and 4."""
+        assert ball_intersection([10], [0], 1, 1).is_empty
+        assert ball_intersection([10], [0], 4, 4).is_empty
+        assert ball_intersection([10], [0], 5, 4) == Box.point([Fraction(5, 4)])
 
     def test_single_center_is_ball(self):
-        b = ball_intersection([[2, 4]], 1, 2)
+        b = ball_intersection([2, 4], [2, 4], 1, 2)
         assert b.lo == (HALF, Fraction(3, 2)) and b.hi == (Fraction(3, 2), Fraction(5, 2))
+
+    def test_extremes_of_different_lengths_raise(self):
+        with pytest.raises(SpaceMismatchError):
+            ball_intersection([1, 2], [1], 0, 1)
 
 
 class TestBoxA:
@@ -254,6 +259,13 @@ def numerators(points) -> tuple[int, list[list[int]]]:
     fracs = [[Fraction(x) for x in p] for p in points]
     den = math.lcm(*(x.denominator for p in fracs for x in p))
     return den, [[int(x * den) for x in p] for p in fracs]
+
+
+def extremes(nums) -> tuple[list[int], list[int]]:
+    """The column maxima and minima of integer rows, as Python ints: what
+    `exact_orbit_diameter` hands to `ball_intersection`."""
+    cols = [[int(v) for v in col] for col in zip(*nums)]
+    return [max(col) for col in cols], [min(col) for col in cols]
 
 
 def ref_ball_intersection(centers, radius) -> Box:
@@ -392,19 +404,18 @@ class TestAgainstFractionForms:
             den, nums = numerators(centers.tolist())
             spread = max(max(col) - min(col) for col in zip(*nums))
             for radius in (spread * int(rng.integers(0, 65)) // 32, spread // 2):
-                got = ball_intersection(np.array(nums, dtype=object), radius, den)
+                got = ball_intersection(*extremes(nums), radius, den)
                 assert_same_box(got, ref_ball_intersection(centers, Fraction(radius, den)))
-                assert_same_box(ball_intersection(nums, radius, den), got)
                 empties += got.is_empty
         assert empties > 0
 
     def test_ball_intersection_of_integer_centers(self, rng):
-        """Numerators of any integer dtype."""
+        """The extremes of integer numerators of any dtype."""
         for dtype in (np.int64, np.uint8, np.int32):
             centers = rng.integers(0, 100, size=(5, 3)).astype(dtype)
             points = [[Fraction(int(v), 4) for v in row] for row in centers]
             for radius in (160, 162, 199):
-                assert_same_box(ball_intersection(centers, radius, 4),
+                assert_same_box(ball_intersection(*extremes(centers), radius, 4),
                                 ref_ball_intersection(points, Fraction(radius, 4)))
 
     @pytest.mark.parametrize("den", [1, 3, 2**16, 2**1074])
@@ -417,7 +428,7 @@ class TestAgainstFractionForms:
                                            dtype=object)):
                 points = [[Fraction(int(v), den) for v in row] for row in centers]
                 for radius in (int(rng.integers(0, 2**42)), int(rng.integers(0, 2**42)) << 80):
-                    got = ball_intersection(centers, radius, den)
+                    got = ball_intersection(*extremes(centers), radius, den)
                     assert_same_box(got, ref_ball_intersection(points, Fraction(radius, den)))
                     empties += got.is_empty
         assert empties > 0

@@ -286,7 +286,7 @@ class TestReductionBytes:
     def test_radii_bytes_in_any_block_size(self, awkward_clouds, monkeypatch, rng, k, block):
         for name, pts in awkward_clouds(k).items():
             if block is not None:  # one center per block, or a few
-                monkeypatch.setattr(centers, "_BLOCK_ELEMENTS", block * pts.size)
+                monkeypatch.setattr(centers, "_BLOCK_BYTES", block * pts.nbytes)
             zs = np.concatenate([pts, pts[:2] + rng.standard_normal(pts[:2].shape)])
             want = ref_radii(pts, zs)
             got = centers._radii(pts, zs)

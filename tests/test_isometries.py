@@ -369,11 +369,14 @@ def assert_stacked_forms_match(group, isos, x):
     assert got.points.tobytes() == want.points.tobytes()
     assert repr(fixed_point_residual(group, x)) == repr(ref_fixed_point_residual(isos, x))
     if x.k == 1:
-        den, nums, spread = exact_orbit_diameter(group, x)
+        den, top, bottom, spread = exact_orbit_diameter(group, x)
         ref_images, ref_diam = ref_exact_orbit_diameter(isos, x)
-        assert nums.shape == (len(isos), x.m)
-        assert [[Fraction(int(v), den) for v in row] for row in nums] == ref_images
+        assert [Fraction(v, den) for v in top] == [max(col) for col in zip(*ref_images)]
+        assert [Fraction(v, den) for v in bottom] == [min(col) for col in zip(*ref_images)]
         assert type(spread) is int and Fraction(spread, den) == ref_diam
+        exact_den, nums = group.exact_images(x)
+        assert exact_den == den and nums.shape == (len(isos), x.m)
+        assert [[Fraction(int(v), den) for v in row] for row in nums] == ref_images
 
 
 class TestStackedFormsMatchPerElement:
@@ -421,7 +424,7 @@ class TestStackedFormsMatchPerElement:
         for fn in (orbit, fixed_point_residual):
             with pytest.raises(ValueError, match="finite"):
                 fn(group, x)
-        den, _, spread = exact_orbit_diameter(group, x)
+        den, _, _, spread = exact_orbit_diameter(group, x)
         assert Fraction(spread, den) == Fraction(1e308)
 
     def test_shape_mismatch(self):

@@ -55,14 +55,20 @@ class TestExactOrbitDiameter:
     def test_matches_float_on_grid_data(self):
         for seed in range(10):
             group, x0 = random_box_group(seed)
-            den, nums, spread = exact_orbit_diameter(group, x0)
+            den, top, bottom, spread = exact_orbit_diameter(group, x0)
             pts = orbit(group, x0)
             float_diam = max(
                 sup_distance(SupPoint(a), SupPoint(b)) for a in pts.points for b in pts.points
             )
             assert type(spread) is int
             assert spread / den == float_diam  # grid data keeps floats exact
-            assert nums.dtype == np.int64 and np.array_equal(nums / den, pts.points[:, :, 0])
+            assert all(type(v) is int for v in top + bottom)
+            coords = pts.points[:, :, 0]
+            assert [v / den for v in top] == coords.max(axis=0).tolist()
+            assert [v / den for v in bottom] == coords.min(axis=0).tolist()
+            exact_den, nums = group.exact_images(x0)
+            assert exact_den == den
+            assert nums.dtype == np.int64 and np.array_equal(nums / den, coords)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_pairwise_fractions(self, seed, elements):
@@ -73,14 +79,17 @@ class TestExactOrbitDiameter:
             rng = np.random.default_rng(seed)
             scale = 10.0 ** rng.integers(-12, 12, size=(group.m, 1))
             x0 = SupPoint(rng.standard_normal((group.m, 1)) * scale)
-        den, nums, spread = exact_orbit_diameter(group, x0)
+        den, top, bottom, spread = exact_orbit_diameter(group, x0)
         coords = exact_images(elements(group), x0)
+        assert [Fraction(v, den) for v in top] == [max(col) for col in zip(*coords)]
+        assert [Fraction(v, den) for v in bottom] == [min(col) for col in zip(*coords)]
+        exact_den, nums = group.exact_images(x0)
+        assert exact_den == den and len(nums) == len(group)
         assert [[Fraction(int(v), den) for v in row] for row in nums] == coords
         want = max(
             max(abs(a - b) for a, b in zip(p, q)) for p in coords for q in coords
         )
         assert type(spread) is int and Fraction(spread, den) == want
-        assert len(nums) == len(group)
 
     @pytest.mark.parametrize("a, dtype", [(1.5 * 2**62, np.int64), (2.0**63, object)])
     def test_int64_edge(self, a, dtype):
@@ -90,8 +99,9 @@ class TestExactOrbitDiameter:
         swap_negate = FiberPermIsometry(np.array([1, 0]), -np.ones((2, 1, 1)), np.zeros((2, 1)))
         group = group_closure([swap_negate])
         x0 = SupPoint(np.array([[a], [a]]))
-        den, nums, spread = exact_orbit_diameter(group, x0)
-        assert nums.dtype == dtype and den == 1 and spread == 2 * int(a)
+        den, top, bottom, spread = exact_orbit_diameter(group, x0)
+        assert group.exact_images(x0)[1].dtype == dtype and den == 1 and spread == 2 * int(a)
+        assert top == [int(a)] * 2 and bottom == [-int(a)] * 2
         fp, trace = iterate_box(group, x0)
         assert trace.terminated == "converged" and trace.diameters_exact[0] == 2 * int(a)
         assert fp.fibers.tolist() == [[0.0], [0.0]]
@@ -249,7 +259,7 @@ class TestDescentAgainstReference:
             isos = elements(group)
             for i, x0 in enumerate((grid_x0, wide_x0)):
                 tol = TOLERANCES[(2 * seed + i + dim) % len(TOLERANCES)]
-                den, nums, _ = exact_orbit_diameter(group, x0)
+                den, nums = group.exact_images(x0)
                 python_ints += nums.dtype == object and den >= 2**90
                 fp, trace = iterate_box(group, x0, tol=tol)
                 boxes, diams, terminated, center = ref_descent(group, x0, tol, isos)

@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,34 @@ def ref_diameter(pts):
     with np.errstate(over="ignore"):
         diff = pts[:, np.newaxis, :, :] - pts[np.newaxis, :, :, :]
         return float(np.max(np.max(np.sqrt(np.sum(diff * diff, axis=3)), axis=2)))
+
+
+def top_level_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(assigned, imported): the names a module binds at its top level by
+    assignment and by `from ... import`."""
+    assigned, imported = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            assigned.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return assigned, imported
+
+
+def test_spaces_defines_the_one_block_budget():
+    """Every blocked reduction sizes its blocks from `spaces._BLOCK_BYTES`:
+    no other module defines a block-size constant, and the modules with a
+    blocked loop import this one."""
+    package = Path(spaces.__file__).parent
+    names = {path.stem: top_level_names(ast.parse(path.read_text()))
+             for path in package.glob("*.py")}
+    blocks = {module: sorted(n for n in assigned if "BLOCK" in n.upper())
+              for module, (assigned, _) in names.items()}
+    assert {module: b for module, b in blocks.items() if b} == {"spaces": ["_BLOCK_BYTES"]}
+    assert spaces._BLOCK_BYTES == 384 * 1024
+    for module in ("centers", "cocycles", "witnesses"):
+        assert "_BLOCK_BYTES" in names[module][1], module
 
 
 class TestSupPoint:
@@ -230,9 +260,9 @@ class TestFiberNormBytes:
     @pytest.mark.parametrize("k", FIBER_LENGTHS)
     @pytest.mark.parametrize("block", [None, 1, 5])
     def test_diameter_bytes_in_any_block_size(self, awkward_clouds, monkeypatch, k, block):
-        if block is not None:  # blocks of one pair, and blocks that split rows
-            monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", block * 4 * k)
         for name, pts in awkward_clouds(k).items():
+            if block is not None:  # blocks of one pair, and blocks that split rows
+                monkeypatch.setattr(spaces, "_BLOCK_BYTES", block * pts[0].nbytes)
             want = ref_diameter(pts)
             got = cloud_diameter(PointCloud(pts))
             assert repr(got) == repr(want), name
@@ -241,9 +271,9 @@ class TestFiberNormBytes:
     def test_every_pair_is_reached(self, rng, monkeypatch, block):
         """Whichever pair is the unique farthest one, in whichever block of
         pairs it falls, the diameter is its distance."""
-        if block is not None:
-            monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", block * 6)
         base = 0.1 * rng.standard_normal((6, 3, 2))
+        if block is not None:  # block pairs of differences per block
+            monkeypatch.setattr(spaces, "_BLOCK_BYTES", block * base[0].nbytes)
         for i in range(6):
             for j in range(i + 1, 6):
                 pts = base.copy()
