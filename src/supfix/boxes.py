@@ -10,12 +10,12 @@ approximations, which downstream iteration tests rely on.
 
 A box keeps its bounds as Python ints over one common denominator, in
 lowest terms.  It is made one of two ways: by the checked constructor
-`Box(dim, lo, hi)`, which `Box.bounds`, `Box.point` and `Box.empty` call,
-or by `_reduced`, which puts result numerators in lowest terms and wraps
-them unchecked.  The operators put a box's ints and the constants of one
-call over a common denominator (the lcm of theirs), add, subtract and
-compare the numerators exactly, and hand the result numerators to
-`_reduced` (through `_box_over` where the result may be empty); `Fraction`
+`Box(dim, lo, hi)`, which `Box.empty` calls, or by `_reduced`, which puts
+result numerators in lowest terms and wraps them unchecked.  The
+operators put a box's ints and the constants of one call over a common
+denominator (the lcm of theirs), add, subtract and compare the numerators
+exactly, and hand the result numerators to `_reduced`, or return the
+empty marker when some lower bound exceeds its upper one; `Fraction`
 bounds are built each time a caller reads them, which no descent does.
 This is the same exact arithmetic as on the Fractions themselves, for every
 rational input, without the cost of normalising each intermediate value.
@@ -41,7 +41,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import EmptyDomainError, SpaceMismatchError
-from .spaces import PointCloud, SupPoint
+from .spaces import SupPoint
 
 Scalar = Union[int, float, Fraction]
 
@@ -60,15 +60,6 @@ def _scaled(*seqs: Sequence[Scalar]) -> tuple[int, list[list[int]]]:
     ratios = [[x.as_integer_ratio() for x in seq] for seq in seqs]
     den = math.lcm(*(d for rs in ratios for _, d in rs))
     return den, [[n * (den // d) for n, d in rs] for rs in ratios]
-
-
-def _box_over(dim: int, lo: Sequence[int], hi: Sequence[int], den: int) -> "Box":
-    """The box with bounds lo[i] / den and hi[i] / den, or the empty marker
-    when some lo[i] > hi[i].  The bounds are already compared, so the box is
-    built without the constructor's checks, in lowest terms."""
-    if any(a > b for a, b in zip(lo, hi)):
-        return Box.empty(dim)
-    return _reduced(dim, lo, hi, den)
 
 
 def _reduced(dim: int, lo: Sequence[int], hi: Sequence[int], den: int) -> "Box":
@@ -112,16 +103,6 @@ class Box:
                 raise ValueError(f"inverted interval [{a}, {b}]; use Box.empty for empty sets")
         den, (lo_num, hi_num) = _scaled(lo_f, hi_f)  # lcm of lowest terms: already reduced
         self._den, self._lo_num, self._hi_num = den, tuple(lo_num), tuple(hi_num)
-
-    @classmethod
-    def bounds(cls, lo: Sequence[Scalar], hi: Sequence[Scalar]) -> "Box":
-        if len(lo) != len(hi):
-            raise SpaceMismatchError("lo and hi have different lengths")
-        return cls(len(lo), lo, hi)
-
-    @classmethod
-    def point(cls, p: Sequence[Scalar]) -> "Box":  # public: box vocabulary
-        return cls(len(p), p, p)
 
     @classmethod
     def empty(cls, dim: int) -> "Box":
@@ -171,32 +152,11 @@ class Box:
         den = 2 * self._den
         return tuple(Fraction(a + b, den) for a, b in zip(self._lo_num, self._hi_num))
 
-    def contains(self, p: Sequence[Scalar], tol: Scalar = 0) -> bool:  # public: box vocabulary
-        if self.is_empty:
-            return False
-        t = _frac(tol)
-        return all(
-            a - t <= _frac(x) <= b + t for x, a, b in zip(p, self.lo, self.hi)
-        )
-
 
 def _rescaled(nums: Sequence[int], den: int, to: int) -> list[int]:
     """Numerators over den as numerators over `to`, a multiple of den."""
     f = to // den
     return [a * f for a in nums]
-
-
-def intersect(a: Box, b: Box) -> Box:  # public: box vocabulary
-    if a.dim != b.dim:
-        raise SpaceMismatchError("cannot intersect boxes of different dimensions")
-    if a.is_empty or b.is_empty:
-        return Box.empty(a.dim)
-    den = math.lcm(a._den, b._den)
-    alo, ahi = _rescaled(a._lo_num, a._den, den), _rescaled(a._hi_num, a._den, den)
-    blo, bhi = _rescaled(b._lo_num, b._den, den), _rescaled(b._hi_num, b._den, den)
-    lo = [max(x, y) for x, y in zip(alo, blo)]
-    hi = [min(x, y) for x, y in zip(ahi, bhi)]
-    return _box_over(a.dim, lo, hi, den)
 
 
 def ball_intersection(top: Sequence[int], bottom: Sequence[int], radius: int, den: int) -> Box:
@@ -210,23 +170,10 @@ def ball_intersection(top: Sequence[int], bottom: Sequence[int], radius: int, de
     """
     if len(top) != len(bottom):
         raise SpaceMismatchError("column maxima and minima differ in length")
-    return _box_over(len(top), [t - radius for t in top], [b + radius for b in bottom], den)
-
-
-def box_A(M: Box, c: Scalar) -> Box:  # public: box vocabulary
-    """Intersection of the balls B(x, c * diam M) over all x in M.
-
-    Per coordinate the farthest x sits at an endpoint, so the result is
-    exactly [hi_i - r, lo_i + r] with r = c * diam(M), possibly empty.  With
-    c = p / q the bounds are numerators over M's denominator times q, and
-    r = p * width over it.
-    """
-    if M.is_empty:
-        return Box.empty(M.dim)
-    p, q = _frac(c).as_integer_ratio()
-    den, r = M._den * q, p * M._width()
-    lo, hi = _rescaled(M._lo_num, M._den, den), _rescaled(M._hi_num, M._den, den)
-    return _box_over(M.dim, [b - r for b in hi], [a + r for a in lo], den)
+    lo, hi = [t - radius for t in top], [b + radius for b in bottom]
+    if any(a > b for a, b in zip(lo, hi)):
+        return Box.empty(len(top))
+    return _reduced(len(top), lo, hi, den)
 
 
 def box_H(M: Box, c: Scalar) -> Box:
@@ -270,13 +217,3 @@ def box_center(M: Box) -> SupPoint:
     mid = np.array([(a + b) / den for a, b in zip(M._lo_num, M._hi_num)])
     return SupPoint._trusted(mid.reshape(M.dim, 1))
 
-
-def bounding_box(cloud: PointCloud) -> Box:  # public: box vocabulary
-    """Smallest box containing a box-space (k = 1) cloud."""
-    if len(cloud) == 0:
-        raise EmptyDomainError("empty cloud has no bounding box")
-    pts = cloud.points
-    if pts.shape[2] != 1:
-        raise SpaceMismatchError("bounding boxes are defined for k=1 clouds")
-    flat = pts[:, :, 0]
-    return Box.bounds(flat.min(axis=0).tolist(), flat.max(axis=0).tolist())

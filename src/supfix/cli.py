@@ -4,8 +4,10 @@
     supfix suite suite.json  [--json-out out.json] [--trace-dir DIR]
 
 The process exit code follows the runner contract (0 ok, 2 flagged,
-3 inconsistent input data, 4 malformed scenario); unreadable files also
-exit with 4.
+3 inconsistent input data, 4 malformed scenario).  An unreadable scenario
+file and an unusable output path (a --json-out in a missing directory, a
+--trace-dir that is a file) also exit with 4, after one line on stderr
+naming the path.
 """
 
 from __future__ import annotations
@@ -49,20 +51,28 @@ def main(argv=None) -> int:
         print(f"supfix: {args.path} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 
-    if args.trace_dir is not None:
-        args.trace_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.command == "run":
-        report, code = run_scenario(raw, trace_dir=args.trace_dir)
-    else:
-        report, code = run_suite(raw, trace_dir=args.trace_dir)
+    run = run_scenario if args.command == "run" else run_suite
+    try:
+        if args.trace_dir is not None:
+            args.trace_dir.mkdir(parents=True, exist_ok=True)
+        report, code = run(raw, trace_dir=args.trace_dir)
+    except OSError as exc:  # the traces are the only files a run writes
+        return _cannot_write(args.trace_dir, exc)
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.json_out is not None:
-        args.json_out.write_text(text + "\n")
+        try:
+            args.json_out.write_text(text + "\n")
+        except OSError as exc:
+            return _cannot_write(args.json_out, exc)
     if not args.quiet:
         print(text)
     return code
+
+
+def _cannot_write(path: Path, exc: OSError) -> int:
+    print(f"supfix: cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_FORMAT
 
 
 if __name__ == "__main__":

@@ -8,10 +8,11 @@ import math
 
 import numpy as np
 import pytest
+from test_boxes import ref_bounding_box
 from test_isometries import witness_group
 
 from supfix import centers
-from supfix.boxes import bounding_box, box_center
+from supfix.boxes import box_center
 from supfix.centers import center_radius, urns_center, verify_urns_certificate
 from supfix.errors import EmptyDomainError, SpaceMismatchError
 from supfix.instances import certificate_samples, random_cloud
@@ -50,7 +51,7 @@ class TestUrnsCenter:
         for _ in range(20):
             cloud = PointCloud(rng.standard_normal((7, 4, 1)))
             z = urns_center(cloud)
-            mid = box_center(bounding_box(cloud))
+            mid = box_center(ref_bounding_box(cloud))
             assert sup_distance(z, mid) <= 1e-9
 
     def test_radius_at_most_diameter_over_sqrt2(self, rng):
@@ -78,6 +79,43 @@ class TestUrnsCenter:
         z1 = urns_center(PointCloud(arr))
         z2 = urns_center(PointCloud(arr + shift))
         assert np.allclose(z1.fibers + shift, z2.fibers, atol=1e-9)
+
+
+# -- Jung's bound ----------------------------------------------------------------
+# Jung (1901): a set of diameter d in R^k lies in a ball of radius J_k d, with
+# J_k = sqrt(k / (2 (k + 1))), so each fiber's smallest enclosing ball is no
+# larger.  The diameters here are numpy's own, apart from seb and spaces.
+
+JUNG_DRAWS = (  # (fibers, fiber_dim, points), seeds of random_cloud
+    ((4, 3, 10), range(100)), ((4, 1, 10), range(200)), ((3, 2, 6), range(200)),
+    ((5, 3, 12), range(100)), ((4, 8, 20), range(10)), ((16, 8, 40), range(1)),
+)
+
+
+def jung_violations(pts: np.ndarray, centers: np.ndarray) -> int:
+    """The number of fibers g whose ball about centers[g] holding the
+    points pts[:, g] is larger than J_k diam (1 + 1e-12)."""
+    k = pts.shape[-1]
+    diff = pts[:, None] - pts[None]
+    diam = np.sqrt((diff * diff).sum(axis=-1)).max(axis=(0, 1))
+    radius = np.sqrt(((pts - centers) ** 2).sum(axis=-1)).max(axis=0)
+    return int((radius > math.sqrt(k / (2 * (k + 1))) * diam * (1 + 1e-12)).sum())
+
+
+class TestJungBound:
+    @pytest.fixture(scope="class")
+    def clouds(self) -> list[PointCloud]:
+        return [random_cloud(seed, *shape) for shape, seeds in JUNG_DRAWS for seed in seeds]
+
+    def test_every_fiber_keeps_jungs_bound(self, clouds):
+        assert sum(jung_violations(c.points, urns_center(c).fibers) for c in clouds) == 0
+
+    def test_the_gate_rejects_the_centroid_and_the_box_midpoint(self, clouds):
+        """Neither is the smallest enclosing ball's center, and each breaks
+        the bound on some fiber of these draws."""
+        for center in (lambda pts: pts.mean(axis=0),
+                       lambda pts: (pts.max(axis=0) + pts.min(axis=0)) / 2):
+            assert sum(jung_violations(c.points, center(c.points)) for c in clouds) > 0
 
 
 def fibers_cloud(*fibers) -> PointCloud:

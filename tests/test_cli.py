@@ -48,6 +48,35 @@ class TestMainInProcess:
         assert main(["run", str(tmp_path / "missing.json")]) == 4
         assert "cannot read" in capsys.readouterr().err
 
+    def test_trace_dir_that_is_a_file(self, tmp_path, capsys):
+        sc = write_json(tmp_path / "s.json", {"kind": "box_fixed_point", "seed": 5})
+        taken = tmp_path / "traces"
+        taken.write_text("")
+        suite = write_json(tmp_path / "suite.json", [{"kind": "box_fixed_point", "seed": 5}])
+        for command, path in (("run", sc), ("suite", suite)):
+            assert main([command, str(path), "--quiet", "--trace-dir", str(taken)]) == 4
+            err = capsys.readouterr().err
+            assert f"cannot write {taken}" in err and len(err.splitlines()) == 1
+
+    def test_trace_file_that_cannot_be_written(self, tmp_path, capsys):
+        sc = write_json(tmp_path / "s.json", {"kind": "box_fixed_point", "seed": 5})
+        traces = tmp_path / "traces"
+        (traces / "box_fixed_point_5.csv").mkdir(parents=True)
+        assert main(["run", str(sc), "--quiet", "--trace-dir", str(traces)]) == 4
+        err = capsys.readouterr().err
+        assert f"cannot write {traces}" in err and len(err.splitlines()) == 1
+
+    def test_json_out_in_a_missing_directory(self, tmp_path, capsys):
+        scenario = {"kind": "urns_certificate", "seed": 1, "samples": 5}
+        sc = write_json(tmp_path / "s.json", scenario)
+        suite = write_json(tmp_path / "suite.json", [scenario])
+        dest = tmp_path / "missing" / "out.json"
+        for command, path in (("run", sc), ("suite", suite)):
+            assert main([command, str(path), "--quiet", "--json-out", str(dest)]) == 4
+            err = capsys.readouterr().err
+            assert f"cannot write {dest}" in err and len(err.splitlines()) == 1
+        assert not dest.parent.exists()
+
     def test_invalid_json(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

@@ -270,7 +270,7 @@ class TestBoxImage:
             iso = FiberPermIsometry(perm, signs.reshape(m, 1, 1), trans)
             lo = rng.integers(-8, 0, size=m) / 4.0
             hi = lo + rng.integers(1, 9, size=m) / 4.0
-            box = Box.bounds(lo, hi)
+            box = Box(m, lo, hi)
             img = box_image(iso, box)
             corner_images = []
             for corner in itertools.product(*zip(lo, hi)):
@@ -285,13 +285,13 @@ class TestBoxImage:
         iso = FiberPermIsometry(
             np.array([1, 0]), np.array([[[-1.0]], [[1.0]]]), np.array([[0.5], [0.25]])
         )
-        box = Box.bounds([0.0, -1.0], [2.0, 0.5])
+        box = Box(2, [0.0, -1.0], [2.0, 0.5])
         assert box_image(iso, box).diameter() == box.diameter()
 
     def test_rejects_wide_fibers(self, rng):
         iso = random_iso(rng, 2, 2)
         with pytest.raises(SpaceMismatchError):
-            box_image(iso, Box.bounds([0, 0], [1, 1]))
+            box_image(iso, Box(2, [0, 0], [1, 1]))
 
     def test_empty_passes_through(self):
         iso = FiberPermIsometry(np.array([0]), np.ones((1, 1, 1)), np.zeros((1, 1)))
@@ -445,7 +445,7 @@ class TestBoxImageAgainstFractionForm:
         isos = elements(group)
         rng = np.random.default_rng(seed)
         lo = x0.fibers[:, 0] - rng.uniform(0, 2, size=group.m)
-        box = Box.bounds(lo, lo + rng.uniform(0, 2, size=group.m))
+        box = Box(group.m, lo, lo + rng.uniform(0, 2, size=group.m))
         for _ in range(12):
             for g in isos:
                 assert_same_box(box_image(g, box), ref_box_image(g, box))
@@ -459,14 +459,14 @@ class TestBoxImageAgainstFractionForm:
             iso = FiberPermIsometry(rng.permutation(m), rng.choice([-1.0, 1.0], size=(m, 1, 1)),
                                     trans)
             lo = [Fraction(int(v), 3) for v in rng.integers(-9, 9, size=m)]
-            box = Box.bounds(lo, [a + Fraction(1, 7) for a in lo])
+            box = Box(m, lo, [a + Fraction(1, 7) for a in lo])
             assert_same_box(box_image(iso, box), ref_box_image(iso, box))
 
     def test_rejects_non_unit_signs(self):
         near = FiberPermIsometry(np.array([1, 0]), np.array([[[1.0]], [[-1.0 + 1e-12]]]),
                                  np.zeros((2, 1)))
         with pytest.raises(ValueError, match="exactly"):
-            box_image(near, Box.bounds([0, 0], [1, 1]))
+            box_image(near, Box(2, [0, 0], [1, 1]))
 
 
 class TestTrustedConstruction:
@@ -1070,28 +1070,29 @@ class TestSelfImage:
 
     def test_hand_cases(self):
         third = Fraction(1, 3)
-        centered = Box.bounds([-third], [third])  # den 3; the translations have den 4
+        centered = Box(1, [-third], [third])  # den 3; the translations have den 4
 
         def line(sign, t):
             return FiberPermIsometry(np.array([0]), np.array([[[sign]]]), np.array([[t]]))
 
         identity, shift, mirror = line(1.0, 0.0), line(1.0, 0.75), line(-1.0, 0.75)
-        about = Box.bounds([Fraction(3, 8) - third], [Fraction(3, 8) + third])
+        about = Box(1, [Fraction(3, 8) - third], [Fraction(3, 8) + third])
+        fixed, moved = (Box(1, [x], [x]) for x in (Fraction(3, 8), Fraction(1, 5)))
         for iso, box, own in ((identity, centered, True), (shift, centered, False),
                               (line(-1.0, 0.0), centered, True), (mirror, centered, False),
-                              (mirror, about, True), (mirror, Box.point([Fraction(3, 8)]), True),
-                              (mirror, Box.point([Fraction(1, 5)]), False)):
+                              (mirror, about, True), (mirror, fixed, True),
+                              (mirror, moved, False)):
             assert (box_image(iso, box) is box) == own
             assert_self_image_contract(iso, box)
         # a swap, of either sign, with translations of two denominators
-        square = Box.bounds([-third, -third], [third, third])
+        square = Box(2, [-third, -third], [third, third])
         for sign in (1.0, -1.0):
             for trans, own in ((np.zeros((2, 1)), True), (np.array([[0.5], [2.0 ** -60]]), False)):
                 swap = FiberPermIsometry(np.array([1, 0]), np.full((2, 1, 1), sign), trans)
                 assert (box_image(swap, square) is square) == own
                 assert_self_image_contract(swap, square)
         # images whose lower bounds all match the box's and whose upper bounds do not
-        tall = Box.bounds([0, 0], [1, 2])
+        tall = Box(2, [0, 0], [1, 2])
         for sign, trans in ((1.0, [[0.0], [0.0]]), (-1.0, [[2.0], [1.0]])):
             swap = FiberPermIsometry(np.array([1, 0]), np.full((2, 1, 1), sign), np.array(trans))
             assert box_image(swap, tall).lo == tall.lo
@@ -1106,7 +1107,7 @@ class TestSelfImage:
         assert box_image(iso, wrong_dim) is wrong_dim
 
     def test_error_paths(self, rng):
-        box = Box.bounds([0, 0], [1, 1])
+        box = Box(2, [0, 0], [1, 1])
         with pytest.raises(SpaceMismatchError, match="k=1"):
             box_image(random_iso(rng, 2, 2), box)
         with pytest.raises(SpaceMismatchError, match="k=1"):

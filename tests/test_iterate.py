@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_boxes import assert_same_box, ref_ball_intersection, ref_box_H
+from test_boxes import assert_same_box, inside, ref_ball_intersection, ref_box_H
 from test_isometries import ref_box_image
 
 from supfix import iterate
@@ -161,7 +161,7 @@ class TestIterateBox:
     def test_fixed_point_in_final_box(self):
         group, x0 = random_box_group(33)
         fp, trace = iterate_box(group, x0)
-        assert trace.boxes[-1].contains(fp.fibers[:, 0], tol=1e-12)
+        assert inside(trace.boxes[-1], fp.fibers[:, 0], tol=1e-12)
 
     def test_float_diameters_halve_too(self):
         """Rounding to float preserves the halving chain because rounding is

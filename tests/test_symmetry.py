@@ -22,6 +22,25 @@ conjugate closure lists U g U^T in the same element order, every method
 makes the same decision on it, and its residuals are within
 `RESIDUAL_GAP` of the first run's.  They are not all byte-equal: over
 these cases 517 of 1050 residual pairs were, and the worst gap was 3.2e-15.
+
+The certificate kind's space has two symmetries that need no float
+arithmetic: the order of the fibers and the order of the points.
+Permuting the fibers of the cloud and of the samples alike permutes the
+center's fibers byte for byte and leaves the certificate report equal,
+float for float: each fiber is solved on its own, and the report's
+maxima do not depend on the fibers' order.  Permuting the points changes
+the order Welzl's algorithm meets them in, so there the center moves
+within 1e-12 (1.9e-15 at worst over these cases) and the report keeps
+its decision and its sample counts.
+
+The group-algebra kind is relabeled by an inner automorphism
+phi(x) = k x k^-1 of `symmetric:n`, with c'[phi g, phi s] = c[g, s].
+The law check reads the same three floats for each (g, h, s) as for
+(phi g, phi h, phi s), so the worst law defect is byte-equal.  The
+barycenter t' sums its rows in another order, so t' o phi and t, and the
+two residuals, agree within `RESIDUAL_GAP` (4.9e-15 and 1.8e-15 at worst
+over these cases), and the flags are equal.  `cyclic:n` is left out:
+its valid table is zero, so relabeling it moves nothing.
 """
 
 from fractions import Fraction
@@ -32,20 +51,25 @@ from test_groups import compose
 from test_isometries import apply
 
 from supfix.boxes import box_center
-from supfix.cocycles import DerivationData
+from supfix.centers import urns_center, verify_urns_certificate
+from supfix.cocycles import CayleyGroup, DerivationData
 from supfix.instances import (
     _NAMED_GENERATORS,
+    corrupt_cocycle_table,
     corrupt_derivation,
     grid_point,
     random_box_group,
+    random_certificate_instance,
     random_fiber_group,
     random_inner_derivation,
+    random_translation_cocycle,
     unitary_group,
 )
 from supfix.isometries import FiberPermIsometry, box_image, group_closure
 from supfix.iterate import iterate_box, orbit_center_fixed_point
+from supfix.spaces import PointCloud
 from supfix.unitary import unitary_closure
-from supfix.witnesses import WITNESS_METHODS, solve_witness
+from supfix.witnesses import WITNESS_METHODS, finite_group_algebra_witness, solve_witness
 
 DIMS = (4, 8, 16, 32)
 MAX_ORDER = 64
@@ -157,3 +181,83 @@ def test_witness_decisions_commute_with_conjugation(name, seed):
                     a, b = getattr(want, field), getattr(got, field)
                     assert (a is None) == (b is None)
                     assert a is None or abs(a - b) <= RESIDUAL_GAP, (method, field, a, b)
+
+
+CERTIFICATE_SHAPE = (4, 3, 10)  # fibers, fiber_dim, points
+CERTIFICATE_SAMPLES = 50
+
+
+def assert_certificate_commutes(seed: int, fibers: np.ndarray, sample_fibers: np.ndarray,
+                                points: np.ndarray):
+    """The certificate case of seed, its cloud's fibers permuted by fibers
+    and its samples' by sample_fibers, then its points by points."""
+    cloud, z, c, ys = random_certificate_instance(seed, *CERTIFICATE_SHAPE, CERTIFICATE_SAMPLES)
+    want = verify_urns_certificate(cloud, z, c, ys)
+    moved = PointCloud(cloud.points[:, fibers])
+    hz = urns_center(moved)
+    assert hz.fibers.tobytes() == z.fibers[fibers].tobytes()
+    assert verify_urns_certificate(moved, hz, c, PointCloud(ys.points[:, sample_fibers])) == want
+    shuffled = PointCloud(cloud.points[points])
+    qz = urns_center(shuffled)
+    assert np.abs(qz.fibers - z.fibers).max() <= 1e-12
+    got = verify_urns_certificate(shuffled, qz, c, ys)
+    assert (got.ok, got.checked_samples, got.rejected_samples) == (
+        want.ok, want.checked_samples, want.rejected_samples)
+
+
+def certificate_permutations(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(fiber permutation, point permutation) drawn for seed."""
+    rng = np.random.default_rng(1000 + seed)
+    return rng.permutation(CERTIFICATE_SHAPE[0]), rng.permutation(CERTIFICATE_SHAPE[2])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_certificate_commutes_with_fiber_and_point_order(seed):
+    fibers, points = certificate_permutations(seed)
+    assert_certificate_commutes(seed, fibers, fibers, points)
+
+
+def test_the_certificate_gate_sees_samples_permuted_unlike_the_cloud():
+    for seed in range(10):
+        fibers, points = certificate_permutations(seed)
+        with pytest.raises(AssertionError):
+            assert_certificate_commutes(seed, fibers, np.roll(fibers, 1), points)
+
+
+def relabeled(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """c'[phi g, phi s] = c[g, s]."""
+    out = np.empty_like(c)
+    out[np.ix_(phi, phi)] = c
+    return out
+
+
+def assert_group_algebra_commutes(group: CayleyGroup, c: np.ndarray, phi: np.ndarray):
+    want = finite_group_algebra_witness(group, c)
+    got = finite_group_algebra_witness(group, relabeled(c, phi))
+    assert got.law_defect.hex() == want.law_defect.hex()
+    assert got.flagged == want.flagged
+    assert np.abs(got.t_witness[phi] - want.t_witness).max() <= RESIDUAL_GAP
+    assert abs(got.residual - want.residual) <= RESIDUAL_GAP
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_group_algebra_witness_commutes_with_inner_automorphisms(n, seed):
+    group = CayleyGroup.symmetric(n)
+    k = int(np.random.default_rng(1000 + seed).integers(1, len(group)))
+    phi = group.table[group.table[k], group.inverse[k]]  # x -> k x k^-1
+    valid, _ = random_translation_cocycle(group, seed)
+    for c in (valid, corrupt_cocycle_table(valid, seed + 1)):
+        assert_group_algebra_commutes(group, c, phi)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_the_group_algebra_gate_sees_a_relabeling_that_is_no_automorphism(n):
+    group = CayleyGroup.symmetric(n)
+    size = len(group)
+    sigma = np.concatenate([[0], 1 + np.random.default_rng(n).permutation(size - 1)])
+    assert not np.array_equal(sigma[group.table], group.table[np.ix_(sigma, sigma)])
+    for seed in range(1, 3):
+        valid, _ = random_translation_cocycle(group, seed)
+        with pytest.raises(AssertionError):
+            assert_group_algebra_commutes(group, valid, sigma)

@@ -224,7 +224,7 @@ class TestIntegerBookkeeping:
         ([5e-324, 0.0], True),
     ])
     def test_hand_built_halving(self, his, halves):
-        boxes = tuple(Box.bounds([0.0], [h]) for h in his)
+        boxes = tuple(Box(1, [0.0], [h]) for h in his)
         widths = tuple(box.diameter().as_integer_ratio() for box in boxes)
         trace = IterationTrace(boxes, widths, "converged")
         assert trace.halving_exact is halves
